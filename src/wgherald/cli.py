@@ -22,9 +22,9 @@ from .fitting import InsufficientDataError, fit_loglog
 from .sweep import (
     SweepConfigError,
     SweepSpec,
-    evaluate_point,
     rows_to_csv,
     rows_to_jsonl,
+    run_point,
     run_sweep,
     write_rows,
 )
@@ -32,6 +32,11 @@ from .sweep import (
 
 class UsageError(Exception):
     """Raised for bad flags or bad configuration (exit code 1)."""
+
+
+# Exit code 2.  LinAlgError subclasses ValueError, so it is caught before the
+# ValueError that marks a parameter error.
+_NUMERIC_ERRORS = (ArithmeticError, np.linalg.LinAlgError, bg.TransferWindowError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,9 +146,15 @@ def _single_point(args, protocol: str) -> int:
             "missing required flag(s): " + " ".join(f"--{k}" for k in missing)
         )
     spec = SweepSpec.from_config(cfg, _overrides_from_args(args, protocol))
-    row = evaluate_point(spec.points()[0])
-    if row["error"]:
-        sys.stderr.write(f"error: {row['error']}\n")
+    try:
+        row = run_point(spec.points()[0])
+    except _NUMERIC_ERRORS:
+        raise
+    except ValueError as exc:
+        # BasisError, ProtocolError and bad parameter values
+        raise UsageError(f"{type(exc).__name__}: {exc}") from exc
+    except Exception as exc:  # noqa: BLE001 - any other failure of the point
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
     text = rows_to_jsonl([row]) if spec.jsonl else rows_to_csv([row])
     _emit(text, spec.out)
@@ -278,8 +289,8 @@ def main(argv=None) -> int:
     except (UsageError, SweepConfigError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        sys.stderr.write(f"numeric failure: {exc}\n")
+    except _NUMERIC_ERRORS as exc:
+        sys.stderr.write(f"numeric failure: {type(exc).__name__}: {exc}\n")
         return 2
 
 

@@ -76,17 +76,16 @@ class DissipativeParams:
 
 @dataclass(frozen=True)
 class JumpChannel:
-    """One Lindblad channel: rate Gamma, operator O, and the product O^dag O.
+    """One Lindblad channel: rate Gamma and the in-sector product O^dag O.
 
-    `op` is the basis-projected jump operator (its image lies outside the
-    no-jump sector for the collective channels, which is exactly the lost
-    population); `opdag_op` is the exact in-sector product used for the decay
-    diagonal and the per-channel loss bookkeeping.
+    `opdag_op` is the exact product on the reachable basis (not the product
+    of basis-projected jump operators, whose images of the collective
+    channels leave the no-jump sector).  It sets the channel's decay diagonal
+    in H_nh and its loss rate Gamma <psi|O^dag O|psi> in the bookkeeping.
     """
 
     name: str
     rate: float
-    op: np.ndarray
     opdag_op: np.ndarray
 
 
@@ -143,35 +142,34 @@ def build_jump_operators(p: DissipativeParams, basis: BasisSet) -> list[JumpChan
     dagger_name = {"S_ge_minus_t": "S_eg_minus_t", "S_se_minus_t": "S_es_minus_t"}
 
     def target_jump(name, rate, opname):
-        op = collective_operator(basis, opname)
-        sq = matrix_from_action(
-            basis,
-            compose(target_action(basis, dagger_name[opname]),
-                    target_action(basis, opname)),
-        )
-        channels.append(JumpChannel(name, rate, op.matrix, sq.matrix))
+        sq = compose(target_action(basis, dagger_name[opname]), target_action(basis, opname))
+        channels.append(JumpChannel(name, rate, matrix_from_action(basis, sq).matrix))
 
     if p.gamma_g > 0:
-        src = collective_operator(basis, "sigma_source", alpha="g", beta="e")
-        src_sq = collective_operator(basis, "sigma_ee_s")
-        channels.append(JumpChannel("source_guided", p.gamma_g, src.matrix, src_sq.matrix))
+        src_sq = collective_operator(basis, "sigma_ee_s").matrix
+        channels.append(JumpChannel("source_guided", p.gamma_g, src_sq))
         target_jump("target_guided_ge", p.gamma_g, "S_ge_minus_t")
     if p.gamma_s > 0:
         target_jump("target_guided_se", p.gamma_s, "S_se_minus_t")
     if p.gamma_star > 0:
         ne = excited_number_diagonal(basis)
-        # one excited atom at most per reachable state, so O = O^dag O = diag(n_e)
-        mat = np.diag(ne.astype(complex))
-        channels.append(JumpChannel("free_space", p.gamma_star, mat, mat))
+        # one excited atom at most per reachable state, so O^dag O = diag(n_e)
+        channels.append(JumpChannel("free_space", p.gamma_star,
+                                    np.diag(ne.astype(complex))))
     return channels
 
 
-def build_H_nh(p: DissipativeParams, basis: BasisSet) -> np.ndarray:
-    """No-jump generator H_coherent - (i/2) sum_k Gamma_k O_k^dag O_k."""
-    h = build_H_coherent(p, basis).astype(complex)
-    for ch in build_jump_operators(p, basis):
+def no_jump_generator(h_coherent: np.ndarray, channels: list[JumpChannel]) -> np.ndarray:
+    """H_coherent - (i/2) sum_k Gamma_k O_k^dag O_k over the given channels."""
+    h = h_coherent.astype(complex)
+    for ch in channels:
         h -= 0.5j * ch.rate * ch.opdag_op
     return h
+
+
+def build_H_nh(p: DissipativeParams, basis: BasisSet) -> np.ndarray:
+    """No-jump generator of the model's coherent part and all its channels."""
+    return no_jump_generator(build_H_coherent(p, basis), build_jump_operators(p, basis))
 
 
 @dataclass(frozen=True)

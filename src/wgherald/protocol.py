@@ -25,19 +25,17 @@ from .basis import (
     BasisLabel,
     BasisSet,
     HPMode,
-    _act_source,
     build_basis,
     collective_operator,
     goal_amplitudes,
     goal_state,
-    matrix_from_action,
     storage_labels,
 )
 from .dissipative import (
     DissipativeParams,
     build_H_coherent,
-    build_H_nh,
     build_jump_operators,
+    no_jump_generator,
     optimal_parameters,
 )
 from .linalg import Propagator, golden_section_max, norm_sq, overlap
@@ -119,16 +117,54 @@ def _embed_input(basis: BasisSet, input_state: np.ndarray | None) -> np.ndarray:
 
 def _extract_heralded(basis: BasisSet, psi: np.ndarray, detector_state: str):
     """Amplitudes on the heralded branch, relabeled to the storage space."""
-    m = basis.m
-    out = np.zeros(m + 1 if basis.mode == HPMode.EXACT else 1, dtype=complex)
-    if basis.mode == HPMode.APPROX:
-        lbl = BasisLabel("g", m, 0, 0, 0, detector_state)
-        out[0] = psi[basis.index_of(lbl)]
-        return out
-    for i, (k1, k2) in enumerate(storage_labels(m)):
-        lbl = BasisLabel("g", k1, 0, k2, 0, detector_state)
-        out[i] = psi[basis.index_of(lbl)]
-    return out
+    occupations = storage_labels(basis.m) if basis.mode == HPMode.EXACT else [(basis.m, 0)]
+    return np.array([psi[basis.index_of(BasisLabel("g", k1, 0, k2, 0, detector_state))]
+                     for k1, k2 in occupations], dtype=complex)
+
+
+def _herald_probability(basis: BasisSet, prop: Propagator, psi0: np.ndarray,
+                        detector_state: str):
+    """p_success(t) of a single-segment step, for time scans and refines."""
+
+    def p_of_t(t):
+        return norm_sq(_extract_heralded(basis, prop.apply(t, psi0), detector_state))
+
+    return p_of_t
+
+
+def _evolve_segments(basis: BasisSet, psi0: np.ndarray, segments, channels,
+                     detector_state: str, T: float) -> StepResult:
+    """Evolve through piecewise-constant (Propagator, duration) segments,
+    booking each channel's loss per segment, and herald on detector_state.
+
+    T is the free-evolution time reported as T_used.
+    """
+    psi = psi0
+    diags = StepDiagnostics()
+    for prop, dt in segments:
+        for ch in channels:
+            loss = ch.rate * prop.integrated_expectation(ch.opdag_op, dt, psi)
+            diags.channel_losses[ch.name] = diags.channel_losses.get(ch.name, 0.0) + loss
+        psi = prop.apply(dt, psi)
+    herald_amps = _extract_heralded(basis, psi, detector_state)
+    p_success = norm_sq(herald_amps)
+    diags.unheralded_residual = norm_sq(psi) - p_success
+    if p_success < HERALD_FLOOR:
+        diags.herald_impossible = True
+        return StepResult(p_success, None, None, T, diags)
+    post = herald_amps / math.sqrt(p_success)
+    ovl = abs(overlap(goal_state(basis), post)) ** 2
+    return StepResult(p_success, post, ovl, T, diags)
+
+
+def _fast_pulse_model(p: DissipativeParams, mode: HPMode,
+                      input_target_state: np.ndarray | None):
+    """Basis, input state, channels and no-jump propagator of a fast-pulse step."""
+    basis = build_basis(p.N, p.m, mode)
+    psi0 = _embed_input(basis, input_target_state)
+    channels = build_jump_operators(p, basis)
+    prop = Propagator(no_jump_generator(build_H_coherent(p, basis), channels))
+    return basis, psi0, channels, prop
 
 
 def run_step(
@@ -148,29 +184,8 @@ def run_step(
         T = optimal_parameters(p).T
     if T <= 0:
         raise ProtocolError("evolution time T must be positive")
-    basis = build_basis(p.N, p.m, mode)
-    psi0 = _embed_input(basis, input_target_state)
-    h = build_H_nh(p, basis)
-    prop = Propagator(h)
-    psi_t = prop.apply(T, psi0)
-
-    herald_amps = _extract_heralded(basis, psi_t, DET_EXCITED)
-    p_success = norm_sq(herald_amps)
-    residual = norm_sq(psi_t) - p_success
-
-    diags = StepDiagnostics(unheralded_residual=residual)
-    for ch in build_jump_operators(p, basis):
-        diags.channel_losses[ch.name] = ch.rate * prop.integrated_expectation(
-            ch.opdag_op, T, psi0
-        )
-
-    if p_success < HERALD_FLOOR:
-        diags.herald_impossible = True
-        return StepResult(p_success, None, None, T, diags)
-
-    post = herald_amps / math.sqrt(p_success)
-    ovl = abs(overlap(goal_state(basis), post)) ** 2
-    return StepResult(p_success, post, ovl, T, diags)
+    basis, psi0, channels, prop = _fast_pulse_model(p, mode, input_target_state)
+    return _evolve_segments(basis, psi0, [(prop, T)], channels, DET_EXCITED, T)
 
 
 def run_step_fixed_ratio(
@@ -188,14 +203,12 @@ def run_step_fixed_ratio(
     return run_step(p, mode, input_target_state, T)
 
 
-def run_step_fresh_level(N: int, p1d: float, gamma_g: float = 1.0,
-                         m_stored: int = 0) -> StepResult:
+def run_step_fresh_level(N: int, p1d: float, gamma_g: float = 1.0) -> StepResult:
     """Heralded step when prior excitations sit in spectator storage levels.
 
     The occupied spectator levels do not couple to either guided mode, so the
-    dynamics is the first-excitation step regardless of m_stored.
+    dynamics is the first-excitation step however many are stored.
     """
-    del m_stored  # stored excitations are spectators by construction
     p = DissipativeParams.from_purcell(N, 1, p1d, gamma_g=gamma_g)
     return run_step(p, HPMode.APPROX)
 
@@ -219,23 +232,15 @@ def run_step_continuous_drive(
     diagonal (coherent dynamics only), which is the full-transfer check.
     """
     g = math.sqrt(2 * N) * gamma_g
+    omega_opt = math.sqrt(2.0 / 3.0) * g
     if omega is None:
-        omega = math.sqrt(2.0 / 3.0) * g
-        default_omega = True
-    else:
-        default_omega = abs(omega - math.sqrt(2.0 / 3.0) * g) < 1e-12 * g
+        omega = omega_opt
+    default_omega = abs(omega - omega_opt) < 1e-12 * g
     p = DissipativeParams.from_purcell(N, m, p1d, gamma_g=gamma_g, drive_omega=omega)
     basis = build_basis(N, m, HPMode.APPROX, with_drive=True)
-    h = build_H_coherent(p, basis).astype(complex)
     channels = [] if zero_decay else build_jump_operators(p, basis)
-    for ch in channels:
-        h -= 0.5j * ch.rate * ch.opdag_op
-
+    prop = Propagator(no_jump_generator(build_H_coherent(p, basis), channels))
     psi0 = _embed_input(basis, None)
-    prop = Propagator(h)
-
-    def herald_pop(t):
-        return norm_sq(_extract_heralded(basis, prop.apply(t, psi0), DET_HERALDED))
 
     if T is None:
         if default_omega and not optimize_T:
@@ -243,6 +248,7 @@ def run_step_continuous_drive(
         else:
             # global max over a few chain periods: dense scan + local refine;
             # the scan must resolve the fast Rabi scale when omega >> g
+            herald_pop = _herald_probability(basis, prop, psi0, DET_HERALDED)
             t_hi = 6 * math.pi / min(omega, g)
             npts = min(20001, max(1201, int(40 * t_hi * omega / (2 * math.pi))))
             grid = np.linspace(0.0, t_hi, npts)
@@ -253,22 +259,7 @@ def run_step_continuous_drive(
             T, _ = golden_section_max(herald_pop, lo, hi, 1e-9 * t_hi)
     if T <= 0:
         raise ProtocolError("evolution time T must be positive")
-
-    psi_t = prop.apply(T, psi0)
-    herald_amps = _extract_heralded(basis, psi_t, DET_HERALDED)
-    p_success = norm_sq(herald_amps)
-    residual = norm_sq(psi_t) - p_success
-    diags = StepDiagnostics(unheralded_residual=residual)
-    for ch in channels:
-        diags.channel_losses[ch.name] = ch.rate * prop.integrated_expectation(
-            ch.opdag_op, T, psi0
-        )
-    if p_success < HERALD_FLOOR:
-        diags.herald_impossible = True
-        return StepResult(p_success, None, None, T, diags)
-    post = herald_amps / math.sqrt(p_success)
-    ovl = abs(overlap(goal_state(basis), post)) ** 2
-    return StepResult(p_success, post, ovl, T, diags)
+    return _evolve_segments(basis, psi0, [(prop, T)], channels, DET_HERALDED, T)
 
 
 def run_step_pulsed(
@@ -293,10 +284,11 @@ def run_step_pulsed(
     if T <= 0 or omega_pulse <= 0:
         raise ProtocolError("need positive T and pulse strength")
     basis = build_basis(N, m, HPMode.APPROX, with_drive=True)
-    h_free = build_H_nh(p, basis)
+    channels = build_jump_operators(p, basis)
+    h_free = no_jump_generator(build_H_coherent(p, basis), channels)
     src_drive = (omega_pulse / 2) * (
-        matrix_from_action(basis, _act_source("e", "s")).matrix
-        + matrix_from_action(basis, _act_source("s", "e")).matrix
+        collective_operator(basis, "sigma_source", alpha="e", beta="s").matrix
+        + collective_operator(basis, "sigma_source", alpha="s", beta="e").matrix
     )
     det_drive = (omega_pulse / 2) * (
         collective_operator(basis, "S_ge_plus_d").matrix
@@ -308,23 +300,8 @@ def run_step_pulsed(
         (Propagator(h_free), T),
         (Propagator(h_free + det_drive), t_pulse),
     ]
-    channels = build_jump_operators(p, basis)
-    psi = _embed_input(basis, None)
-    diags = StepDiagnostics()
-    for prop, dt in segments:
-        for ch in channels:
-            diags.channel_losses[ch.name] = diags.channel_losses.get(ch.name, 0.0) \
-                + ch.rate * prop.integrated_expectation(ch.opdag_op, dt, psi)
-        psi = prop.apply(dt, psi)
-    herald_amps = _extract_heralded(basis, psi, DET_HERALDED)
-    p_success = norm_sq(herald_amps)
-    diags.unheralded_residual = norm_sq(psi) - p_success
-    if p_success < HERALD_FLOOR:
-        diags.herald_impossible = True
-        return StepResult(p_success, None, None, T, diags)
-    post = herald_amps / math.sqrt(p_success)
-    ovl = abs(overlap(goal_state(basis), post)) ** 2
-    return StepResult(p_success, post, ovl, T, diags)
+    return _evolve_segments(basis, _embed_input(basis, None), segments, channels,
+                            DET_HERALDED, T)
 
 
 def run_accumulation(
@@ -353,9 +330,8 @@ def run_accumulation(
         p = DissipativeParams.from_purcell(N, k, p1d, gamma_g=gamma_g)
         T = optimal_parameters(p).T
         if refine_T:
-            def p_of_t(t):
-                return run_step(p, mode, state, t).p_success
-
+            basis, psi0, _, prop = _fast_pulse_model(p, mode, state)
+            p_of_t = _herald_probability(basis, prop, psi0, DET_EXCITED)
             T, _ = golden_section_max(p_of_t, 0.8 * T, 1.2 * T, 1e-6 * T)
         res = run_step(p, mode, state, T)
         if res.post_state is None:

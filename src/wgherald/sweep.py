@@ -36,6 +36,8 @@ from .protocol import (
 
 PROTOCOLS = ("step", "accumulate", "bandgap")
 VARIANTS = ("pi-pulse", "fixed-ratio", "continuous-drive", "fresh-level")
+# variants modeled on the linearized chain only
+_APPROX_ONLY = ("continuous-drive", "fresh-level")
 
 COLUMNS = (
     "protocol", "variant", "mode", "N", "m", "p1d", "gamma_s_ratio", "omega",
@@ -92,6 +94,10 @@ class SweepSpec:
             raise SweepConfigError(f"unknown variant {fixed['variant']!r}")
         if fixed["mode"] not in (m.value for m in HPMode):
             raise SweepConfigError(f"unknown mode {fixed['mode']!r}")
+        if fixed["mode"] == HPMode.EXACT.value and fixed["variant"] in _APPROX_ONLY:
+            raise SweepConfigError(
+                f"variant {fixed['variant']!r} has no hp-exact model; use mode hp-approx"
+            )
 
         axes = []
         for ax in cfg.get("axes", []) or []:
@@ -155,6 +161,15 @@ def _formula_probability(point: dict) -> float | None:
 
 def evaluate_point(point: dict) -> dict:
     """Run one sweep point; exceptions land in the error column."""
+    return _evaluate(point, record_errors=True)
+
+
+def run_point(point: dict) -> dict:
+    """Run one point like evaluate_point, but let exceptions propagate."""
+    return _evaluate(point, record_errors=False)
+
+
+def _evaluate(point: dict, record_errors: bool) -> dict:
     row = {c: "" for c in COLUMNS}
     for key in ("protocol", "variant", "mode", "N", "m", "p1d",
                 "gamma_s_ratio", "omega", "xi", "T"):
@@ -217,6 +232,8 @@ def evaluate_point(point: dict) -> dict:
             if fp > 0 and row["p_success"] != "":
                 row["rel_deviation"] = abs(row["p_success"] - fp) / fp
     except Exception as exc:  # noqa: BLE001 - per-row failure is data
+        if not record_errors:
+            raise
         row["error"] = f"{type(exc).__name__}: {exc}"
     row["wall_time_s"] = time.perf_counter() - start
     return row

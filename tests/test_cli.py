@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 import yaml
 
+from wgherald import sweep as sweep_module
 from wgherald.cli import main
+from wgherald.linalg import NumericError
 from wgherald.sweep import COLUMNS, SweepConfigError, SweepSpec, run_sweep, rows_to_csv
 
 
@@ -60,6 +62,42 @@ def test_unknown_command_usage(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 1
     assert "usage" in err.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ("step", "--N", "5", "--m", "10", "--p1d", "10"),       # BasisError: m > N
+    ("step", "--N", "0", "--m", "1", "--p1d", "10"),        # ValueError: N < 1
+    ("accumulate", "--N", "5", "--m", "10", "--p1d", "10"),  # ProtocolError
+])
+def test_parameter_errors_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("exc", [np.linalg.LinAlgError("eig did not converge"),
+                                 NumericError("non-finite amplitudes")])
+def test_numeric_failures_exit_2(capsys, monkeypatch, exc):
+    # LinAlgError is a ValueError subclass and must still count as numeric
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(sweep_module, "run_step", fail)
+    code, _, err = run_cli(capsys, "step", "--N", "100", "--m", "1", "--p1d", "10")
+    assert code == 2
+    assert err.startswith("numeric failure: ")
+
+
+@pytest.mark.parametrize("variant", ["continuous-drive", "fresh-level"])
+def test_hp_exact_rejected_without_exact_model(capsys, variant):
+    with pytest.raises(SweepConfigError):
+        SweepSpec.from_config({"mode": "hp-exact", "variant": variant})
+    code, out, err = run_cli(capsys, "step", "--N", "100", "--m", "2", "--p1d", "10",
+                             "--mode", "hp-exact", "--variant", variant)
+    assert code == 1
+    assert out == ""
+    assert "hp-exact" in err
 
 
 def test_accumulate_command(capsys):
