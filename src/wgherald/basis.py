@@ -98,9 +98,6 @@ class BasisSet:
     def __contains__(self, label: BasisLabel) -> bool:
         return label in self._index
 
-    def indices(self, predicate) -> list[int]:
-        return [i for i, lbl in enumerate(self.labels) if predicate(lbl)]
-
 
 def build_basis(N: int, m: int, mode: HPMode, with_drive: bool = False) -> BasisSet:
     """Construct the ordered reachable basis for adding the m-th excitation.

@@ -2,8 +2,11 @@
 
 All physical rates are in units of the first guided-mode decay rate and times
 in its inverse.  Configuration files are YAML (nested keys); command-line
-flags override config values.  Exit codes: 0 success, 1 usage or
-configuration error, 2 numeric failure.
+flags override config values but may not name a swept axis.  Every command
+but fit and compare goes through `wgherald.sweep.TABLE`, which rejects what
+the selected (protocol, variant) does not read; step, accumulate and bandgap
+run exactly one point.  Exit codes: 0 success, 1 usage or configuration
+error, 2 numeric failure.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ import yaml
 
 from . import bandgap as bg
 from . import formulas
+from .basis import HPMode
 from .fitting import InsufficientDataError, fit_loglog
 from .sweep import (
+    PARAMETERS,
+    TABLE,
     SweepConfigError,
     SweepSpec,
-    rows_to_csv,
-    rows_to_jsonl,
+    bandgap_params,
     run_point,
     run_sweep,
     write_rows,
@@ -55,15 +60,12 @@ def _add_common(sub):
                      help="continuous drive strength (default: optimal)")
     sub.add_argument("--xi", type=float, default=None, help="interaction range (lattice units)")
     sub.add_argument("--T", type=float, default=None, help="evolution time (default: optimal)")
-    sub.add_argument("--mode", choices=("hp-approx", "hp-exact"), default=None,
+    sub.add_argument("--mode", choices=[m.value for m in HPMode], default=None,
                      help="target-ensemble representation")
-    sub.add_argument("--variant",
-                     choices=("pi-pulse", "fixed-ratio", "continuous-drive", "fresh-level"),
+    sub.add_argument("--variant", choices=list(dict.fromkeys(v for _, v in TABLE)),
                      default=None, help="protocol variant")
     sub.add_argument("--config", default=None, help="YAML config file (flags override)")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument("--jobs", type=int, default=None, help="worker processes for sweeps")
-    sub.add_argument("--jsonl", action="store_true", help="emit JSON lines instead of CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("bandgap", "simulate the finite-range collective transfer"),
     ):
         sub = subs.add_parser(name, help=helptext)
+        sub.set_defaults(run=_cmd_sweep if name == "sweep" else _cmd_point)
         _add_common(sub)
+        if name != "bandgap":
+            sub.add_argument("--jsonl", action="store_true",
+                             help="emit JSON lines instead of CSV")
+    subs.choices["sweep"].add_argument("--jobs", type=int, default=None,
+                                       help="worker processes")
     subs.choices["bandgap"].add_argument(
         "--profile-out", default=None,
         help="write the per-atom intensity/phase profile at the optimum here")
@@ -90,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--y", required=True, help="dependent column")
     fit.add_argument("--model", choices=("power_law", "exp_sqrt"), default="power_law")
     fit.add_argument("--out", default=None)
+    fit.set_defaults(run=_cmd_fit)
 
     comp = subs.add_parser("compare", help="protocol comparison table")
     for flag, typ, default in (("--N", int, 100), ("--m", int, 1),
@@ -97,34 +106,34 @@ def build_parser() -> argparse.ArgumentParser:
                                ("--eta", float, 1.0), ("--x", float, 0.1)):
         comp.add_argument(flag, type=typ, default=default)
     comp.add_argument("--out", default=None)
+    comp.set_defaults(run=_cmd_compare)
     return parser
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = yaml.safe_load(fh) or {}
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise UsageError(f"config {path} is not valid YAML: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise UsageError(f"config {path} must be a mapping at top level")
-    return cfg
-
-
-def _overrides_from_args(args, protocol: str | None = None) -> dict:
-    keys = ("N", "m", "p1d", "gamma_s_ratio", "omega", "xi", "T",
-            "mode", "variant")
-    over = {k: getattr(args, k, None) for k in keys}
-    over["out"] = args.out
-    over["jobs"] = getattr(args, "jobs", None)
-    over["jsonl"] = getattr(args, "jsonl", False) or None
-    if protocol is not None:
-        over["protocol"] = protocol
-    return over
+def _load_spec(args) -> SweepSpec:
+    """The spec of a command's config file and flags."""
+    cfg = {}
+    if args.config is not None:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = yaml.safe_load(fh) or {}
+        except OSError as exc:
+            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
+        except yaml.YAMLError as exc:
+            raise UsageError(f"config {args.config} is not valid YAML: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise UsageError(f"config {args.config} must be a mapping at top level")
+    unread = [k for k in ("jobs", "jsonl") if k in cfg and not hasattr(args, k)]
+    if unread:
+        raise UsageError(f"{args.command} does not read config key(s) {unread}")
+    over = {k: getattr(args, k, None)
+            for k in (*PARAMETERS, "mode", "variant", "out", "jobs", "jsonl")}
+    if args.command != "sweep":
+        if cfg.get("protocol", args.command) != args.command:
+            raise UsageError(f"config protocol {cfg['protocol']!r} is not {args.command}")
+        over["protocol"] = args.command
+    over["jsonl"] = over["jsonl"] or None
+    return SweepSpec.from_config(cfg, over)
 
 
 def _emit(text: str, path: str | None):
@@ -135,19 +144,26 @@ def _emit(text: str, path: str | None):
             fh.write(text)
 
 
-def _single_point(args, protocol: str) -> int:
-    cfg = _load_config(args.config)
-    cfg.setdefault("axes", [])
-    provided = set(cfg.get("fixed", {}))
-    provided |= {k for k in ("N", "m", "p1d") if getattr(args, k, None) is not None}
-    missing = [k for k in ("N", "m", "p1d") if k not in provided]
+def _cmd_point(args) -> int:
+    """step, accumulate and bandgap: one point of the sweep table."""
+    spec = _load_spec(args)
+    points = spec.points()
+    if len(points) != 1:
+        raise UsageError(f"{args.command} runs one point; the config gives {len(points)}")
+    point = points[0]
+    required = () if args.command == "bandgap" else ("N", "m", "p1d")
+    reads = TABLE[(point["protocol"], point["variant"])].reads
+    missing = [k for k in required if k in reads and k not in spec.given]
     if missing:
-        raise UsageError(
-            "missing required flag(s): " + " ".join(f"--{k}" for k in missing)
-        )
-    spec = SweepSpec.from_config(cfg, _overrides_from_args(args, protocol))
+        raise UsageError("missing required flag(s): " + " ".join(f"--{k}" for k in missing))
+    if args.command == "bandgap" and "p1d" not in spec.given:
+        point["p1d"] = math.inf  # the bandgap command defaults to no free-space decay
     try:
-        row = run_point(spec.points()[0])
+        if args.command == "bandgap":
+            params = bandgap_params(point)
+            rec = bg.run_transfer(params)
+        else:
+            row = run_point(point)
     except _NUMERIC_ERRORS:
         raise
     except ValueError as exc:
@@ -156,47 +172,19 @@ def _single_point(args, protocol: str) -> int:
     except Exception as exc:  # noqa: BLE001 - any other failure of the point
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
-    text = rows_to_jsonl([row]) if spec.jsonl else rows_to_csv([row])
-    _emit(text, spec.out)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    spec = SweepSpec.from_config(cfg, _overrides_from_args(args))
-    rows = run_sweep(spec)
-    if spec.out:
-        write_rows(rows, spec.out, spec.jsonl)
-    else:
-        _emit(rows_to_jsonl(rows) if spec.jsonl else rows_to_csv(rows), None)
-    failures = sum(1 for r in rows if r["error"])
-    if failures:
-        sys.stderr.write(f"{failures}/{len(rows)} sweep points failed (see error column)\n")
-    return 0
-
-
-def _cmd_bandgap(args) -> int:
-    cfg = _load_config(args.config)
-    fixed = dict(cfg.get("fixed", {}))
-    n = args.N if args.N is not None else int(fixed.get("N", 100))
-    m = args.m if args.m is not None else int(fixed.get("m", 1))
-    xi = args.xi if args.xi is not None else float(fixed.get("xi", 100.0))
-    p1d = args.p1d if args.p1d is not None else float(fixed.get("p1d", math.inf))
-    gamma_star = 0.0 if math.isinf(p1d) else 1.0 / p1d
-    params = bg.BandgapParams(N=n, xi=xi, m=m, gamma_star=gamma_star)
-    rec = bg.run_transfer(params)
+    if args.command != "bandgap":
+        write_rows([row], spec.out, spec.jsonl)
+        return 0
 
     lines = ["t,source_population,target_population"]
     for t, ps, pt in zip(rec.times, rec.source_population, rec.target_population):
         lines.append(f"{t:.12g},{ps:.12g},{pt:.12g}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", spec.out)
 
     if args.profile_out:
         plines = ["n,z,intensity,phase"]
         for i, z in enumerate(params.target_positions):
-            plines.append(
-                f"{i + 1},{z},{rec.intensity[i]:.12g},{rec.phase[i]:.12g}"
-            )
+            plines.append(f"{i + 1},{z},{rec.intensity[i]:.12g},{rec.phase[i]:.12g}")
         _emit("\n".join(plines) + "\n", args.profile_out)
 
     sys.stderr.write(
@@ -205,6 +193,16 @@ def _cmd_bandgap(args) -> int:
         f"source_population_at_opt={rec.source_population_at_opt:.6e} "
         f"survival_probability={rec.survival_probability:.12g}\n"
     )
+    return 0
+
+
+def _cmd_sweep(args) -> int:
+    spec = _load_spec(args)
+    rows = run_sweep(spec)
+    write_rows(rows, spec.out, spec.jsonl)
+    failures = sum(1 for r in rows if r["error"])
+    if failures:
+        sys.stderr.write(f"{failures}/{len(rows)} sweep points failed (see error column)\n")
     return 0
 
 
@@ -273,19 +271,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "step":
-            return _single_point(args, "step")
-        if args.command == "accumulate":
-            return _single_point(args, "accumulate")
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "bandgap":
-            return _cmd_bandgap(args)
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (UsageError, SweepConfigError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -330,10 +330,13 @@ def run_accumulation(
         p = DissipativeParams.from_purcell(N, k, p1d, gamma_g=gamma_g)
         T = optimal_parameters(p).T
         if refine_T:
-            basis, psi0, _, prop = _fast_pulse_model(p, mode, state)
+            # the kept step evolves on the model the search built
+            basis, psi0, channels, prop = _fast_pulse_model(p, mode, state)
             p_of_t = _herald_probability(basis, prop, psi0, DET_EXCITED)
             T, _ = golden_section_max(p_of_t, 0.8 * T, 1.2 * T, 1e-6 * T)
-        res = run_step(p, mode, state, T)
+            res = _evolve_segments(basis, psi0, [(prop, T)], channels, DET_EXCITED, T)
+        else:
+            res = run_step(p, mode, state, T)
         if res.post_state is None:
             raise ProtocolError(f"heralding impossible at step {k}")
         steps.append(res)

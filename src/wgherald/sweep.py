@@ -1,11 +1,14 @@
 """Declarative parameter sweeps over the protocol simulators.
 
 A sweep is a list of axes (each a parameter name with a value list or a
-log-range), a dict of fixed parameters, and a protocol selector.  Points are
-enumerated lexicographically over the axes in the order given, evaluated
-independently (optionally on a process pool), and written as CSV or JSON
-lines with one row per point.  Rows that fail are recorded in the `error`
-column and the sweep continues.
+log-range), a dict of fixed parameters, and a (protocol, variant, mode)
+selector.  TABLE is the one place that says which (protocol, variant) pairs
+exist, which parameters and modes each reads, how it runs and which closed
+form its row reports; a spec that sets anything its entry ignores is
+rejected.  Points are enumerated lexicographically over the axes in the order
+given, evaluated independently (optionally on a process pool), and written as
+CSV or JSON lines with one row per point.  Rows that fail are recorded in the
+`error` column and the sweep continues.
 
 Everything evaluated here is deterministic, so identical specs produce
 byte-identical outputs apart from the wall-time column.
@@ -16,9 +19,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,11 +38,6 @@ from .protocol import (
     run_step_fixed_ratio,
     run_step_fresh_level,
 )
-
-PROTOCOLS = ("step", "accumulate", "bandgap")
-VARIANTS = ("pi-pulse", "fixed-ratio", "continuous-drive", "fresh-level")
-# variants modeled on the linearized chain only
-_APPROX_ONLY = ("continuous-drive", "fresh-level")
 
 COLUMNS = (
     "protocol", "variant", "mode", "N", "m", "p1d", "gamma_s_ratio", "omega",
@@ -57,54 +57,134 @@ _DEFAULTS = {
     "xi": 100.0,
     "T": None,               # evolution time; None = optimal
 }
+_CHOICES = ("protocol", "variant", "mode")
+PARAMETERS = tuple(k for k in _DEFAULTS if k not in _CHOICES)
+_OPTIONS = {"out": None, "jobs": 1, "jsonl": False}
 
 
 class SweepConfigError(ValueError):
     """Bad sweep specification."""
 
 
+def bandgap_params(point: dict) -> bg.BandgapParams:
+    """The bandgap model of a point; P_1d = inf means no free-space decay."""
+    p1d = float(point["p1d"])
+    return bg.BandgapParams(N=int(point["N"]), xi=float(point["xi"]), m=int(point["m"]),
+                            gamma_star=0.0 if math.isinf(p1d) else 1.0 / p1d)
+
+
+# Runners fill a row from a point whose values _evaluate has converted.  They
+# look the protocol functions up as module globals at call time.
+def _step_row(res) -> dict:
+    no_goal = res.overlap_goal is None
+    return dict(T=res.T_used, p_success=res.p_success,
+                overlap_goal="" if no_goal else res.overlap_goal,
+                infidelity="" if no_goal else 1.0 - math.sqrt(res.overlap_goal))
+
+
+def _pi_pulse_row(pt: dict) -> dict:
+    params = DissipativeParams.from_purcell(pt["N"], pt["m"], pt["p1d"],
+                                            gamma_s=pt["gamma_s_ratio"])
+    return _step_row(run_step(params, pt["mode"], T=pt["T"]))
+
+
+def _accumulation_row(pt: dict) -> dict:
+    acc = run_accumulation(pt["N"], pt["m"], pt["p1d"], pt["mode"])
+    last = acc.steps[-1]
+    return dict(T=last.T_used, p_success=last.p_success, repetitions=acc.repetitions,
+                overlap_goal=last.overlap_goal, infidelity=acc.infidelity,
+                formula_infidelity=formulas.accumulation_infidelity_prediction(pt["N"], pt["m"]))
+
+
+def _bandgap_row(pt: dict) -> dict:
+    rec = bg.run_transfer(bandgap_params(pt))
+    return dict(T=rec.optimal_time, p_success=rec.survival_probability,
+                overlap_goal=1.0 - rec.infidelity, infidelity=rec.infidelity)
+
+
+class Entry(NamedTuple):
+    """One (protocol, variant): the parameters its model reads, the modes it
+    has, the runner that fills its row and its closed-form step probability."""
+
+    reads: frozenset
+    modes: tuple
+    run: Callable[[dict], dict]
+    formula: Callable[[dict], float]
+
+
+_ANY_MODE = tuple(m.value for m in HPMode)
+_APPROX = (HPMode.APPROX.value,)
+
+TABLE = {
+    ("step", "pi-pulse"): Entry(
+        frozenset({"N", "m", "p1d", "gamma_s_ratio", "T"}), _ANY_MODE, _pi_pulse_row,
+        lambda pt: formulas.p_double_mirrors(pt["N"], pt["m"], pt["p1d"])),
+    ("step", "fixed-ratio"): Entry(
+        frozenset({"N", "m", "p1d"}), _ANY_MODE,
+        lambda pt: _step_row(run_step_fixed_ratio(pt["N"], pt["m"], pt["p1d"], mode=pt["mode"])),
+        lambda pt: formulas.p_fixed_ratio(pt["N"], pt["m"], pt["p1d"])),
+    ("step", "continuous-drive"): Entry(
+        frozenset({"N", "m", "p1d", "omega", "T"}), _APPROX,
+        lambda pt: _step_row(run_step_continuous_drive(pt["N"], pt["m"], pt["p1d"],
+                                                       omega=pt["omega"], T=pt["T"])),
+        lambda pt: formulas.p_continuous_drive(pt["N"], pt["m"], pt["p1d"])),
+    ("step", "fresh-level"): Entry(
+        frozenset({"N", "p1d"}), _APPROX,
+        lambda pt: _step_row(run_step_fresh_level(pt["N"], pt["p1d"])),
+        lambda pt: formulas.p_fresh_level(pt["N"], pt["p1d"])),
+    ("accumulate", "pi-pulse"): Entry(
+        frozenset({"N", "m", "p1d"}), _ANY_MODE, _accumulation_row,
+        lambda pt: formulas.p_double_mirrors(pt["N"], pt["m"], pt["p1d"])),
+    # the transfer has no variants or representations; rows echo the defaults
+    ("bandgap", "pi-pulse"): Entry(
+        frozenset({"N", "m", "p1d", "xi"}), _APPROX, _bandgap_row,
+        lambda pt: formulas.p_bandgap(pt["N"], pt["m"], pt["xi"], pt["p1d"])),
+}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axes, fixed parameters, and output options for one sweep."""
+    """Axes, fixed parameters, and output options for one sweep; `given`
+    names the parameters a config or override set (the rest are defaults)."""
 
     axes: tuple[tuple[str, tuple], ...]
     fixed: dict
     out: str | None = None
     jobs: int = 1
     jsonl: bool = False
+    given: frozenset = frozenset()
 
     @classmethod
     def from_config(cls, cfg: dict, overrides: dict | None = None) -> "SweepSpec":
-        """Build a spec from a nested config dict; overrides win over it."""
+        """Build a spec from a nested config dict; overrides win over it.  Rejects
+        what the TABLE entry would not use and any value set for a swept axis."""
         cfg = dict(cfg or {})
+        overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+        unknown = set(cfg) - {"fixed", "axes", *_CHOICES, *_OPTIONS}
+        if unknown:
+            raise SweepConfigError(f"unknown config key(s): {sorted(unknown)}")
         fixed = dict(_DEFAULTS)
-        fixed.update(cfg.get("fixed", {}))
-        for key in ("protocol", "variant", "mode"):
-            if key in cfg:
-                fixed[key] = cfg[key]
-        if overrides:
-            fixed.update({k: v for k, v in overrides.items()
-                          if k in _DEFAULTS and v is not None})
+        fixed.update(cfg.get("fixed") or {})
+        fixed.update({k: cfg[k] for k in _CHOICES if k in cfg})
+        fixed.update({k: v for k, v in overrides.items() if k in _DEFAULTS})
         unknown = set(fixed) - set(_DEFAULTS)
         if unknown:
             raise SweepConfigError(f"unknown parameter(s): {sorted(unknown)}")
-        if fixed["protocol"] not in PROTOCOLS:
-            raise SweepConfigError(f"unknown protocol {fixed['protocol']!r}")
-        if fixed["variant"] not in VARIANTS:
-            raise SweepConfigError(f"unknown variant {fixed['variant']!r}")
-        if fixed["mode"] not in (m.value for m in HPMode):
-            raise SweepConfigError(f"unknown mode {fixed['mode']!r}")
-        if fixed["mode"] == HPMode.EXACT.value and fixed["variant"] in _APPROX_ONLY:
-            raise SweepConfigError(
-                f"variant {fixed['variant']!r} has no hp-exact model; use mode hp-approx"
-            )
+        pair = (fixed["protocol"], fixed["variant"])
+        if pair not in TABLE:
+            raise SweepConfigError(f"no (protocol, variant) pair {pair}; "
+                                   f"choose from {list(TABLE)}")
+        entry = TABLE[pair]
+        if fixed["mode"] not in entry.modes:
+            raise SweepConfigError(f"{pair[0]} {pair[1]} has mode(s) {list(entry.modes)}, "
+                                   f"not {fixed['mode']!r}")
 
         axes = []
-        for ax in cfg.get("axes", []) or []:
-            if "name" not in ax:
+        for ax in cfg.get("axes") or []:
+            if not isinstance(ax, dict) or "name" not in ax:
                 raise SweepConfigError("every axis needs a name")
             name = ax["name"]
-            if name not in _DEFAULTS or name in ("protocol", "variant", "mode"):
+            if name not in PARAMETERS:
                 raise SweepConfigError(f"cannot sweep over {name!r}")
             if "values" in ax:
                 values = list(ax["values"])
@@ -121,42 +201,22 @@ class SweepSpec:
             if not values:
                 raise SweepConfigError(f"axis {name!r} has no values")
             axes.append((name, tuple(values)))
-        jobs = int(cfg.get("jobs", 1))
-        if overrides and overrides.get("jobs") is not None:
-            jobs = int(overrides["jobs"])
-        out = cfg.get("out")
-        if overrides and overrides.get("out") is not None:
-            out = overrides["out"]
-        jsonl = bool(cfg.get("jsonl", False))
-        if overrides and overrides.get("jsonl"):
-            jsonl = True
-        return cls(tuple(axes), fixed, out, max(jobs, 1), jsonl)
+        names = [name for name, _ in axes]
+        given = (set(cfg.get("fixed") or {}) | set(names) | set(overrides)) & set(PARAMETERS)
+        unused = given - entry.reads
+        if unused:
+            raise SweepConfigError(f"{pair[0]} {pair[1]} does not read {sorted(unused)}")
+        doubled = {n for n in names if names.count(n) > 1}
+        doubled |= set(names) & (set(overrides) | set(cfg.get("fixed") or {}))
+        if doubled:
+            raise SweepConfigError(f"{sorted(doubled)} swept by an axis and also set")
+        out, jobs, jsonl = (overrides.get(k, cfg.get(k, d)) for k, d in _OPTIONS.items())
+        return cls(tuple(axes), fixed, out, max(int(jobs), 1), bool(jsonl), frozenset(given))
 
     def points(self) -> list[dict]:
         names = [name for name, _ in self.axes]
-        value_lists = [vals for _, vals in self.axes]
-        pts = []
-        for combo in itertools.product(*value_lists) if names else [()]:
-            point = dict(self.fixed)
-            point.update(dict(zip(names, combo)))
-            pts.append(point)
-        return pts
-
-
-def _formula_probability(point: dict) -> float | None:
-    N, m, p1d = point["N"], point["m"], point["p1d"]
-    variant = point["variant"]
-    if point["protocol"] == "bandgap":
-        return formulas.p_bandgap(N, m, point["xi"], p1d)
-    if variant == "pi-pulse":
-        return formulas.p_double_mirrors(N, m, p1d)
-    if variant == "fixed-ratio":
-        return formulas.p_fixed_ratio(N, m, p1d)
-    if variant == "continuous-drive":
-        return formulas.p_continuous_drive(N, m, p1d)
-    if variant == "fresh-level":
-        return formulas.p_fresh_level(N, p1d)
-    return None
+        return [{**self.fixed, **dict(zip(names, combo))}
+                for combo in itertools.product(*(vals for _, vals in self.axes))]
 
 
 def evaluate_point(point: dict) -> dict:
@@ -170,67 +230,19 @@ def run_point(point: dict) -> dict:
 
 
 def _evaluate(point: dict, record_errors: bool) -> dict:
-    row = {c: "" for c in COLUMNS}
-    for key in ("protocol", "variant", "mode", "N", "m", "p1d",
-                "gamma_s_ratio", "omega", "xi", "T"):
-        row[key] = point.get(key, "")
+    row = dict.fromkeys(COLUMNS, "")
+    row.update((key, point.get(key, "")) for key in _DEFAULTS)
     start = time.perf_counter()
     try:
-        N, m, p1d = int(point["N"]), int(point["m"]), float(point["p1d"])
-        mode = HPMode(point["mode"])
-        variant = point["variant"]
-        ratio = point.get("gamma_s_ratio")
-        gamma_s = None if ratio is None else float(ratio)
-        T = point.get("T")
-        T = None if T is None else float(T)
-
-        if point["protocol"] == "bandgap":
-            params = bg.BandgapParams(
-                N=N, xi=float(point["xi"]), m=m,
-                gamma_star=0.0 if math.isinf(p1d) else 1.0 / p1d,
-            )
-            rec = bg.run_transfer(params)
-            row.update(
-                T=rec.optimal_time,
-                p_success=rec.survival_probability,
-                overlap_goal=1.0 - rec.infidelity,
-                infidelity=rec.infidelity,
-            )
-        elif point["protocol"] == "accumulate":
-            acc = run_accumulation(N, m, p1d, mode)
-            row.update(
-                T=acc.steps[-1].T_used,
-                p_success=acc.steps[-1].p_success,
-                repetitions=acc.repetitions,
-                overlap_goal=acc.steps[-1].overlap_goal,
-                infidelity=acc.infidelity,
-            )
-            row["formula_infidelity"] = formulas.accumulation_infidelity_prediction(N, m)
-        else:
-            if variant == "fixed-ratio":
-                res = run_step_fixed_ratio(N, m, p1d, mode=mode)
-            elif variant == "continuous-drive":
-                omega = point.get("omega")
-                res = run_step_continuous_drive(
-                    N, m, p1d, omega=None if omega is None else float(omega), T=T
-                )
-            elif variant == "fresh-level":
-                res = run_step_fresh_level(N, p1d)
-            else:
-                params = DissipativeParams.from_purcell(N, m, p1d, gamma_s=gamma_s)
-                res = run_step(params, mode, T=T)
-            row.update(
-                T=res.T_used,
-                p_success=res.p_success,
-                overlap_goal="" if res.overlap_goal is None else res.overlap_goal,
-                infidelity="" if res.overlap_goal is None
-                else 1.0 - math.sqrt(res.overlap_goal),
-            )
-        fp = _formula_probability(point)
-        if fp is not None:
-            row["formula_p"] = fp
-            if fp > 0 and row["p_success"] != "":
-                row["rel_deviation"] = abs(row["p_success"] - fp) / fp
+        pt = dict(point, N=int(point["N"]), m=int(point["m"]), p1d=float(point["p1d"]),
+                  xi=float(point["xi"]), mode=HPMode(point["mode"]),
+                  **{k: None if point[k] is None else float(point[k])
+                     for k in ("gamma_s_ratio", "omega", "T")})
+        entry = TABLE[(pt["protocol"], pt["variant"])]
+        row.update(entry.run(pt))
+        row["formula_p"] = fp = entry.formula(pt)
+        if fp > 0:
+            row["rel_deviation"] = abs(row["p_success"] - fp) / fp
     except Exception as exc:  # noqa: BLE001 - per-row failure is data
         if not record_errors:
             raise
@@ -244,10 +256,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     points = spec.points()
     if spec.jobs > 1 and len(points) > 1:
         with Pool(spec.jobs) as pool:
-            rows = pool.map(evaluate_point, points)
-    else:
-        rows = [evaluate_point(pt) for pt in points]
-    return rows
+            return pool.map(evaluate_point, points)
+    return [evaluate_point(pt) for pt in points]
 
 
 def _format_cell(value) -> str:
@@ -280,7 +290,11 @@ def rows_to_jsonl(rows: list[dict]) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_rows(rows: list[dict], path: str, jsonl: bool = False) -> None:
+def write_rows(rows: list[dict], path: str | None, jsonl: bool = False) -> None:
+    """Write rows as CSV or JSON lines to path, or to stdout without one."""
     text = rows_to_jsonl(rows) if jsonl else rows_to_csv(rows)
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

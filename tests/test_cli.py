@@ -272,3 +272,64 @@ def test_sweep_formula_agreement_over_grid(tmp_path):
     for row in run_sweep(spec):
         assert row["error"] == ""
         assert row["rel_deviation"] < 0.05
+
+
+SWEPT_N = {"protocol": "step", "fixed": {"p1d": 10},
+           "axes": [{"name": "N", "values": [100, 200, 400]}]}
+
+
+@pytest.mark.parametrize("config, argv", [
+    # no (accumulate, fixed-ratio) entry: it ran pi-pulse steps under the
+    # fixed-ratio closed form
+    (None, ("accumulate", "--N", "100", "--m", "2", "--p1d", "10",
+            "--mode", "hp-exact", "--variant", "fixed-ratio")),
+    # parameters the selected entry does not read
+    (None, ("accumulate", "--N", "100", "--m", "2", "--p1d", "10",
+            "--gamma-s-ratio", "3", "--T", "5")),
+    (None, ("step", "--N", "100", "--m", "2", "--p1d", "10", "--variant", "fixed-ratio",
+            "--T", "2", "--gamma-s-ratio", "3")),
+    (None, ("step", "--N", "100", "--m", "2", "--p1d", "10",
+            "--variant", "continuous-drive", "--gamma-s-ratio", "3")),
+    (None, ("step", "--N", "100", "--m", "2", "--p1d", "10", "--xi", "5")),
+    (None, ("step", "--N", "100", "--p1d", "10", "--variant", "fresh-level", "--m", "3")),
+    # bandgap has one entry, one mode and no row options
+    (None, ("bandgap", "--mode", "hp-exact")),
+    (None, ("bandgap", "--variant", "fixed-ratio")),
+    (None, ("bandgap", "--T", "1")),
+    (None, ("bandgap", "--jsonl")),
+    (None, ("bandgap", "--jobs", "3")),
+    (None, ("bandgap", "--mode", "hp-exact", "--variant", "fixed-ratio", "--T", "1",
+            "--jsonl", "--jobs", "3")),
+    (None, ("step", "--N", "100", "--m", "1", "--p1d", "10", "--jobs", "3")),
+    (None, ("accumulate", "--N", "100", "--m", "1", "--p1d", "10", "--jobs", "3")),
+    (None, ("bandgap", "--N", "0")),
+    # single-point commands run one point; a flag may not name a swept axis
+    ({"fixed": {"N": 100, "m": 1, "p1d": 10}, "axes": [{"name": "T", "values": [0.1, 0.2]}]},
+     ("step",)),
+    (SWEPT_N, ("step", "--m", "1")),
+    (SWEPT_N, ("step", "--N", "50", "--m", "1")),
+    (SWEPT_N, ("sweep", "--N", "50")),
+    (dict(SWEPT_N, axes=[{"name": "N", "values": [50]}], fixed={"N": 60, "p1d": 10}),
+     ("sweep",)),
+    # config keys the command does not read
+    ({"jobs": 2, "fixed": {"N": 100, "m": 1, "p1d": 10}}, ("step",)),
+    ({"protocol": "accumulate", "fixed": {"N": 100, "m": 1, "p1d": 10}}, ("step",)),
+    ({"fixed": {"N": 100}, "axis": [{"name": "m", "values": [1, 2]}]}, ("sweep",)),
+])
+def test_ignored_inputs_are_rejected(tmp_path, capsys, config, argv):
+    if config is not None:
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(config))
+        argv = (argv[0], "--config", str(path)) + argv[1:]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_axis_provides_required_parameter(tmp_path, capsys):
+    path = tmp_path / "m.yaml"
+    path.write_text(yaml.safe_dump({"axes": [{"name": "m", "values": [2]}]}))
+    code, out, _ = run_cli(capsys, "step", "--config", str(path), "--N", "100", "--p1d", "10")
+    assert code == 0
+    assert parse_csv(out)[0]["m"] == "2"
