@@ -11,7 +11,6 @@ from .basis import (
     CollectiveOperator,
     HPMode,
     build_basis,
-    collective_operator,
     goal_state,
 )
 from .bandgap import (
@@ -49,7 +48,7 @@ __all__ = [
     "CollectiveOperator", "DissipativeParams", "HPMode", "JumpChannel",
     "LambShifts", "OptimalParams", "Propagator", "StepResult",
     "TransferRecord", "build_H_bandgap", "build_H_coherent", "build_H_nh",
-    "build_basis", "build_jump_operators", "collective_operator", "expm_apply",
+    "build_basis", "build_jump_operators", "expm_apply",
     "formulas", "goal_state", "ideal_step_probability", "is_dissipative",
     "lamb_shift_compensation", "norm_sq", "optimal_parameters", "overlap",
     "run_accumulation", "run_step", "run_step_continuous_drive",

@@ -1,4 +1,4 @@
-"""Labeled symmetric-subspace bases and collective spin operators.
+"""Labeled symmetric-subspace bases and the one operator-assembly primitive.
 
 Two representations of the two-mirror target ensemble are supported:
 
@@ -16,12 +16,18 @@ The detector ensemble (2N atoms) only ever holds zero or one collective
 excitation and is carried as a three-valued flag: 'none' (all atoms parked),
 'excited' (one collective flip present, matrix element sqrt(2N)), 'heralded'
 (the flip has been mapped to the readout level, unit matrix element).
+
+Operators are written as per-label rules, functions from a basis label to its
+(image label, amplitude) pairs; `matrix_from_action` turns a rule into its
+matrix on a basis and reports the squared norm the basis cuts off.  This
+module supplies the exact per-mirror amplitudes (`mirror_image`); the model's
+terms themselves are written in `dissipative`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -137,187 +143,29 @@ def build_basis(N: int, m: int, mode: HPMode, with_drive: bool = False) -> Basis
     return BasisSet(tuple(chain), mode, N, m, with_drive)
 
 
-# ---------------------------------------------------------------------------
-# Label actions.  An action maps a BasisLabel to a list of (label, amplitude)
-# pairs; a None label marks amplitude pushed outside the representable space
-# (beyond a mode that is not tracked), which surfaces as truncation loss.
-# ---------------------------------------------------------------------------
+def mirror_image(which: str, k: int, l: int, N: int) -> tuple[int, int, float] | None:
+    """Bosonized per-mirror collective operator S_which on |k, l> (N atoms).
 
-
-def _act_source(alpha: str, beta: str):
-    def act(lbl):
-        if lbl.source_level != beta:
-            return []
-        return [(replace(lbl, source_level=alpha), 1.0)]
-
-    return act
-
-
-def _act_source_diag(level: str):
-    def act(lbl):
-        return [(lbl, 1.0)] if lbl.source_level == level else []
-
-    return act
-
-
-def _act_detector(transition: str, N: int):
-    """Detector-flag transitions; total detector atom number is 2N."""
-    root = math.sqrt(2 * N)
-    moves = {
-        "excite": (DET_NONE, DET_EXCITED, root),
-        "deexcite": (DET_EXCITED, DET_NONE, root),
-        "herald": (DET_EXCITED, DET_HERALDED, 1.0),
-        "unherald": (DET_HERALDED, DET_EXCITED, 1.0),
-    }
-    src, dst, amp = moves[transition]
-
-    def act(lbl):
-        if lbl.detector != src:
-            return []
-        return [(replace(lbl, detector=dst), amp)]
-
-    return act
-
-
-def _mirror_occ(lbl: BasisLabel, j: int) -> tuple[int, int]:
-    return (lbl.k1, lbl.l1) if j == 1 else (lbl.k2, lbl.l2)
-
-
-def _mirror_set(lbl: BasisLabel, j: int, k: int, l: int) -> BasisLabel:
-    if j == 1:
-        return replace(lbl, k1=k, l1=l)
-    return replace(lbl, k2=k, l2=l)
-
-
-def _act_mirror(which: str, j: int, N: int):
-    """Exact bosonized per-mirror collective operator (mirror j holds N atoms)."""
-
-    def act(lbl):
-        k, l = _mirror_occ(lbl, j)
-        s = k + l
-        if which == "eg":
-            amp = math.sqrt(l + 1) * math.sqrt(max(N - s, 0))
-            return [(_mirror_set(lbl, j, k, l + 1), amp)] if amp else []
-        if which == "ge":
-            if l == 0:
-                return []
-            return [(_mirror_set(lbl, j, k, l - 1), math.sqrt(l) * math.sqrt(N - s + 1))]
-        if which == "sg":
-            amp = math.sqrt(k + 1) * math.sqrt(max(N - s, 0))
-            return [(_mirror_set(lbl, j, k + 1, l), amp)] if amp else []
-        if which == "gs":
-            if k == 0:
-                return []
-            return [(_mirror_set(lbl, j, k - 1, l), math.sqrt(k) * math.sqrt(N - s + 1))]
-        if which == "se":
-            if l == 0:
-                return []
-            return [(_mirror_set(lbl, j, k + 1, l - 1), math.sqrt(k + 1) * math.sqrt(l))]
-        if which == "es":
-            if k == 0:
-                return []
-            return [(_mirror_set(lbl, j, k - 1, l + 1), math.sqrt(k) * math.sqrt(l + 1))]
+    `which` names the transition as S_eg etc.: eg, ge, sg, gs, se or es.
+    Returns the image occupations (k', l') and the amplitude, or None where
+    the operator annihilates the state.
+    """
+    s = k + l
+    if which == "eg":
+        image = (k, l + 1, math.sqrt(l + 1) * math.sqrt(max(N - s, 0)))
+    elif which == "ge":
+        image = (k, l - 1, math.sqrt(l) * math.sqrt(N - s + 1)) if l else None
+    elif which == "sg":
+        image = (k + 1, l, math.sqrt(k + 1) * math.sqrt(max(N - s, 0)))
+    elif which == "gs":
+        image = (k - 1, l, math.sqrt(k) * math.sqrt(N - s + 1)) if k else None
+    elif which == "se":
+        image = (k + 1, l - 1, math.sqrt(k + 1) * math.sqrt(l)) if l else None
+    elif which == "es":
+        image = (k - 1, l + 1, math.sqrt(k) * math.sqrt(l + 1)) if k else None
+    else:
         raise BasisError(f"unknown mirror operator {which!r}")
-
-    return act
-
-
-def _combine(act_a, act_b, sign: float):
-    def act(lbl):
-        return list(act_a(lbl)) + [(out, sign * amp) for out, amp in act_b(lbl)]
-
-    return act
-
-
-def _act_mode(which: str, N: int):
-    """Linearized collective-mode operator on (k1 = storage-, l1 = excited+).
-
-    Operators that would populate the two untracked modes (symmetric storage,
-    antisymmetric excited) return a None label carrying the lost amplitude;
-    operators that merely annihilate an untracked (hence empty) mode are an
-    exact zero.
-    """
-    root2n = math.sqrt(2 * N)
-
-    def act(lbl):
-        k, l = lbl.k1, lbl.l1
-        if which == "eg_plus":
-            return [(replace(lbl, l1=l + 1), root2n * math.sqrt(l + 1))]
-        if which == "ge_plus":
-            return [(replace(lbl, l1=l - 1), root2n * math.sqrt(l))] if l else []
-        if which == "eg_minus":
-            return [(None, root2n)]
-        if which == "ge_minus":
-            return []
-        if which == "se_minus":
-            # bs-^dag be+ survives; bs+^dag be- annihilates an empty mode
-            return [(replace(lbl, k1=k + 1, l1=l - 1), math.sqrt(k + 1) * math.sqrt(l))] if l else []
-        if which == "es_minus":
-            return [(replace(lbl, k1=k - 1, l1=l + 1), math.sqrt(k) * math.sqrt(l + 1))] if k else []
-        if which == "se_plus":
-            # bs+^dag be+ leaves the tracked space
-            return [(None, math.sqrt(l))] if l else []
-        if which == "es_plus":
-            return [(None, math.sqrt(k))] if k else []
-        raise BasisError(f"unknown mode operator {which!r}")
-
-    return act
-
-
-def target_action(basis: BasisSet, name: str):
-    """Action of a collective target-ensemble operator (no basis projection)."""
-    N = basis.N
-    _, base, sign_name, _ = name.split("_")
-    if basis.mode == HPMode.APPROX:
-        return _act_mode(f"{base}_{sign_name}", N)
-    sign = 1.0 if sign_name == "plus" else -1.0
-    return _combine(_act_mirror(base, 1, N), _act_mirror(base, 2, N), sign)
-
-
-def detector_action(basis: BasisSet, name: str):
-    transitions = {
-        "S_es_minus_d": "excite",
-        "S_se_minus_d": "deexcite",
-        "S_ge_plus_d": "herald",
-        "S_eg_plus_d": "unherald",
-    }
-    return _act_detector(transitions[name], basis.N)
-
-
-def compose(after, first):
-    """Operator product (after . first) at the action level.
-
-    Amplitude already lost by `first` (None labels) stays lost; callers that
-    need exact products must check losses separately.
-    """
-
-    def act(lbl):
-        out = []
-        for mid, a in first(lbl):
-            if mid is None:
-                continue
-            for fin, b in after(mid):
-                out.append((fin, a * b))
-        return out
-
-    return act
-
-
-def scale_action(action, factor: float):
-    def act(lbl):
-        return [(out, factor * amp) for out, amp in action(lbl)]
-
-    return act
-
-
-def add_actions(*actions):
-    def act(lbl):
-        out = []
-        for a in actions:
-            out.extend(a(lbl))
-        return out
-
-    return act
+    return image if image and image[2] else None
 
 
 @dataclass(frozen=True)
@@ -334,56 +182,21 @@ class CollectiveOperator:
 
 
 def matrix_from_action(basis: BasisSet, action) -> CollectiveOperator:
+    """Matrix of the operator whose per-label rule is `action` on the basis.
+
+    `action(label)` returns the (image label, amplitude) pairs of one basis
+    state; amplitude on images outside the basis is the truncation loss.
+    """
     dim = basis.dim
     mat = np.zeros((dim, dim), dtype=complex)
     loss = 0.0
     for j, lbl in enumerate(basis.labels):
         for out, amp in action(lbl):
-            if out is not None and out in basis:
+            if out in basis:
                 mat[basis.index_of(out), j] += amp
             else:
                 loss += abs(amp) ** 2
     return CollectiveOperator(mat, loss)
-
-
-_TARGET_NAMES = {
-    "S_eg_plus_t", "S_eg_minus_t", "S_ge_plus_t", "S_ge_minus_t",
-    "S_se_plus_t", "S_se_minus_t", "S_es_plus_t", "S_es_minus_t",
-}
-_DETECTOR_NAMES = {"S_es_minus_d", "S_se_minus_d", "S_ge_plus_d", "S_eg_plus_d"}
-
-
-def collective_operator(basis: BasisSet, which: str, alpha: str | None = None,
-                        beta: str | None = None) -> CollectiveOperator:
-    """Matrix of a named collective operator on the basis.
-
-    `which` is one of the target operators (S_eg_plus_t, S_se_minus_t, ...),
-    the detector operators (S_es_minus_d, S_ge_plus_d, ...), 'sigma_source'
-    (requires alpha, beta), 'sigma_ee_s', or the diagonal counters 'S_ee_t'
-    and 'S_ss_t'.
-    """
-    if which in _TARGET_NAMES:
-        return matrix_from_action(basis, target_action(basis, which))
-    if which in _DETECTOR_NAMES:
-        return matrix_from_action(basis, detector_action(basis, which))
-    if which == "sigma_source":
-        if alpha is None or beta is None:
-            raise BasisError("sigma_source needs alpha and beta levels")
-        return matrix_from_action(basis, _act_source(alpha, beta))
-    if which == "sigma_ee_s":
-        return matrix_from_action(basis, _act_source_diag("e"))
-    if which == "S_ee_t":
-        diag = np.array([lbl.l1 + lbl.l2 for lbl in basis.labels], dtype=complex)
-        return CollectiveOperator(np.diag(diag), 0.0)
-    if which == "S_ss_t":
-        diag = np.array([lbl.k1 + lbl.k2 for lbl in basis.labels], dtype=complex)
-        return CollectiveOperator(np.diag(diag), 0.0)
-    raise BasisError(f"unknown collective operator {which!r}")
-
-
-def excited_number_diagonal(basis: BasisSet) -> np.ndarray:
-    """Per-state number of excited-level atoms (drives the free-space decay)."""
-    return np.array([lbl.excited_count for lbl in basis.labels], dtype=float)
 
 
 def excitation_number_diagonal(basis: BasisSet) -> np.ndarray:

@@ -10,27 +10,31 @@ the three chain states.  The detector ensemble's own collective jump channel
 is dropped: both detector states the protocol visits are dark with respect to
 it.  Free-space emission acts per excited atom at the uniform rate Gamma*, so
 it enters as a diagonal channel weighted by the excited-atom count.
+
+Every term is written once below as a per-label rule (a function from a basis
+label to its (image label, amplitude) pairs) and assembled on the basis by
+`basis.matrix_from_action`: the exchange, the detector loading, the drives and
+each channel's O^dag O.  The O^dag O products pass through intermediate images
+that may lie outside the basis, so they are exact on the reachable sector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .basis import (
+    DET_EXCITED,
+    DET_HERALDED,
+    DET_NONE,
+    BasisLabel,
     BasisSet,
-    add_actions,
-    collective_operator,
-    compose,
-    detector_action,
+    HPMode,
     excitation_number_diagonal,
-    excited_number_diagonal,
     matrix_from_action,
-    scale_action,
-    target_action,
-    _act_source,
+    mirror_image,
 )
 
 
@@ -89,23 +93,88 @@ class JumpChannel:
     opdag_op: np.ndarray
 
 
-def _coherent_actions(p: DissipativeParams, basis: BasisSet):
-    terms = [
-        (p.gamma_g / 2, compose(_act_source("g", "e"), target_action(basis, "S_eg_plus_t"))),
-        (p.gamma_g / 2, compose(_act_source("e", "g"), target_action(basis, "S_ge_plus_t"))),
-        (p.gamma_s / 2, compose(detector_action(basis, "S_es_minus_d"),
-                                target_action(basis, "S_se_minus_t"))),
-        (p.gamma_s / 2, compose(detector_action(basis, "S_se_minus_d"),
-                                target_action(basis, "S_es_minus_t"))),
-    ]
-    if p.drive_omega > 0:
-        terms += [
-            (p.drive_omega / 2, _act_source("e", "s")),
-            (p.drive_omega / 2, _act_source("s", "e")),
-            (p.drive_omega / 2, detector_action(basis, "S_ge_plus_d")),
-            (p.drive_omega / 2, detector_action(basis, "S_eg_plus_d")),
-        ]
-    return [scale_action(act, rate) for rate, act in terms]
+def target_images(basis: BasisSet, lbl: BasisLabel, which: str, sign: float):
+    """Images of lbl under the collective target operator S_which,sign.
+
+    S_which,+- = S_which(mirror 1) +- S_which(mirror 2).  EXACT: the bosonized
+    per-mirror operator on each mirror.  APPROX: the linearized modes (k1 the
+    antisymmetric storage mode, l1 the symmetric excited mode); only the
+    operators the model applies are defined there.
+    """
+    if basis.mode == HPMode.EXACT:
+        out = []
+        image = mirror_image(which, lbl.k1, lbl.l1, basis.N)
+        if image:
+            out.append((replace(lbl, k1=image[0], l1=image[1]), image[2]))
+        image = mirror_image(which, lbl.k2, lbl.l2, basis.N)
+        if image:
+            out.append((replace(lbl, k2=image[0], l2=image[1]), sign * image[2]))
+        return out
+    k, l = lbl.k1, lbl.l1
+    root2n = math.sqrt(2 * basis.N)
+    if (which, sign) == ("eg", 1.0):
+        return [(replace(lbl, l1=l + 1), root2n * math.sqrt(l + 1))]
+    if (which, sign) == ("ge", 1.0):
+        return [(replace(lbl, l1=l - 1), root2n * math.sqrt(l))] if l else []
+    if (which, sign) == ("ge", -1.0):
+        # annihilates the antisymmetric excited mode, which the chain never fills
+        return []
+    if (which, sign) == ("se", -1.0):
+        # bs-^dag be+ survives; bs+^dag be- annihilates an empty mode
+        return [(replace(lbl, k1=k + 1, l1=l - 1), math.sqrt(k + 1) * math.sqrt(l))] if l else []
+    if (which, sign) == ("es", -1.0):
+        return [(replace(lbl, k1=k - 1, l1=l + 1), math.sqrt(k) * math.sqrt(l + 1))] if k else []
+    raise ValueError(f"S_{which},{sign:+.0f} leaves the linearized chain")
+
+
+def source_drive(lbl: BasisLabel):
+    """sigma_es + sigma_se: the unit-strength drive between source levels e and s."""
+    flip = {"e": "s", "s": "e"}.get(lbl.source_level)
+    return [(replace(lbl, source_level=flip), 1.0)] if flip else []
+
+
+def readout_drive(lbl: BasisLabel):
+    """S_ge,+ + S_eg,+ on the detector: the unit-strength excited <-> heralded drive."""
+    flip = {DET_EXCITED: DET_HERALDED, DET_HERALDED: DET_EXCITED}.get(lbl.detector)
+    return [(replace(lbl, detector=flip), 1.0)] if flip else []
+
+
+def _coherent_rule(p: DissipativeParams, basis: BasisSet):
+    """(gamma_g/2)(sigma_ge S_eg,+ + h.c.) + (gamma_s/2)(S_es,-^d S_se,- + h.c.),
+    plus (omega/2) times both drives when the drive is on."""
+    half_g, half_s, half_w = p.gamma_g / 2, p.gamma_s / 2, p.drive_omega / 2
+    root = math.sqrt(2 * basis.N)  # collective flip of the 2N detector atoms
+
+    def rule(lbl):
+        out = []
+        if lbl.source_level == "e":
+            out += [(replace(t, source_level="g"), half_g * a)
+                    for t, a in target_images(basis, lbl, "eg", 1.0)]
+        elif lbl.source_level == "g":
+            out += [(replace(t, source_level="e"), half_g * a)
+                    for t, a in target_images(basis, lbl, "ge", 1.0)]
+        if lbl.detector == DET_NONE:
+            out += [(replace(t, detector=DET_EXCITED), half_s * (a * root))
+                    for t, a in target_images(basis, lbl, "se", -1.0)]
+        elif lbl.detector == DET_EXCITED:
+            out += [(replace(t, detector=DET_NONE), half_s * (a * root))
+                    for t, a in target_images(basis, lbl, "es", -1.0)]
+        if p.drive_omega > 0:
+            out += [(t, half_w * a) for t, a in source_drive(lbl) + readout_drive(lbl)]
+        return out
+
+    return rule
+
+
+def _jump_product(basis: BasisSet, which: str):
+    """O^dag O for O = S_which,-, with O^dag = S_(which reversed),-."""
+
+    def rule(lbl):
+        return [(fin, a * b)
+                for mid, a in target_images(basis, lbl, which, -1.0)
+                for fin, b in target_images(basis, mid, which[::-1], -1.0)]
+
+    return rule
 
 
 def _check_match(p: DissipativeParams, basis: BasisSet) -> None:
@@ -120,7 +189,7 @@ def build_H_coherent(p: DissipativeParams, basis: BasisSet) -> np.ndarray:
     _check_match(p, basis)
     if p.drive_omega > 0 and not basis.with_drive:
         raise ValueError("drive_omega > 0 requires a with_drive basis")
-    op = matrix_from_action(basis, add_actions(*_coherent_actions(p, basis)))
+    op = matrix_from_action(basis, _coherent_rule(p, basis))
     if op.truncation_loss > 1e-12:
         raise ValueError(
             f"coherent Hamiltonian leaks outside the reachable basis "
@@ -138,25 +207,18 @@ def build_jump_operators(p: DissipativeParams, basis: BasisSet) -> list[JumpChan
     zero rate are omitted.
     """
     _check_match(p, basis)
-    channels = []
-    dagger_name = {"S_ge_minus_t": "S_eg_minus_t", "S_se_minus_t": "S_es_minus_t"}
-
-    def target_jump(name, rate, opname):
-        sq = compose(target_action(basis, dagger_name[opname]), target_action(basis, opname))
-        channels.append(JumpChannel(name, rate, matrix_from_action(basis, sq).matrix))
-
+    rules = []
     if p.gamma_g > 0:
-        src_sq = collective_operator(basis, "sigma_ee_s").matrix
-        channels.append(JumpChannel("source_guided", p.gamma_g, src_sq))
-        target_jump("target_guided_ge", p.gamma_g, "S_ge_minus_t")
+        rules.append(("source_guided", p.gamma_g,
+                      lambda lbl: [(lbl, 1.0)] if lbl.source_level == "e" else []))
+        rules.append(("target_guided_ge", p.gamma_g, _jump_product(basis, "ge")))
     if p.gamma_s > 0:
-        target_jump("target_guided_se", p.gamma_s, "S_se_minus_t")
+        rules.append(("target_guided_se", p.gamma_s, _jump_product(basis, "se")))
     if p.gamma_star > 0:
-        ne = excited_number_diagonal(basis)
         # one excited atom at most per reachable state, so O^dag O = diag(n_e)
-        channels.append(JumpChannel("free_space", p.gamma_star,
-                                    np.diag(ne.astype(complex))))
-    return channels
+        rules.append(("free_space", p.gamma_star, lambda lbl: [(lbl, lbl.excited_count)]))
+    return [JumpChannel(name, rate, matrix_from_action(basis, rule).matrix)
+            for name, rate, rule in rules]
 
 
 def no_jump_generator(h_coherent: np.ndarray, channels: list[JumpChannel]) -> np.ndarray:

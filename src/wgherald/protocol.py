@@ -26,9 +26,9 @@ from .basis import (
     BasisSet,
     HPMode,
     build_basis,
-    collective_operator,
     goal_amplitudes,
     goal_state,
+    matrix_from_action,
     storage_labels,
 )
 from .dissipative import (
@@ -37,6 +37,8 @@ from .dissipative import (
     build_jump_operators,
     no_jump_generator,
     optimal_parameters,
+    readout_drive,
+    source_drive,
 )
 from .linalg import Propagator, golden_section_max, norm_sq, overlap
 
@@ -286,14 +288,8 @@ def run_step_pulsed(
     basis = build_basis(N, m, HPMode.APPROX, with_drive=True)
     channels = build_jump_operators(p, basis)
     h_free = no_jump_generator(build_H_coherent(p, basis), channels)
-    src_drive = (omega_pulse / 2) * (
-        collective_operator(basis, "sigma_source", alpha="e", beta="s").matrix
-        + collective_operator(basis, "sigma_source", alpha="s", beta="e").matrix
-    )
-    det_drive = (omega_pulse / 2) * (
-        collective_operator(basis, "S_ge_plus_d").matrix
-        + collective_operator(basis, "S_eg_plus_d").matrix
-    )
+    src_drive = (omega_pulse / 2) * matrix_from_action(basis, source_drive).matrix
+    det_drive = (omega_pulse / 2) * matrix_from_action(basis, readout_drive).matrix
     t_pulse = math.pi / omega_pulse
     segments = [
         (Propagator(h_free + src_drive), t_pulse),

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -64,6 +65,14 @@ _OPTIONS = {"out": None, "jobs": 1, "jsonl": False}
 
 class SweepConfigError(ValueError):
     """Bad sweep specification."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def bandgap_params(point: dict) -> bg.BandgapParams:
@@ -163,6 +172,9 @@ class SweepSpec:
         unknown = set(cfg) - {"fixed", "axes", *_CHOICES, *_OPTIONS}
         if unknown:
             raise SweepConfigError(f"unknown config key(s): {sorted(unknown)}")
+        for key, kind, noun in (("fixed", dict, "mapping"), ("axes", list, "list")):
+            if cfg.get(key) is not None and not isinstance(cfg[key], kind):
+                raise SweepConfigError(f"config {key!r} must be a {noun}")
         fixed = dict(_DEFAULTS)
         fixed.update(cfg.get("fixed") or {})
         fixed.update({k: cfg[k] for k in _CHOICES if k in cfg})
@@ -187,10 +199,16 @@ class SweepSpec:
             if name not in PARAMETERS:
                 raise SweepConfigError(f"cannot sweep over {name!r}")
             if "values" in ax:
+                if not isinstance(ax["values"], (list, tuple)):
+                    raise SweepConfigError(f"axis {name!r} values must be a list")
                 values = list(ax["values"])
             elif "logspace" in ax:
-                lo, hi = ax["logspace"]
-                num = int(ax.get("num", 5))
+                bounds, num = ax["logspace"], ax.get("num", 5)
+                if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
+                        and all(map(_is_number, bounds)) and _is_int(num)):
+                    raise SweepConfigError(f"axis {name!r} needs logspace: [lo, hi] and an "
+                                           f"integer num")
+                lo, hi = bounds
                 if lo <= 0 or hi <= 0 or num < 1:
                     raise SweepConfigError("logspace needs positive bounds and num >= 1")
                 values = list(np.geomspace(lo, hi, num))
@@ -211,7 +229,9 @@ class SweepSpec:
         if doubled:
             raise SweepConfigError(f"{sorted(doubled)} swept by an axis and also set")
         out, jobs, jsonl = (overrides.get(k, cfg.get(k, d)) for k, d in _OPTIONS.items())
-        return cls(tuple(axes), fixed, out, max(int(jobs), 1), bool(jsonl), frozenset(given))
+        if not (_is_int(jobs) and jobs >= 1):
+            raise SweepConfigError(f"jobs must be a positive integer, not {jobs!r}")
+        return cls(tuple(axes), fixed, out, int(jobs), bool(jsonl), frozenset(given))
 
     def points(self) -> list[dict]:
         names = [name for name, _ in self.axes]

@@ -315,6 +315,16 @@ SWEPT_N = {"protocol": "step", "fixed": {"p1d": 10},
     ({"jobs": 2, "fixed": {"N": 100, "m": 1, "p1d": 10}}, ("step",)),
     ({"protocol": "accumulate", "fixed": {"N": 100, "m": 1, "p1d": 10}}, ("step",)),
     ({"fixed": {"N": 100}, "axis": [{"name": "m", "values": [1, 2]}]}, ("sweep",)),
+    # malformed config shapes
+    ({"fixed": 5}, ("sweep",)),
+    ({"axes": 5}, ("sweep",)),
+    ({"axes": [{"name": "N", "values": 3}]}, ("sweep",)),
+    ({"axes": [{"name": "N", "logspace": 3}]}, ("sweep",)),
+    # worker counts that cannot run as written
+    (None, ("sweep", "--jobs", "0")),
+    (None, ("sweep", "--jobs", "-3")),
+    ({"jobs": 0}, ("sweep",)),
+    ({"jobs": "abc"}, ("sweep",)),
 ])
 def test_ignored_inputs_are_rejected(tmp_path, capsys, config, argv):
     if config is not None:

@@ -166,6 +166,32 @@ def test_exact_h_nh_matches_bruteforce():
         h_cols = orc.h_nh_projected(basis.labels, gg, gs, gst)
         assert np.abs(h_pkg - h_cols).max() < 1e-12
 
+        # each channel on its own: <i|O^dag O|j> = (O|i>)^dag (O|j>) with the
+        # brute-force O, so a swap between channels cannot hide in the sum
+        kets = np.column_stack([
+            orc.embed_label(l.source_level, l.k1, l.l1, l.k2, l.l2, l.detector_excited)
+            for l in basis.labels
+        ])
+        d_exc = orc.detector_excite()
+        jump_ops = {
+            "source_guided": orc.source_op("g", "e"),
+            "target_guided_ge": orc.target_op(("g", "e"), -1.0),
+            "target_guided_se": orc.target_op(("s", "e"), -1.0),
+        }
+        # free space: sum over atoms of |e><e|, the excited-atom count
+        n_e = (orc.source_op("e", "e") + orc.target_op(("e", "e"), 1.0)
+               + d_exc @ d_exc.conj().T / (2 * n))
+        channels = build_jump_operators(p, basis)
+        want_names = list(jump_ops) + (["free_space"] if gst > 0 else [])
+        assert [ch.name for ch in channels] == want_names
+        for ch in channels:
+            if ch.name == "free_space":
+                brute = kets.conj().T @ (n_e @ kets)
+            else:
+                o_kets = jump_ops[ch.name] @ kets
+                brute = o_kets.conj().T @ o_kets
+            assert np.abs(ch.opdag_op - brute).max() < 1e-12, ch.name
+
 
 def test_params_basis_mismatch_rejected():
     p = DissipativeParams(N=10, m=1)
