@@ -31,7 +31,7 @@ from .dissipative import (
     build_jump_operators,
     optimal_parameters,
 )
-from .linalg import Propagator, expm_apply, is_dissipative, norm_sq, overlap
+from .linalg import Propagator, is_dissipative, norm_sq, overlap
 from .protocol import (
     AccumulationResult,
     StepResult,
@@ -48,8 +48,8 @@ __all__ = [
     "CollectiveOperator", "DissipativeParams", "HPMode", "JumpChannel",
     "LambShifts", "OptimalParams", "Propagator", "StepResult",
     "TransferRecord", "build_H_bandgap", "build_H_coherent", "build_H_nh",
-    "build_basis", "build_jump_operators", "expm_apply",
-    "formulas", "goal_state", "ideal_step_probability", "is_dissipative",
+    "build_basis", "build_jump_operators", "formulas", "goal_state",
+    "ideal_step_probability", "is_dissipative",
     "lamb_shift_compensation", "norm_sq", "optimal_parameters", "overlap",
     "run_accumulation", "run_step", "run_step_continuous_drive",
     "run_step_fixed_ratio", "run_step_fresh_level", "run_transfer",

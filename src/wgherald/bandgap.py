@@ -170,9 +170,9 @@ class TransferRecord:
 def run_transfer(p: BandgapParams, n_grid: int = 2048) -> TransferRecord:
     """Evolve the single-excitation transfer and characterize its optimum.
 
-    The coherent (gamma_star-free) compensated Hamiltonian drives the
-    dynamics; the target population is scanned on [0, 10 pi / G] and the
-    maximum refined by golden section to 1e-6 * pi / G.  The uniform
+    The compensated Hamiltonian without gamma_star (Hermitian) drives the
+    dynamics; the target population, 1 - source, is scanned on [0, 10 pi / G]
+    and its maximum refined by golden section to 1e-6 * pi / G.  The uniform
     free-space decay multiplies the norm by exp(-gamma_star t), so the
     no-jump survival at the optimum is reported without re-evolving.
     """
@@ -184,11 +184,8 @@ def run_transfer(p: BandgapParams, n_grid: int = 2048) -> TransferRecord:
     g = p.coupling
     t_hi = 10 * math.pi / g
     times = np.linspace(0.0, t_hi, n_grid)
-
-    def target_pop(t):
-        return norm_sq(prop.apply(t, psi0)[1:])
-
-    pops = np.array([target_pop(t) for t in times])
+    # norm is conserved by the coherent dynamics: target = 1 - source
+    pops = 1.0 - prop.population(times, psi0, [0])
     # first interior population maximum: later quasi-revivals can edge higher
     # but are useless once the uniform decay factor is attached
     interior = np.flatnonzero((pops[1:-1] >= pops[:-2]) & (pops[1:-1] > pops[2:])) + 1
@@ -197,19 +194,17 @@ def run_transfer(p: BandgapParams, n_grid: int = 2048) -> TransferRecord:
             f"no transfer maximum inside the window [0, {t_hi:.4g}]"
         )
     k = int(interior[0])
-    t_opt, _ = golden_section_max(
-        target_pop, times[k - 1], times[k + 1], 1e-6 * math.pi / g
-    )
+    t_opt, _ = golden_section_max(lambda t: norm_sq(prop.apply(t, psi0)[1:]),
+                                  times[k - 1], times[k + 1], 1e-6 * math.pi / g)
 
     psi_opt = prop.apply(t_opt, psi0)
     c = psi_opt[1:]
     proj = c / math.sqrt(norm_sq(c))
     sym = np.full(p.N, 1.0 / math.sqrt(p.N), dtype=complex)
     infid = 1.0 - abs(np.vdot(sym, proj)) ** 2
-    src_pops = 1.0 - pops  # norm conserved by the coherent dynamics
     return TransferRecord(
         times=times,
-        source_population=src_pops,
+        source_population=1.0 - pops,
         target_population=pops,
         optimal_time=t_opt,
         amplitudes=c,

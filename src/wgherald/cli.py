@@ -5,8 +5,9 @@ in its inverse.  Configuration files are YAML (nested keys); command-line
 flags override config values but may not name a swept axis.  Every command
 but fit and compare goes through `wgherald.sweep.TABLE`, which rejects what
 the selected (protocol, variant) does not read; step, accumulate and bandgap
-run exactly one point.  Exit codes: 0 success, 1 usage or configuration
-error, 2 numeric failure.
+run exactly one point.  Output goes to --out, or to stdout when it is not
+given or empty.  Exit codes: 0 success, 1 usage or configuration error
+(including an output path that cannot be written), 2 numeric failure.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .sweep import (
     run_point,
     run_sweep,
     write_rows,
+    write_text,
 )
 
 
@@ -136,14 +138,6 @@ def _load_spec(args) -> SweepSpec:
     return SweepSpec.from_config(cfg, over)
 
 
-def _emit(text: str, path: str | None):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _cmd_point(args) -> int:
     """step, accumulate and bandgap: one point of the sweep table."""
     spec = _load_spec(args)
@@ -179,13 +173,13 @@ def _cmd_point(args) -> int:
     lines = ["t,source_population,target_population"]
     for t, ps, pt in zip(rec.times, rec.source_population, rec.target_population):
         lines.append(f"{t:.12g},{ps:.12g},{pt:.12g}")
-    _emit("\n".join(lines) + "\n", spec.out)
+    write_text("\n".join(lines) + "\n", spec.out)
 
     if args.profile_out:
         plines = ["n,z,intensity,phase"]
         for i, z in enumerate(params.target_positions):
             plines.append(f"{i + 1},{z},{rec.intensity[i]:.12g},{rec.phase[i]:.12g}")
-        _emit("\n".join(plines) + "\n", args.profile_out)
+        write_text("\n".join(plines) + "\n", args.profile_out)
 
     sys.stderr.write(
         f"optimal_time={rec.optimal_time:.12g} "
@@ -250,7 +244,7 @@ def _cmd_fit(args) -> int:
         lines.append(f"exponent[{name}],{expo:.12g},{err:.12g}")
     lines.append(f"n_used,{report.n_used},")
     lines.append(f"residual_rms,{report.residual_rms:.12g},")
-    _emit("\n".join(lines) + "\n", args.out)
+    write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -263,7 +257,7 @@ def _cmd_compare(args) -> int:
             f"{e.protocol},{e.error_scaling:.12g},{e.p_m:.12g},"
             f"\"{e.requirement}\",{e.requirement_satisfied}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
+    write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -272,7 +266,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except (UsageError, SweepConfigError) as exc:
+    except (UsageError, SweepConfigError, OSError) as exc:  # OSError: unwritable output
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except _NUMERIC_ERRORS as exc:

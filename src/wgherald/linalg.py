@@ -1,11 +1,10 @@
-"""Dense complex linear algebra for non-Hermitian time evolution.
+"""Dense complex linear algebra for Hermitian and non-Hermitian time evolution.
 
 Everything in the protocol state spaces is small (a few to a few hundred
 dimensions), so exact dense methods are used throughout: the propagator
 e^{-iHt} is built from an eigendecomposition of H (with a scaling-and-squaring
-fallback when H is too ill-conditioned to diagonalize reliably), which makes
-evolution to arbitrary times exact up to rounding instead of accumulating
-stepping error.
+fallback when a general H is too ill-conditioned to diagonalize reliably),
+which makes evolution to arbitrary times exact up to rounding.
 
 Conventions: hbar = 1, all rates in units of the reference guided-mode decay
 rate, times in its inverse.
@@ -85,25 +84,24 @@ def is_dissipative(h, tol: float = 1e-10) -> bool:
 class Propagator:
     """Applies e^{-iHt} to vectors, reusing one eigendecomposition of H.
 
-    Falls back to scipy.linalg.expm (Pade scaling-and-squaring) when the
-    eigenvector matrix is ill-conditioned beyond EIGBASIS_MAX_CONDITION.
+    H's structure picks the decomposition: eigh with V^-1 = V^dag when H
+    equals its adjoint exactly, otherwise eig, falling back to scipy's expm
+    (Pade scaling-and-squaring) when the eigenvectors are ill-conditioned
+    beyond EIGBASIS_MAX_CONDITION.  `method` is "eig" or "expm".
     """
 
     def __init__(self, h):
         self.h = as_operator(h)
         self.dim = self.h.shape[0]
-        eigvals, eigvecs = np.linalg.eig(self.h)
-        cond = np.linalg.cond(eigvecs)
-        if np.isfinite(cond) and cond < EIGBASIS_MAX_CONDITION:
-            self.eigvals = eigvals
-            self.eigvecs = eigvecs
-            self._vinv = np.linalg.inv(eigvecs)
-            self.method = "eig"
+        if np.array_equal(self.h, self.h.conj().T):
+            self.eigvals, self.eigvecs = np.linalg.eigh(self.h)
+            self._vinv = self.eigvecs.conj().T
         else:
-            self.eigvals = None
-            self.eigvecs = None
-            self._vinv = None
-            self.method = "expm"
+            self.eigvals, self.eigvecs = np.linalg.eig(self.h)
+            cond = np.linalg.cond(self.eigvecs)
+            usable = np.isfinite(cond) and cond < EIGBASIS_MAX_CONDITION
+            self._vinv = np.linalg.inv(self.eigvecs) if usable else None
+        self.method = "eig" if self._vinv is not None else "expm"
 
     def apply(self, t: float, v) -> np.ndarray:
         """Return e^{-iHt} v."""
@@ -120,11 +118,28 @@ class Propagator:
             raise NumericError("propagation produced non-finite amplitudes")
         return out
 
-    def matrix(self, t: float) -> np.ndarray:
-        """Return the full matrix e^{-iHt}."""
-        if self.method == "eig":
-            return self.eigvecs @ (np.exp(-1j * self.eigvals * t)[:, None] * self._vinv)
-        return scipy.linalg.expm(-1j * self.h * t)
+    def population(self, times, v0, index) -> np.ndarray:
+        """sum_{i in index} |(e^{-iHt} v0)_i|^2 for each t of a 1-d time grid.
+
+        The eigenbasis path forms V^-1 v0 once and applies only the rows
+        `index` of V, 256 times at a time; the expm fallback loops over apply.
+        """
+        v0, times = as_state(v0), np.asarray(times, dtype=float)
+        if v0.shape[0] != self.dim or times.ndim != 1:
+            raise DimensionError(f"population needs a state of dim {self.dim} and a "
+                                 f"1-d time grid, got {v0.shape} and {times.shape}")
+        if not np.all(np.isfinite(times)):
+            raise NumericError("evolution times must be finite")
+        if self.method != "eig":
+            return np.array([norm_sq(self.apply(t, v0)[index]) for t in times])
+        c, rows = self._vinv @ v0, self.eigvecs[index].T
+        pops = np.empty(times.shape[0])
+        for k in range(0, times.shape[0], 256):
+            amps = (np.exp(-1j * np.outer(times[k:k + 256], self.eigvals)) * c) @ rows
+            pops[k:k + 256] = (amps.real**2 + amps.imag**2).sum(axis=1)
+        if not np.all(np.isfinite(pops)):
+            raise NumericError("propagation produced non-finite populations")
+        return pops
 
     def integrated_expectation(self, m, t: float, v0) -> float:
         """Exact integral_0^t <psi(s)|M|psi(s)> ds along psi(s) = e^{-iHs} v0.
@@ -156,18 +171,12 @@ class Propagator:
     def _integrated_expectation_quadrature(self, m, t, v0, npts: int = 4097):
         times = np.linspace(0.0, t, npts)
         vals = np.empty(npts)
-        step = self.matrix(times[1] - times[0]) if npts > 1 else None
-        psi = v0.copy()
+        step = scipy.linalg.expm(-1j * self.h * (times[1] - times[0]))
+        psi = v0
         for i in range(npts):
             vals[i] = np.vdot(psi, m @ psi).real
-            if step is not None and i < npts - 1:
-                psi = step @ psi
+            psi = step @ psi
         return float(scipy.integrate.simpson(vals, x=times))
-
-
-def expm_apply(h, t: float, v) -> np.ndarray:
-    """One-shot e^{-iHt} v (see Propagator for repeated applications)."""
-    return Propagator(h).apply(t, v)
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:

@@ -117,27 +117,17 @@ def _embed_input(basis: BasisSet, input_state: np.ndarray | None) -> np.ndarray:
     return psi
 
 
-def _extract_heralded(basis: BasisSet, psi: np.ndarray, detector_state: str):
-    """Amplitudes on the heralded branch, relabeled to the storage space."""
+def _herald_index(basis: BasisSet, detector_state: str) -> np.ndarray:
+    """Basis positions of the heralded branch, in storage-space order."""
     occupations = storage_labels(basis.m) if basis.mode == HPMode.EXACT else [(basis.m, 0)]
-    return np.array([psi[basis.index_of(BasisLabel("g", k1, 0, k2, 0, detector_state))]
-                     for k1, k2 in occupations], dtype=complex)
-
-
-def _herald_probability(basis: BasisSet, prop: Propagator, psi0: np.ndarray,
-                        detector_state: str):
-    """p_success(t) of a single-segment step, for time scans and refines."""
-
-    def p_of_t(t):
-        return norm_sq(_extract_heralded(basis, prop.apply(t, psi0), detector_state))
-
-    return p_of_t
+    return np.array([basis.index_of(BasisLabel("g", k1, 0, k2, 0, detector_state))
+                     for k1, k2 in occupations])
 
 
 def _evolve_segments(basis: BasisSet, psi0: np.ndarray, segments, channels,
-                     detector_state: str, T: float) -> StepResult:
+                     idx: np.ndarray, T: float) -> StepResult:
     """Evolve through piecewise-constant (Propagator, duration) segments,
-    booking each channel's loss per segment, and herald on detector_state.
+    booking each channel's loss per segment, and herald on positions idx.
 
     T is the free-evolution time reported as T_used.
     """
@@ -148,7 +138,7 @@ def _evolve_segments(basis: BasisSet, psi0: np.ndarray, segments, channels,
             loss = ch.rate * prop.integrated_expectation(ch.opdag_op, dt, psi)
             diags.channel_losses[ch.name] = diags.channel_losses.get(ch.name, 0.0) + loss
         psi = prop.apply(dt, psi)
-    herald_amps = _extract_heralded(basis, psi, detector_state)
+    herald_amps = psi[idx]
     p_success = norm_sq(herald_amps)
     diags.unheralded_residual = norm_sq(psi) - p_success
     if p_success < HERALD_FLOOR:
@@ -161,12 +151,13 @@ def _evolve_segments(basis: BasisSet, psi0: np.ndarray, segments, channels,
 
 def _fast_pulse_model(p: DissipativeParams, mode: HPMode,
                       input_target_state: np.ndarray | None):
-    """Basis, input state, channels and no-jump propagator of a fast-pulse step."""
+    """Basis, input state, channels, no-jump propagator and herald positions
+    of a fast-pulse step."""
     basis = build_basis(p.N, p.m, mode)
     psi0 = _embed_input(basis, input_target_state)
     channels = build_jump_operators(p, basis)
     prop = Propagator(no_jump_generator(build_H_coherent(p, basis), channels))
-    return basis, psi0, channels, prop
+    return basis, psi0, channels, prop, _herald_index(basis, DET_EXCITED)
 
 
 def run_step(
@@ -186,8 +177,8 @@ def run_step(
         T = optimal_parameters(p).T
     if T <= 0:
         raise ProtocolError("evolution time T must be positive")
-    basis, psi0, channels, prop = _fast_pulse_model(p, mode, input_target_state)
-    return _evolve_segments(basis, psi0, [(prop, T)], channels, DET_EXCITED, T)
+    basis, psi0, channels, prop, idx = _fast_pulse_model(p, mode, input_target_state)
+    return _evolve_segments(basis, psi0, [(prop, T)], channels, idx, T)
 
 
 def run_step_fixed_ratio(
@@ -243,6 +234,7 @@ def run_step_continuous_drive(
     channels = [] if zero_decay else build_jump_operators(p, basis)
     prop = Propagator(no_jump_generator(build_H_coherent(p, basis), channels))
     psi0 = _embed_input(basis, None)
+    idx = _herald_index(basis, DET_HERALDED)
 
     if T is None:
         if default_omega and not optimize_T:
@@ -250,18 +242,17 @@ def run_step_continuous_drive(
         else:
             # global max over a few chain periods: dense scan + local refine;
             # the scan must resolve the fast Rabi scale when omega >> g
-            herald_pop = _herald_probability(basis, prop, psi0, DET_HERALDED)
             t_hi = 6 * math.pi / min(omega, g)
             npts = min(20001, max(1201, int(40 * t_hi * omega / (2 * math.pi))))
             grid = np.linspace(0.0, t_hi, npts)
-            vals = np.array([herald_pop(t) for t in grid])
-            k = int(np.argmax(vals))
+            k = int(np.argmax(prop.population(grid, psi0, idx)))
             lo = grid[max(k - 1, 0)]
             hi = grid[min(k + 1, len(grid) - 1)]
-            T, _ = golden_section_max(herald_pop, lo, hi, 1e-9 * t_hi)
+            T, _ = golden_section_max(lambda t: norm_sq(prop.apply(t, psi0)[idx]),
+                                      lo, hi, 1e-9 * t_hi)
     if T <= 0:
         raise ProtocolError("evolution time T must be positive")
-    return _evolve_segments(basis, psi0, [(prop, T)], channels, DET_HERALDED, T)
+    return _evolve_segments(basis, psi0, [(prop, T)], channels, idx, T)
 
 
 def run_step_pulsed(
@@ -297,7 +288,7 @@ def run_step_pulsed(
         (Propagator(h_free + det_drive), t_pulse),
     ]
     return _evolve_segments(basis, _embed_input(basis, None), segments, channels,
-                            DET_HERALDED, T)
+                            _herald_index(basis, DET_HERALDED), T)
 
 
 def run_accumulation(
@@ -327,10 +318,10 @@ def run_accumulation(
         T = optimal_parameters(p).T
         if refine_T:
             # the kept step evolves on the model the search built
-            basis, psi0, channels, prop = _fast_pulse_model(p, mode, state)
-            p_of_t = _herald_probability(basis, prop, psi0, DET_EXCITED)
-            T, _ = golden_section_max(p_of_t, 0.8 * T, 1.2 * T, 1e-6 * T)
-            res = _evolve_segments(basis, psi0, [(prop, T)], channels, DET_EXCITED, T)
+            basis, psi0, channels, prop, idx = _fast_pulse_model(p, mode, state)
+            T, _ = golden_section_max(lambda t: norm_sq(prop.apply(t, psi0)[idx]),
+                                      0.8 * T, 1.2 * T, 1e-6 * T)
+            res = _evolve_segments(basis, psi0, [(prop, T)], channels, idx, T)
         else:
             res = run_step(p, mode, state, T)
         if res.post_state is None:

@@ -198,11 +198,15 @@ class SweepSpec:
             name = ax["name"]
             if name not in PARAMETERS:
                 raise SweepConfigError(f"cannot sweep over {name!r}")
+            keys = set(ax) - {"name"}
+            if keys not in ({"values"}, {"logspace"}, {"logspace", "num"}):
+                raise SweepConfigError(f"axis {name!r} takes 'values', or 'logspace' with an "
+                                       f"optional 'num', not {sorted(map(str, keys))}")
             if "values" in ax:
                 if not isinstance(ax["values"], (list, tuple)):
                     raise SweepConfigError(f"axis {name!r} values must be a list")
                 values = list(ax["values"])
-            elif "logspace" in ax:
+            else:
                 bounds, num = ax["logspace"], ax.get("num", 5)
                 if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
                         and all(map(_is_number, bounds)) and _is_int(num)):
@@ -214,8 +218,6 @@ class SweepSpec:
                 values = list(np.geomspace(lo, hi, num))
                 if name in ("N", "m"):
                     values = sorted(dict.fromkeys(int(round(v)) for v in values))
-            else:
-                raise SweepConfigError(f"axis {name!r} needs 'values' or 'logspace'")
             if not values:
                 raise SweepConfigError(f"axis {name!r} has no values")
             axes.append((name, tuple(values)))
@@ -231,7 +233,11 @@ class SweepSpec:
         out, jobs, jsonl = (overrides.get(k, cfg.get(k, d)) for k, d in _OPTIONS.items())
         if not (_is_int(jobs) and jobs >= 1):
             raise SweepConfigError(f"jobs must be a positive integer, not {jobs!r}")
-        return cls(tuple(axes), fixed, out, int(jobs), bool(jsonl), frozenset(given))
+        if not (out is None or isinstance(out, str)):
+            raise SweepConfigError(f"out must be a path, not {out!r}")
+        if not isinstance(jsonl, bool):
+            raise SweepConfigError(f"jsonl must be true or false, not {jsonl!r}")
+        return cls(tuple(axes), fixed, out, int(jobs), jsonl, frozenset(given))
 
     def points(self) -> list[dict]:
         names = [name for name, _ in self.axes]
@@ -310,11 +316,15 @@ def rows_to_jsonl(rows: list[dict]) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_rows(rows: list[dict], path: str | None, jsonl: bool = False) -> None:
-    """Write rows as CSV or JSON lines to path, or to stdout without one."""
-    text = rows_to_jsonl(rows) if jsonl else rows_to_csv(rows)
+def write_text(text: str, path: str | None) -> None:
+    """Write text to path, or to stdout when path is None or empty."""
     if not path:
         sys.stdout.write(text)
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def write_rows(rows: list[dict], path: str | None, jsonl: bool = False) -> None:
+    """Write rows as CSV or JSON lines to path, or to stdout without one."""
+    write_text(rows_to_jsonl(rows) if jsonl else rows_to_csv(rows), path)

@@ -22,7 +22,7 @@ from wgherald.dissipative import DissipativeParams, build_H_coherent, build_H_nh
 from wgherald.fitting import linear_regression_r2
 from wgherald.formulas import limit_fixed_ratio, p_continuous_drive, \
     p_double_mirrors, p_fresh_level
-from wgherald.linalg import Propagator, decay_generator_max_eig, expm_apply, norm_sq
+from wgherald.linalg import Propagator, decay_generator_max_eig, norm_sq
 from wgherald.protocol import run_accumulation, run_step, run_step_continuous_drive, \
     run_step_fixed_ratio
 from wgherald.sweep import SweepSpec, run_sweep, rows_to_csv
@@ -218,7 +218,7 @@ def test_criterion_7_oracle_equivalence():
         psi0 = np.zeros(h.shape[0], complex)
         psi0[0] = 1.0
         ref = rk4_evolve(h, psi0, t, 10**5)
-        got = expm_apply(h, t, psi0)
+        got = Propagator(h).apply(t, psi0)
         max_rk_dev = max(max_rk_dev, float(np.abs(got - ref).max()))
 
     ok = max_op_dev <= 1e-12 and max_h_dev <= 1e-12 and max_rk_dev <= 1e-7

@@ -325,6 +325,14 @@ SWEPT_N = {"protocol": "step", "fixed": {"p1d": 10},
     (None, ("sweep", "--jobs", "-3")),
     ({"jobs": 0}, ("sweep",)),
     ({"jobs": "abc"}, ("sweep",)),
+    # output options and axis keys that would not run as written
+    ({"jsonl": "false"}, ("sweep",)),
+    ({"out": 5}, ("sweep",)),
+    ({"axes": [{"name": "N", "values": [50, 100], "logspace": [1, 2], "num": 3}]},
+     ("sweep",)),
+    ({"axes": [{"name": "N", "values": [50, 100], "num": 3}]}, ("sweep",)),
+    ({"axes": [{"name": "N", "num": 3}]}, ("sweep",)),
+    ({"axes": [{"name": "N", "values": [50, 100], "nm": 3}]}, ("sweep",)),
 ])
 def test_ignored_inputs_are_rejected(tmp_path, capsys, config, argv):
     if config is not None:
@@ -343,3 +351,30 @@ def test_axis_provides_required_parameter(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "step", "--config", str(path), "--N", "100", "--p1d", "10")
     assert code == 0
     assert parse_csv(out)[0]["m"] == "2"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("step", "--N", "100", "--m", "1", "--p1d", "10"), "--out"),
+    (("accumulate", "--N", "50", "--m", "1", "--p1d", "10"), "--out"),
+    (("sweep",), "--out"),
+    (("bandgap", "--N", "20", "--xi", "20"), "--out"),
+    (("bandgap", "--N", "20", "--xi", "20"), "--profile-out"),
+    (("compare",), "--out"),
+    (("fit", "{data}", "--x", "N", "--y", "p_success"), "--out"),
+])
+def test_unwritable_output_exits_1(tmp_path, capsys, argv, flag):
+    data = tmp_path / "data.csv"
+    data.write_text("N,p_success\n100,0.9\n200,0.95\n400,0.97\n800,0.98\n")
+    argv = tuple(a.format(data=data) for a in argv)
+    code, out, err = run_cli(capsys, *argv, flag, str(tmp_path / "missing" / "x.csv"))
+    assert code == 1
+    assert err.startswith("error: ")
+    if flag == "--out":
+        assert out == ""
+
+
+@pytest.mark.parametrize("argv", [("bandgap", "--N", "20", "--xi", "20"), ("compare",)])
+def test_empty_out_writes_to_stdout(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--out", "")
+    assert code == 0
+    assert out.count("\n") > 1

@@ -144,14 +144,14 @@ def test_optimal_parameters_values():
 def test_eigenvalue_probability_close_to_closed_form():
     # sector 2 at the optimal ratio: evolved norm transfer vs closed form
     from wgherald.formulas import p_double_mirrors
-    from wgherald.linalg import expm_apply
+    from wgherald.linalg import Propagator
 
     n, m = 500, 2
     p = DissipativeParams.from_purcell(n, m, 10.0)
     basis = build_basis(n, m, HPMode.APPROX)
     h = build_H_nh(p, basis)
     t = optimal_parameters(p).T
-    psi = expm_apply(h, t, np.array([1.0, 0, 0], complex))
+    psi = Propagator(h).apply(t, np.array([1.0, 0, 0], complex))
     assert abs(psi[2]) ** 2 == pytest.approx(p_double_mirrors(n, m, 10.0), rel=0.03)
     assert abs(psi[2]) ** 2 == pytest.approx(0.890111, abs=5e-4)
 

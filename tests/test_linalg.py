@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
 
 from oracles import rk4_evolve
+from wgherald.bandgap import BandgapParams, build_H_bandgap, compensate
 from wgherald.linalg import (
     DimensionError,
     NumericError,
     Propagator,
     decay_generator_max_eig,
-    expm_apply,
     golden_section_max,
     is_dissipative,
     norm_sq,
@@ -23,6 +25,12 @@ def random_decaying_h(rng, dim):
     herm = (a + a.conj().T) / 2
     b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return herm - 0.5j * (b @ b.conj().T)
+
+
+def random_hermitian_h(rng, dim):
+    """Random H equal to its adjoint to the last bit."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (a + a.conj().T) / 2
 
 
 def random_state(rng, dim):
@@ -52,11 +60,11 @@ def test_overlap_basics():
 
 def test_expm_identity_and_pure_decay():
     v = random_state(np.random.default_rng(0), 4)
-    assert np.allclose(expm_apply(np.zeros((4, 4)), 2.7, v), v, atol=1e-14)
+    assert np.allclose(Propagator(np.zeros((4, 4))).apply(2.7, v), v, atol=1e-14)
     gamma = 0.8
     h = -0.5j * gamma * np.eye(3)
     v3 = random_state(np.random.default_rng(1), 3)
-    out = expm_apply(h, 1.3, v3)
+    out = Propagator(h).apply(1.3, v3)
     assert np.allclose(out, v3 * np.exp(-gamma * 1.3 / 2), atol=1e-13)
 
 
@@ -69,7 +77,7 @@ def test_expm_chain_norm_matches_rk4():
     )
     t = np.sqrt(2) * np.pi / np.sqrt(2 * n)
     v0 = np.array([1.0, 0, 0], dtype=complex)
-    exact = expm_apply(h, t, v0)
+    exact = Propagator(h).apply(t, v0)
     ref = rk4_evolve(h, v0, t, 10**5)
     assert abs(abs(exact[2]) ** 2 - abs(ref[2]) ** 2) <= 1e-8
 
@@ -81,7 +89,7 @@ def test_expm_matches_rk4_random_8x8():
         h /= np.linalg.norm(h, 2)
         v0 = random_state(rng, 8)
         t = 1.5
-        exact = expm_apply(h, t, v0)
+        exact = Propagator(h).apply(t, v0)
         ref = rk4_evolve(h, v0, t, 5000)
         assert np.abs(exact - ref).max() < 1e-7
 
@@ -92,8 +100,8 @@ def test_semigroup_property():
         h = random_decaying_h(rng, 6)
         v = random_state(rng, 6)
         t1, t2 = rng.uniform(0.05, 0.8, size=2)
-        once = expm_apply(h, t1 + t2, v)
-        twice = expm_apply(h, t2, expm_apply(h, t1, v))
+        once = Propagator(h).apply(t1 + t2, v)
+        twice = Propagator(h).apply(t2, Propagator(h).apply(t1, v))
         assert np.abs(once - twice).max() < 1e-9
 
 
@@ -129,7 +137,7 @@ def test_integrated_expectation_matches_quadrature():
     exact = prop.integrated_expectation(m, t, v0)
     ts = np.linspace(0, t, 4001)
     vals = [np.vdot(prop.apply(s, v0), m @ prop.apply(s, v0)).real for s in ts]
-    ref = np.trapezoid(vals, ts)
+    ref = scipy.integrate.trapezoid(vals, ts)
     assert exact == pytest.approx(ref, rel=1e-7)
 
 
@@ -151,27 +159,73 @@ def test_pade_fallback_on_defective_matrix():
 
 def test_eig_and_expm_paths_agree():
     rng = np.random.default_rng(8)
-    h = random_decaying_h(rng, 5)
-    v = random_state(rng, 5)
-    prop = Propagator(h)
-    assert prop.method == "eig"
-    import scipy.linalg
+    for make_h in (random_decaying_h, random_hermitian_h):
+        h = make_h(rng, 5)
+        v = random_state(rng, 5)
+        prop = Propagator(h)
+        assert prop.method == "eig"
+        ref = scipy.linalg.expm(-1j * h * 0.8) @ v
+        assert np.abs(prop.apply(0.8, v) - ref).max() < 1e-10
 
-    ref = scipy.linalg.expm(-1j * h * 0.8) @ v
-    assert np.abs(prop.apply(0.8, v) - ref).max() < 1e-10
+
+def test_hermitian_h_uses_eigh_without_cond_or_inv(monkeypatch):
+    bp = BandgapParams(N=30, xi=40.0)
+    hs = (random_hermitian_h(np.random.default_rng(3), 6),
+          compensate(build_H_bandgap(bp, include_gamma_star=False), bp))
+
+    def general_path(*args, **kwargs):
+        raise AssertionError("general eigendecomposition on a Hermitian H")
+
+    for name in ("eig", "cond", "inv"):
+        monkeypatch.setattr(np.linalg, name, general_path)
+    for h in hs:
+        prop = Propagator(h)
+        assert prop.method == "eig"
+        dim = h.shape[0]
+        assert np.abs(prop.eigvecs.conj().T @ prop.eigvecs - np.eye(dim)).max() < 1e-12
+
+
+def test_population_matches_apply_on_every_path():
+    rng = np.random.default_rng(5)
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    times = np.linspace(0.0, 3.0, 600)  # more than one block of times
+    for h, index, method in ((random_decaying_h(rng, 6), [1, 4], "eig"),
+                             (random_hermitian_h(rng, 6), [0], "eig"),
+                             (jordan, [0], "expm")):
+        prop = Propagator(h)
+        assert prop.method == method
+        v = random_state(rng, h.shape[0])
+        got = prop.population(times, v, index)
+        ref = np.array([norm_sq(prop.apply(t, v)[index]) for t in times])
+        assert got.shape == times.shape
+        assert np.abs(got - ref).max() < 1e-12
 
 
 def test_dimension_and_finiteness_errors():
     with pytest.raises(DimensionError):
-        expm_apply(np.zeros((3, 3)), 1.0, np.zeros(4))
+        Propagator(np.zeros((3, 3))).apply(1.0, np.zeros(4))
     with pytest.raises(DimensionError):
-        expm_apply(np.zeros((3, 2)), 1.0, np.zeros(3))
+        Propagator(np.zeros((3, 2))).apply(1.0, np.zeros(3))
     bad = np.zeros((2, 2))
     bad[0, 0] = np.nan
     with pytest.raises(NumericError):
-        expm_apply(bad, 1.0, np.zeros(2))
+        Propagator(bad).apply(1.0, np.zeros(2))
     with pytest.raises(NumericError):
-        expm_apply(np.zeros((2, 2)), np.inf, np.zeros(2))
+        Propagator(np.zeros((2, 2))).apply(np.inf, np.zeros(2))
+    prop = Propagator(np.zeros((3, 3)))
+    with pytest.raises(DimensionError):
+        prop.population([0.0, 1.0], np.zeros(4), [0])
+    with pytest.raises(DimensionError):
+        prop.population([[0.0, 1.0]], np.zeros(3), [0])
+    with pytest.raises(NumericError):
+        prop.population([0.0, np.nan], np.zeros(3), [0])
+    with pytest.raises(NumericError):
+        prop.population([0.0, 1.0], [0.0, np.inf, 0.0], [0])
+    # gain e^{1000 t} overflows on the eigenbasis path and on the fallback
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    for h in (1000j * np.eye(2), 1000j * np.eye(2) + jordan):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+            Propagator(h).population([0.0, 1.0], np.ones(2), [0])
 
 
 def test_golden_section_max():

@@ -16,7 +16,7 @@ from wgherald.formulas import (
     p_double_mirrors,
     p_fixed_ratio,
 )
-from wgherald.linalg import expm_apply, golden_section_max
+from wgherald.linalg import Propagator, golden_section_max
 from wgherald.protocol import (
     ProtocolError,
     run_accumulation,
@@ -40,7 +40,7 @@ def test_step_equals_direct_chain_amplitude():
     basis = build_basis(300, 2, HPMode.APPROX)
     h = build_H_nh(p, basis)
     t = optimal_parameters(p).T
-    amp = expm_apply(h, t, np.array([1.0, 0, 0], complex))[2]
+    amp = Propagator(h).apply(t, np.array([1.0, 0, 0], complex))[2]
     res = run_step(p, HPMode.APPROX)
     assert res.p_success == pytest.approx(abs(amp) ** 2, abs=1e-14)
 
