@@ -1,16 +1,18 @@
 """Finite-range dipole-dipole model for emitters inside a photonic bandgap.
 
-Excited emitters are dressed by an exponentially localized photon cloud of
-range xi (in units of the lattice spacing), giving position-dependent
-couplings (gamma_g / 2 xi) exp(-|z_i - z_j| / xi).  There are no collective
-jumps; only the free-space rate gamma_star decays the norm, uniformly over
-the single-excitation space, so the no-jump survival factorizes exactly as
-exp(-gamma_star t).
+The model holds the source atom and the target ensemble in the
+single-excitation sector: the source excitation is transferred into the
+target's collective mode.  Excited emitters are dressed by an exponentially
+localized photon cloud of range xi (in units of the lattice spacing), giving
+position-dependent couplings (gamma_g / 2 xi) exp(-|z_i - z_j| / xi).  There
+are no collective jumps; only the free-space rate gamma_star decays the norm,
+uniformly over the single-excitation space, so the no-jump survival
+factorizes exactly as exp(-gamma_star t).
 
-The intra-ensemble couplings shift the collective modes; the shifts are
+The couplings shift the source and the collective target mode; the shifts are
 compensated by subtracting, per ensemble, the mean of the site-dependent
-collective shifts (a uniform Stark shift).  For finite xi the site-dependence
-of the residual is what degrades the prepared collective mode.
+shifts (a uniform Stark shift).  For finite xi the site-dependence of the
+residual is what degrades the prepared collective mode.
 """
 
 from __future__ import annotations
@@ -33,19 +35,17 @@ class BandgapParams:
 
     Positions are integer lattice coordinates (units of the spacing d); the
     default geometry is the source at site 0 with the target ensemble
-    contiguous at sites 1..N and the detector ensemble beyond.  N_m = N-m+1
-    is the collective enhancement left once m-1 quanta are stored.
+    contiguous at sites 1..N.  N_m = N-m+1 is the collective enhancement left
+    once m-1 quanta are stored.
     """
 
     N: int
     xi: float
     m: int = 1
     gamma_g: float = 1.0
-    gamma_s: float | None = None
     gamma_star: float = 0.0
     source_position: int = 0
     target_positions: tuple[int, ...] | None = None
-    detector_positions: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.N < 1 or self.m < 1:
@@ -54,18 +54,15 @@ class BandgapParams:
             raise ValueError("need N - m + 1 >= 1")
         if not (self.xi > 0 and math.isfinite(self.xi)):
             raise ValueError("xi must be positive and finite")
-        if self.gamma_s is None:
-            object.__setattr__(self, "gamma_s", self.gamma_g / math.sqrt(self.m))
+        if not (self.gamma_g > 0 and math.isfinite(self.gamma_g)):
+            raise ValueError("gamma_g must be positive and finite")
+        if not (self.gamma_star >= 0 and math.isfinite(self.gamma_star)):
+            raise ValueError("gamma_star must be non-negative and finite")
         if self.target_positions is None:
             object.__setattr__(self, "target_positions", tuple(range(1, self.N + 1)))
-        if self.detector_positions is None:
-            start = max(self.target_positions) + 1
-            object.__setattr__(
-                self, "detector_positions", tuple(range(start, start + self.N))
-            )
         if len(self.target_positions) != self.N:
             raise ValueError("need one target position per atom")
-        allpos = (self.source_position, *self.target_positions, *self.detector_positions)
+        allpos = (self.source_position, *self.target_positions)
         if len(set(allpos)) != len(allpos):
             raise ValueError("atom positions must be distinct")
 
@@ -83,49 +80,16 @@ class BandgapParams:
         return math.sqrt(self.N_m) * self.gamma_g / (2 * self.xi)
 
 
-@dataclass(frozen=True)
-class LambShifts:
-    """Collective shifts to compensate, one per ensemble."""
-
-    source: float
-    target: float
-    detector: float
-
-
-def lamb_shift_compensation(p: BandgapParams) -> LambShifts:
-    """Ideal-limit collective shifts: N_m gamma_g / (2 xi) on the target mode,
-    the bare self-energy on the source, and the detector analogue."""
-    unit_g = p.gamma_g / (2 * p.xi)
-    unit_s = p.gamma_s / (2 * p.xi)
-    return LambShifts(
-        source=unit_g,
-        target=p.N_m * unit_g,
-        detector=len(p.detector_positions) * unit_s,
-    )
-
-
-def build_H_bandgap(p: BandgapParams, single_excitation: bool = True,
-                    include_gamma_star: bool = True) -> np.ndarray:
-    """Bandgap Hamiltonian.
-
-    single_excitation=True: atom-resolved (N+1)-dimensional single-excitation
-    block {source excited, target atom n excited}, with the exchange couplings,
-    the intra-target dipole-dipole block (diagonal included), and the source
-    self-energy, all at strength gamma_g / (2 xi) times the range factors.
-
-    single_excitation=False: the ideal-limit collective three-state chain
-    (source, target mode, detector mode) with the shifts already compensated;
-    couplings carry the exact collective factors sqrt(N_m) and sqrt(N m).
+def build_H_bandgap(p: BandgapParams, include_gamma_star: bool = True) -> np.ndarray:
+    """Atom-resolved (N+1)-dimensional single-excitation block {source excited,
+    target atom n excited}: the exchange couplings, the intra-target
+    dipole-dipole block (diagonal included) and the source self-energy, all at
+    strength gamma_g / (2 xi) times the range factors, plus the uniform
+    -i gamma_star / 2 decay when include_gamma_star is set.
     """
-    unit = p.gamma_g / (2 * p.xi)
-    if single_excitation:
-        z = np.array((p.source_position, *p.target_positions), dtype=float)
-        h = unit * np.exp(-np.abs(z[:, None] - z[None, :]) / p.xi)
-        h = h.astype(complex)
-    else:
-        a = p.coupling
-        b = math.sqrt(len(p.detector_positions) * p.m) * p.gamma_s / (2 * p.xi)
-        h = np.array([[0, a, 0], [a, 0, b], [0, b, 0]], dtype=complex)
+    z = np.array((p.source_position, *p.target_positions), dtype=float)
+    h = p.gamma_g / (2 * p.xi) * np.exp(-np.abs(z[:, None] - z[None, :]) / p.xi)
+    h = h.astype(complex)
     if include_gamma_star and p.gamma_star > 0:
         h -= 0.5j * p.gamma_star * np.eye(h.shape[0])
     return h
@@ -176,7 +140,7 @@ def run_transfer(p: BandgapParams, n_grid: int = 2048) -> TransferRecord:
     free-space decay multiplies the norm by exp(-gamma_star t), so the
     no-jump survival at the optimum is reported without re-evolving.
     """
-    h = compensate(build_H_bandgap(p, True, include_gamma_star=False), p)
+    h = compensate(build_H_bandgap(p, include_gamma_star=False), p)
     prop = Propagator(h)
     psi0 = np.zeros(p.N + 1, dtype=complex)
     psi0[0] = 1.0

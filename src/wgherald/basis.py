@@ -67,10 +67,6 @@ class BasisLabel:
     detector: str = DET_NONE
 
     @property
-    def detector_excited(self) -> bool:
-        return self.detector == DET_EXCITED
-
-    @property
     def excited_count(self) -> int:
         """Number of atoms in the excited level (0 or 1 on reachable states)."""
         return int(self.source_level == "e") + self.l1 + self.l2 + int(self.detector == DET_EXCITED)
@@ -199,20 +195,6 @@ def matrix_from_action(basis: BasisSet, action) -> CollectiveOperator:
     return CollectiveOperator(mat, loss)
 
 
-def excitation_number_diagonal(basis: BasisSet) -> np.ndarray:
-    """Protocol excitation bookkeeping: source e or s, target s and e quanta.
-
-    Detector flips do not add to the count (the flip is fed by a target
-    quantum), so every reachable state of one sector carries the same number.
-    """
-    out = []
-    for lbl in basis.labels:
-        n = int(lbl.source_level in ("e", "s"))
-        n += lbl.k1 + lbl.l1 + lbl.k2 + lbl.l2
-        out.append(n)
-    return np.array(out, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Target-ensemble goal state
 # ---------------------------------------------------------------------------
@@ -235,14 +217,12 @@ def goal_amplitudes(m: int) -> np.ndarray:
     return amps.astype(complex)
 
 
-def goal_state(basis: BasisSet, m: int | None = None) -> np.ndarray:
+def goal_state(basis: BasisSet) -> np.ndarray:
     """Goal target-ensemble state in the representation matching the basis.
 
-    EXACT mode: amplitudes over storage_labels(m).  APPROX mode: the goal is
-    the single tracked antisymmetric-mode state, i.e. the vector [1].
+    EXACT mode: amplitudes over storage_labels(basis.m).  APPROX mode: the
+    goal is the single tracked antisymmetric-mode state, i.e. the vector [1].
     """
-    if m is None:
-        m = basis.m
     if basis.mode == HPMode.APPROX:
         return np.array([1.0 + 0.0j])
-    return goal_amplitudes(m)
+    return goal_amplitudes(basis.m)

@@ -249,8 +249,11 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    entries = formulas.table1_compare(args.m, args.N, args.p1d, args.xi,
-                                      eta=args.eta, x=args.x)
+    try:
+        entries = formulas.table1_compare(args.m, args.N, args.p1d, args.xi,
+                                          eta=args.eta, x=args.x)
+    except ValueError as exc:
+        raise UsageError(f"{type(exc).__name__}: {exc}") from exc
     lines = ["protocol,error_scaling,p_m,requirement,requirement_satisfied"]
     for e in entries:
         lines.append(

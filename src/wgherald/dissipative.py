@@ -32,7 +32,6 @@ from .basis import (
     BasisLabel,
     BasisSet,
     HPMode,
-    excitation_number_diagonal,
     matrix_from_action,
     mirror_image,
 )
@@ -67,13 +66,11 @@ class DissipativeParams:
             if val < 0 or not math.isfinite(val):
                 raise ValueError(f"{name} must be non-negative and finite")
 
-    @property
-    def purcell(self) -> float:
-        """P_1d = gamma_g / gamma_star (inf when free-space decay is off)."""
-        return math.inf if self.gamma_star == 0 else self.gamma_g / self.gamma_star
-
     @classmethod
     def from_purcell(cls, N, m, p1d, gamma_g=1.0, gamma_s=None, drive_omega=0.0):
+        """Rates from P_1d = gamma_g / gamma_star; P_1d = inf means no free-space decay."""
+        if not p1d > 0:
+            raise ValueError(f"p1d must be positive, not {p1d!r}")
         gamma_star = 0.0 if math.isinf(p1d) else gamma_g / p1d
         return cls(N, m, gamma_g, gamma_s, gamma_star, drive_omega)
 
@@ -236,30 +233,17 @@ def build_H_nh(p: DissipativeParams, basis: BasisSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptimalParams:
-    """Transfer-optimal second-mode rate and evolution time (drive optional)."""
+    """Transfer-optimal second-mode rate and evolution time of a fast-pulse step."""
 
     gamma_s: float
     T: float
-    omega: float | None = None
 
 
 def optimal_parameters(p: DissipativeParams) -> OptimalParams:
-    """Parameters maximizing the source-to-detector population transfer.
-
-    Fast-pulse protocol: gamma_s = gamma_g / sqrt(m) and
-    T = sqrt(2) pi / (sqrt(2N) gamma_g).  Continuous drive: the chain becomes
-    a five-site perfect-transfer chain for
-    omega = sqrt(2/3) sqrt(2N) gamma_g, with the transfer completing at
-    T = sqrt(6) pi / (sqrt(2N) gamma_g) = 2 pi / omega.
-    """
-    g = math.sqrt(2 * p.N) * p.gamma_g
-    gamma_s = p.gamma_g / math.sqrt(p.m)
+    """Parameters maximizing the fast-pulse source-to-detector transfer:
+    gamma_s = gamma_g / sqrt(m) and T = sqrt(2) pi / (sqrt(2N) gamma_g).
+    The driven step finds its own optimum (run_step_continuous_drive)."""
     if p.drive_omega > 0:
-        omega = math.sqrt(2.0 / 3.0) * g
-        return OptimalParams(gamma_s, 2 * math.pi / omega, omega)
-    return OptimalParams(gamma_s, math.sqrt(2) * math.pi / g)
-
-
-def excitation_number_operator(basis: BasisSet) -> np.ndarray:
-    """Diagonal bookkeeping operator counting in-protocol excitations."""
-    return np.diag(excitation_number_diagonal(basis).astype(complex))
+        raise ValueError("optimal_parameters covers the fast-pulse protocol only")
+    g = math.sqrt(2 * p.N) * p.gamma_g
+    return OptimalParams(p.gamma_g / math.sqrt(p.m), math.sqrt(2) * math.pi / g)

@@ -92,16 +92,3 @@ def fit_loglog(x_columns, y, model: str = "power_law",
         n_used=n,
         residual_rms=math.sqrt(float(resid @ resid) / n),
     )
-
-
-def linear_regression_r2(x, y) -> tuple[float, float, float]:
-    """Plain least-squares line y = a + b x; returns (a, b, R^2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    design = np.column_stack([np.ones_like(x), x])
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    pred = design @ coef
-    ss_res = float(((y - pred) ** 2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(coef[0]), float(coef[1]), r2

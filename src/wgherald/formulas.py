@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import bandgap as _bandgap
-
 INFIDELITY_FIT_PREFACTOR = 0.061
 
 
@@ -54,13 +52,6 @@ def p_fresh_level(N: float, p1d: float) -> float:
     exp[-(sqrt(2) pi / (8 sqrt(2N))) (5 + 8 / P_1d)]; no sqrt(m) enhancement."""
     coeff = math.sqrt(2) * math.pi / (8 * math.sqrt(2 * N))
     return math.exp(-coeff * (5 + 8 / p1d))
-
-
-def p_bandgap(N: int, m: int, xi: float, p1d: float) -> float:
-    """Ideal-limit bandgap heralding probability (delegates to the model)."""
-    gamma_star = 0.0 if math.isinf(p1d) else 1.0 / p1d
-    p = _bandgap.BandgapParams(N=N, xi=xi, m=m, gamma_star=gamma_star)
-    return _bandgap.ideal_step_probability(p)
 
 
 def infidelity_fit(n_total: float, m: float) -> float:
@@ -180,6 +171,10 @@ def table1_compare(
         th.update(thresholds)
     if not 0 <= eta <= 1:
         raise ValueError("eta must be in [0, 1]")
+    if not 1 <= m <= N:
+        raise ValueError(f"need 1 <= m <= N, not N={N}, m={m}")
+    if not (p1d > 0 and xi > 0):
+        raise ValueError(f"p1d and xi must be positive, not p1d={p1d}, xi={xi}")
     n_m = N - m + 1
     inputs = {"m": m, "N": N, "p1d": p1d, "xi": xi, "eta": eta, "x": x}
     rows = [

@@ -64,23 +64,6 @@ def overlap(u, v) -> complex:
     return complex(np.vdot(u, v))
 
 
-def decay_generator_max_eig(h) -> float:
-    """Largest eigenvalue of the Hermitian decay generator (H - H^dag)/(2i).
-
-    For a dissipative Hamiltonian H = H_0 - (i/2) sum_k Gamma_k O_k^dag O_k
-    this matrix equals -(1/2) sum_k Gamma_k O_k^dag O_k, so its spectrum is
-    non-positive exactly when the evolution can only lose norm.
-    """
-    h = as_operator(h)
-    gen = (h - h.conj().T) / 2j
-    return float(np.linalg.eigvalsh(gen).max())
-
-
-def is_dissipative(h, tol: float = 1e-10) -> bool:
-    """True if e^{-iHt} is norm non-increasing (decay-only anti-Hermitian part)."""
-    return decay_generator_max_eig(h) <= tol
-
-
 class Propagator:
     """Applies e^{-iHt} to vectors, reusing one eigendecomposition of H.
 

@@ -175,8 +175,8 @@ def run_step(
         raise ProtocolError("use run_step_continuous_drive for a driven step")
     if T is None:
         T = optimal_parameters(p).T
-    if T <= 0:
-        raise ProtocolError("evolution time T must be positive")
+    if not 0 < T < math.inf:
+        raise ProtocolError(f"evolution time T must be positive and finite, not {T!r}")
     basis, psi0, channels, prop, idx = _fast_pulse_model(p, mode, input_target_state)
     return _evolve_segments(basis, psi0, [(prop, T)], channels, idx, T)
 
@@ -228,6 +228,8 @@ def run_step_continuous_drive(
     omega_opt = math.sqrt(2.0 / 3.0) * g
     if omega is None:
         omega = omega_opt
+    if not 0 < omega < math.inf:
+        raise ProtocolError(f"drive strength omega must be positive and finite, not {omega!r}")
     default_omega = abs(omega - omega_opt) < 1e-12 * g
     p = DissipativeParams.from_purcell(N, m, p1d, gamma_g=gamma_g, drive_omega=omega)
     basis = build_basis(N, m, HPMode.APPROX, with_drive=True)
@@ -250,8 +252,8 @@ def run_step_continuous_drive(
             hi = grid[min(k + 1, len(grid) - 1)]
             T, _ = golden_section_max(lambda t: norm_sq(prop.apply(t, psi0)[idx]),
                                       lo, hi, 1e-9 * t_hi)
-    if T <= 0:
-        raise ProtocolError("evolution time T must be positive")
+    if not 0 < T < math.inf:
+        raise ProtocolError(f"evolution time T must be positive and finite, not {T!r}")
     return _evolve_segments(basis, psi0, [(prop, T)], channels, idx, T)
 
 
@@ -274,8 +276,8 @@ def run_step_pulsed(
     p = DissipativeParams.from_purcell(N, m, p1d, gamma_g=gamma_g)
     if T is None:
         T = optimal_parameters(p).T
-    if T <= 0 or omega_pulse <= 0:
-        raise ProtocolError("need positive T and pulse strength")
+    if not (0 < T < math.inf and 0 < omega_pulse < math.inf):
+        raise ProtocolError("need positive, finite T and pulse strength")
     basis = build_basis(N, m, HPMode.APPROX, with_drive=True)
     channels = build_jump_operators(p, basis)
     h_free = no_jump_generator(build_H_coherent(p, basis), channels)

@@ -78,6 +78,8 @@ def _is_number(value) -> bool:
 def bandgap_params(point: dict) -> bg.BandgapParams:
     """The bandgap model of a point; P_1d = inf means no free-space decay."""
     p1d = float(point["p1d"])
+    if not p1d > 0:
+        raise ValueError(f"p1d must be positive, not {p1d!r}")
     return bg.BandgapParams(N=int(point["N"]), xi=float(point["xi"]), m=int(point["m"]),
                             gamma_star=0.0 if math.isinf(p1d) else 1.0 / p1d)
 
@@ -147,7 +149,7 @@ TABLE = {
     # the transfer has no variants or representations; rows echo the defaults
     ("bandgap", "pi-pulse"): Entry(
         frozenset({"N", "m", "p1d", "xi"}), _APPROX, _bandgap_row,
-        lambda pt: formulas.p_bandgap(pt["N"], pt["m"], pt["xi"], pt["p1d"])),
+        lambda pt: bg.ideal_step_probability(bandgap_params(pt))),
 }
 
 
@@ -221,6 +223,9 @@ class SweepSpec:
             if not values:
                 raise SweepConfigError(f"axis {name!r} has no values")
             axes.append((name, tuple(values)))
+        for name, values in (("N", (fixed["N"],)), ("m", (fixed["m"],)), *axes):
+            if name in ("N", "m") and not all(map(_is_int, values)):
+                raise SweepConfigError(f"{name} takes integers, not {list(values)}")
         names = [name for name, _ in axes]
         given = (set(cfg.get("fixed") or {}) | set(names) | set(overrides)) & set(PARAMETERS)
         unused = given - entry.reads

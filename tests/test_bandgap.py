@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import ideal_bandgap_chain
 from wgherald.bandgap import (
     BandgapParams,
     TransferWindowError,
     build_H_bandgap,
     compensate,
     ideal_step_probability,
-    lamb_shift_compensation,
     run_transfer,
 )
 from wgherald.basis import HPMode, build_basis
@@ -28,9 +28,12 @@ def test_params_validation():
         BandgapParams(N=3, m=5, xi=10.0)
     with pytest.raises(ValueError):
         BandgapParams(N=2, xi=10.0, target_positions=(1, 1))
+    for rates in ({"gamma_g": 0.0}, {"gamma_g": math.inf}, {"gamma_star": -0.2},
+                  {"gamma_star": math.nan}, {"gamma_star": math.inf}):
+        with pytest.raises(ValueError):
+            BandgapParams(N=10, xi=10.0, **rates)
     p = BandgapParams(N=4, xi=10.0)
     assert p.target_positions == (1, 2, 3, 4)
-    assert p.detector_positions == (5, 6, 7, 8)
 
 
 def test_two_site_coupling():
@@ -52,15 +55,6 @@ def test_large_range_limit_collective_coupling():
     assert p.coupling == pytest.approx(math.sqrt(n) * p.gamma_g / (2 * p.xi))
 
 
-def test_lamb_shift_values():
-    p = BandgapParams(N=100, m=1, xi=100.0)
-    shifts = lamb_shift_compensation(p)
-    assert shifts.target == pytest.approx(0.5)
-    assert shifts.source == pytest.approx(1.0 / 200)
-    p_full = BandgapParams(N=5, m=5, xi=10.0)
-    assert lamb_shift_compensation(p_full).target == pytest.approx(1.0 / 20)
-
-
 def test_compensated_symmetric_mode_near_zero():
     n = 40
     p = BandgapParams(N=n, xi=1e7)
@@ -73,7 +67,7 @@ def test_compensated_symmetric_mode_near_zero():
 
 def test_ideal_chain_compensated_diag_zero():
     p = BandgapParams(N=50, m=1, xi=200.0)
-    h = build_H_bandgap(p, single_excitation=False)
+    h = ideal_bandgap_chain(p)
     assert np.allclose(np.diag(h), 0.0)
     assert h[0, 1] == pytest.approx(p.coupling)
 
@@ -164,8 +158,8 @@ def test_ideal_chain_equivalent_to_rescaled_mirror_chain():
     # collective three-state chain == double-mirrors chain under
     # gamma -> gamma/xi with half the atoms per mirror (m = 1)
     n, xi = 64, 500.0
-    p = BandgapParams(N=n, m=1, xi=xi, gamma_s=1.0)
-    h_band = build_H_bandgap(p, single_excitation=False)
+    p = BandgapParams(N=n, m=1, xi=xi)
+    h_band = ideal_bandgap_chain(p)
     p_mirror = DissipativeParams(N=n // 2, m=1, gamma_g=1.0 / xi, gamma_s=1.0 / xi)
     basis = build_basis(n // 2, 1, HPMode.APPROX)
     h_mirror = build_H_coherent(p_mirror, basis)

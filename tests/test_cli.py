@@ -333,6 +333,32 @@ SWEPT_N = {"protocol": "step", "fixed": {"p1d": 10},
     ({"axes": [{"name": "N", "values": [50, 100], "num": 3}]}, ("sweep",)),
     ({"axes": [{"name": "N", "num": 3}]}, ("sweep",)),
     ({"axes": [{"name": "N", "values": [50, 100], "nm": 3}]}, ("sweep",)),
+    # P_1d outside (0, inf]: a negative one ran as a gain, NaN printed nan and
+    # zero ended in a ZeroDivisionError
+    (None, ("bandgap", "--N", "40", "--xi", "60", "--p1d", "-5")),
+    (None, ("bandgap", "--N", "40", "--xi", "60", "--p1d", "nan")),
+    (None, ("bandgap", "--N", "40", "--xi", "60", "--p1d", "0")),
+    (None, ("step", "--N", "100", "--m", "1", "--p1d", "0")),
+    (None, ("accumulate", "--N", "100", "--m", "1", "--p1d", "0")),
+    # evolution times and drive strengths outside (0, inf)
+    (None, ("step", "--N", "100", "--m", "1", "--p1d", "10", "--T", "inf")),
+    (None, ("step", "--N", "100", "--m", "1", "--p1d", "10", "--T", "nan")),
+    (None, ("step", "--N", "100", "--m", "1", "--p1d", "10", "--variant", "continuous-drive",
+            "--T", "inf")),
+    (None, ("step", "--N", "100", "--m", "1", "--p1d", "10", "--variant", "continuous-drive",
+            "--omega", "0")),
+    # comparison inputs outside the table's domain
+    (None, ("compare", "--eta", "2")),
+    (None, ("compare", "--p1d", "-1")),
+    (None, ("compare", "--p1d", "0")),
+    (None, ("compare", "--m", "200")),
+    (None, ("compare", "--m", "0")),
+    (None, ("compare", "--N", "0")),
+    (None, ("compare", "--xi", "0")),
+    # non-integer atom and excitation counts were truncated but echoed as given
+    ({"fixed": {"p1d": 10, "N": 100.7, "m": 1.9}}, ("sweep",)),
+    ({"fixed": {"p1d": 10}, "axes": [{"name": "N", "values": [50, 100.5]}]}, ("sweep",)),
+    ({"fixed": {"N": 100, "p1d": 10}, "axes": [{"name": "m", "values": [1.5]}]}, ("sweep",)),
 ])
 def test_ignored_inputs_are_rejected(tmp_path, capsys, config, argv):
     if config is not None:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from wgherald.fitting import InsufficientDataError, fit_loglog, linear_regression_r2
+from oracles import linear_regression_r2
+from wgherald.fitting import InsufficientDataError, fit_loglog
 
 
 def test_recovers_its_own_power_law():

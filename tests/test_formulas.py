@@ -102,11 +102,6 @@ def test_single_mode_infidelity_terms():
     assert val == pytest.approx(100 * 1e-4 + 0.001 / 10.0)
 
 
-def test_bandgap_delegation():
-    assert F.p_bandgap(100, 1, 100.0, 10.0) == pytest.approx(math.exp(-math.pi))
-    assert F.p_bandgap(100, 1, 100.0, math.inf) == 1.0
-
-
 def test_table1_rows():
     rows = {e.protocol: e for e in F.table1_compare(4, 100, 100.0, 1000.0, eta=1.0, x=0.05)}
     assert rows["ProbabilisticII"].p_m == pytest.approx(math.exp(-0.4), rel=1e-12)

@@ -225,7 +225,7 @@ def test_norm_decay_matches_collective_only_closed_form():
 
 
 def test_purcell_scaling_of_log_probability():
-    from wgherald.fitting import linear_regression_r2
+    from oracles import linear_regression_r2
 
     n, m = 500, 2
     inv_p1d = np.array([1 / 1, 1 / 2, 1 / 5, 1 / 10, 1 / 20, 1 / 50])
