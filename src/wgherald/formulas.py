@@ -175,6 +175,8 @@ def table1_compare(
         raise ValueError(f"need 1 <= m <= N, not N={N}, m={m}")
     if not (p1d > 0 and xi > 0):
         raise ValueError(f"p1d and xi must be positive, not p1d={p1d}, xi={xi}")
+    if not (x >= 0 and math.isfinite(x)):
+        raise ValueError(f"x must be non-negative and finite, not x={x}")
     n_m = N - m + 1
     inputs = {"m": m, "N": N, "p1d": p1d, "xi": xi, "eta": eta, "x": x}
     rows = [

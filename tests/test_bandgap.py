@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import ideal_bandgap_chain
 from wgherald.bandgap import (
+    KRYLOV_MAX_ERROR,
     BandgapParams,
     TransferWindowError,
     build_H_bandgap,
@@ -16,7 +20,7 @@ from wgherald.bandgap import (
 )
 from wgherald.basis import HPMode, build_basis
 from wgherald.dissipative import DissipativeParams, build_H_coherent
-from wgherald.linalg import Propagator, norm_sq
+from wgherald.linalg import Propagator, golden_section_max, norm_sq
 
 
 def test_params_validation():
@@ -132,6 +136,49 @@ def test_transfer_infidelity_matches_direct_eigensolution():
     assert rec.infidelity == pytest.approx(infid, abs=1e-8)
 
 
+@pytest.mark.parametrize("p", [
+    *(BandgapParams(N=n, xi=n * ratio) for n in (1, 2, 5, 40, 300, 600) for ratio in (0.5, 8)),
+    BandgapParams(N=12, xi=30.0, source_position=3,
+                  target_positions=(1, 2, 4, 7, 8, 9, 15, 16, 20, -3, -5, -6)),
+], ids=lambda p: f"N{p.N}-xi{p.xi:g}")
+def test_transfer_matches_dense_eigensolution(p):
+    # the Krylov transfer against a full eigendecomposition of the same real
+    # compensated H, scanned and refined the same way
+    rec = run_transfer(p)
+    h = compensate(build_H_bandgap(p, include_gamma_star=False), p).real
+    evals, evecs = scipy.linalg.eigh(h)
+
+    def psi(t):
+        return evecs @ (np.exp(-1j * evals * t) * evecs[0])
+
+    source = np.exp(-1j * np.outer(rec.times, evals)) @ (evecs[0] ** 2)
+    pops = 1.0 - np.abs(source) ** 2
+    assert np.abs(rec.target_population - pops).max() <= 1e-12
+    assert np.abs(rec.source_population - (1.0 - pops)).max() <= 1e-12
+
+    c = psi(rec.optimal_time)[1:]
+    assert np.abs(rec.amplitudes - c).max() <= 1e-12
+    sym = np.full(p.N, 1 / math.sqrt(p.N))
+    infid = 1.0 - abs(np.vdot(sym, c)) ** 2 / norm_sq(c)
+    assert rec.infidelity == pytest.approx(infid, abs=1e-12)
+
+    k = 1 + np.flatnonzero((pops[1:-1] >= pops[:-2]) & (pops[1:-1] > pops[2:]))[0]
+    tol = 1e-6 * math.pi / p.coupling
+    t_opt, _ = golden_section_max(lambda t: norm_sq(psi(t)[1:]),
+                                  rec.times[k - 1], rec.times[k + 1], tol)
+    assert abs(rec.optimal_time - t_opt) <= tol
+    assert 1 <= rec.krylov_steps <= p.N + 1
+    assert 0.0 <= rec.error_bound <= KRYLOV_MAX_ERROR
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), ratio=st.floats(0.5, 8.0),
+       gamma_star=st.floats(0.0, 1.0))
+def test_transfer_populations_sum_to_one(n, ratio, gamma_star):
+    rec = run_transfer(BandgapParams(N=n, xi=n * ratio, gamma_star=gamma_star))
+    assert rec.intensity.sum() + rec.source_population_at_opt == pytest.approx(1.0, abs=1e-9)
+
+
 def test_transfer_survival_matches_closed_form_in_ideal_regime():
     for (n, xi) in ((100, 2000.0), (50, 1500.0)):
         p1d = 20 * xi / math.sqrt(n)
@@ -176,5 +223,6 @@ def test_ideal_chain_equivalent_to_rescaled_mirror_chain():
 def test_transfer_window_error():
     # a window too small to contain the first maximum must be diagnosed
     p = BandgapParams(N=100, xi=100.0)
-    with pytest.raises(TransferWindowError):
-        run_transfer(p, n_grid=4)
+    for n_grid in (1, 4):
+        with pytest.raises(TransferWindowError):
+            run_transfer(p, n_grid=n_grid)
