@@ -355,13 +355,13 @@ SWEPT_N = {"protocol": "step", "fixed": {"p1d": 10},
     (None, ("compare", "--m", "0")),
     (None, ("compare", "--N", "0")),
     (None, ("compare", "--xi", "0")),
-    # a negative drive parameter gave a ProbabilisticI p_m above 1, NaN gave nan rows
-    (None, ("compare", "--N", "100", "--m", "2", "--x", "-3", "--eta", "0.5")),
-    (None, ("compare", "--x", "nan")),
     # non-integer atom and excitation counts were truncated but echoed as given
     ({"fixed": {"p1d": 10, "N": 100.7, "m": 1.9}}, ("sweep",)),
     ({"fixed": {"p1d": 10}, "axes": [{"name": "N", "values": [50, 100.5]}]}, ("sweep",)),
     ({"fixed": {"N": 100, "p1d": 10}, "axes": [{"name": "m", "values": [1.5]}]}, ("sweep",)),
+    # a negative drive parameter gave a ProbabilisticI p_m above 1, NaN gave nan rows
+    (None, ("compare", "--N", "100", "--m", "2", "--x", "-3", "--eta", "0.5")),
+    (None, ("compare", "--x", "nan")),
 ])
 def test_ignored_inputs_are_rejected(tmp_path, capsys, config, argv):
     if config is not None:
