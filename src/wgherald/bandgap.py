@@ -7,7 +7,8 @@ localized photon cloud of range xi (in units of the lattice spacing), giving
 position-dependent couplings (gamma_g / 2 xi) exp(-|z_i - z_j| / xi).  There
 are no collective jumps; only the free-space rate gamma_star decays the norm,
 uniformly over the single-excitation space, so the no-jump survival
-factorizes exactly as exp(-gamma_star t).
+factorizes exactly as exp(-gamma_star t) and the Hamiltonian built here is
+the real symmetric coherent kernel alone.
 
 The couplings shift the source and the collective target mode; the shifts are
 compensated by subtracting, per ensemble, the mean of the site-dependent
@@ -92,19 +93,16 @@ class BandgapParams:
         return math.sqrt(self.N_m) * self.gamma_g / (2 * self.xi)
 
 
-def build_H_bandgap(p: BandgapParams, include_gamma_star: bool = True) -> np.ndarray:
-    """Atom-resolved (N+1)-dimensional single-excitation block {source excited,
-    target atom n excited}: the exchange couplings, the intra-target
-    dipole-dipole block (diagonal included) and the source self-energy, all at
-    strength gamma_g / (2 xi) times the range factors, plus the uniform
-    -i gamma_star / 2 decay when include_gamma_star is set.
+def build_H_bandgap(p: BandgapParams) -> np.ndarray:
+    """Real symmetric coherent kernel of the atom-resolved (N+1)-dimensional
+    single-excitation block {source excited, target atom n excited}: the
+    exchange couplings, the intra-target dipole-dipole block (diagonal
+    included) and the source self-energy, all at strength gamma_g / (2 xi)
+    times the range factors.  The uniform free-space decay -i gamma_star / 2
+    is not included: it only multiplies the norm by exp(-gamma_star t).
     """
     z = np.array((p.source_position, *p.target_positions), dtype=float)
-    h = p.gamma_g / (2 * p.xi) * np.exp(-np.abs(z[:, None] - z[None, :]) / p.xi)
-    h = h.astype(complex)
-    if include_gamma_star and p.gamma_star > 0:
-        h -= 0.5j * p.gamma_star * np.eye(h.shape[0])
-    return h
+    return p.gamma_g / (2 * p.xi) * np.exp(-np.abs(z[:, None] - z[None, :]) / p.xi)
 
 
 def compensate(h: np.ndarray, p: BandgapParams) -> np.ndarray:
@@ -191,7 +189,7 @@ def _lanczos(h: np.ndarray, dt: float, n_grid: int):
 def run_transfer(p: BandgapParams, n_grid: int = 2048) -> TransferRecord:
     """Evolve the single-excitation transfer and characterize its optimum.
 
-    The compensated Hamiltonian without gamma_star (real symmetric) drives the
+    The compensated coherent Hamiltonian (real symmetric) drives the
     dynamics of the excited source e_0, propagated in its Krylov space (see
     `_lanczos`; `krylov_steps` and `error_bound` report the step count and
     the error bound reached).  The target population, 1 - source, is scanned
@@ -200,7 +198,7 @@ def run_transfer(p: BandgapParams, n_grid: int = 2048) -> TransferRecord:
     exp(-gamma_star t), so the no-jump survival at the optimum is reported
     without re-evolving.
     """
-    h = np.ascontiguousarray(compensate(build_H_bandgap(p, include_gamma_star=False), p).real)
+    h = compensate(build_H_bandgap(p), p)
     g = p.coupling
     t_hi = 10 * math.pi / g
     times = np.linspace(0.0, t_hi, n_grid)
@@ -224,8 +222,8 @@ def run_transfer(p: BandgapParams, n_grid: int = 2048) -> TransferRecord:
             f"no transfer maximum inside the window [0, {t_hi:.4g}]"
         )
     k = int(interior[0])
-    t_opt, _ = golden_section_max(lambda t: norm_sq(psi(t)[1:]),
-                                  times[k - 1], times[k + 1], 1e-6 * math.pi / g)
+    t_opt = golden_section_max(lambda t: norm_sq(psi(t)[1:]),
+                               times[k - 1], times[k + 1], 1e-6 * math.pi / g)
 
     psi_opt = psi(t_opt)
     c = psi_opt[1:]

@@ -6,8 +6,9 @@ flags override config values but may not name a swept axis.  Every command
 but fit and compare goes through `wgherald.sweep.TABLE`, which rejects what
 the selected (protocol, variant) does not read; step, accumulate and bandgap
 run exactly one point.  Output goes to --out, or to stdout when it is not
-given or empty.  Exit codes: 0 success, 1 usage or configuration error
-(including an output path that cannot be written), 2 numeric failure.
+given or empty.  Exit codes, mapped in `main` alone: 0 success, 1 usage or
+configuration error (including an output path that cannot be written and a
+parameter the model rejects), 2 numeric failure or any other error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import yaml
 from . import bandgap as bg
 from . import formulas
 from .basis import HPMode
-from .fitting import InsufficientDataError, fit_loglog
+from .fitting import fit_loglog
 from .sweep import (
     PARAMETERS,
     TABLE,
@@ -41,8 +42,8 @@ class UsageError(Exception):
     """Raised for bad flags or bad configuration (exit code 1)."""
 
 
-# Exit code 2.  LinAlgError subclasses ValueError, so it is caught before the
-# ValueError that marks a parameter error.
+# Exit code 2.  LinAlgError subclasses ValueError, so main catches it before
+# the ValueError that marks a parameter error.
 _NUMERIC_ERRORS = (ArithmeticError, np.linalg.LinAlgError, bg.TransferWindowError)
 
 
@@ -152,24 +153,12 @@ def _cmd_point(args) -> int:
         raise UsageError("missing required flag(s): " + " ".join(f"--{k}" for k in missing))
     if args.command == "bandgap" and "p1d" not in spec.given:
         point["p1d"] = math.inf  # the bandgap command defaults to no free-space decay
-    try:
-        if args.command == "bandgap":
-            params = bandgap_params(point)
-            rec = bg.run_transfer(params)
-        else:
-            row = run_point(point)
-    except _NUMERIC_ERRORS:
-        raise
-    except ValueError as exc:
-        # BasisError, ProtocolError and bad parameter values
-        raise UsageError(f"{type(exc).__name__}: {exc}") from exc
-    except Exception as exc:  # noqa: BLE001 - any other failure of the point
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 2
     if args.command != "bandgap":
-        write_rows([row], spec.out, spec.jsonl)
+        write_rows([run_point(point)], spec.out, spec.jsonl)
         return 0
 
+    params = bandgap_params(point)
+    rec = bg.run_transfer(params)
     lines = ["t,source_population,target_population"]
     for t, ps, pt in zip(rec.times, rec.source_population, rec.target_population):
         lines.append(f"{t:.12g},{ps:.12g},{pt:.12g}")
@@ -201,11 +190,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    try:
-        with open(args.input, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.input}: {exc}") from exc
+    with open(args.input, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
     if not rows:
         raise UsageError(f"{args.input} has no data rows")
     for col in args.x + [args.y]:
@@ -232,12 +218,7 @@ def _cmd_fit(args) -> int:
         keep &= ~np.isnan(c)
     y = y[keep]
     xs = [c[keep] for c in xs]
-    try:
-        report = fit_loglog(xs, y, model=args.model, x_names=tuple(args.x))
-    except InsufficientDataError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-
+    report = fit_loglog(xs, y, model=args.model, x_names=tuple(args.x))
     lines = ["quantity,value,stderr",
              f"prefactor,{report.prefactor:.12g},{report.prefactor_stderr:.12g}"]
     for name, expo, err in zip(report.x_names, report.exponents, report.exponent_stderrs):
@@ -249,11 +230,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    try:
-        entries = formulas.table1_compare(args.m, args.N, args.p1d, args.xi,
-                                          eta=args.eta, x=args.x)
-    except ValueError as exc:
-        raise UsageError(f"{type(exc).__name__}: {exc}") from exc
+    entries = formulas.table1_compare(args.m, args.N, args.p1d, args.xi,
+                                      eta=args.eta, x=args.x)
     lines = ["protocol,error_scaling,p_m,requirement,requirement_satisfied"]
     for e in entries:
         lines.append(
@@ -274,6 +252,12 @@ def main(argv=None) -> int:
         return 1
     except _NUMERIC_ERRORS as exc:
         sys.stderr.write(f"numeric failure: {type(exc).__name__}: {exc}\n")
+        return 2
+    except ValueError as exc:  # BasisError, ProtocolError and bad parameter values
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return 1
+    except Exception as exc:  # noqa: BLE001 - any other failure of a command
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
 
 

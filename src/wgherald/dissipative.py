@@ -67,12 +67,13 @@ class DissipativeParams:
                 raise ValueError(f"{name} must be non-negative and finite")
 
     @classmethod
-    def from_purcell(cls, N, m, p1d, gamma_g=1.0, gamma_s=None, drive_omega=0.0):
-        """Rates from P_1d = gamma_g / gamma_star; P_1d = inf means no free-space decay."""
+    def from_purcell(cls, N, m, p1d, gamma_s=None, drive_omega=0.0):
+        """Rates in units of gamma_g = 1 from P_1d = gamma_g / gamma_star;
+        P_1d = inf means no free-space decay."""
         if not p1d > 0:
             raise ValueError(f"p1d must be positive, not {p1d!r}")
-        gamma_star = 0.0 if math.isinf(p1d) else gamma_g / p1d
-        return cls(N, m, gamma_g, gamma_s, gamma_star, drive_omega)
+        gamma_star = 0.0 if math.isinf(p1d) else 1.0 / p1d
+        return cls(N, m, 1.0, gamma_s, gamma_star, drive_omega)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ class FitReport:
     model 'power_law': y = prefactor * prod_i x_i^exponents[i]
     model 'exp_sqrt':  y = prefactor * exp(sum_i exponents[i] * sqrt(x_i))
     Standard errors come from the residual covariance; n_used counts the rows
-    that survived the positivity screen.
+    that survived the positivity and finiteness screen.
     """
 
     model: str
@@ -40,8 +40,10 @@ def fit_loglog(x_columns, y, model: str = "power_law",
     """Fit ln y against ln x (power_law) or sqrt(x) (exp_sqrt) columns.
 
     x_columns: sequence of equal-length 1-d arrays (one per regressor).
-    Rows with non-positive y (or non-positive x under power_law) are excluded
-    with a warning.
+    Rows with non-positive or non-finite y (or x; non-positive x only under
+    power_law) are excluded with a warning.  A regressor that does not vary
+    over the kept rows (a design matrix of lower rank than its column count)
+    raises InsufficientDataError.
     """
     if model not in ("power_law", "exp_sqrt"):
         raise ValueError(f"unknown fit model {model!r}")
@@ -54,16 +56,13 @@ def fit_loglog(x_columns, y, model: str = "power_law",
     if x_names is None:
         x_names = tuple(f"x{i}" for i in range(len(xs)))
 
-    keep = y > 0
-    if model == "power_law":
-        for c in xs:
-            keep &= c > 0
-    else:
-        for c in xs:
-            keep &= c >= 0
+    keep = np.isfinite(y) & (y > 0)
+    for c in xs:
+        keep &= np.isfinite(c) & ((c > 0) if model == "power_law" else (c >= 0))
     dropped = int((~keep).sum())
     if dropped:
-        warnings.warn(f"excluded {dropped} row(s) with non-positive data from the fit")
+        warnings.warn(f"excluded {dropped} row(s) with non-positive or non-finite data "
+                      f"from the fit")
     n = int(keep.sum())
     n_params = len(xs) + 1
     if n < max(MIN_POINTS, n_params + 1):
@@ -74,7 +73,12 @@ def fit_loglog(x_columns, y, model: str = "power_law",
     transform = np.log if model == "power_law" else np.sqrt
     design = np.column_stack([np.ones(n)] + [transform(c[keep]) for c in xs])
     target = np.log(y[keep])
-    coef, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    if rank < n_params:
+        raise InsufficientDataError(
+            f"insufficient data: the {n_params}-column design matrix has rank {rank}; "
+            f"a regressor is constant, or regressors are collinear, over the {n} usable points"
+        )
     resid = target - design @ coef
     dof = max(n - n_params, 1)
     sigma2 = float(resid @ resid) / dof

@@ -127,7 +127,7 @@ PROTOCOLS = ("Deterministic", "ProbabilisticI", "ProbabilisticII",
              "DoubleMirrors", "DipoleDipole")
 
 # Requirement gates: the tabulated conditions are asymptotic, so they become
-# boolean thresholds (adjustable by callers of table1_compare).
+# boolean thresholds.
 DEFAULT_THRESHOLDS = {
     "p1d_large": 10.0,   # P_1d >> 1
     "xi_over_n": 5.0,    # xi >> N
@@ -159,16 +159,13 @@ def table1_compare(
     xi: float,
     eta: float = 1.0,
     x: float = 0.1,
-    thresholds: dict | None = None,
 ) -> list[ComparisonEntry]:
     """Evaluate all five protocol rows at the given operating point.
 
     eta is the external-photodetector efficiency (first probabilistic scheme
     only) and x = Omega T sqrt(N) its drive parameter.
     """
-    th = dict(DEFAULT_THRESHOLDS)
-    if thresholds:
-        th.update(thresholds)
+    th = DEFAULT_THRESHOLDS
     if not 0 <= eta <= 1:
         raise ValueError("eta must be in [0, 1]")
     if not 1 <= m <= N:

@@ -1,10 +1,10 @@
-"""Dense complex linear algebra for Hermitian and non-Hermitian time evolution.
+"""Dense complex linear algebra for non-Hermitian time evolution.
 
 Everything in the protocol state spaces is small (a few to a few hundred
 dimensions), so exact dense methods are used throughout: the propagator
 e^{-iHt} is built from an eigendecomposition of H (with a scaling-and-squaring
-fallback when a general H is too ill-conditioned to diagonalize reliably),
-which makes evolution to arbitrary times exact up to rounding.
+fallback when H is too ill-conditioned to diagonalize reliably), which makes
+evolution to arbitrary times exact up to rounding.
 
 Conventions: hbar = 1, all rates in units of the reference guided-mode decay
 rate, times in its inverse.
@@ -67,23 +67,18 @@ def overlap(u, v) -> complex:
 class Propagator:
     """Applies e^{-iHt} to vectors, reusing one eigendecomposition of H.
 
-    H's structure picks the decomposition: eigh with V^-1 = V^dag when H
-    equals its adjoint exactly, otherwise eig, falling back to scipy's expm
-    (Pade scaling-and-squaring) when the eigenvectors are ill-conditioned
+    The decomposition is eig with V^-1 from inv, falling back to scipy's
+    expm (Pade scaling-and-squaring) when the eigenvectors are ill-conditioned
     beyond EIGBASIS_MAX_CONDITION.  `method` is "eig" or "expm".
     """
 
     def __init__(self, h):
         self.h = as_operator(h)
         self.dim = self.h.shape[0]
-        if np.array_equal(self.h, self.h.conj().T):
-            self.eigvals, self.eigvecs = np.linalg.eigh(self.h)
-            self._vinv = self.eigvecs.conj().T
-        else:
-            self.eigvals, self.eigvecs = np.linalg.eig(self.h)
-            cond = np.linalg.cond(self.eigvecs)
-            usable = np.isfinite(cond) and cond < EIGBASIS_MAX_CONDITION
-            self._vinv = np.linalg.inv(self.eigvecs) if usable else None
+        self.eigvals, self.eigvecs = np.linalg.eig(self.h)
+        cond = np.linalg.cond(self.eigvecs)
+        usable = np.isfinite(cond) and cond < EIGBASIS_MAX_CONDITION
+        self._vinv = np.linalg.inv(self.eigvecs) if usable else None
         self.method = "eig" if self._vinv is not None else "expm"
 
     def apply(self, t: float, v) -> np.ndarray:
@@ -162,10 +157,10 @@ class Propagator:
         return float(scipy.integrate.simpson(vals, x=times))
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def golden_section_max(f, lo: float, hi: float, tol: float) -> float:
     """Golden-section maximization of a unimodal f on [lo, hi].
 
-    Returns (argmax, max). tol is the absolute tolerance on the abscissa.
+    Returns the argmax. tol is the absolute tolerance on the abscissa.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
@@ -181,5 +176,4 @@ def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, floa
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
+    return (a + b) / 2.0

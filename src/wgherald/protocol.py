@@ -185,24 +185,23 @@ def run_step_fixed_ratio(
     N: int,
     m: int,
     p1d: float,
-    gamma: float = 1.0,
     mode: HPMode = HPMode.APPROX,
     input_target_state: np.ndarray | None = None,
 ) -> StepResult:
     """Heralded step with gamma_s = gamma_g, evolved to its own optimum
     T = 2 pi / (sqrt(2N(m+1)) gamma_s)."""
-    p = DissipativeParams.from_purcell(N, m, p1d, gamma_g=gamma, gamma_s=gamma)
-    T = 2 * math.pi / (math.sqrt(2 * N * (m + 1)) * gamma)
+    p = DissipativeParams.from_purcell(N, m, p1d, gamma_s=1.0)
+    T = 2 * math.pi / math.sqrt(2 * N * (m + 1))
     return run_step(p, mode, input_target_state, T)
 
 
-def run_step_fresh_level(N: int, p1d: float, gamma_g: float = 1.0) -> StepResult:
+def run_step_fresh_level(N: int, p1d: float) -> StepResult:
     """Heralded step when prior excitations sit in spectator storage levels.
 
     The occupied spectator levels do not couple to either guided mode, so the
     dynamics is the first-excitation step however many are stored.
     """
-    p = DissipativeParams.from_purcell(N, 1, p1d, gamma_g=gamma_g)
+    p = DissipativeParams.from_purcell(N, 1, p1d)
     return run_step(p, HPMode.APPROX)
 
 
@@ -210,28 +209,26 @@ def run_step_continuous_drive(
     N: int,
     m: int,
     p1d: float,
-    gamma_g: float = 1.0,
     omega: float | None = None,
     T: float | None = None,
     zero_decay: bool = False,
-    optimize_T: bool = False,
 ) -> StepResult:
     """Heralded step with the fast pulses replaced by a continuous drive.
 
     With the default omega = sqrt(2/3) sqrt(2N) gamma_g the five-state chain
     has perfect-transfer couplings and the herald population peaks at
-    T = 2 pi / omega.  For other omega (or optimize_T=True) the herald
-    population is maximized numerically.  zero_decay drops every decay
-    diagonal (coherent dynamics only), which is the full-transfer check.
+    T = 2 pi / omega.  For other omega the herald population is maximized
+    numerically.  zero_decay drops every decay diagonal (coherent dynamics
+    only), which is the full-transfer check.
     """
-    g = math.sqrt(2 * N) * gamma_g
+    g = math.sqrt(2 * N)
     omega_opt = math.sqrt(2.0 / 3.0) * g
     if omega is None:
         omega = omega_opt
     if not 0 < omega < math.inf:
         raise ProtocolError(f"drive strength omega must be positive and finite, not {omega!r}")
     default_omega = abs(omega - omega_opt) < 1e-12 * g
-    p = DissipativeParams.from_purcell(N, m, p1d, gamma_g=gamma_g, drive_omega=omega)
+    p = DissipativeParams.from_purcell(N, m, p1d, drive_omega=omega)
     basis = build_basis(N, m, HPMode.APPROX, with_drive=True)
     channels = [] if zero_decay else build_jump_operators(p, basis)
     prop = Propagator(no_jump_generator(build_H_coherent(p, basis), channels))
@@ -239,7 +236,7 @@ def run_step_continuous_drive(
     idx = _herald_index(basis, DET_HERALDED)
 
     if T is None:
-        if default_omega and not optimize_T:
+        if default_omega:
             T = 2 * math.pi / omega
         else:
             # global max over a few chain periods: dense scan + local refine;
@@ -250,8 +247,8 @@ def run_step_continuous_drive(
             k = int(np.argmax(prop.population(grid, psi0, idx)))
             lo = grid[max(k - 1, 0)]
             hi = grid[min(k + 1, len(grid) - 1)]
-            T, _ = golden_section_max(lambda t: norm_sq(prop.apply(t, psi0)[idx]),
-                                      lo, hi, 1e-9 * t_hi)
+            T = golden_section_max(lambda t: norm_sq(prop.apply(t, psi0)[idx]),
+                                   lo, hi, 1e-9 * t_hi)
     if not 0 < T < math.inf:
         raise ProtocolError(f"evolution time T must be positive and finite, not {T!r}")
     return _evolve_segments(basis, psi0, [(prop, T)], channels, idx, T)
@@ -262,7 +259,6 @@ def run_step_pulsed(
     m: int,
     p1d: float,
     omega_pulse: float,
-    gamma_g: float = 1.0,
     T: float | None = None,
 ) -> StepResult:
     """Fast-pulse step with finite-strength loading and readout pulses.
@@ -273,7 +269,7 @@ def run_step_pulsed(
     omega grows it converges to run_step.  A true continuous drive does not
     have this limit: its dressed-state splitting detunes the transfer.
     """
-    p = DissipativeParams.from_purcell(N, m, p1d, gamma_g=gamma_g)
+    p = DissipativeParams.from_purcell(N, m, p1d)
     if T is None:
         T = optimal_parameters(p).T
     if not (0 < T < math.inf and 0 < omega_pulse < math.inf):
@@ -298,7 +294,6 @@ def run_accumulation(
     m_target: int,
     p1d: float = math.inf,
     mode: HPMode = HPMode.EXACT,
-    gamma_g: float = 1.0,
     refine_T: bool = False,
 ) -> AccumulationResult:
     """Chain heralded steps up to m_target quanta in the storage mode.
@@ -316,13 +311,13 @@ def run_accumulation(
     steps: list[StepResult] = []
     state: np.ndarray | None = None
     for k in range(1, m_target + 1):
-        p = DissipativeParams.from_purcell(N, k, p1d, gamma_g=gamma_g)
+        p = DissipativeParams.from_purcell(N, k, p1d)
         T = optimal_parameters(p).T
         if refine_T:
             # the kept step evolves on the model the search built
             basis, psi0, channels, prop, idx = _fast_pulse_model(p, mode, state)
-            T, _ = golden_section_max(lambda t: norm_sq(prop.apply(t, psi0)[idx]),
-                                      0.8 * T, 1.2 * T, 1e-6 * T)
+            T = golden_section_max(lambda t: norm_sq(prop.apply(t, psi0)[idx]),
+                                   0.8 * T, 1.2 * T, 1e-6 * T)
             res = _evolve_segments(basis, psi0, [(prop, T)], channels, idx, T)
         else:
             res = run_step(p, mode, state, T)

@@ -261,15 +261,18 @@ def run_point(point: dict) -> dict:
 
 
 def _evaluate(point: dict, record_errors: bool) -> dict:
+    """A row echoes the point's protocol, variant and mode and the parameters
+    its TABLE entry reads; the other parameter cells stay empty."""
     row = dict.fromkeys(COLUMNS, "")
-    row.update((key, point.get(key, "")) for key in _DEFAULTS)
+    row.update((key, point.get(key, "")) for key in _CHOICES)
     start = time.perf_counter()
     try:
+        entry = TABLE[(point["protocol"], point["variant"])]
+        row.update((key, point[key]) for key in entry.reads)
         pt = dict(point, N=int(point["N"]), m=int(point["m"]), p1d=float(point["p1d"]),
                   xi=float(point["xi"]), mode=HPMode(point["mode"]),
                   **{k: None if point[k] is None else float(point[k])
                      for k in ("gamma_s_ratio", "omega", "T")})
-        entry = TABLE[(pt["protocol"], pt["variant"])]
         row.update(entry.run(pt))
         row["formula_p"] = fp = entry.formula(pt)
         if fp > 0:

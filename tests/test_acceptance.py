@@ -209,7 +209,8 @@ def test_criterion_7_oracle_equivalence():
     basis_d = build_basis(100, 1, HPMode.APPROX, with_drive=True)
     systems.append((build_H_nh(pd, basis_d), 2 * math.pi / pd.drive_omega))
     bp = BandgapParams(N=30, xi=40.0, gamma_star=0.02)
-    systems.append((compensate(build_H_bandgap(bp), bp),
+    systems.append((compensate(build_H_bandgap(bp), bp)
+                    - 0.5j * bp.gamma_star * np.eye(bp.N + 1),
                     math.pi / (2 * bp.coupling)))
     systems.append((ideal_bandgap_chain(bp),
                     math.sqrt(2) * math.pi / (2 * bp.coupling)))

@@ -78,7 +78,7 @@ def test_ideal_chain_compensated_diag_zero():
 
 def test_norm_conserved_without_free_space_decay():
     p = BandgapParams(N=30, xi=40.0)
-    h = compensate(build_H_bandgap(p, include_gamma_star=False), p)
+    h = compensate(build_H_bandgap(p), p)
     assert np.abs(h - h.conj().T).max() < 1e-13
     prop = Propagator(h)
     psi0 = np.zeros(31, complex)
@@ -123,7 +123,7 @@ def test_transfer_infidelity_matches_direct_eigensolution():
 
     p = BandgapParams(N=100, xi=100.0)
     rec = run_transfer(p)
-    h = compensate(build_H_bandgap(p, include_gamma_star=False), p).real
+    h = compensate(build_H_bandgap(p), p)
     evals, evecs = scipy.linalg.eigh(h)
     psi0 = np.zeros(p.N + 1)
     psi0[0] = 1.0
@@ -145,7 +145,7 @@ def test_transfer_matches_dense_eigensolution(p):
     # the Krylov transfer against a full eigendecomposition of the same real
     # compensated H, scanned and refined the same way
     rec = run_transfer(p)
-    h = compensate(build_H_bandgap(p, include_gamma_star=False), p).real
+    h = compensate(build_H_bandgap(p), p)
     evals, evecs = scipy.linalg.eigh(h)
 
     def psi(t):
@@ -164,8 +164,8 @@ def test_transfer_matches_dense_eigensolution(p):
 
     k = 1 + np.flatnonzero((pops[1:-1] >= pops[:-2]) & (pops[1:-1] > pops[2:]))[0]
     tol = 1e-6 * math.pi / p.coupling
-    t_opt, _ = golden_section_max(lambda t: norm_sq(psi(t)[1:]),
-                                  rec.times[k - 1], rec.times[k + 1], tol)
+    t_opt = golden_section_max(lambda t: norm_sq(psi(t)[1:]),
+                               rec.times[k - 1], rec.times[k + 1], tol)
     assert abs(rec.optimal_time - t_opt) <= tol
     assert 1 <= rec.krylov_steps <= p.N + 1
     assert 0.0 <= rec.error_bound <= KRYLOV_MAX_ERROR

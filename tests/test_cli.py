@@ -228,6 +228,32 @@ def test_fit_command_missing_column(tmp_path, capsys):
     assert "column" in err
 
 
+@pytest.mark.parametrize("n, x, code", [
+    (200, "p1d", 0),  # the p1d = inf row (no free-space decay) is left out
+    (200, "N", 1),    # N does not vary
+    (1, "N", 1),      # ln N is 0 on every row
+])
+def test_fit_command_on_a_p1d_sweep(tmp_path, capsys, n, x, code):
+    config = tmp_path / "s.yaml"
+    config.write_text(yaml.safe_dump({
+        "fixed": {"N": n},
+        "axes": [{"name": "p1d", "values": [3, 10, 30, 100, math.inf]}],
+    }))
+    data = tmp_path / "s.csv"
+    assert run_cli(capsys, "sweep", "--config", str(config), "--out", str(data))[0] == 0
+    if code == 0:
+        with pytest.warns(UserWarning, match="non-finite"):
+            got, out, err = run_cli(capsys, "fit", str(data), "--x", x, "--y", "p_success")
+        rows = {r["quantity"]: r for r in parse_csv(out)}
+        assert rows["n_used"]["value"] == "4"
+        assert float(rows[f"exponent[{x}]"]["stderr"]) > 0
+    else:
+        got, out, err = run_cli(capsys, "fit", str(data), "--x", x, "--y", "p_success")
+        assert out == ""
+        assert err.startswith("error: InsufficientDataError: ")
+    assert got == code, err
+
+
 def test_compare_command(capsys):
     code, out, _ = run_cli(capsys, "compare", "--m", "4", "--p1d", "100",
                            "--N", "100", "--xi", "1000")

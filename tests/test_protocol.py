@@ -116,7 +116,7 @@ def test_refine_T_maximizes_run_step_probability(mode):
     for k, step in enumerate(acc.steps, start=1):
         p = DissipativeParams.from_purcell(n, k, p1d)
         T = optimal_parameters(p).T
-        T_ref, _ = golden_section_max(
+        T_ref = golden_section_max(
             lambda t: run_step(p, mode, state, t).p_success, 0.8 * T, 1.2 * T, 1e-6 * T
         )
         assert abs(step.T_used - T_ref) <= 1e-6 * T

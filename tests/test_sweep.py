@@ -17,8 +17,8 @@ def base_point(protocol, variant):
     return point
 
 
-def without(row, *keys):
-    return {k: v for k, v in row.items() if k not in ("wall_time_s", *keys)}
+def without_wall_time(row):
+    return {k: v for k, v in row.items() if k != "wall_time_s"}
 
 
 @pytest.mark.parametrize("pair", list(TABLE))
@@ -32,5 +32,9 @@ def test_entry_reads_exactly_its_parameters(pair):
         changed = run_point(dict(base, **{key: value}))
         if key in TABLE[pair].reads:
             assert (changed["p_success"], changed["T"]) != (row["p_success"], row["T"]), key
+            assert changed[key] == value, key
         else:
-            assert without(changed, key) == without(row, key), key
+            # not even the row's own cell shows the changed value
+            assert without_wall_time(changed) == without_wall_time(row), key
+            if key != "T":  # T is also the result column
+                assert row[key] == "", key
