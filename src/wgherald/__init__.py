@@ -22,11 +22,10 @@ from .bandgap import (
 from .dissipative import (
     DissipativeParams,
     JumpChannel,
-    OptimalParams,
     build_H_coherent,
     build_H_nh,
     build_jump_operators,
-    optimal_parameters,
+    optimal_time,
 )
 from .linalg import Propagator, norm_sq, overlap
 from .protocol import (
@@ -42,13 +41,12 @@ from . import formulas
 
 __all__ = [
     "AccumulationResult", "BandgapParams", "BasisLabel", "BasisSet",
-    "DissipativeParams", "HPMode", "JumpChannel", "OptimalParams",
-    "Propagator", "StepResult", "TransferRecord", "build_H_bandgap",
-    "build_H_coherent", "build_H_nh", "build_basis", "build_jump_operators",
-    "formulas", "goal_state", "ideal_step_probability", "norm_sq",
-    "optimal_parameters", "overlap", "run_accumulation", "run_step",
-    "run_step_continuous_drive", "run_step_fixed_ratio",
-    "run_step_fresh_level", "run_transfer",
+    "DissipativeParams", "HPMode", "JumpChannel", "Propagator",
+    "StepResult", "TransferRecord", "build_H_bandgap", "build_H_coherent",
+    "build_H_nh", "build_basis", "build_jump_operators", "formulas",
+    "goal_state", "ideal_step_probability", "norm_sq", "optimal_time",
+    "overlap", "run_accumulation", "run_step", "run_step_continuous_drive",
+    "run_step_fixed_ratio", "run_step_fresh_level", "run_transfer",
 ]
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ eigendecomposition of the Hamiltonian is kept only as the test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -136,9 +136,9 @@ class TransferRecord:
     infidelity: float               # 1 - |<sym|psi>|^2 after target projection
     source_population_at_opt: float
     survival_probability: float     # exp(-gamma_star * optimal_time)
-    window: tuple[float, float] = field(default=(0.0, 0.0))
-    krylov_steps: int = 0           # Lanczos steps k, at most N + 1
-    error_bound: float = 0.0        # Hochbruck-Lubich bound reached at step k
+    window: tuple[float, float]
+    krylov_steps: int               # Lanczos steps k, at most N + 1
+    error_bound: float              # Hochbruck-Lubich bound reached at step k
 
 
 def _phase_sum(theta: np.ndarray, c: np.ndarray, dt: float, n: int) -> np.ndarray:

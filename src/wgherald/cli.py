@@ -17,6 +17,7 @@ import argparse
 import csv
 import math
 import sys
+import warnings
 
 import numpy as np
 import yaml
@@ -64,7 +65,8 @@ def _add_common(sub):
     sub.add_argument("--xi", type=float, default=None, help="interaction range (lattice units)")
     sub.add_argument("--T", type=float, default=None, help="evolution time (default: optimal)")
     sub.add_argument("--mode", choices=[m.value for m in HPMode], default=None,
-                     help="target-ensemble representation")
+                     help="target-ensemble representation (default: hp-exact for "
+                          "accumulate, hp-approx otherwise)")
     sub.add_argument("--variant", choices=list(dict.fromkeys(v for _, v in TABLE)),
                      default=None, help="protocol variant")
     sub.add_argument("--config", default=None, help="YAML config file (flags override)")
@@ -213,12 +215,15 @@ def _cmd_fit(args) -> int:
 
     y = column(args.y)
     xs = [column(name) for name in args.x]
-    keep = ~np.isnan(y)
-    for c in xs:
-        keep &= ~np.isnan(c)
-    y = y[keep]
-    xs = [c[keep] for c in xs]
-    report = fit_loglog(xs, y, model=args.model, x_names=tuple(args.x))
+    # empty cells are nan, so fit_loglog's screen drops and counts them; its
+    # warnings become one stderr line each, also when the fit then fails
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            report = fit_loglog(xs, y, model=args.model, x_names=tuple(args.x))
+        finally:
+            for w in caught:
+                sys.stderr.write(f"warning: {w.message}\n")
     lines = ["quantity,value,stderr",
              f"prefactor,{report.prefactor:.12g},{report.prefactor_stderr:.12g}"]
     for name, expo, err in zip(report.x_names, report.exponents, report.exponent_stderrs):

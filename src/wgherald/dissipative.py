@@ -16,6 +16,10 @@ label to its (image label, amplitude) pairs) and assembled on the basis by
 `basis.matrix_from_action`: the exchange, the detector loading, the drives and
 each channel's O^dag O.  The O^dag O products pass through intermediate images
 that may lie outside the basis, so they are exact on the reachable sector.
+
+A model is undriven: the unit-strength loading and readout drives
+(`source_drive`, `readout_drive`) are rules a protocol step scales and adds to
+a segment's generator.
 """
 
 from __future__ import annotations
@@ -43,8 +47,7 @@ class DissipativeParams:
 
     N is the number of atoms per target mirror (the detector ensemble holds
     2N), m the excitation sector being added.  gamma_s defaults to the
-    transfer-optimal gamma_g / sqrt(m).  drive_omega = 0 selects the
-    fast-pulse protocol.
+    transfer-optimal gamma_g / sqrt(m).
     """
 
     N: int
@@ -52,7 +55,6 @@ class DissipativeParams:
     gamma_g: float = 1.0
     gamma_s: float | None = None
     gamma_star: float = 0.0
-    drive_omega: float = 0.0
 
     def __post_init__(self):
         if self.N < 1 or self.m < 1:
@@ -61,19 +63,19 @@ class DissipativeParams:
             raise ValueError("gamma_g must be positive and finite")
         if self.gamma_s is None:
             object.__setattr__(self, "gamma_s", self.gamma_g / math.sqrt(self.m))
-        for name in ("gamma_s", "gamma_star", "drive_omega"):
+        for name in ("gamma_s", "gamma_star"):
             val = getattr(self, name)
             if val < 0 or not math.isfinite(val):
                 raise ValueError(f"{name} must be non-negative and finite")
 
     @classmethod
-    def from_purcell(cls, N, m, p1d, gamma_s=None, drive_omega=0.0):
+    def from_purcell(cls, N, m, p1d, gamma_s=None):
         """Rates in units of gamma_g = 1 from P_1d = gamma_g / gamma_star;
         P_1d = inf means no free-space decay."""
         if not p1d > 0:
             raise ValueError(f"p1d must be positive, not {p1d!r}")
         gamma_star = 0.0 if math.isinf(p1d) else 1.0 / p1d
-        return cls(N, m, 1.0, gamma_s, gamma_star, drive_omega)
+        return cls(N, m, 1.0, gamma_s, gamma_star)
 
 
 @dataclass(frozen=True)
@@ -138,9 +140,8 @@ def readout_drive(lbl: BasisLabel):
 
 
 def _coherent_rule(p: DissipativeParams, basis: BasisSet):
-    """(gamma_g/2)(sigma_ge S_eg,+ + h.c.) + (gamma_s/2)(S_es,-^d S_se,- + h.c.),
-    plus (omega/2) times both drives when the drive is on."""
-    half_g, half_s, half_w = p.gamma_g / 2, p.gamma_s / 2, p.drive_omega / 2
+    """(gamma_g/2)(sigma_ge S_eg,+ + h.c.) + (gamma_s/2)(S_es,-^d S_se,- + h.c.)."""
+    half_g, half_s = p.gamma_g / 2, p.gamma_s / 2
     root = math.sqrt(2 * basis.N)  # collective flip of the 2N detector atoms
 
     def rule(lbl):
@@ -157,8 +158,6 @@ def _coherent_rule(p: DissipativeParams, basis: BasisSet):
         elif lbl.detector == DET_EXCITED:
             out += [(replace(t, detector=DET_NONE), half_s * (a * root))
                     for t, a in target_images(basis, lbl, "es", -1.0)]
-        if p.drive_omega > 0:
-            out += [(t, half_w * a) for t, a in source_drive(lbl) + readout_drive(lbl)]
         return out
 
     return rule
@@ -183,10 +182,8 @@ def _check_match(p: DissipativeParams, basis: BasisSet) -> None:
 
 
 def build_H_coherent(p: DissipativeParams, basis: BasisSet) -> np.ndarray:
-    """Waveguide-mediated exchange Hamiltonian (plus drive terms if any)."""
+    """Waveguide-mediated exchange Hamiltonian."""
     _check_match(p, basis)
-    if p.drive_omega > 0 and not basis.with_drive:
-        raise ValueError("drive_omega > 0 requires a with_drive basis")
     op = matrix_from_action(basis, _coherent_rule(p, basis))
     if op.truncation_loss > 1e-12:
         raise ValueError(
@@ -232,19 +229,9 @@ def build_H_nh(p: DissipativeParams, basis: BasisSet) -> np.ndarray:
     return no_jump_generator(build_H_coherent(p, basis), build_jump_operators(p, basis))
 
 
-@dataclass(frozen=True)
-class OptimalParams:
-    """Transfer-optimal second-mode rate and evolution time of a fast-pulse step."""
-
-    gamma_s: float
-    T: float
-
-
-def optimal_parameters(p: DissipativeParams) -> OptimalParams:
-    """Parameters maximizing the fast-pulse source-to-detector transfer:
-    gamma_s = gamma_g / sqrt(m) and T = sqrt(2) pi / (sqrt(2N) gamma_g).
-    The driven step finds its own optimum (run_step_continuous_drive)."""
-    if p.drive_omega > 0:
-        raise ValueError("optimal_parameters covers the fast-pulse protocol only")
-    g = math.sqrt(2 * p.N) * p.gamma_g
-    return OptimalParams(p.gamma_g / math.sqrt(p.m), math.sqrt(2) * math.pi / g)
+def optimal_time(p: DissipativeParams) -> float:
+    """Evolution time maximizing the fast-pulse source-to-detector transfer,
+    T = sqrt(2) pi / (sqrt(2N) gamma_g), at the optimal gamma_s = gamma_g /
+    sqrt(m) (the DissipativeParams default).  The driven step finds its own
+    optimum (run_step_continuous_drive)."""
+    return math.sqrt(2) * math.pi / (math.sqrt(2 * p.N) * p.gamma_g)

@@ -123,9 +123,6 @@ def single_mode_infidelity_terms(
 # Protocol comparison table
 # ---------------------------------------------------------------------------
 
-PROTOCOLS = ("Deterministic", "ProbabilisticI", "ProbabilisticII",
-             "DoubleMirrors", "DipoleDipole")
-
 # Requirement gates: the tabulated conditions are asymptotic, so they become
 # boolean thresholds.
 DEFAULT_THRESHOLDS = {

@@ -146,12 +146,12 @@ class Propagator:
         val = np.einsum("a,b,ab,ab->", np.conj(c), c, g, factors)
         return float(val.real)
 
-    def _integrated_expectation_quadrature(self, m, t, v0, npts: int = 4097):
-        times = np.linspace(0.0, t, npts)
-        vals = np.empty(npts)
+    def _integrated_expectation_quadrature(self, m, t, v0):
+        times = np.linspace(0.0, t, 4097)
+        vals = np.empty_like(times)
         step = scipy.linalg.expm(-1j * self.h * (times[1] - times[0]))
         psi = v0
-        for i in range(npts):
+        for i in range(len(times)):
             vals[i] = np.vdot(psi, m @ psi).real
             psi = step @ psi
         return float(scipy.integrate.simpson(vals, x=times))

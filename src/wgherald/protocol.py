@@ -6,6 +6,10 @@ level, and herald on finding it there.  The heralding probability is the
 squared norm of the projected state; failures are handled analytically (the
 protocol restarts on failure, so jump branches are never propagated).
 
+Every step builds its undriven model in `_model`.  A drive is a term of a
+segment's generator: (omega/2)(source + readout drive) for the continuous
+drive, one drive per segment for the finite pulses.
+
 After a successful herald the source and detector are in definite states, so
 the reduction to the target ensemble is an amplitude relabeling onto the
 storage-only target space.
@@ -36,7 +40,7 @@ from .dissipative import (
     build_H_coherent,
     build_jump_operators,
     no_jump_generator,
-    optimal_parameters,
+    optimal_time,
     readout_drive,
     source_drive,
 )
@@ -117,11 +121,29 @@ def _embed_input(basis: BasisSet, input_state: np.ndarray | None) -> np.ndarray:
     return psi
 
 
-def _herald_index(basis: BasisSet, detector_state: str) -> np.ndarray:
-    """Basis positions of the heralded branch, in storage-space order."""
+def _herald_index(basis: BasisSet) -> np.ndarray:
+    """Basis positions of the heralded branch, in storage-space order: the
+    readout level on a driven basis, the excited detector otherwise."""
+    detector = DET_HERALDED if basis.with_drive else DET_EXCITED
     occupations = storage_labels(basis.m) if basis.mode == HPMode.EXACT else [(basis.m, 0)]
-    return np.array([basis.index_of(BasisLabel("g", k1, 0, k2, 0, detector_state))
+    return np.array([basis.index_of(BasisLabel("g", k1, 0, k2, 0, detector))
                      for k1, k2 in occupations])
+
+
+def _model(p: DissipativeParams, basis: BasisSet,
+           input_target_state: np.ndarray | None = None, decay: bool = True):
+    """Input state, channels, undriven no-jump generator and herald positions
+    of a step of p on basis; decay=False drops every channel."""
+    psi0 = _embed_input(basis, input_target_state)
+    channels = build_jump_operators(p, basis) if decay else []
+    h = no_jump_generator(build_H_coherent(p, basis), channels)
+    return psi0, channels, h, _herald_index(basis)
+
+
+def _drives(basis: BasisSet):
+    """Unit-strength source-loading and readout drive matrices on basis."""
+    return (matrix_from_action(basis, source_drive).matrix,
+            matrix_from_action(basis, readout_drive).matrix)
 
 
 def _evolve_segments(basis: BasisSet, psi0: np.ndarray, segments, channels,
@@ -129,8 +151,10 @@ def _evolve_segments(basis: BasisSet, psi0: np.ndarray, segments, channels,
     """Evolve through piecewise-constant (Propagator, duration) segments,
     booking each channel's loss per segment, and herald on positions idx.
 
-    T is the free-evolution time reported as T_used.
+    T is the free-evolution time reported as T_used; it must lie in (0, inf).
     """
+    if not 0 < T < math.inf:
+        raise ProtocolError(f"evolution time T must be positive and finite, not {T!r}")
     psi = psi0
     diags = StepDiagnostics()
     for prop, dt in segments:
@@ -149,17 +173,6 @@ def _evolve_segments(basis: BasisSet, psi0: np.ndarray, segments, channels,
     return StepResult(p_success, post, ovl, T, diags)
 
 
-def _fast_pulse_model(p: DissipativeParams, mode: HPMode,
-                      input_target_state: np.ndarray | None):
-    """Basis, input state, channels, no-jump propagator and herald positions
-    of a fast-pulse step."""
-    basis = build_basis(p.N, p.m, mode)
-    psi0 = _embed_input(basis, input_target_state)
-    channels = build_jump_operators(p, basis)
-    prop = Propagator(no_jump_generator(build_H_coherent(p, basis), channels))
-    return basis, psi0, channels, prop, _herald_index(basis, DET_EXCITED)
-
-
 def run_step(
     p: DissipativeParams,
     mode: HPMode = HPMode.APPROX,
@@ -171,14 +184,11 @@ def run_step(
     The input state (storage-only, sector m-1) defaults to the goal of the
     previous sector.  T defaults to the transfer-optimal time.
     """
-    if p.drive_omega > 0:
-        raise ProtocolError("use run_step_continuous_drive for a driven step")
     if T is None:
-        T = optimal_parameters(p).T
-    if not 0 < T < math.inf:
-        raise ProtocolError(f"evolution time T must be positive and finite, not {T!r}")
-    basis, psi0, channels, prop, idx = _fast_pulse_model(p, mode, input_target_state)
-    return _evolve_segments(basis, psi0, [(prop, T)], channels, idx, T)
+        T = optimal_time(p)
+    basis = build_basis(p.N, p.m, mode)
+    psi0, channels, h, idx = _model(p, basis, input_target_state)
+    return _evolve_segments(basis, psi0, [(Propagator(h), T)], channels, idx, T)
 
 
 def run_step_fixed_ratio(
@@ -228,12 +238,11 @@ def run_step_continuous_drive(
     if not 0 < omega < math.inf:
         raise ProtocolError(f"drive strength omega must be positive and finite, not {omega!r}")
     default_omega = abs(omega - omega_opt) < 1e-12 * g
-    p = DissipativeParams.from_purcell(N, m, p1d, drive_omega=omega)
+    p = DissipativeParams.from_purcell(N, m, p1d)
     basis = build_basis(N, m, HPMode.APPROX, with_drive=True)
-    channels = [] if zero_decay else build_jump_operators(p, basis)
-    prop = Propagator(no_jump_generator(build_H_coherent(p, basis), channels))
-    psi0 = _embed_input(basis, None)
-    idx = _herald_index(basis, DET_HERALDED)
+    psi0, channels, h, idx = _model(p, basis, decay=not zero_decay)
+    src, det = _drives(basis)
+    prop = Propagator(h + (omega / 2) * (src + det))
 
     if T is None:
         if default_omega:
@@ -249,8 +258,6 @@ def run_step_continuous_drive(
             hi = grid[min(k + 1, len(grid) - 1)]
             T = golden_section_max(lambda t: norm_sq(prop.apply(t, psi0)[idx]),
                                    lo, hi, 1e-9 * t_hi)
-    if not 0 < T < math.inf:
-        raise ProtocolError(f"evolution time T must be positive and finite, not {T!r}")
     return _evolve_segments(basis, psi0, [(prop, T)], channels, idx, T)
 
 
@@ -271,22 +278,19 @@ def run_step_pulsed(
     """
     p = DissipativeParams.from_purcell(N, m, p1d)
     if T is None:
-        T = optimal_parameters(p).T
-    if not (0 < T < math.inf and 0 < omega_pulse < math.inf):
-        raise ProtocolError("need positive, finite T and pulse strength")
+        T = optimal_time(p)
+    if not 0 < omega_pulse < math.inf:
+        raise ProtocolError(f"pulse strength must be positive and finite, not {omega_pulse!r}")
     basis = build_basis(N, m, HPMode.APPROX, with_drive=True)
-    channels = build_jump_operators(p, basis)
-    h_free = no_jump_generator(build_H_coherent(p, basis), channels)
-    src_drive = (omega_pulse / 2) * matrix_from_action(basis, source_drive).matrix
-    det_drive = (omega_pulse / 2) * matrix_from_action(basis, readout_drive).matrix
+    psi0, channels, h, idx = _model(p, basis)
+    src, det = _drives(basis)
     t_pulse = math.pi / omega_pulse
     segments = [
-        (Propagator(h_free + src_drive), t_pulse),
-        (Propagator(h_free), T),
-        (Propagator(h_free + det_drive), t_pulse),
+        (Propagator(h + (omega_pulse / 2) * src), t_pulse),
+        (Propagator(h), T),
+        (Propagator(h + (omega_pulse / 2) * det), t_pulse),
     ]
-    return _evolve_segments(basis, _embed_input(basis, None), segments, channels,
-                            _herald_index(basis, DET_HERALDED), T)
+    return _evolve_segments(basis, psi0, segments, channels, idx, T)
 
 
 def run_accumulation(
@@ -312,10 +316,12 @@ def run_accumulation(
     state: np.ndarray | None = None
     for k in range(1, m_target + 1):
         p = DissipativeParams.from_purcell(N, k, p1d)
-        T = optimal_parameters(p).T
+        T = optimal_time(p)
         if refine_T:
             # the kept step evolves on the model the search built
-            basis, psi0, channels, prop, idx = _fast_pulse_model(p, mode, state)
+            basis = build_basis(N, k, mode)
+            psi0, channels, h, idx = _model(p, basis, state)
+            prop = Propagator(h)
             T = golden_section_max(lambda t: norm_sq(prop.apply(t, psi0)[idx]),
                                    0.8 * T, 1.2 * T, 1e-6 * T)
             res = _evolve_segments(basis, psi0, [(prop, T)], channels, idx, T)

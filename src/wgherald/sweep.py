@@ -49,7 +49,7 @@ COLUMNS = (
 _DEFAULTS = {
     "protocol": "step",
     "variant": "pi-pulse",
-    "mode": "hp-approx",
+    "mode": None,            # None = the entry's first mode, its library default
     "N": 100,
     "m": 1,
     "p1d": 10.0,
@@ -115,7 +115,8 @@ def _bandgap_row(pt: dict) -> dict:
 
 class Entry(NamedTuple):
     """One (protocol, variant): the parameters its model reads, the modes it
-    has, the runner that fills its row and its closed-form step probability."""
+    has (the default first), the runner that fills its row and its closed-form
+    step probability."""
 
     reads: frozenset
     modes: tuple
@@ -123,15 +124,16 @@ class Entry(NamedTuple):
     formula: Callable[[dict], float]
 
 
-_ANY_MODE = tuple(m.value for m in HPMode)
+_EXACT_FIRST = (HPMode.EXACT.value, HPMode.APPROX.value)
+_APPROX_FIRST = _EXACT_FIRST[::-1]
 _APPROX = (HPMode.APPROX.value,)
 
 TABLE = {
     ("step", "pi-pulse"): Entry(
-        frozenset({"N", "m", "p1d", "gamma_s_ratio", "T"}), _ANY_MODE, _pi_pulse_row,
+        frozenset({"N", "m", "p1d", "gamma_s_ratio", "T"}), _APPROX_FIRST, _pi_pulse_row,
         lambda pt: formulas.p_double_mirrors(pt["N"], pt["m"], pt["p1d"])),
     ("step", "fixed-ratio"): Entry(
-        frozenset({"N", "m", "p1d"}), _ANY_MODE,
+        frozenset({"N", "m", "p1d"}), _APPROX_FIRST,
         lambda pt: _step_row(run_step_fixed_ratio(pt["N"], pt["m"], pt["p1d"], mode=pt["mode"])),
         lambda pt: formulas.p_fixed_ratio(pt["N"], pt["m"], pt["p1d"])),
     ("step", "continuous-drive"): Entry(
@@ -144,7 +146,7 @@ TABLE = {
         lambda pt: _step_row(run_step_fresh_level(pt["N"], pt["p1d"])),
         lambda pt: formulas.p_fresh_level(pt["N"], pt["p1d"])),
     ("accumulate", "pi-pulse"): Entry(
-        frozenset({"N", "m", "p1d"}), _ANY_MODE, _accumulation_row,
+        frozenset({"N", "m", "p1d"}), _EXACT_FIRST, _accumulation_row,
         lambda pt: formulas.p_double_mirrors(pt["N"], pt["m"], pt["p1d"])),
     # the transfer has no variants or representations; rows echo the defaults
     ("bandgap", "pi-pulse"): Entry(
@@ -189,6 +191,8 @@ class SweepSpec:
             raise SweepConfigError(f"no (protocol, variant) pair {pair}; "
                                    f"choose from {list(TABLE)}")
         entry = TABLE[pair]
+        if fixed["mode"] is None:
+            fixed["mode"] = entry.modes[0]
         if fixed["mode"] not in entry.modes:
             raise SweepConfigError(f"{pair[0]} {pair[1]} has mode(s) {list(entry.modes)}, "
                                    f"not {fixed['mode']!r}")

@@ -1,7 +1,7 @@
 """Independent oracles: fine-step RK4 integration, brute-force collective
 operators on the full tensor-product space, and the reference quantities the
 tests check the package against (decay generator, excitation number, the
-ideal-limit bandgap chain, a straight-line fit).
+drive terms, the ideal-limit bandgap chain, a straight-line fit).
 
 These deliberately share no code with the package internals: states are
 base-3 integer configurations, collective operators are sums of sparse
@@ -10,6 +10,7 @@ single-atom flips, and symmetric states are explicit permutation sums.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -58,6 +59,27 @@ def excitation_number_operator(basis):
         n += lbl.k1 + lbl.l1 + lbl.k2 + lbl.l2
         out.append(n)
     return np.diag(np.array(out, dtype=float).astype(complex))
+
+
+def drive_matrix(basis):
+    """Unit-strength loading plus readout drive on a package basis: the flips
+    source e <-> s and detector excited <-> heralded, each with amplitude 1.
+
+    A continuous drive of strength omega adds (omega/2) times this matrix to
+    the undriven no-jump generator.
+    """
+    flips = {"source_level": {"e": "s", "s": "e"},
+             "detector": {"excited": "heralded", "heralded": "excited"}}
+    index = {lbl: i for i, lbl in enumerate(basis.labels)}
+    out = np.zeros((len(index), len(index)))
+    for j, lbl in enumerate(basis.labels):
+        for name, flip in flips.items():
+            level = getattr(lbl, name)
+            if level in flip:
+                image = dataclasses.replace(lbl, **{name: flip[level]})
+                if image in index:
+                    out[index[image], j] = 1.0
+    return out
 
 
 def ideal_bandgap_chain(p):

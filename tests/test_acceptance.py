@@ -13,13 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import FullModelOracle, decay_generator_max_eig, excitation_number_operator, \
-    ideal_bandgap_chain, linear_regression_r2, mirror_operator_element, rk4_evolve
+from oracles import FullModelOracle, decay_generator_max_eig, drive_matrix, \
+    excitation_number_operator, ideal_bandgap_chain, linear_regression_r2, \
+    mirror_operator_element, rk4_evolve
 from wgherald.bandgap import BandgapParams, build_H_bandgap, compensate, \
     ideal_step_probability, run_transfer
 from wgherald.basis import BasisLabel, HPMode, build_basis
 from wgherald.dissipative import DissipativeParams, build_H_coherent, build_H_nh, \
-    optimal_parameters
+    optimal_time
 from wgherald.formulas import limit_fixed_ratio, p_continuous_drive, \
     p_double_mirrors, p_fresh_level
 from wgherald.linalg import Propagator, norm_sq
@@ -199,15 +200,13 @@ def test_criterion_7_oracle_equivalence():
     # propagator vs fine-step RK4 on every protocol generator family
     systems = []
     p = DissipativeParams.from_purcell(500, 2, 10.0)
-    systems.append((build_H_nh(p, build_basis(500, 2, HPMode.APPROX)),
-                    optimal_parameters(p).T))
+    systems.append((build_H_nh(p, build_basis(500, 2, HPMode.APPROX)), optimal_time(p)))
     p = DissipativeParams.from_purcell(50, 2, 5.0)
-    systems.append((build_H_nh(p, build_basis(50, 2, HPMode.EXACT)),
-                    optimal_parameters(p).T))
-    pd = DissipativeParams.from_purcell(100, 1, 10.0,
-                                        drive_omega=math.sqrt(2 / 3) * math.sqrt(200))
+    systems.append((build_H_nh(p, build_basis(50, 2, HPMode.EXACT)), optimal_time(p)))
+    omega = math.sqrt(2 / 3) * math.sqrt(200)
     basis_d = build_basis(100, 1, HPMode.APPROX, with_drive=True)
-    systems.append((build_H_nh(pd, basis_d), 2 * math.pi / pd.drive_omega))
+    systems.append((build_H_nh(DissipativeParams.from_purcell(100, 1, 10.0), basis_d)
+                    + (omega / 2) * drive_matrix(basis_d), 2 * math.pi / omega))
     bp = BandgapParams(N=30, xi=40.0, gamma_star=0.02)
     systems.append((compensate(build_H_bandgap(bp), bp)
                     - 0.5j * bp.gamma_star * np.eye(bp.N + 1),

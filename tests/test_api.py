@@ -1,5 +1,6 @@
 """The package's public names and the parameters of its entry points."""
 
+import dataclasses
 import inspect
 
 import wgherald
@@ -7,13 +8,12 @@ from wgherald import formulas, protocol
 
 PUBLIC = [
     "AccumulationResult", "BandgapParams", "BasisLabel", "BasisSet",
-    "DissipativeParams", "HPMode", "JumpChannel", "OptimalParams",
-    "Propagator", "StepResult", "TransferRecord", "build_H_bandgap",
-    "build_H_coherent", "build_H_nh", "build_basis", "build_jump_operators",
-    "formulas", "goal_state", "ideal_step_probability", "norm_sq",
-    "optimal_parameters", "overlap", "run_accumulation", "run_step",
-    "run_step_continuous_drive", "run_step_fixed_ratio",
-    "run_step_fresh_level", "run_transfer",
+    "DissipativeParams", "HPMode", "JumpChannel", "Propagator",
+    "StepResult", "TransferRecord", "build_H_bandgap", "build_H_coherent",
+    "build_H_nh", "build_basis", "build_jump_operators", "formulas",
+    "goal_state", "ideal_step_probability", "norm_sq", "optimal_time",
+    "overlap", "run_accumulation", "run_step", "run_step_continuous_drive",
+    "run_step_fixed_ratio", "run_step_fresh_level", "run_transfer",
 ]
 
 # Rates are in units of gamma_g = 1, so no entry point takes gamma_g.
@@ -25,9 +25,17 @@ PARAMETERS = {
     protocol.run_step_pulsed: ["N", "m", "p1d", "omega_pulse", "T"],
     wgherald.run_accumulation: ["N", "m_target", "p1d", "mode", "refine_T"],
     wgherald.run_transfer: ["p", "n_grid"],
-    wgherald.DissipativeParams.from_purcell: ["N", "m", "p1d", "gamma_s", "drive_omega"],
+    wgherald.DissipativeParams.from_purcell: ["N", "m", "p1d", "gamma_s"],
     wgherald.build_H_bandgap: ["p"],
     formulas.table1_compare: ["m", "N", "p1d", "xi", "eta", "x"],
+}
+
+# A model object describes the undriven model; a drive is a term a protocol
+# step adds to a segment's generator, so no params field carries one.
+FIELDS = {
+    wgherald.DissipativeParams: ["N", "m", "gamma_g", "gamma_s", "gamma_star"],
+    wgherald.BandgapParams: ["N", "xi", "m", "gamma_g", "gamma_star", "source_position",
+                             "target_positions"],
 }
 
 
@@ -40,3 +48,8 @@ def test_public_names_are_pinned_and_resolve():
 def test_entry_point_parameters_are_pinned():
     for fn, names in PARAMETERS.items():
         assert list(inspect.signature(fn).parameters) == names, fn.__qualname__
+
+
+def test_model_fields_are_pinned():
+    for cls, names in FIELDS.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__

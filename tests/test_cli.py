@@ -11,6 +11,7 @@ import yaml
 from wgherald import sweep as sweep_module
 from wgherald.cli import main
 from wgherald.linalg import NumericError
+from wgherald.protocol import run_accumulation
 from wgherald.sweep import COLUMNS, SweepConfigError, SweepSpec, run_sweep, rows_to_csv
 
 
@@ -108,6 +109,20 @@ def test_accumulate_command(capsys):
     assert float(row["repetitions"]) > 1.0
     assert float(row["infidelity"]) > 0.0
     assert float(row["formula_infidelity"]) > 0.0
+
+
+def test_point_commands_default_to_the_library_mode(capsys):
+    # accumulate runs run_accumulation's default (exact), step run_step's (approx)
+    code, out, _ = run_cli(capsys, "accumulate", "--N", "100", "--m", "3", "--p1d", "10")
+    assert code == 0
+    row = parse_csv(out)[0]
+    acc = run_accumulation(100, 3, 10.0)
+    assert row["mode"] == "hp-exact"
+    assert row["infidelity"] == format(acc.infidelity, ".12g")
+    assert row["repetitions"] == format(acc.repetitions, ".12g")
+    code, out, _ = run_cli(capsys, "step", "--N", "100", "--m", "3", "--p1d", "10")
+    assert code == 0
+    assert parse_csv(out)[0]["mode"] == "hp-approx"
 
 
 def sweep_config(tmp_path, **extra):
@@ -242,8 +257,9 @@ def test_fit_command_on_a_p1d_sweep(tmp_path, capsys, n, x, code):
     data = tmp_path / "s.csv"
     assert run_cli(capsys, "sweep", "--config", str(config), "--out", str(data))[0] == 0
     if code == 0:
-        with pytest.warns(UserWarning, match="non-finite"):
-            got, out, err = run_cli(capsys, "fit", str(data), "--x", x, "--y", "p_success")
+        got, out, err = run_cli(capsys, "fit", str(data), "--x", x, "--y", "p_success")
+        assert err == ("warning: excluded 1 row(s) with non-positive or non-finite data "
+                       "from the fit\n")
         rows = {r["quantity"]: r for r in parse_csv(out)}
         assert rows["n_used"]["value"] == "4"
         assert float(rows[f"exponent[{x}]"]["stderr"]) > 0
@@ -252,6 +268,19 @@ def test_fit_command_on_a_p1d_sweep(tmp_path, capsys, n, x, code):
         assert out == ""
         assert err.startswith("error: InsufficientDataError: ")
     assert got == code, err
+
+
+def test_fit_counts_every_row_it_excludes(tmp_path, capsys):
+    # an empty, a nan and an inf cell are all screened by fit_loglog
+    data = tmp_path / "d.csv"
+    data.write_text("x,y\n" + "".join(f"{x},{2.0 * x**1.5}\n" for x in range(1, 5))
+                    + "5,\n6,nan\n7,inf\n")
+    code, out, err = run_cli(capsys, "fit", str(data), "--x", "x", "--y", "y")
+    assert code == 0
+    assert err == "warning: excluded 3 row(s) with non-positive or non-finite data from the fit\n"
+    rows = {r["quantity"]: r for r in parse_csv(out)}
+    assert rows["n_used"]["value"] == "4"
+    assert float(rows["exponent[x]"]["value"]) == pytest.approx(1.5)
 
 
 def test_compare_command(capsys):

@@ -6,22 +6,26 @@ import math
 import numpy as np
 import pytest
 
-from oracles import FullModelOracle, decay_generator_max_eig, excitation_number_operator
+from oracles import (
+    FullModelOracle,
+    decay_generator_max_eig,
+    drive_matrix,
+    excitation_number_operator,
+)
 from wgherald.basis import HPMode, build_basis
 from wgherald.dissipative import (
     DissipativeParams,
     build_H_coherent,
     build_H_nh,
     build_jump_operators,
-    optimal_parameters,
+    optimal_time,
 )
 from wgherald.protocol import run_step_continuous_drive
 
 
-def chain_setup(n, m, gamma_s, gamma_star, drive=0.0):
-    p = DissipativeParams(N=n, m=m, gamma_s=gamma_s, gamma_star=gamma_star,
-                          drive_omega=drive)
-    basis = build_basis(n, m, HPMode.APPROX, with_drive=drive > 0)
+def chain_setup(n, m, gamma_s, gamma_star):
+    p = DissipativeParams(N=n, m=m, gamma_s=gamma_s, gamma_star=gamma_star)
+    basis = build_basis(n, m, HPMode.APPROX)
     return p, basis
 
 
@@ -97,10 +101,11 @@ def test_h_nh_dissipative_over_random_draws():
             gamma_g=float(rng.uniform(0.1, 3.0)),
             gamma_s=float(rng.uniform(0.0, 3.0)),
             gamma_star=float(rng.uniform(0.0, 1.0)),
-            drive_omega=drive,
         )
         basis = build_basis(n, m, mode, with_drive=drive > 0)
         h = build_H_nh(p, basis)
+        if drive > 0:
+            h = h + (drive / 2) * drive_matrix(basis)
         assert decay_generator_max_eig(h) <= 1e-10
 
 
@@ -114,20 +119,16 @@ def test_excitation_number_conserved():
             assert np.abs(h @ num - num @ h).max() < 1e-12
             assert np.allclose(np.diag(num).real, m)
     # drive basis includes the loaded source state and the read-out state
-    p = DissipativeParams(N=50, m=2, gamma_star=0.0, drive_omega=3.0)
+    p = DissipativeParams(N=50, m=2, gamma_star=0.0)
     basis = build_basis(50, 2, HPMode.APPROX, with_drive=True)
-    h = build_H_coherent(p, basis)
+    h = build_H_coherent(p, basis) + (3.0 / 2) * drive_matrix(basis)
     num = excitation_number_operator(basis)
     assert np.abs(h @ num - num @ h).max() < 1e-12
 
 
-def test_optimal_parameters_values():
-    p = DissipativeParams(N=500, m=1)
-    opt = optimal_parameters(p)
-    assert opt.gamma_s == pytest.approx(1.0)
-    assert opt.T == pytest.approx(0.140496294621, abs=1e-9)
-    p4 = DissipativeParams(N=500, m=4)
-    assert optimal_parameters(p4).gamma_s == pytest.approx(0.5)
+def test_optimal_time_values():
+    assert optimal_time(DissipativeParams(N=500, m=1)) == pytest.approx(0.140496294621,
+                                                                       abs=1e-9)
     # driven step at the default omega = sqrt(2/3) sqrt(2N): the transfer
     # completes after one half rotation of the five-site chain
     driven = run_step_continuous_drive(100, 1, math.inf)
@@ -143,7 +144,7 @@ def test_eigenvalue_probability_close_to_closed_form():
     p = DissipativeParams.from_purcell(n, m, 10.0)
     basis = build_basis(n, m, HPMode.APPROX)
     h = build_H_nh(p, basis)
-    t = optimal_parameters(p).T
+    t = optimal_time(p)
     psi = Propagator(h).apply(t, np.array([1.0, 0, 0], complex))
     assert abs(psi[2]) ** 2 == pytest.approx(p_double_mirrors(n, m, 10.0), rel=0.03)
     assert abs(psi[2]) ** 2 == pytest.approx(0.890111, abs=5e-4)

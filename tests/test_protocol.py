@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wgherald.basis import HPMode
-from wgherald.dissipative import DissipativeParams, build_H_nh, optimal_parameters
+from wgherald.dissipative import DissipativeParams, build_H_nh, optimal_time
 from wgherald.formulas import (
     accumulation_infidelity_prediction,
     limit_fixed_ratio,
@@ -39,7 +39,7 @@ def test_step_equals_direct_chain_amplitude():
     p = DissipativeParams.from_purcell(300, 2, 8.0)
     basis = build_basis(300, 2, HPMode.APPROX)
     h = build_H_nh(p, basis)
-    t = optimal_parameters(p).T
+    t = optimal_time(p)
     amp = Propagator(h).apply(t, np.array([1.0, 0, 0], complex))[2]
     res = run_step(p, HPMode.APPROX)
     assert res.p_success == pytest.approx(abs(amp) ** 2, abs=1e-14)
@@ -65,6 +65,12 @@ def test_step_rejects_bad_time_and_input():
         run_step(p, HPMode.APPROX, T=-1.0)
     with pytest.raises(ProtocolError):
         run_step(p, HPMode.EXACT, input_target_state=np.array([2.0]))
+    with pytest.raises(ProtocolError):
+        run_step_continuous_drive(100, 1, 10.0, T=math.inf)
+    with pytest.raises(ProtocolError):
+        run_step_pulsed(100, 1, 10.0, 50.0, T=0.0)
+    with pytest.raises(ProtocolError):
+        run_step_pulsed(100, 1, 10.0, math.inf)
 
 
 def test_step_bookkeeping_sums_to_one():
@@ -92,7 +98,7 @@ def test_step_bookkeeping_sums_to_one():
 def test_bookkeeping_sums_to_one_over_random_parameters(kind, n, m, p1d, t_scale,
                                                         pulse_scale):
     # p_success + channel losses + residual = 1 for every step kernel variant
-    t_fast = optimal_parameters(DissipativeParams.from_purcell(n, m, p1d)).T
+    t_fast = optimal_time(DissipativeParams.from_purcell(n, m, p1d))
     if kind in ("approx", "exact"):
         mode = HPMode.APPROX if kind == "approx" else HPMode.EXACT
         res = run_step(DissipativeParams.from_purcell(n, m, p1d), mode, T=t_scale * t_fast)
@@ -115,7 +121,7 @@ def test_refine_T_maximizes_run_step_probability(mode):
     state = None
     for k, step in enumerate(acc.steps, start=1):
         p = DissipativeParams.from_purcell(n, k, p1d)
-        T = optimal_parameters(p).T
+        T = optimal_time(p)
         T_ref = golden_section_max(
             lambda t: run_step(p, mode, state, t).p_success, 0.8 * T, 1.2 * T, 1e-6 * T
         )
