@@ -6,7 +6,11 @@ Two representations of the two-mirror target ensemble are supported:
   operators, S_eg = b_e^dag sqrt(N - n_s - n_e) etc., on labeled two-mode Fock
   states |k, l> per mirror (k storage quanta, l excited quanta).  For the
   sector in which the m-th excitation is added, the reachable set has exactly
-  4m + 1 states (cutoffs: l <= 1 per mirror, k <= m).
+  4m + 1 states (cutoffs: l <= 1 per mirror, k <= m).  The model commutes
+  with the signed mirror swap P, (k1, l1) <-> (k2, l2) with sign -1 on
+  detector-excited labels, so the reachable set splits into the parity
+  sectors P = +1 and P = -1 of 2m + 1 and 2m states (which is which depends
+  on m); a sector basis holds one representative label per swap orbit.
 * APPROX -- the linearized (large-N) limit in which only two collective modes
   survive: the antisymmetric-between-mirrors storage mode and the symmetric
   excited mode.  The reachable chain has 3 states, or 5 when the protocol is
@@ -19,7 +23,8 @@ excitation and is carried as a three-valued flag: 'none' (all atoms parked),
 
 Operators are written as per-label rules, functions from a basis label to its
 (image label, amplitude) pairs; `matrix_from_action` turns a rule into its
-matrix on a basis and reports the squared norm the basis cuts off.  This
+matrix on a basis, folding every image into its orbit representative on a
+parity sector, and reports the squared norm the basis cuts off.  This
 module supplies the exact per-mirror amplitudes (`mirror_image`); the model's
 terms themselves are written in `dissipative`.
 """
@@ -27,8 +32,9 @@ terms themselves are written in `dissipative`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +55,7 @@ class BasisError(ValueError):
     """Invalid basis construction request."""
 
 
-@dataclass(frozen=True)
-class BasisLabel:
+class BasisLabel(NamedTuple):
     """One symmetric-subspace basis state.
 
     In EXACT mode (k1, l1) / (k2, l2) are per-mirror storage/excited
@@ -77,18 +82,29 @@ class BasisLabel:
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Ordered reachable basis for one excitation sector."""
+    """Ordered reachable basis for one excitation sector.
+
+    `fold` maps every label of the reachable set to (index, weight): basis
+    state `index` is sum(weight * |label>) over the labels folded onto it.
+    It defaults to the identity (weight 1 on each label).  On a parity sector
+    a representative has weight 1/sqrt(orbit size), its swap partner
+    parity * sign / sqrt(2), and a swap-fixed label of the other parity
+    weight 0.
+    """
 
     labels: tuple[BasisLabel, ...]
     mode: HPMode
     N: int
     m: int
     with_drive: bool = False
+    fold: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise BasisError("duplicate basis labels")
         object.__setattr__(self, "_index", {lbl: i for i, lbl in enumerate(self.labels)})
+        if self.fold is None:
+            object.__setattr__(self, "fold", {lbl: (i, 1.0) for i, lbl in enumerate(self.labels)})
 
     @property
     def dim(self) -> int:
@@ -97,15 +113,25 @@ class BasisSet:
     def index_of(self, label: BasisLabel) -> int:
         return self._index[label]
 
-    def __contains__(self, label: BasisLabel) -> bool:
-        return label in self._index
+
+def _mirror_swap(lbl: BasisLabel) -> tuple[BasisLabel, float]:
+    """The signed mirror swap P on an EXACT label: (k1, l1) <-> (k2, l2), with
+    sign -1 on detector-excited labels and +1 otherwise."""
+    source_level, k1, l1, k2, l2, detector = lbl
+    return (BasisLabel(source_level, k2, l2, k1, l1, detector),
+            -1.0 if detector == DET_EXCITED else 1.0)
 
 
-def build_basis(N: int, m: int, mode: HPMode, with_drive: bool = False) -> BasisSet:
+def build_basis(N: int, m: int, mode: HPMode, with_drive: bool = False,
+                parity: int | None = None) -> BasisSet:
     """Construct the ordered reachable basis for adding the m-th excitation.
 
-    EXACT mode enumerates the 4m+1 reachable states (sorted lexicographically
-    on (source_level, detector, k1, l1, k2, l2) so matrices are reproducible);
+    EXACT mode enumerates the 4m+1 reachable states, sorted lexicographically
+    on (source_level, detector, k1, l1, k2, l2) so matrices are reproducible.
+    With parity = +1 or -1 it returns that eigenspace of the signed mirror
+    swap instead: in sort order, the first label of each two-label swap orbit
+    and each swap-fixed label whose sign equals the parity (2m + 1 or 2m
+    states), with the fold that maps the reachable set onto them.
     APPROX mode returns the 3-state chain, or the 5-state chain in protocol
     order when with_drive is set (start state, then the transfer chain, then
     the heralded end state).
@@ -125,7 +151,23 @@ def build_basis(N: int, m: int, mode: HPMode, with_drive: bool = False) -> Basis
         for i in range(m + 1):
             labels.append(BasisLabel("g", m - i, 0, i, 0, DET_EXCITED))
         labels.sort(key=BasisLabel.sort_key)
-        return BasisSet(tuple(labels), mode, N, m)
+        if parity is None:
+            return BasisSet(tuple(labels), mode, N, m)
+        if parity not in (1, -1):
+            raise BasisError(f"parity must be +1 or -1, not {parity!r}")
+        reps, fold, half = [], {}, 1 / math.sqrt(2)
+        for lbl in labels:
+            image, sign = _mirror_swap(lbl)
+            if image in fold:  # the partner of an earlier representative
+                fold[lbl] = (fold[image][0], parity * sign * half)
+            elif image == lbl and sign != parity:  # swap-fixed, other parity
+                fold[lbl] = (0, 0.0)
+            else:
+                fold[lbl] = (len(reps), half if image != lbl else 1.0)
+                reps.append(lbl)
+        return BasisSet(tuple(reps), mode, N, m, fold=fold)
+    if parity is not None:
+        raise BasisError("parity sectors exist in EXACT mode only")
 
     chain = [
         BasisLabel("e", m - 1, 0, 0, 0, DET_NONE),
@@ -169,7 +211,7 @@ class CollectiveOperator:
     """Basis-projected operator matrix plus the squared norm it discards.
 
     truncation_loss sums |amplitude|^2 over all image components that fall
-    outside the basis (beyond a cutoff or outside the reachable set), taken
+    outside the reachable set (beyond a cutoff or outside the sector), taken
     over unit input on every basis state.
     """
 
@@ -181,17 +223,24 @@ def matrix_from_action(basis: BasisSet, action) -> CollectiveOperator:
     """Matrix of the operator whose per-label rule is `action` on the basis.
 
     `action(label)` returns the (image label, amplitude) pairs of one basis
-    state; amplitude on images outside the basis is the truncation loss.
+    state; amplitude on images outside the reachable set is the truncation
+    loss.  On a parity sector the operator must commute with the mirror swap:
+    column j is then the rule applied to its representative alone, each
+    image folded in as amp * phase * sqrt(size_j / size_i), where phase is
+    +-1 for an image in orbit i and an image of the other parity cancels.
     """
     dim = basis.dim
     mat = np.zeros((dim, dim), dtype=complex)
     loss = 0.0
+    fold = basis.fold
     for j, lbl in enumerate(basis.labels):
+        wj = fold[lbl][1]
         for out, amp in action(lbl):
-            if out in basis:
-                mat[basis.index_of(out), j] += amp
-            else:
+            hit = fold.get(out)
+            if hit is None:
                 loss += abs(amp) ** 2
+            else:
+                mat[hit[0], j] += amp * (hit[1] / wj)
     return CollectiveOperator(mat, loss)
 
 

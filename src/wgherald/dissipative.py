@@ -16,6 +16,8 @@ label to its (image label, amplitude) pairs) and assembled on the basis by
 `basis.matrix_from_action`: the exchange, the detector loading, the drives and
 each channel's O^dag O.  The O^dag O products pass through intermediate images
 that may lie outside the basis, so they are exact on the reachable sector.
+Every term commutes with the signed mirror swap of `basis`, so the same rules
+assemble the model on either mirror-parity sector.
 
 A model is undriven: the unit-strength loading and readout drives
 (`source_drive`, `readout_drive`) are rules a protocol step scales and adds to
@@ -25,7 +27,7 @@ a segment's generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,38 +107,38 @@ def target_images(basis: BasisSet, lbl: BasisLabel, which: str, sign: float):
         out = []
         image = mirror_image(which, lbl.k1, lbl.l1, basis.N)
         if image:
-            out.append((replace(lbl, k1=image[0], l1=image[1]), image[2]))
+            out.append((lbl._replace(k1=image[0], l1=image[1]), image[2]))
         image = mirror_image(which, lbl.k2, lbl.l2, basis.N)
         if image:
-            out.append((replace(lbl, k2=image[0], l2=image[1]), sign * image[2]))
+            out.append((lbl._replace(k2=image[0], l2=image[1]), sign * image[2]))
         return out
     k, l = lbl.k1, lbl.l1
     root2n = math.sqrt(2 * basis.N)
     if (which, sign) == ("eg", 1.0):
-        return [(replace(lbl, l1=l + 1), root2n * math.sqrt(l + 1))]
+        return [(lbl._replace(l1=l + 1), root2n * math.sqrt(l + 1))]
     if (which, sign) == ("ge", 1.0):
-        return [(replace(lbl, l1=l - 1), root2n * math.sqrt(l))] if l else []
+        return [(lbl._replace(l1=l - 1), root2n * math.sqrt(l))] if l else []
     if (which, sign) == ("ge", -1.0):
         # annihilates the antisymmetric excited mode, which the chain never fills
         return []
     if (which, sign) == ("se", -1.0):
         # bs-^dag be+ survives; bs+^dag be- annihilates an empty mode
-        return [(replace(lbl, k1=k + 1, l1=l - 1), math.sqrt(k + 1) * math.sqrt(l))] if l else []
+        return [(lbl._replace(k1=k + 1, l1=l - 1), math.sqrt(k + 1) * math.sqrt(l))] if l else []
     if (which, sign) == ("es", -1.0):
-        return [(replace(lbl, k1=k - 1, l1=l + 1), math.sqrt(k) * math.sqrt(l + 1))] if k else []
+        return [(lbl._replace(k1=k - 1, l1=l + 1), math.sqrt(k) * math.sqrt(l + 1))] if k else []
     raise ValueError(f"S_{which},{sign:+.0f} leaves the linearized chain")
 
 
 def source_drive(lbl: BasisLabel):
     """sigma_es + sigma_se: the unit-strength drive between source levels e and s."""
     flip = {"e": "s", "s": "e"}.get(lbl.source_level)
-    return [(replace(lbl, source_level=flip), 1.0)] if flip else []
+    return [(lbl._replace(source_level=flip), 1.0)] if flip else []
 
 
 def readout_drive(lbl: BasisLabel):
     """S_ge,+ + S_eg,+ on the detector: the unit-strength excited <-> heralded drive."""
     flip = {DET_EXCITED: DET_HERALDED, DET_HERALDED: DET_EXCITED}.get(lbl.detector)
-    return [(replace(lbl, detector=flip), 1.0)] if flip else []
+    return [(lbl._replace(detector=flip), 1.0)] if flip else []
 
 
 def _coherent_rule(p: DissipativeParams, basis: BasisSet):
@@ -147,16 +149,16 @@ def _coherent_rule(p: DissipativeParams, basis: BasisSet):
     def rule(lbl):
         out = []
         if lbl.source_level == "e":
-            out += [(replace(t, source_level="g"), half_g * a)
+            out += [(t._replace(source_level="g"), half_g * a)
                     for t, a in target_images(basis, lbl, "eg", 1.0)]
         elif lbl.source_level == "g":
-            out += [(replace(t, source_level="e"), half_g * a)
+            out += [(t._replace(source_level="e"), half_g * a)
                     for t, a in target_images(basis, lbl, "ge", 1.0)]
         if lbl.detector == DET_NONE:
-            out += [(replace(t, detector=DET_EXCITED), half_s * (a * root))
+            out += [(t._replace(detector=DET_EXCITED), half_s * (a * root))
                     for t, a in target_images(basis, lbl, "se", -1.0)]
         elif lbl.detector == DET_EXCITED:
-            out += [(replace(t, detector=DET_NONE), half_s * (a * root))
+            out += [(t._replace(detector=DET_NONE), half_s * (a * root))
                     for t, a in target_images(basis, lbl, "es", -1.0)]
         return out
 

@@ -6,7 +6,11 @@ level, and herald on finding it there.  The heralding probability is the
 squared norm of the projected state; failures are handled analytically (the
 protocol restarts on failure, so jump branches are never propagated).
 
-Every step builds its undriven model in `_model`.  A drive is a term of a
+Every step builds its undriven model in `_model`.  In the exact
+representation the model commutes with the signed mirror swap, so a step
+folds its input into the two mirror-parity sectors, evolves each sector the
+input occupies (the input of step m is a parity eigenstate, so only one) and
+adds up their losses and heralded amplitudes.  A drive is a term of a
 segment's generator: (omega/2)(source + readout drive) for the continuous
 drive, one drive per segment for the finite pulses.
 
@@ -37,6 +41,7 @@ from .basis import (
 )
 from .dissipative import (
     DissipativeParams,
+    JumpChannel,
     build_H_coherent,
     build_jump_operators,
     no_jump_generator,
@@ -91,12 +96,18 @@ class AccumulationResult:
 
 
 def _embed_input(basis: BasisSet, input_state: np.ndarray | None) -> np.ndarray:
-    """Place a normalized (m-1)-quanta target state under an excited source."""
+    """Place a normalized (m-1)-quanta target state under an excited source,
+    folded onto the basis."""
     m = basis.m
     psi = np.zeros(basis.dim, dtype=complex)
+    if input_state is not None:
+        input_state = np.asarray(input_state, dtype=complex)
+        if input_state.ndim != 1 or not np.all(np.isfinite(input_state)):
+            raise ProtocolError("input target state must be a finite 1-d vector, "
+                                f"got shape {input_state.shape}")
     if basis.mode == HPMode.APPROX:
         if input_state is not None and (
-            len(input_state) != 1 or abs(abs(complex(input_state[0])) - 1.0) > 1e-9
+            len(input_state) != 1 or abs(abs(input_state[0]) - 1.0) > 1e-9
         ):
             raise ProtocolError(
                 "the approximate chain admits only the reference input state"
@@ -106,7 +117,6 @@ def _embed_input(basis: BasisSet, input_state: np.ndarray | None) -> np.ndarray:
         return psi
     if input_state is None:
         input_state = goal_amplitudes(m - 1)
-    input_state = np.asarray(input_state, dtype=complex)
     labels = storage_labels(m - 1)
     if input_state.shape[0] != len(labels):
         raise ProtocolError(
@@ -117,27 +127,55 @@ def _embed_input(basis: BasisSet, input_state: np.ndarray | None) -> np.ndarray:
     if abs(nrm - 1.0) > 1e-9:
         raise ProtocolError("input target state must be normalized")
     for (k1, k2), amp in zip(labels, input_state):
-        psi[basis.index_of(BasisLabel("e", k1, 0, k2, 0, DET_NONE))] = amp
+        i, w = basis.fold[BasisLabel("e", k1, 0, k2, 0, DET_NONE)]
+        psi[i] += w * amp
     return psi
 
 
-def _herald_index(basis: BasisSet) -> np.ndarray:
-    """Basis positions of the heralded branch, in storage-space order: the
-    readout level on a driven basis, the excited detector otherwise."""
+def _herald_index(basis: BasisSet) -> tuple[np.ndarray, np.ndarray]:
+    """Basis positions and weights of the heralded branch in storage-space
+    order (the readout level on a driven basis, the excited detector
+    otherwise): weights * psi[positions] unfolds its amplitudes."""
     detector = DET_HERALDED if basis.with_drive else DET_EXCITED
     occupations = storage_labels(basis.m) if basis.mode == HPMode.EXACT else [(basis.m, 0)]
-    return np.array([basis.index_of(BasisLabel("g", k1, 0, k2, 0, detector))
-                     for k1, k2 in occupations])
+    idx, weights = zip(*(basis.fold[BasisLabel("g", k1, 0, k2, 0, detector)]
+                         for k1, k2 in occupations))
+    return np.array(idx), np.array(weights)
 
 
-def _model(p: DissipativeParams, basis: BasisSet,
-           input_target_state: np.ndarray | None = None, decay: bool = True):
-    """Input state, channels, undriven no-jump generator and herald positions
-    of a step of p on basis; decay=False drops every channel."""
-    psi0 = _embed_input(basis, input_target_state)
-    channels = build_jump_operators(p, basis) if decay else []
-    h = no_jump_generator(build_H_coherent(p, basis), channels)
-    return psi0, channels, h, _herald_index(basis)
+@dataclass
+class _Sector:
+    """One mirror-parity sector of a step: its basis, the folded input, the
+    channels, the undriven no-jump generator and the herald positions and
+    weights."""
+
+    basis: BasisSet
+    psi0: np.ndarray
+    channels: list[JumpChannel]
+    h: np.ndarray
+    idx: np.ndarray
+    weights: np.ndarray
+
+    def heralded(self, psi: np.ndarray) -> np.ndarray:
+        """Heralded amplitudes of a sector state, unfolded to storage order."""
+        return self.weights * psi[self.idx]
+
+
+def _model(p: DissipativeParams, mode: HPMode,
+           input_target_state: np.ndarray | None = None, decay: bool = True,
+           with_drive: bool = False) -> list[_Sector]:
+    """The sectors of a step of p that its input occupies: both mirror-parity
+    sectors in EXACT mode, skipping one the input does not reach, and the
+    single chain in APPROX mode.  decay=False drops every channel."""
+    sectors = []
+    for parity in (1, -1) if mode == HPMode.EXACT else (None,):
+        basis = build_basis(p.N, p.m, mode, with_drive, parity)
+        psi0 = _embed_input(basis, input_target_state)
+        if psi0.any():
+            channels = build_jump_operators(p, basis) if decay else []
+            h = no_jump_generator(build_H_coherent(p, basis), channels)
+            sectors.append(_Sector(basis, psi0, channels, h, *_herald_index(basis)))
+    return sectors
 
 
 def _drives(basis: BasisSet):
@@ -146,30 +184,35 @@ def _drives(basis: BasisSet):
             matrix_from_action(basis, readout_drive).matrix)
 
 
-def _evolve_segments(basis: BasisSet, psi0: np.ndarray, segments, channels,
-                     idx: np.ndarray, T: float) -> StepResult:
-    """Evolve through piecewise-constant (Propagator, duration) segments,
-    booking each channel's loss per segment, and herald on positions idx.
+def _evolve_segments(sectors: list[_Sector], segments, T: float) -> StepResult:
+    """Evolve each sector through its piecewise-constant (Propagator,
+    duration) segments, booking each channel's loss per segment, and herald.
 
-    T is the free-evolution time reported as T_used; it must lie in (0, inf).
+    segments[k] are the segments of sectors[k].  The losses, residuals and
+    unfolded heralded amplitudes of the sectors add up.  T is the
+    free-evolution time reported as T_used; it must lie in (0, inf).
     """
     if not 0 < T < math.inf:
         raise ProtocolError(f"evolution time T must be positive and finite, not {T!r}")
-    psi = psi0
     diags = StepDiagnostics()
-    for prop, dt in segments:
-        for ch in channels:
-            loss = ch.rate * prop.integrated_expectation(ch.opdag_op, dt, psi)
-            diags.channel_losses[ch.name] = diags.channel_losses.get(ch.name, 0.0) + loss
-        psi = prop.apply(dt, psi)
-    herald_amps = psi[idx]
+    amps, norm = [], 0.0
+    for sector, sector_segments in zip(sectors, segments):
+        psi = sector.psi0
+        for prop, dt in sector_segments:
+            for ch in sector.channels:
+                loss = ch.rate * prop.integrated_expectation(ch.opdag_op, dt, psi)
+                diags.channel_losses[ch.name] = diags.channel_losses.get(ch.name, 0.0) + loss
+            psi = prop.apply(dt, psi)
+        amps.append(sector.heralded(psi))
+        norm += norm_sq(psi)
+    herald_amps = np.sum(amps, axis=0)
     p_success = norm_sq(herald_amps)
-    diags.unheralded_residual = norm_sq(psi) - p_success
+    diags.unheralded_residual = norm - p_success
     if p_success < HERALD_FLOOR:
         diags.herald_impossible = True
         return StepResult(p_success, None, None, T, diags)
     post = herald_amps / math.sqrt(p_success)
-    ovl = abs(overlap(goal_state(basis), post)) ** 2
+    ovl = abs(overlap(goal_state(sectors[0].basis), post)) ** 2
     return StepResult(p_success, post, ovl, T, diags)
 
 
@@ -186,9 +229,8 @@ def run_step(
     """
     if T is None:
         T = optimal_time(p)
-    basis = build_basis(p.N, p.m, mode)
-    psi0, channels, h, idx = _model(p, basis, input_target_state)
-    return _evolve_segments(basis, psi0, [(Propagator(h), T)], channels, idx, T)
+    sectors = _model(p, mode, input_target_state)
+    return _evolve_segments(sectors, [[(Propagator(s.h), T)] for s in sectors], T)
 
 
 def run_step_fixed_ratio(
@@ -239,10 +281,10 @@ def run_step_continuous_drive(
         raise ProtocolError(f"drive strength omega must be positive and finite, not {omega!r}")
     default_omega = abs(omega - omega_opt) < 1e-12 * g
     p = DissipativeParams.from_purcell(N, m, p1d)
-    basis = build_basis(N, m, HPMode.APPROX, with_drive=True)
-    psi0, channels, h, idx = _model(p, basis, decay=not zero_decay)
-    src, det = _drives(basis)
-    prop = Propagator(h + (omega / 2) * (src + det))
+    (sector,) = _model(p, HPMode.APPROX, decay=not zero_decay, with_drive=True)
+    psi0, idx = sector.psi0, sector.idx
+    src, det = _drives(sector.basis)
+    prop = Propagator(sector.h + (omega / 2) * (src + det))
 
     if T is None:
         if default_omega:
@@ -258,7 +300,7 @@ def run_step_continuous_drive(
             hi = grid[min(k + 1, len(grid) - 1)]
             T = golden_section_max(lambda t: norm_sq(prop.apply(t, psi0)[idx]),
                                    lo, hi, 1e-9 * t_hi)
-    return _evolve_segments(basis, psi0, [(prop, T)], channels, idx, T)
+    return _evolve_segments([sector], [[(prop, T)]], T)
 
 
 def run_step_pulsed(
@@ -281,16 +323,15 @@ def run_step_pulsed(
         T = optimal_time(p)
     if not 0 < omega_pulse < math.inf:
         raise ProtocolError(f"pulse strength must be positive and finite, not {omega_pulse!r}")
-    basis = build_basis(N, m, HPMode.APPROX, with_drive=True)
-    psi0, channels, h, idx = _model(p, basis)
-    src, det = _drives(basis)
+    (sector,) = _model(p, HPMode.APPROX, with_drive=True)
+    src, det = _drives(sector.basis)
     t_pulse = math.pi / omega_pulse
     segments = [
-        (Propagator(h + (omega_pulse / 2) * src), t_pulse),
-        (Propagator(h), T),
-        (Propagator(h + (omega_pulse / 2) * det), t_pulse),
+        (Propagator(sector.h + (omega_pulse / 2) * src), t_pulse),
+        (Propagator(sector.h), T),
+        (Propagator(sector.h + (omega_pulse / 2) * det), t_pulse),
     ]
-    return _evolve_segments(basis, psi0, segments, channels, idx, T)
+    return _evolve_segments([sector], [segments], T)
 
 
 def run_accumulation(
@@ -319,12 +360,13 @@ def run_accumulation(
         T = optimal_time(p)
         if refine_T:
             # the kept step evolves on the model the search built
-            basis = build_basis(N, k, mode)
-            psi0, channels, h, idx = _model(p, basis, state)
-            prop = Propagator(h)
-            T = golden_section_max(lambda t: norm_sq(prop.apply(t, psi0)[idx]),
-                                   0.8 * T, 1.2 * T, 1e-6 * T)
-            res = _evolve_segments(basis, psi0, [(prop, T)], channels, idx, T)
+            sectors = _model(p, mode, state)
+            props = [Propagator(s.h) for s in sectors]
+            T = golden_section_max(
+                lambda t: sum(norm_sq(s.heralded(prop.apply(t, s.psi0)))
+                              for s, prop in zip(sectors, props)),
+                0.8 * T, 1.2 * T, 1e-6 * T)
+            res = _evolve_segments(sectors, [[(prop, T)] for prop in props], T)
         else:
             res = run_step(p, mode, state, T)
         if res.post_state is None:

@@ -1,16 +1,19 @@
 """Independent oracles: fine-step RK4 integration, brute-force collective
 operators on the full tensor-product space, and the reference quantities the
 tests check the package against (decay generator, excitation number, the
-drive terms, the ideal-limit bandgap chain, a straight-line fit).
+drive terms, the signed mirror swap, the ideal-limit bandgap chain, a
+straight-line fit).
 
 These deliberately share no code with the package internals: states are
 base-3 integer configurations, collective operators are sums of sparse
-single-atom flips, and symmetric states are explicit permutation sums.
+single-atom flips, and symmetric states are explicit permutation sums.  The
+one exception is `full_basis_step`, which runs a step on the unreduced exact
+basis with the package's own model and propagator, as the reference for its
+parity-sector steps.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 
@@ -76,10 +79,50 @@ def drive_matrix(basis):
         for name, flip in flips.items():
             level = getattr(lbl, name)
             if level in flip:
-                image = dataclasses.replace(lbl, **{name: flip[level]})
+                image = lbl._replace(**{name: flip[level]})
                 if image in index:
                     out[index[image], j] = 1.0
     return out
+
+
+def mirror_swap_matrix(basis):
+    """Signed mirror swap P on a package EXACT basis: (k1, l1) <-> (k2, l2),
+    with sign -1 on detector-excited labels and +1 otherwise."""
+    index = {(lbl.source_level, lbl.k1, lbl.l1, lbl.k2, lbl.l2, lbl.detector): i
+             for i, lbl in enumerate(basis.labels)}
+    out = np.zeros((len(index), len(index)))
+    for j, lbl in enumerate(basis.labels):
+        image = (lbl.source_level, lbl.k2, lbl.l2, lbl.k1, lbl.l1, lbl.detector)
+        out[index[image], j] = -1.0 if lbl.detector == "excited" else 1.0
+    return out
+
+
+def full_basis_step(p, input_state, T):
+    """Reference exact fast-pulse step on the unreduced 4m+1 basis.
+
+    The storage-space input (sector m-1) goes under the excited source, the
+    state evolves under `build_H_nh` with one `Propagator`, and the herald
+    reads the excited detector.  Returns (p_success, channel losses,
+    unheralded residual, post state in storage order).
+    """
+    from wgherald.basis import HPMode, build_basis
+    from wgherald.dissipative import build_H_nh, build_jump_operators
+    from wgherald.linalg import Propagator
+
+    basis = build_basis(p.N, p.m, HPMode.EXACT)
+    index = {(lbl.source_level, lbl.k1, lbl.l1, lbl.k2, lbl.l2, lbl.detector): i
+             for i, lbl in enumerate(basis.labels)}
+    psi0 = np.zeros(basis.dim, dtype=complex)
+    for i, amp in enumerate(input_state):
+        psi0[index[("e", p.m - 1 - i, 0, i, 0, "none")]] = amp
+    prop = Propagator(build_H_nh(p, basis))
+    losses = {ch.name: ch.rate * prop.integrated_expectation(ch.opdag_op, T, psi0)
+              for ch in build_jump_operators(p, basis)}
+    psi = prop.apply(T, psi0)
+    herald = psi[[index[("g", p.m - i, 0, i, 0, "excited")] for i in range(p.m + 1)]]
+    p_success = float(np.vdot(herald, herald).real)
+    residual = float(np.vdot(psi, psi).real) - p_success
+    return p_success, losses, residual, herald / math.sqrt(p_success)
 
 
 def ideal_bandgap_chain(p):

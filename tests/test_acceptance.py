@@ -11,14 +11,13 @@ agreement, and 1e-9 probability bookkeeping.
 import math
 
 import numpy as np
-import pytest
 
 from oracles import FullModelOracle, decay_generator_max_eig, drive_matrix, \
     excitation_number_operator, ideal_bandgap_chain, linear_regression_r2, \
     mirror_operator_element, rk4_evolve
 from wgherald.bandgap import BandgapParams, build_H_bandgap, compensate, \
     ideal_step_probability, run_transfer
-from wgherald.basis import BasisLabel, HPMode, build_basis
+from wgherald.basis import HPMode, build_basis
 from wgherald.dissipative import DissipativeParams, build_H_coherent, build_H_nh, \
     optimal_time
 from wgherald.formulas import limit_fixed_ratio, p_continuous_drive, \

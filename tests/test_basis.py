@@ -8,11 +8,13 @@ import pytest
 from oracles import (
     detector_coupling_element,
     excitation_number_operator,
+    mirror_swap_matrix,
     mirror_operator_column_norm,
     mirror_operator_element,
 )
 from wgherald.basis import (
     BasisError,
+    BasisLabel,
     BasisSet,
     HPMode,
     build_basis,
@@ -40,6 +42,30 @@ def test_basis_counts():
     assert build_basis(10, 1, HPMode.APPROX, with_drive=True).dim == 5
     for m in range(1, 7):
         assert build_basis(20, m, HPMode.EXACT).dim == 4 * m + 1
+
+
+def test_parity_sector_bases():
+    # a sector's fold spans the P = parity eigenspace of the full basis with
+    # orthonormal states, one per representative (2m+1 and 2m of them)
+    for m in range(1, 9):
+        full = build_basis(20, m, HPMode.EXACT)
+        swap = mirror_swap_matrix(full)
+        dims = []
+        for parity in (1, -1):
+            basis = build_basis(20, m, HPMode.EXACT, parity=parity)
+            assert list(basis.labels) == sorted(basis.labels, key=BasisLabel.sort_key)
+            assert [basis.fold[lbl][0] for lbl in basis.labels] == list(range(basis.dim))
+            u = np.zeros((full.dim, basis.dim))
+            for lbl, (i, w) in basis.fold.items():
+                u[full.index_of(lbl), i] += w
+            assert np.allclose(u.T @ u, np.eye(basis.dim), rtol=0, atol=1e-15)
+            assert np.array_equal(swap @ u, parity * u)
+            dims.append(basis.dim)
+        assert sorted(dims) == [2 * m, 2 * m + 1]
+    with pytest.raises(BasisError):
+        build_basis(20, 2, HPMode.APPROX, parity=1)
+    with pytest.raises(BasisError):
+        build_basis(20, 2, HPMode.EXACT, parity=0)
 
 
 def test_basis_label_invariants():
@@ -103,11 +129,9 @@ def test_linearized_mode_commutator_below_cutoff():
     # [b, b^dag] = 1 on the chain labels, below the occupation cutoff; the
     # matrices act on the chain widened by one excited quantum either way, so
     # both products of a chain label stay inside it
-    from dataclasses import replace
-
     basis = build_basis(200, 2, HPMode.APPROX)
     two_n = 2 * basis.N
-    wide = sorted({replace(lbl, l1=l) for lbl in basis.labels
+    wide = sorted({lbl._replace(l1=l) for lbl in basis.labels
                    for l in (lbl.l1 - 1, lbl.l1, lbl.l1 + 1) if l >= 0},
                   key=lambda lbl: lbl.sort_key())
     wide = BasisSet(tuple(wide), basis.mode, basis.N, basis.m)
@@ -162,7 +186,6 @@ def test_detector_flag_elements_bruteforce():
 def test_exact_operators_approach_linearized():
     # chain-projected Hamiltonian elements deviate from the linearized chain
     # by O(m/N) relative to the collective coupling scale
-    from wgherald.basis import BasisLabel
     from wgherald.dissipative import DissipativeParams, build_H_nh
 
     m = 3

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     FullModelOracle,
     decay_generator_max_eig,
     drive_matrix,
     excitation_number_operator,
+    mirror_swap_matrix,
 )
 from wgherald.basis import HPMode, build_basis
 from wgherald.dissipative import (
@@ -20,7 +23,7 @@ from wgherald.dissipative import (
     build_jump_operators,
     optimal_time,
 )
-from wgherald.protocol import run_step_continuous_drive
+from wgherald.protocol import _embed_input, run_step_continuous_drive
 
 
 def chain_setup(n, m, gamma_s, gamma_star):
@@ -192,3 +195,27 @@ def test_params_basis_mismatch_rejected():
     basis = build_basis(20, 1, HPMode.APPROX)
     with pytest.raises(ValueError):
         build_H_coherent(p, basis)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 1000),
+    data=st.data(),
+    gamma_g=st.floats(0.1, 10.0),
+    gamma_s=st.floats(0.0, 10.0),
+    gamma_star=st.floats(0.0, 2.0),
+)
+def test_mirror_swap_commutes_with_the_model(n, data, gamma_g, gamma_s, gamma_star):
+    # the premise of the parity-sector steps: P commutes exactly with H_nh and
+    # every channel's O^dag O, and the default input of step m has parity
+    # (-1)^(m-1)
+    m = data.draw(st.integers(1, min(n, 40)), label="m")
+    p = DissipativeParams(N=n, m=m, gamma_g=gamma_g, gamma_s=gamma_s, gamma_star=gamma_star)
+    basis = build_basis(n, m, HPMode.EXACT)
+    swap = mirror_swap_matrix(basis)
+    h = build_H_nh(p, basis)
+    assert np.array_equal(swap @ h, h @ swap)
+    for ch in build_jump_operators(p, basis):
+        assert np.array_equal(swap @ ch.opdag_op, ch.opdag_op @ swap), ch.name
+    psi0 = _embed_input(basis, None)
+    assert np.array_equal(swap @ psi0, (-1.0) ** (m - 1) * psi0)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgherald.basis import HPMode
+from oracles import full_basis_step
+from wgherald.basis import HPMode, goal_amplitudes
 from wgherald.dissipative import DissipativeParams, build_H_nh, optimal_time
 from wgherald.formulas import (
     accumulation_infidelity_prediction,
@@ -16,9 +17,10 @@ from wgherald.formulas import (
     p_double_mirrors,
     p_fixed_ratio,
 )
-from wgherald.linalg import Propagator, golden_section_max
+from wgherald.linalg import Propagator, golden_section_max, norm_sq
 from wgherald.protocol import (
     ProtocolError,
+    _model,
     run_accumulation,
     run_step,
     run_step_continuous_drive,
@@ -71,6 +73,44 @@ def test_step_rejects_bad_time_and_input():
         run_step_pulsed(100, 1, 10.0, 50.0, T=0.0)
     with pytest.raises(ProtocolError):
         run_step_pulsed(100, 1, 10.0, math.inf)
+
+
+@pytest.mark.parametrize("mode, state", [
+    (HPMode.APPROX, [math.nan]),
+    (HPMode.EXACT, [math.nan, 0.0]),
+    (HPMode.EXACT, [[1.0, 0.0]]),
+])
+def test_step_rejects_non_finite_or_non_vector_input(mode, state):
+    p = DissipativeParams.from_purcell(100, 2, 10.0)
+    with pytest.raises(ProtocolError, match="finite 1-d vector"):
+        run_step(p, mode, input_target_state=np.array(state))
+
+
+def _mixed_parity_input(m):
+    # a normalized complex storage state (sector m-1) with no mirror symmetry
+    x = np.random.default_rng(m).normal(size=(m, 2)) @ [1.0, 1.0j]
+    return x / math.sqrt(norm_sq(x))
+
+
+@pytest.mark.parametrize("n, m, p1d, mixed", [
+    (100, 1, 10.0, False), (300, 4, 5.0, False), (300, 7, math.inf, False),
+    (1000, 40, 10.0, False), (200, 3, 3.0, True), (500, 6, 20.0, True),
+])
+def test_parity_sector_step_matches_full_basis_step(n, m, p1d, mixed):
+    # the step evolves only the parity sectors its input occupies; it agrees
+    # with one propagator on the unreduced 4m+1 basis
+    p = DissipativeParams.from_purcell(n, m, p1d)
+    state = _mixed_parity_input(m) if mixed else goal_amplitudes(m - 1)
+    assert len(_model(p, HPMode.EXACT, state)) == (2 if mixed else 1)
+    T = optimal_time(p)
+    res = run_step(p, HPMode.EXACT, state, T)
+    p_ref, losses_ref, residual_ref, post_ref = full_basis_step(p, state, T)
+    assert abs(res.p_success - p_ref) <= 1e-12
+    assert res.diagnostics.channel_losses.keys() == losses_ref.keys()
+    for name, loss in losses_ref.items():
+        assert abs(res.diagnostics.channel_losses[name] - loss) <= 1e-12, name
+    assert abs(res.diagnostics.unheralded_residual - residual_ref) <= 1e-12
+    assert np.abs(res.post_state - post_ref).max() <= 1e-12
 
 
 def test_step_bookkeeping_sums_to_one():
