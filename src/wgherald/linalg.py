@@ -4,7 +4,11 @@ Everything in the protocol state spaces is small (a few to a few hundred
 dimensions), so exact dense methods are used throughout: the propagator
 e^{-iHt} is built from an eigendecomposition of H (with a scaling-and-squaring
 fallback when H is too ill-conditioned to diagonalize reliably), which makes
-evolution to arbitrary times exact up to rounding.
+evolution to arbitrary times exact up to rounding.  The conditioning test is
+the Frobenius bound kappa_F = ||V||_F ||V^-1||_F >= kappa_2 on the inverse the
+eigenbasis needs anyway, so no SVD is taken.  Loss bookkeeping integrates one
+density R = integral psi psi^dag ds per segment and reads every channel's
+integral off it.
 
 Conventions: hbar = 1, all rates in units of the reference guided-mode decay
 rate, times in its inverse.
@@ -13,12 +17,16 @@ rate, times in its inverse.
 from __future__ import annotations
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
-# Above this eigenvector condition number the eigenbasis is considered too
-# ill-conditioned and the propagator falls back to scipy's expm.
+# At or above this eigenvector condition number, taken as the Frobenius bound
+# kappa_F = ||V||_F ||V^-1||_F (never below the 2-norm condition number, and
+# at least the dimension), the eigenbasis is considered too ill-conditioned
+# and the propagator falls back to scipy's expm.
 EIGBASIS_MAX_CONDITION = 1e8
+
+# Points of the uniform grid on which the expm fallback integrates densities.
+SIMPSON_POINTS = 4097
 
 
 class DimensionError(ValueError):
@@ -64,22 +72,39 @@ def overlap(u, v) -> complex:
     return complex(np.vdot(u, v))
 
 
+def simpson_weights(t: float, npts: int) -> np.ndarray:
+    """Composite Simpson weights h/3 [1, 4, 2, ..., 2, 4, 1] on npts (odd)
+    equally spaced points of [0, t]."""
+    w = np.full(npts, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w * (t / (npts - 1) / 3.0)
+
+
 class Propagator:
     """Applies e^{-iHt} to vectors, reusing one eigendecomposition of H.
 
     The decomposition is eig with V^-1 from inv, falling back to scipy's
-    expm (Pade scaling-and-squaring) when the eigenvectors are ill-conditioned
-    beyond EIGBASIS_MAX_CONDITION.  `method` is "eig" or "expm".
+    expm (Pade scaling-and-squaring) when V is singular or its condition
+    number `condition`, the Frobenius bound ||V||_F ||V^-1||_F (inf when V
+    is singular or the product overflows), reaches EIGBASIS_MAX_CONDITION.
+    `method` is "eig" or "expm".
     """
 
     def __init__(self, h):
         self.h = as_operator(h)
         self.dim = self.h.shape[0]
         self.eigvals, self.eigvecs = np.linalg.eig(self.h)
-        cond = np.linalg.cond(self.eigvecs)
-        usable = np.isfinite(cond) and cond < EIGBASIS_MAX_CONDITION
-        self._vinv = np.linalg.inv(self.eigvecs) if usable else None
-        self.method = "eig" if self._vinv is not None else "expm"
+        try:
+            vinv = np.linalg.inv(self.eigvecs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                cond = float(np.linalg.norm(self.eigvecs) * np.linalg.norm(vinv))
+        except np.linalg.LinAlgError:
+            vinv, cond = None, np.inf
+        self.condition = cond if np.isfinite(cond) else np.inf
+        usable = self.condition < EIGBASIS_MAX_CONDITION
+        self._vinv = vinv if usable else None
+        self.method = "eig" if usable else "expm"
 
     def apply(self, t: float, v) -> np.ndarray:
         """Return e^{-iHt} v."""
@@ -119,21 +144,33 @@ class Propagator:
             raise NumericError("propagation produced non-finite populations")
         return pops
 
-    def integrated_expectation(self, m, t: float, v0) -> float:
-        """Exact integral_0^t <psi(s)|M|psi(s)> ds along psi(s) = e^{-iHs} v0.
+    def integrated_expectation(self, ops, t: float, v0) -> np.ndarray:
+        """Exact integral_0^t <psi(s)|M|psi(s)> ds along psi(s) = e^{-iHs} v0,
+        one for each operator M of the list ops.
 
-        In the eigenbasis the integrand is a sum of complex exponentials and
-        integrates in closed form; the expm fallback uses composite Simpson
-        quadrature on a fine grid.
+        Every integral reads the one density R = integral_0^t psi psi^dag ds
+        as sum_ij M_ij R_ji.  In the eigenbasis R = A F^T A^dag in closed
+        form, with A = V diag(V^-1 v0) and F the integrals of the pairwise
+        exponentials; the expm fallback sums psi psi^dag with composite
+        Simpson weights on a fine uniform grid.
         """
-        m = as_operator(m)
+        ops = [as_operator(m) for m in ops]
         v0 = as_state(v0)
-        if m.shape[0] != self.dim or v0.shape[0] != self.dim:
+        if v0.shape[0] != self.dim or any(m.shape[0] != self.dim for m in ops):
             raise DimensionError("integrated_expectation dimension mismatch")
+        r = self._integrated_density(t, v0).T
+        return np.array([np.sum(m * r).real for m in ops])
+
+    def _integrated_density(self, t, v0):
         if self.method != "eig":
-            return self._integrated_expectation_quadrature(m, t, v0)
-        c = self._vinv @ v0
-        g = self.eigvecs.conj().T @ m @ self.eigvecs
+            times = np.linspace(0.0, t, SIMPSON_POINTS)
+            step = scipy.linalg.expm(-1j * self.h * (times[1] - times[0]))
+            psis = np.empty((SIMPSON_POINTS, self.dim), dtype=complex)
+            psis[0] = v0
+            for i in range(1, SIMPSON_POINTS):
+                psis[i] = step @ psis[i - 1]
+            return (psis.T * simpson_weights(t, SIMPSON_POINTS)) @ psis.conj()
+        a = self.eigvecs * (self._vinv @ v0)
         mu = np.conj(self.eigvals)[:, None] - self.eigvals[None, :]
         scale = max(1.0, float(np.abs(self.eigvals).max()))
         small = np.abs(mu) * t < 1e-8 * scale * max(t, 1.0)
@@ -143,18 +180,7 @@ class Propagator:
             t * (1.0 + 0.5j * mu * t),
             (np.exp(1j * mu_safe * t) - 1.0) / (1j * mu_safe),
         )
-        val = np.einsum("a,b,ab,ab->", np.conj(c), c, g, factors)
-        return float(val.real)
-
-    def _integrated_expectation_quadrature(self, m, t, v0):
-        times = np.linspace(0.0, t, 4097)
-        vals = np.empty_like(times)
-        step = scipy.linalg.expm(-1j * self.h * (times[1] - times[0]))
-        psi = v0
-        for i in range(len(times)):
-            vals[i] = np.vdot(psi, m @ psi).real
-            psi = step @ psi
-        return float(scipy.integrate.simpson(vals, x=times))
+        return a @ factors.T @ a.conj().T
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float) -> float:

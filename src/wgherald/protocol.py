@@ -8,11 +8,14 @@ protocol restarts on failure, so jump branches are never propagated).
 
 Every step builds its undriven model in `_model`.  In the exact
 representation the model commutes with the signed mirror swap, so a step
-folds its input into the two mirror-parity sectors, evolves each sector the
-input occupies (the input of step m is a parity eigenstate, so only one) and
-adds up their losses and heralded amplitudes.  A drive is a term of a
-segment's generator: (omega/2)(source + readout drive) for the continuous
-drive, one drive per segment for the finite pulses.
+evolves only the mirror-parity sectors its input occupies and adds up their
+losses and heralded amplitudes.  The parity is read off the input before any
+basis is built: the swap reverses the storage amplitudes, so an input equal
+to its reversal lies in P = +1, one equal to minus its reversal in P = -1
+(the input of step m is a parity eigenstate, so one sector), and any other
+input occupies both.  A drive is a term of a segment's generator:
+(omega/2)(source + readout drive) for the continuous drive, one drive per
+segment for the finite pulses.
 
 After a successful herald the source and detector are in definite states, so
 the reduction to the target ensemble is an amplitude relabeling onto the
@@ -60,11 +63,19 @@ class ProtocolError(ValueError):
 
 @dataclass
 class StepDiagnostics:
-    """Norm bookkeeping for one step: p + losses + residual should be 1."""
+    """Norm bookkeeping for one step: p + losses + residual should be 1.
+
+    propagator_method is "expm" if any segment of any sector fell back from
+    the eigenbasis, else "eig"; eigvec_condition is the largest eigenvector
+    condition number (the Frobenius bound of `Propagator.condition`) over
+    the sectors and segments.
+    """
 
     channel_losses: dict[str, float] = field(default_factory=dict)
     unheralded_residual: float = 0.0
     herald_impossible: bool = False
+    propagator_method: str = "eig"
+    eigvec_condition: float = 0.0
 
     def bookkeeping_total(self, p_success: float) -> float:
         return p_success + sum(self.channel_losses.values()) + self.unheralded_residual
@@ -161,20 +172,37 @@ class _Sector:
         return self.weights * psi[self.idx]
 
 
+def _parities(p: DissipativeParams, mode: HPMode,
+              input_target_state: np.ndarray | None) -> tuple:
+    """The mirror-parity sectors an input occupies, read off its storage
+    amplitudes a: the swap maps them to a[::-1], so a == a[::-1] is P = +1
+    alone and a == -a[::-1] is P = -1 alone.  APPROX mode has one chain."""
+    if mode != HPMode.EXACT:
+        return (None,)
+    if input_target_state is None:
+        a = goal_amplitudes(p.m - 1)
+    else:
+        a = np.asarray(input_target_state, dtype=complex)
+    if np.array_equal(a, a[::-1]):
+        return (1,)
+    if np.array_equal(a, -a[::-1]):
+        return (-1,)
+    return (1, -1)
+
+
 def _model(p: DissipativeParams, mode: HPMode,
            input_target_state: np.ndarray | None = None, decay: bool = True,
            with_drive: bool = False) -> list[_Sector]:
-    """The sectors of a step of p that its input occupies: both mirror-parity
-    sectors in EXACT mode, skipping one the input does not reach, and the
-    single chain in APPROX mode.  decay=False drops every channel."""
+    """The sectors of a step of p that its input occupies: one or both
+    mirror-parity sectors in EXACT mode, the single chain in APPROX mode.
+    decay=False drops every channel."""
     sectors = []
-    for parity in (1, -1) if mode == HPMode.EXACT else (None,):
+    for parity in _parities(p, mode, input_target_state):
         basis = build_basis(p.N, p.m, mode, with_drive, parity)
         psi0 = _embed_input(basis, input_target_state)
-        if psi0.any():
-            channels = build_jump_operators(p, basis) if decay else []
-            h = no_jump_generator(build_H_coherent(p, basis), channels)
-            sectors.append(_Sector(basis, psi0, channels, h, *_herald_index(basis)))
+        channels = build_jump_operators(p, basis) if decay else []
+        h = no_jump_generator(build_H_coherent(p, basis), channels)
+        sectors.append(_Sector(basis, psi0, channels, h, *_herald_index(basis)))
     return sectors
 
 
@@ -186,11 +214,13 @@ def _drives(basis: BasisSet):
 
 def _evolve_segments(sectors: list[_Sector], segments, T: float) -> StepResult:
     """Evolve each sector through its piecewise-constant (Propagator,
-    duration) segments, booking each channel's loss per segment, and herald.
+    duration) segments, booking every channel's loss per segment from one
+    integrated density, and herald.
 
     segments[k] are the segments of sectors[k].  The losses, residuals and
-    unfolded heralded amplitudes of the sectors add up.  T is the
-    free-evolution time reported as T_used; it must lie in (0, inf).
+    unfolded heralded amplitudes of the sectors add up, and the diagnostics
+    record the worst propagator over them.  T is the free-evolution time
+    reported as T_used; it must lie in (0, inf).
     """
     if not 0 < T < math.inf:
         raise ProtocolError(f"evolution time T must be positive and finite, not {T!r}")
@@ -199,9 +229,14 @@ def _evolve_segments(sectors: list[_Sector], segments, T: float) -> StepResult:
     for sector, sector_segments in zip(sectors, segments):
         psi = sector.psi0
         for prop, dt in sector_segments:
-            for ch in sector.channels:
-                loss = ch.rate * prop.integrated_expectation(ch.opdag_op, dt, psi)
+            integrals = prop.integrated_expectation(
+                [ch.opdag_op for ch in sector.channels], dt, psi)
+            for ch, integral in zip(sector.channels, integrals):
+                loss = ch.rate * integral
                 diags.channel_losses[ch.name] = diags.channel_losses.get(ch.name, 0.0) + loss
+            if prop.method == "expm":
+                diags.propagator_method = "expm"
+            diags.eigvec_condition = max(diags.eigvec_condition, prop.condition)
             psi = prop.apply(dt, psi)
         amps.append(sector.heralded(psi))
         norm += norm_sq(psi)

@@ -9,7 +9,8 @@ base-3 integer configurations, collective operators are sums of sparse
 single-atom flips, and symmetric states are explicit permutation sums.  The
 one exception is `full_basis_step`, which runs a step on the unreduced exact
 basis with the package's own model and propagator, as the reference for its
-parity-sector steps.
+parity-sector steps; its losses come from `eigenbasis_integral`, one
+operator at a time, not from the package's integrated density.
 """
 
 from __future__ import annotations
@@ -97,6 +98,27 @@ def mirror_swap_matrix(basis):
     return out
 
 
+def eigenbasis_integral(h, m, t, v0):
+    """Closed-form integral_0^t <psi(s)|M|psi(s)> ds along psi(s) = e^{-iHs} v0
+    for one operator M, from H's own eigendecomposition H = V diag(lambda) V^-1.
+
+    With c = V^-1 v0 and G = V^dag M V the integrand is
+    sum_ab conj(c_a) c_b G_ab e^{i (conj(lambda_a) - lambda_b) s}; each
+    exponential integrates in closed form, or by its second-order series
+    where the exponent is negligible.
+    """
+    lam, v = np.linalg.eig(np.asarray(h, dtype=complex))
+    c = np.linalg.inv(v) @ np.asarray(v0, dtype=complex)
+    g = v.conj().T @ np.asarray(m, dtype=complex) @ v
+    mu = np.conj(lam)[:, None] - lam[None, :]
+    scale = max(1.0, float(np.abs(lam).max()))
+    small = np.abs(mu) * t < 1e-8 * scale * max(t, 1.0)
+    mu_safe = np.where(small, 1.0, mu)
+    factors = np.where(small, t * (1.0 + 0.5j * mu * t),
+                       (np.exp(1j * mu_safe * t) - 1.0) / (1j * mu_safe))
+    return float(np.einsum("a,b,ab,ab->", np.conj(c), c, g, factors).real)
+
+
 def full_basis_step(p, input_state, T):
     """Reference exact fast-pulse step on the unreduced 4m+1 basis.
 
@@ -115,8 +137,9 @@ def full_basis_step(p, input_state, T):
     psi0 = np.zeros(basis.dim, dtype=complex)
     for i, amp in enumerate(input_state):
         psi0[index[("e", p.m - 1 - i, 0, i, 0, "none")]] = amp
-    prop = Propagator(build_H_nh(p, basis))
-    losses = {ch.name: ch.rate * prop.integrated_expectation(ch.opdag_op, T, psi0)
+    h = build_H_nh(p, basis)
+    prop = Propagator(h)
+    losses = {ch.name: ch.rate * eigenbasis_integral(h, ch.opdag_op, T, psi0)
               for ch in build_jump_operators(p, basis)}
     psi = prop.apply(T, psi0)
     herald = psi[[index[("g", p.m - i, 0, i, 0, "excited")] for i in range(p.m + 1)]]

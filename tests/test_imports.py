@@ -8,6 +8,10 @@ name somewhere in the module, or be listed in its `__all__` (a re-export).
 
 import ast
 import pathlib
+import subprocess
+import sys
+
+import wgherald
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FILES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/*.py")])
@@ -49,3 +53,14 @@ def test_scanner_finds_unused_names():
 def test_no_unused_imports():
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text()) for path in FILES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate costs a quarter second or more at every process start;
+    # the expm fallback's Simpson rule is written out in numpy instead
+    src = str(pathlib.Path(wgherald.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import wgherald.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

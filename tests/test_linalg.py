@@ -1,5 +1,7 @@
 """Propagator, norm/overlap accounting, and dissipativity checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -7,12 +9,15 @@ import scipy.linalg
 
 from oracles import decay_generator_max_eig, rk4_evolve
 from wgherald.linalg import (
+    EIGBASIS_MAX_CONDITION,
+    SIMPSON_POINTS,
     DimensionError,
     NumericError,
     Propagator,
     golden_section_max,
     norm_sq,
     overlap,
+    simpson_weights,
 )
 
 
@@ -125,17 +130,43 @@ def test_decay_generator_sign():
 
 
 def test_integrated_expectation_matches_quadrature():
+    # one call integrates several operators off one density; each integral
+    # matches a trapezoid rule over apply, on a grid fine enough for the
+    # non-diagonal operator
     rng = np.random.default_rng(11)
     h = random_decaying_h(rng, 5)
-    m = np.diag(rng.uniform(0.0, 2.0, size=5)).astype(complex)
+    diag = np.diag(rng.uniform(0.0, 2.0, size=5)).astype(complex)
     v0 = random_state(rng, 5)
+    b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    ops = [diag, b @ b.conj().T, np.eye(5, dtype=complex)]
     t = 0.9
     prop = Propagator(h)
-    exact = prop.integrated_expectation(m, t, v0)
-    ts = np.linspace(0, t, 4001)
-    vals = [np.vdot(prop.apply(s, v0), m @ prop.apply(s, v0)).real for s in ts]
-    ref = scipy.integrate.trapezoid(vals, ts)
-    assert exact == pytest.approx(ref, rel=1e-7)
+    exact = prop.integrated_expectation(ops, t, v0)
+    assert exact.shape == (3,)
+    ts = np.linspace(0, t, 16001)
+    psis = [prop.apply(s, v0) for s in ts]
+    for m, got in zip(ops, exact):
+        vals = [np.vdot(psi, m @ psi).real for psi in psis]
+        ref = scipy.integrate.trapezoid(vals, ts)
+        assert got == pytest.approx(ref, rel=1e-7)
+    assert prop.integrated_expectation([], t, v0).shape == (0,)
+    with pytest.raises(DimensionError):
+        prop.integrated_expectation([diag, np.eye(4)], t, v0)
+
+
+def test_simpson_weights_match_scipy():
+    # the expm fallback's quadrature is scipy's composite Simpson rule on a
+    # uniform grid, written as weights h/3 [1, 4, 2, ..., 2, 4, 1]
+    assert np.array_equal(simpson_weights(3.0, 5), [0.25, 1.0, 0.5, 1.0, 0.25])
+    t = 0.9
+    for npts in (3, 5, 9, 65):
+        times = np.linspace(0.0, t, npts)
+        ref = scipy.integrate.simpson(np.eye(npts), x=times)
+        assert np.abs(simpson_weights(t, npts) - ref).max() <= 1e-15
+    times = np.linspace(0.0, t, SIMPSON_POINTS)
+    vals = np.random.default_rng(3).standard_normal(SIMPSON_POINTS)
+    ref = scipy.integrate.simpson(vals, x=times)
+    assert simpson_weights(t, SIMPSON_POINTS) @ vals == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
 def test_pade_fallback_on_defective_matrix():
@@ -148,10 +179,40 @@ def test_pade_fallback_on_defective_matrix():
     out = prop.apply(0.7, v0)
     # e^{-iHt} = I - iHt for a nilpotent H
     assert np.allclose(out, np.array([-0.7j, 1.0]), atol=1e-12)
-    m = np.diag([1.0, 0.0]).astype(complex)
-    got = prop.integrated_expectation(m, 0.9, v0)
-    # integral of |t|^2 over [0, 0.9]
-    assert got == pytest.approx(0.9**3 / 3, rel=1e-8)
+    ops = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)]
+    got = prop.integrated_expectation(ops, 0.9, v0)
+    # |psi_0(t)|^2 = t^2 and |psi_1(t)|^2 = 1 integrated over [0, 0.9]
+    for value, ref in zip(got, (0.9**3 / 3, 0.9, 0.9 + 0.9**3 / 3)):
+        assert value == pytest.approx(ref, rel=1e-8)
+
+
+def test_frobenius_condition_bounds_the_2_norm_condition():
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        dim = int(rng.integers(2, 30))
+        prop = Propagator(random_decaying_h(rng, dim))
+        assert prop.method == "eig"
+        assert prop.condition >= np.linalg.cond(prop.eigvecs)
+        assert dim <= prop.condition < EIGBASIS_MAX_CONDITION
+
+
+def test_singular_or_overflowing_eigenvectors_fall_back_quietly():
+    # eig's V for a 2x2 Jordan block is invertible, but ||V^-1||_F overflows;
+    # for the 3x3 nilpotent block V is exactly singular and inv raises
+    jordan2 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    jordan3 = np.eye(3, k=1, dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.linalg.eig(jordan3)[1])
+    for h in (jordan2, jordan3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prop = Propagator(h)
+        assert prop.method == "expm"
+        assert prop.condition == np.inf
+        v = np.zeros(h.shape[0], dtype=complex)
+        v[-1] = 1.0
+        ref = scipy.linalg.expm(-1j * h * 0.7) @ v
+        assert np.abs(prop.apply(0.7, v) - ref).max() < 1e-14
 
 
 def test_eig_and_expm_paths_agree():

@@ -28,7 +28,7 @@ from wgherald.protocol import (
     run_step_fresh_level,
     run_step_pulsed,
 )
-from wgherald import build_basis
+from wgherald import build_basis, linalg, protocol
 
 
 def test_step_probability_matches_closed_form():
@@ -111,6 +111,42 @@ def test_parity_sector_step_matches_full_basis_step(n, m, p1d, mixed):
         assert abs(res.diagnostics.channel_losses[name] - loss) <= 1e-12, name
     assert abs(res.diagnostics.unheralded_residual - residual_ref) <= 1e-12
     assert np.abs(res.post_state - post_ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m, mixed, builds", [
+    (1, False, 1), (4, False, 1), (7, False, 1), (3, True, 2), (6, True, 2),
+])
+def test_step_builds_only_the_sectors_its_input_occupies(monkeypatch, m, mixed, builds):
+    # the parity is read off the input's storage amplitudes before any basis
+    # is built: a parity eigenstate builds one sector basis, a mixed input two
+    calls = []
+    monkeypatch.setattr(protocol, "build_basis",
+                        lambda *args: calls.append(args) or build_basis(*args))
+    state = _mixed_parity_input(m) if mixed else goal_amplitudes(m - 1)
+    run_step(DissipativeParams.from_purcell(300, m, 10.0), HPMode.EXACT, state)
+    assert len(calls) == builds
+    assert sorted(args[-1] for args in calls) == ([-1, 1] if mixed else [(-1) ** (m - 1)])
+
+
+def test_step_diagnostics_report_the_worst_propagator(monkeypatch):
+    # the method and the eigenvector condition number are the worst over the
+    # sectors; with the eigenbasis refused, every segment runs the expm
+    # fallback and the step agrees with the eigenbasis step
+    p = DissipativeParams.from_purcell(200, 3, 10.0)
+    state = _mixed_parity_input(3)
+    res = run_step(p, HPMode.EXACT, state)
+    conditions = [Propagator(s.h).condition for s in _model(p, HPMode.EXACT, state)]
+    assert len(conditions) == 2
+    assert res.diagnostics.propagator_method == "eig"
+    assert res.diagnostics.eigvec_condition == max(conditions)
+    monkeypatch.setattr(linalg, "EIGBASIS_MAX_CONDITION", 0.0)
+    fallback = run_step(p, HPMode.EXACT, state)
+    assert fallback.diagnostics.propagator_method == "expm"
+    assert fallback.diagnostics.eigvec_condition == max(conditions)
+    assert abs(fallback.p_success - res.p_success) <= 1e-12
+    for name, loss in res.diagnostics.channel_losses.items():
+        assert abs(fallback.diagnostics.channel_losses[name] - loss) <= 1e-12, name
+    assert abs(fallback.diagnostics.bookkeeping_total(fallback.p_success) - 1.0) <= 1e-9
 
 
 def test_step_bookkeeping_sums_to_one():
