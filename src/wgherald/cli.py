@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--jsonl", action="store_true",
                              help="emit JSON lines instead of CSV")
     subs.choices["sweep"].add_argument("--jobs", type=int, default=None,
-                                       help="worker processes")
+                                       help="processes evaluating points, this one included")
     subs.choices["bandgap"].add_argument(
         "--profile-out", default=None,
         help="write the per-atom intensity/phase profile at the optimum here")

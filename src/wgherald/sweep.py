@@ -6,9 +6,9 @@ selector.  TABLE is the one place that says which (protocol, variant) pairs
 exist, which parameters and modes each reads, how it runs and which closed
 form its row reports; a spec that sets anything its entry ignores is
 rejected.  Points are enumerated lexicographically over the axes in the order
-given, evaluated independently (optionally on a process pool), and written as
-CSV or JSON lines with one row per point.  Rows that fail are recorded in the
-`error` column and the sweep continues.
+given, evaluated independently (on `jobs` processes, this one included), and
+written as CSV or JSON lines with one row per point.  Rows that fail are
+recorded in the `error` column and the sweep continues.
 
 Everything evaluated here is deterministic, so identical specs produce
 byte-identical outputs apart from the wall-time column.
@@ -20,10 +20,12 @@ import itertools
 import json
 import math
 import numbers
+import os
+import pickle
+import signal
 import sys
 import time
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -242,6 +244,8 @@ class SweepSpec:
         out, jobs, jsonl = (overrides.get(k, cfg.get(k, d)) for k, d in _OPTIONS.items())
         if not (_is_int(jobs) and jobs >= 1):
             raise SweepConfigError(f"jobs must be a positive integer, not {jobs!r}")
+        if jobs > 1 and not hasattr(os, "fork"):
+            raise SweepConfigError("jobs > 1 needs os.fork, which this platform lacks")
         if not (out is None or isinstance(out, str)):
             raise SweepConfigError(f"out must be a path, not {out!r}")
         if not isinstance(jsonl, bool):
@@ -290,12 +294,59 @@ def _evaluate(point: dict, record_errors: bool) -> dict:
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate all points, serially or on a process pool, in axis order."""
+    """Evaluate all points on min(jobs, points) processes and return the rows
+    in axis order.  Point i runs in process i mod jobs: process 0 is this one,
+    and each other is an `os.fork` child that pickles its rows to a pipe.  A
+    child that dies or sends unreadable rows raises RuntimeError; on any
+    exception the children still running are killed and reaped."""
     points = spec.points()
-    if spec.jobs > 1 and len(points) > 1:
-        with Pool(spec.jobs) as pool:
-            return pool.map(evaluate_point, points)
-    return [evaluate_point(pt) for pt in points]
+    jobs = min(spec.jobs, len(points))
+    rows = [None] * len(points)
+    workers = []  # (index, pid, read end) of each child not yet reaped
+    try:
+        for k in range(1, jobs):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(points[k::jobs], write, [read, *(p.fileno() for _, _, p in workers)])
+            os.close(write)
+            workers.append((k, pid, os.fdopen(read, "rb")))
+        rows[0::jobs] = [evaluate_point(pt) for pt in points[0::jobs]]
+        while workers:
+            k, pid, pipe = workers[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            name = f"sweep worker {k} (pid {pid})"
+            if code:
+                raise RuntimeError(f"{name} " + (f"was killed by signal {-code}" if code < 0
+                                                 else f"exited with status {code}"))
+            try:
+                rows[k::jobs] = pickle.loads(data)
+            except (pickle.UnpicklingError, EOFError, ValueError) as exc:  # truncated, or short
+                raise RuntimeError(f"{name} sent unreadable rows: {exc!r}") from exc
+    finally:
+        for _, pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return rows
+
+
+def _worker(points: list[dict], write: int, read_ends: list[int]) -> None:
+    """Body of a forked child: close the pipes' read ends, send the rows of
+    `points` through `write` and leave by `os._exit`, so that the parent's
+    stdio buffers are not flushed and its atexit handlers not run twice."""
+    code = 1
+    try:
+        for fd in read_ends:
+            os.close(fd)
+        with os.fdopen(write, "wb") as fh:
+            pickle.dump([evaluate_point(pt) for pt in points], fh)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _format_cell(value) -> str:

@@ -145,14 +145,15 @@ def sweep_config(tmp_path, **extra):
 def test_sweep_deterministic_and_parallel_equal(tmp_path, capsys):
     cfg = sweep_config(tmp_path)
     outs = []
-    for i, jobs in enumerate(("1", "1", "2")):
+    # jobs 5 is more processes than the 4 points: one child per other point
+    for i, jobs in enumerate(("1", "1", "2", "3", "5")):
         out_path = tmp_path / f"out{i}.csv"
         code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg),
                              "--out", str(out_path), "--jobs", jobs)
         assert code == 0
         outs.append(out_path.read_text())
-    assert strip_wall_time(outs[0]) == strip_wall_time(outs[1])
-    assert strip_wall_time(outs[0]) == strip_wall_time(outs[2])
+    for out in outs[1:]:
+        assert strip_wall_time(out) == strip_wall_time(outs[0])
     rows = parse_csv(outs[0])
     assert len(rows) == 4
     assert [(r["N"], r["m"]) for r in rows] == [("100", "1"), ("100", "2"),
