@@ -168,7 +168,7 @@ def _cmd_point(args) -> int:
 
     if args.profile_out:
         plines = ["n,z,intensity,phase"]
-        for i, z in enumerate(params.target_positions):
+        for i, z in enumerate(range(1, params.N + 1)):  # target n sits at site z = n
             plines.append(f"{i + 1},{z},{rec.intensity[i]:.12g},{rec.phase[i]:.12g}")
         write_text("\n".join(plines) + "\n", args.profile_out)
 

@@ -2,15 +2,18 @@
 operators on the full tensor-product space, and the reference quantities the
 tests check the package against (decay generator, excitation number, the
 drive terms, the signed mirror swap, the ideal-limit bandgap chain, a
-straight-line fit).
+straight-line fit, a Chebyshev propagator).
 
 These deliberately share no code with the package internals: states are
 base-3 integer configurations, collective operators are sums of sparse
-single-atom flips, and symmetric states are explicit permutation sums.  The
-one exception is `full_basis_step`, which runs a step on the unreduced exact
+single-atom flips, and symmetric states are explicit permutation sums.  There
+are two exceptions.  `full_basis_step` runs a step on the unreduced exact
 basis with the package's own model and propagator, as the reference for its
 parity-sector steps; its losses come from `eigenbasis_integral`, one
 operator at a time, not from the package's integrated density.
+`dense_lanczos` is the bandgap Lanczos loop on the dense Hamiltonian with the
+full stopping bound at every step, sharing the package's bound quadrature,
+as the reference for the step count of the matrix-free transfer.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sparse
+from scipy.special import jv
 
 LEVELS = {"g": 0, "e": 1, "s": 2}
 
@@ -163,6 +168,63 @@ def ideal_bandgap_chain(p):
     if p.gamma_star > 0:
         h -= 0.5j * p.gamma_star * np.eye(h.shape[0])
     return h
+
+
+def dense_lanczos(h, dt, n_grid):
+    """The bandgap transfer's Lanczos loop on a dense real symmetric h, with
+    the full Hochbruck-Lubich bound evaluated at every step and
+    `scipy.linalg.eigh_tridiagonal` for the Ritz pairs.  Returns the basis
+    Q S, the Ritz values, the step count k and the bound reached.
+    """
+    from wgherald.bandgap import KRYLOV_MAX_ERROR, _phase_sum
+
+    n = h.shape[0]
+    q = np.zeros((n, n))
+    q[0, 0] = 1.0
+    alpha, beta = [], []
+    for j in range(n):
+        w = h @ q[j]
+        alpha.append(q[j] @ w)
+        for _ in range(2):
+            w -= (q[:j + 1] @ w) @ q[:j + 1]
+        b = math.sqrt(w @ w)
+        theta, s = scipy.linalg.eigh_tridiagonal(np.array(alpha), np.array(beta))
+        defect = np.abs(_phase_sum(theta, s[-1] * s[0], dt, n_grid))
+        bound = b * dt * (defect.sum() - 0.5 * (defect[0] + defect[-1]))
+        if bound <= KRYLOV_MAX_ERROR or j + 1 == n:
+            return q[:j + 1].T @ s, theta, j + 1, bound
+        beta.append(b)
+        q[j + 1] = w / b
+
+
+def chebyshev_propagate(apply, lo, hi, v, t, tol=1e-18):
+    """e^{-iHt} v for a real symmetric H with spectrum inside [lo, hi], given
+    as its product `apply` on real vectors (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81, 3967 (1984)).
+
+    With c and r the centre and half-width of [lo, hi],
+    e^{-iHt} = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k((H - c) / r),
+    the T_k v by the three-term recurrence.  The series stops once k > rt and
+    |J_k(rt)| < tol, where the Bessel factors fall off faster than
+    exponentially.
+    """
+    c, r = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    a = r * t
+
+    def scaled(x):
+        return (apply(x.real) + 1j * apply(x.imag) - c * x) / r
+
+    prev = np.asarray(v, dtype=complex)
+    cur = scaled(prev)
+    out = jv(0, a) * prev - 2j * jv(1, a) * cur
+    k = 1
+    while True:
+        k += 1
+        prev, cur = cur, 2 * scaled(cur) - prev
+        coef = jv(k, a)
+        out += 2 * (1, -1j, -1, 1j)[k % 4] * coef * cur  # (-i)^k
+        if k > a and abs(coef) < tol:
+            return np.exp(-1j * c * t) * out
 
 
 def linear_regression_r2(x, y) -> tuple[float, float, float]:

@@ -34,8 +34,7 @@ PARAMETERS = {
 # step adds to a segment's generator, so no params field carries one.
 FIELDS = {
     wgherald.DissipativeParams: ["N", "m", "gamma_g", "gamma_s", "gamma_star"],
-    wgherald.BandgapParams: ["N", "xi", "m", "gamma_g", "gamma_star", "source_position",
-                             "target_positions"],
+    wgherald.BandgapParams: ["N", "xi", "m", "gamma_g", "gamma_star"],
 }
 
 

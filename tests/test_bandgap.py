@@ -1,6 +1,7 @@
 """Finite-range bandgap model: Hamiltonian structure, transfer, scalings."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ideal_bandgap_chain
+from oracles import chebyshev_propagate, dense_lanczos, ideal_bandgap_chain
 from wgherald.bandgap import (
     KRYLOV_MAX_ERROR,
     BandgapParams,
     TransferWindowError,
+    _products,
     build_H_bandgap,
     compensate,
     ideal_step_probability,
@@ -30,14 +32,10 @@ def test_params_validation():
         BandgapParams(N=10, xi=0.0)
     with pytest.raises(ValueError):
         BandgapParams(N=3, m=5, xi=10.0)
-    with pytest.raises(ValueError):
-        BandgapParams(N=2, xi=10.0, target_positions=(1, 1))
     for rates in ({"gamma_g": 0.0}, {"gamma_g": math.inf}, {"gamma_star": -0.2},
                   {"gamma_star": math.nan}, {"gamma_star": math.inf}):
         with pytest.raises(ValueError):
             BandgapParams(N=10, xi=10.0, **rates)
-    p = BandgapParams(N=4, xi=10.0)
-    assert p.target_positions == (1, 2, 3, 4)
 
 
 def test_two_site_coupling():
@@ -137,9 +135,7 @@ def test_transfer_infidelity_matches_direct_eigensolution():
 
 
 @pytest.mark.parametrize("p", [
-    *(BandgapParams(N=n, xi=n * ratio) for n in (1, 2, 5, 40, 300, 600) for ratio in (0.5, 8)),
-    BandgapParams(N=12, xi=30.0, source_position=3,
-                  target_positions=(1, 2, 4, 7, 8, 9, 15, 16, 20, -3, -5, -6)),
+    BandgapParams(N=n, xi=n * ratio) for n in (1, 2, 5, 40, 300, 600) for ratio in (0.5, 8)
 ], ids=lambda p: f"N{p.N}-xi{p.xi:g}")
 def test_transfer_matches_dense_eigensolution(p):
     # the Krylov transfer against a full eigendecomposition of the same real
@@ -169,6 +165,78 @@ def test_transfer_matches_dense_eigensolution(p):
     assert abs(rec.optimal_time - t_opt) <= tol
     assert 1 <= rec.krylov_steps <= p.N + 1
     assert 0.0 <= rec.error_bound <= KRYLOV_MAX_ERROR
+
+
+@pytest.mark.parametrize("n", [1, 2, 600])
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 8.0, 8e3])
+def test_products_match_dense_kernel(n, ratio):
+    # the O(N) Kac-Murdock-Szego products against the dense reference
+    p = BandgapParams(N=n, xi=n * ratio)
+    kernel, hamiltonian = _products(p)
+    h = build_H_bandgap(p)
+    hc = compensate(h, p)
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n + 1), np.ones(n + 1)):
+        want = h @ x
+        assert np.abs(kernel(x) - want).max() <= 1e-13 * np.abs(want).max()
+        # compensation cancels: measure against the size of the terms
+        scale = (np.abs(hc) @ np.abs(x)).max()
+        assert np.abs(hamiltonian(x) - hc @ x).max() <= 1e-13 * scale
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), ratio=st.floats(0.5, 8.0))
+def test_krylov_steps_match_full_bound_at_every_step(n, ratio):
+    # skipping the full bound where its partial sum already fails must stop
+    # at the step the dense loop with the full bound at every step stops at
+    p = BandgapParams(N=n, xi=n * ratio)
+    rec = run_transfer(p)
+    n_grid = len(rec.times)
+    dt = 10 * math.pi / p.coupling / (n_grid - 1)
+    _, _, steps, _ = dense_lanczos(compensate(build_H_bandgap(p), p), dt, n_grid)
+    assert rec.krylov_steps == steps
+    assert rec.error_bound <= KRYLOV_MAX_ERROR
+
+
+def test_transfer_memory_is_linear_in_n():
+    # one dense (N+1)^2 kernel would be 72 MB here
+    p = BandgapParams(N=3000, xi=3000.0)
+    tracemalloc.start()
+    try:
+        run_transfer(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
+@pytest.mark.parametrize("ratio", [0.5, 8.0])
+def test_transfer_matches_chebyshev_oracle_at_large_n(ratio):
+    n = 10**4
+    p = BandgapParams(N=n, xi=n * ratio)
+    rec = run_transfer(p)
+    kernel, hamiltonian = _products(p)
+    # Gershgorin on the positive kernel: its spectrum lies in (0, max row
+    # sum], and compensation subtracts a diagonal in [0, max(shift, unit)]
+    unit = p.gamma_g / (2 * p.xi)
+    target = np.ones(n + 1)
+    target[0] = 0.0
+    lo = -max(target @ kernel(target) / n, unit)
+    hi = kernel(np.ones(n + 1)).max()
+
+    t_opt = rec.optimal_time
+    scan = [int(np.searchsorted(rec.times, f * t_opt)) for f in (0.5, 1.0, 2.0)]
+    stops = sorted([(rec.times[i], i) for i in scan] + [(t_opt, None)], key=lambda s: s[0])
+    psi = np.zeros(n + 1, dtype=complex)
+    psi[0] = 1.0
+    t = 0.0
+    for t_next, i in stops:
+        psi = chebyshev_propagate(hamiltonian, lo, hi, psi, t_next - t)
+        t = t_next
+        if i is None:
+            assert np.abs(rec.amplitudes - psi[1:]).max() <= 1e-12
+        else:
+            assert abs(rec.target_population[i] - (1.0 - abs(psi[0]) ** 2)) <= 1e-12
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
