@@ -181,6 +181,22 @@ def build_basis(N: int, m: int, mode: HPMode, with_drive: bool = False,
     return BasisSet(tuple(chain), mode, N, m, with_drive)
 
 
+def stage_frame(basis: BasisSet) -> np.ndarray:
+    """The stage-parity frame of a basis: 1j on odd stages, 1 on even ones.
+
+    Each reachable label holds one excitation at a stage: s 0, e 1, target
+    excited (g, detector none) 2, detector excited 3, heralded 4.  Every
+    coherent term of the model (exchange, detector loading, both unit drives)
+    moves it one stage with a real amplitude, and every channel's O^dag O
+    keeps it in its stage with real amplitudes, on a parity sector too.  So
+    H = A - (i/2) D with A and D real, and with T = diag(frame),
+    T^-1 (-iH) T = T^-1 (-iA) T - D/2 is exactly real: `linalg.Propagator`
+    diagonalizes that real matrix.
+    """
+    return np.array([1j if lbl.source_level == "e" or lbl.detector == DET_EXCITED else 1.0
+                     for lbl in basis.labels], dtype=complex)
+
+
 def mirror_image(which: str, k: int, l: int, N: int) -> tuple[int, int, float] | None:
     """Bosonized per-mirror collective operator S_which on |k, l> (N atoms).
 

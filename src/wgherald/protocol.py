@@ -40,6 +40,7 @@ from .basis import (
     goal_amplitudes,
     goal_state,
     matrix_from_action,
+    stage_frame,
     storage_labels,
 )
 from .dissipative import (
@@ -157,13 +158,15 @@ def _herald_index(basis: BasisSet) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class _Sector:
     """One mirror-parity sector of a step: its basis, the folded input, the
-    channels, the undriven no-jump generator and the herald positions and
-    weights."""
+    channels, the undriven no-jump generator, its stage-parity frame (which
+    every segment's Propagator takes, drives included) and the herald
+    positions and weights."""
 
     basis: BasisSet
     psi0: np.ndarray
     channels: list[JumpChannel]
     h: np.ndarray
+    frame: np.ndarray
     idx: np.ndarray
     weights: np.ndarray
 
@@ -202,7 +205,8 @@ def _model(p: DissipativeParams, mode: HPMode,
         psi0 = _embed_input(basis, input_target_state)
         channels = build_jump_operators(p, basis) if decay else []
         h = no_jump_generator(build_H_coherent(p, basis), channels)
-        sectors.append(_Sector(basis, psi0, channels, h, *_herald_index(basis)))
+        sectors.append(_Sector(basis, psi0, channels, h, stage_frame(basis),
+                               *_herald_index(basis)))
     return sectors
 
 
@@ -265,7 +269,7 @@ def run_step(
     if T is None:
         T = optimal_time(p)
     sectors = _model(p, mode, input_target_state)
-    return _evolve_segments(sectors, [[(Propagator(s.h), T)] for s in sectors], T)
+    return _evolve_segments(sectors, [[(Propagator(s.h, s.frame), T)] for s in sectors], T)
 
 
 def run_step_fixed_ratio(
@@ -319,7 +323,7 @@ def run_step_continuous_drive(
     (sector,) = _model(p, HPMode.APPROX, decay=not zero_decay, with_drive=True)
     psi0, idx = sector.psi0, sector.idx
     src, det = _drives(sector.basis)
-    prop = Propagator(sector.h + (omega / 2) * (src + det))
+    prop = Propagator(sector.h + (omega / 2) * (src + det), sector.frame)
 
     if T is None:
         if default_omega:
@@ -362,9 +366,9 @@ def run_step_pulsed(
     src, det = _drives(sector.basis)
     t_pulse = math.pi / omega_pulse
     segments = [
-        (Propagator(sector.h + (omega_pulse / 2) * src), t_pulse),
-        (Propagator(sector.h), T),
-        (Propagator(sector.h + (omega_pulse / 2) * det), t_pulse),
+        (Propagator(sector.h + (omega_pulse / 2) * src, sector.frame), t_pulse),
+        (Propagator(sector.h, sector.frame), T),
+        (Propagator(sector.h + (omega_pulse / 2) * det, sector.frame), t_pulse),
     ]
     return _evolve_segments([sector], [segments], T)
 
@@ -396,7 +400,7 @@ def run_accumulation(
         if refine_T:
             # the kept step evolves on the model the search built
             sectors = _model(p, mode, state)
-            props = [Propagator(s.h) for s in sectors]
+            props = [Propagator(s.h, s.frame) for s in sectors]
             T = golden_section_max(
                 lambda t: sum(norm_sq(s.heralded(prop.apply(t, s.psi0)))
                               for s, prop in zip(sectors, props)),

@@ -15,13 +15,15 @@ from oracles import (
     excitation_number_operator,
     mirror_swap_matrix,
 )
-from wgherald.basis import HPMode, build_basis
+from wgherald.basis import HPMode, build_basis, matrix_from_action, stage_frame
 from wgherald.dissipative import (
     DissipativeParams,
     build_H_coherent,
     build_H_nh,
     build_jump_operators,
     optimal_time,
+    readout_drive,
+    source_drive,
 )
 from wgherald.protocol import _embed_input, run_step_continuous_drive
 
@@ -219,3 +221,33 @@ def test_mirror_swap_commutes_with_the_model(n, data, gamma_g, gamma_s, gamma_st
         assert np.array_equal(swap @ ch.opdag_op, ch.opdag_op @ swap), ch.name
     psi0 = _embed_input(basis, None)
     assert np.array_equal(swap @ psi0, (-1.0) ** (m - 1) * psi0)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 1000),
+    data=st.data(),
+    p1d=st.one_of(st.just(math.inf), st.floats(1.0, 100.0)),
+    gamma_s=st.floats(0.0, 10.0),
+    parity=st.sampled_from([None, 1, -1]),
+    omega=st.floats(1e-3, 1e4),
+)
+def test_stage_frame_makes_the_generator_exactly_real(n, data, p1d, gamma_s, parity, omega):
+    # the premise of the real eig: with T = diag(stage_frame), T^-1 (-iH) T
+    # has an imaginary part of exactly zero on every exact basis and sector,
+    # on the 3-state chain and on the driven chain under either drive
+    m = data.draw(st.integers(1, min(n, 40)), label="m")
+    p = DissipativeParams.from_purcell(n, m, p1d, gamma_s=gamma_s)
+    exact = build_basis(n, m, HPMode.EXACT, parity=parity)
+    chain = build_basis(n, m, HPMode.APPROX)
+    driven = build_basis(n, m, HPMode.APPROX, with_drive=True)
+    h_driven = build_H_nh(p, driven)
+    src = matrix_from_action(driven, source_drive).matrix
+    det = matrix_from_action(driven, readout_drive).matrix
+    cases = [(exact, build_H_nh(p, exact)), (chain, build_H_nh(p, chain)),
+             (driven, h_driven + (omega / 2) * src), (driven, h_driven + (omega / 2) * det),
+             (driven, build_H_coherent(p, driven) + (omega / 2) * (src + det))]
+    for basis, h in cases:
+        frame = stage_frame(basis)
+        g = (-1j * h) * (frame[None, :] / frame[:, None])
+        assert np.array_equal(g.imag, np.zeros(h.shape))

@@ -8,6 +8,7 @@ import scipy.integrate
 import scipy.linalg
 
 from oracles import decay_generator_max_eig, rk4_evolve
+from wgherald import linalg
 from wgherald.linalg import (
     EIGBASIS_MAX_CONDITION,
     SIMPSON_POINTS,
@@ -267,6 +268,73 @@ def test_dimension_and_finiteness_errors():
     for h in (1000j * np.eye(2), 1000j * np.eye(2) + jordan):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
             Propagator(h).population([0.0, 1.0], np.ones(2), [0])
+
+
+def _chain(n=500, gamma=1.0, gamma_star=0.1):
+    # the 3-state chain e -> target excited -> detector excited, whose
+    # stage-parity frame is [1j, 1, 1j]
+    g = np.sqrt(2 * n) * gamma / 2
+    return np.array([[-0.5j * (gamma + gamma_star), g, 0],
+                     [g, -0.5j * (gamma + gamma_star), g],
+                     [0, g, -0.5j * gamma_star]], dtype=complex)
+
+
+def _eig_inputs(monkeypatch):
+    # record whether each eig that linalg runs gets a complex array
+    seen, eig = [], np.linalg.eig
+    monkeypatch.setattr(linalg.np.linalg, "eig",
+                        lambda a: seen.append(np.iscomplexobj(a)) or eig(a))
+    return seen
+
+
+def test_real_frame_path_matches_the_complex_eig(monkeypatch):
+    h = _chain()
+    frame = np.array([1j, 1.0, 1j])
+    seen = _eig_inputs(monkeypatch)
+    prop = Propagator(h, frame)
+    assert seen == [False] and prop.method == "eig"
+    ref = Propagator(h)
+    assert seen == [False, True]
+    v0 = random_state(np.random.default_rng(4), 3)
+    t = np.sqrt(2) * np.pi / np.sqrt(1000)
+    ops = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0]), np.eye(3)]
+    assert np.abs(prop.apply(t, v0) - ref.apply(t, v0)).max() <= 1e-12
+    times = np.linspace(0.0, 2 * t, 300)
+    assert np.abs(prop.population(times, v0, [2]) - ref.population(times, v0, [2])).max() <= 1e-12
+    assert np.abs(prop.integrated_expectation(ops, t, v0)
+                  - ref.integrated_expectation(ops, t, v0)).max() <= 1e-12
+    assert abs(prop.condition - ref.condition) <= 1e-12 * ref.condition
+    expm = scipy.linalg.expm(-1j * h * t) @ v0
+    assert np.abs(prop.apply(t, v0) - expm).max() <= 1e-12
+    with pytest.raises(DimensionError):
+        Propagator(h, frame[:2])
+
+
+def test_frame_leaving_an_imaginary_part_falls_through(monkeypatch):
+    # a real detuning on one diagonal entry, or a random complex H, leaves
+    # T^-1 (-iH) T complex: the complex eig of H runs and matches expm
+    rng = np.random.default_rng(9)
+    detuned = _chain()
+    detuned[1, 1] += 0.3
+    seen = _eig_inputs(monkeypatch)
+    for h, frame in ((detuned, np.array([1j, 1.0, 1j])),
+                     (random_decaying_h(rng, 6), np.array([1, 1j, 1, 1j, -1, -1j]))):
+        prop = Propagator(h, frame)
+        assert seen.pop() and prop.method == "eig"
+        v0 = random_state(rng, h.shape[0])
+        ref = scipy.linalg.expm(-1j * h * 0.8) @ v0
+        assert np.abs(prop.apply(0.8, v0) - ref).max() <= 1e-12
+
+
+def test_expm_fallback_still_triggers_with_a_frame(monkeypatch):
+    monkeypatch.setattr(linalg, "EIGBASIS_MAX_CONDITION", 0.0)
+    h = _chain()
+    prop = Propagator(h, np.array([1j, 1.0, 1j]))
+    assert prop.method == "expm"
+    v0 = random_state(np.random.default_rng(6), 3)
+    t = np.sqrt(2) * np.pi / np.sqrt(1000)
+    ref = scipy.linalg.expm(-1j * h * t) @ v0
+    assert np.abs(prop.apply(t, v0) - ref).max() <= 1e-14
 
 
 def test_golden_section_max():

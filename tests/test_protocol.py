@@ -135,7 +135,8 @@ def test_step_diagnostics_report_the_worst_propagator(monkeypatch):
     p = DissipativeParams.from_purcell(200, 3, 10.0)
     state = _mixed_parity_input(3)
     res = run_step(p, HPMode.EXACT, state)
-    conditions = [Propagator(s.h).condition for s in _model(p, HPMode.EXACT, state)]
+    conditions = [Propagator(s.h, s.frame).condition
+                  for s in _model(p, HPMode.EXACT, state)]
     assert len(conditions) == 2
     assert res.diagnostics.propagator_method == "eig"
     assert res.diagnostics.eigvec_condition == max(conditions)
@@ -147,6 +148,66 @@ def test_step_diagnostics_report_the_worst_propagator(monkeypatch):
     for name, loss in res.diagnostics.channel_losses.items():
         assert abs(fallback.diagnostics.channel_losses[name] - loss) <= 1e-12, name
     assert abs(fallback.diagnostics.bookkeeping_total(fallback.p_success) - 1.0) <= 1e-9
+
+
+def _step_generators():
+    # (generator, frame, channel products, time, herald index) of every step
+    # kind: exact sectors of both parities up to m = 40, the 3-state chain,
+    # the driven 5-state chain under each drive and without decay
+    cases = []
+    for n, m, p1d in ((100, 1, 10.0), (300, 2, 5.0), (500, 7, math.inf), (1000, 40, 10.0)):
+        p = DissipativeParams.from_purcell(n, m, p1d)
+        state = _mixed_parity_input(m) if m > 1 else None
+        cases += [(s.h, s.frame, s.channels, optimal_time(p), s.idx)
+                  for s in _model(p, HPMode.EXACT, state)]
+    p = DissipativeParams.from_purcell(400, 3, 10.0)
+    (chain,) = _model(p, HPMode.APPROX)
+    cases.append((chain.h, chain.frame, chain.channels, optimal_time(p), chain.idx))
+    omega = math.sqrt(2.0 / 3.0) * math.sqrt(800)
+    for decay in (True, False):
+        (s,) = _model(p, HPMode.APPROX, decay=decay, with_drive=True)
+        src, det = protocol._drives(s.basis)
+        for drive, t in ((0, optimal_time(p)), (src, math.pi / (20 * omega)),
+                         (det, math.pi / (20 * omega)), (src + det, 2 * math.pi / omega)):
+            cases.append((s.h + (omega / 2) * drive, s.frame, s.channels, t, s.idx))
+    return cases
+
+
+def test_frame_path_matches_frameless_path_on_every_step_generator():
+    rng = np.random.default_rng(14)
+    cases = _step_generators()
+    assert len(cases) == 16
+    for h, frame, channels, t, idx in cases:
+        prop, ref = Propagator(h, frame), Propagator(h)
+        assert prop.method == ref.method == "eig"
+        v0 = rng.normal(size=(h.shape[0], 2)) @ [1.0, 1.0j]
+        v0 /= math.sqrt(norm_sq(v0))
+        assert np.abs(prop.apply(t, v0) - ref.apply(t, v0)).max() <= 1e-12
+        times = np.linspace(0.0, 2 * t, 200)
+        assert np.abs(prop.population(times, v0, idx)
+                      - ref.population(times, v0, idx)).max() <= 1e-12
+        ops = [ch.opdag_op for ch in channels] + [np.eye(h.shape[0])]
+        assert np.abs(prop.integrated_expectation(ops, t, v0)
+                      - ref.integrated_expectation(ops, t, v0)).max() <= 1e-12
+
+
+def test_every_step_kind_diagonalizes_a_real_matrix(monkeypatch):
+    # each step's eig runs on the real generator in its stage-parity frame
+    seen, eig = [], np.linalg.eig
+    monkeypatch.setattr(linalg.np.linalg, "eig",
+                        lambda a: seen.append(np.iscomplexobj(a)) or eig(a))
+    run_accumulation(1000, 40)
+    run_accumulation(150, 4, 10.0, refine_T=True)
+    run_step(DissipativeParams.from_purcell(300, 2, 10.0), HPMode.APPROX)
+    run_step(DissipativeParams.from_purcell(200, 3, 10.0), HPMode.EXACT, _mixed_parity_input(3))
+    run_step_fixed_ratio(300, 2, 10.0, HPMode.EXACT)
+    run_step_fresh_level(300, 10.0)
+    run_step_continuous_drive(300, 2, 10.0)
+    run_step_continuous_drive(300, 2, 10.0, omega=20.0)
+    run_step_continuous_drive(300, 2, 10.0, zero_decay=True)
+    run_step_pulsed(300, 2, 10.0, omega_pulse=200.0)
+    assert len(seen) == 40 + 4 + 1 + 2 + 1 + 1 + 3 + 3
+    assert not any(seen)
 
 
 def test_step_bookkeeping_sums_to_one():
