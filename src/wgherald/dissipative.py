@@ -21,7 +21,7 @@ assemble the model on either mirror-parity sector.
 
 A model is undriven: the unit-strength loading and readout drives
 (`source_drive`, `readout_drive`) are rules a protocol step scales and adds to
-a segment's generator.
+its generator.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ no-jump generators, the decomposition is taken on that real matrix (LAPACK's
 real eig, about a third of the cost of the complex one at dimension 81).  The
 conditioning test is the Frobenius bound kappa_F = ||V||_F ||V^-1||_F >=
 kappa_2 on the inverse the eigenbasis needs anyway, so no SVD is taken.  Loss bookkeeping integrates one
-density R = integral psi psi^dag ds per segment and reads every channel's
+density R = integral psi psi^dag ds per evolution and reads every channel's
 integral off it.
 
 Conventions: hbar = 1, all rates in units of the reference guided-mode decay
@@ -170,8 +170,9 @@ class Propagator:
         Every integral reads the one density R = integral_0^t psi psi^dag ds
         as sum_ij M_ij R_ji.  In the eigenbasis R = A F^T A^dag in closed
         form, with A = V diag(V^-1 v0) and F the integrals of the pairwise
-        exponentials; the expm fallback sums psi psi^dag with composite
-        Simpson weights on a fine uniform grid.
+        exponentials, expm1(i mu t) / (i mu) for mu = conj(lambda_a) -
+        lambda_b (t where mu = 0); the expm fallback sums psi psi^dag with
+        composite Simpson weights on a fine uniform grid.
         """
         ops = [as_operator(m) for m in ops]
         v0 = as_state(v0)
@@ -191,14 +192,8 @@ class Propagator:
             return (psis.T * simpson_weights(t, SIMPSON_POINTS)) @ psis.conj()
         a = self.eigvecs * (self._vinv @ v0)
         mu = np.conj(self.eigvals)[:, None] - self.eigvals[None, :]
-        scale = max(1.0, float(np.abs(self.eigvals).max()))
-        small = np.abs(mu) * t < 1e-8 * scale * max(t, 1.0)
-        mu_safe = np.where(small, 1.0, mu)
-        factors = np.where(
-            small,
-            t * (1.0 + 0.5j * mu * t),
-            (np.exp(1j * mu_safe * t) - 1.0) / (1j * mu_safe),
-        )
+        zero = mu == 0
+        factors = np.where(zero, t, np.expm1(1j * mu * t) / (1j * np.where(zero, 1.0, mu)))
         return a @ factors.T @ a.conj().T
 
 

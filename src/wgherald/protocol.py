@@ -6,16 +6,15 @@ level, and herald on finding it there.  The heralding probability is the
 squared norm of the projected state; failures are handled analytically (the
 protocol restarts on failure, so jump branches are never propagated).
 
-Every step builds its undriven model in `_model`.  In the exact
-representation the model commutes with the signed mirror swap, so a step
-evolves only the mirror-parity sectors its input occupies and adds up their
-losses and heralded amplitudes.  The parity is read off the input before any
-basis is built: the swap reverses the storage amplitudes, so an input equal
-to its reversal lies in P = +1, one equal to minus its reversal in P = -1
-(the input of step m is a parity eigenstate, so one sector), and any other
-input occupies both.  A drive is a term of a segment's generator:
-(omega/2)(source + readout drive) for the continuous drive, one drive per
-segment for the finite pulses.
+Every step builds its undriven model in `_model` and evolves it under one
+`Propagator` in `_evolve`.  A drive is a term of that propagator's
+generator: (omega/2)(source + readout drive) for the continuous drive.  In
+the exact representation the model commutes with the signed mirror swap, so
+the input of step m, a parity eigenstate, evolves in its mirror-parity
+sector alone.  The parity is read off the input before any basis is built:
+the swap reverses the storage amplitudes, so an input equal to its reversal
+lies in P = +1 and one equal to minus its reversal in P = -1.  Any other
+input evolves on the full 4m+1 basis.
 
 After a successful herald the source and detector are in definite states, so
 the reduction to the target ensemble is an amplitude relabeling onto the
@@ -66,10 +65,10 @@ class ProtocolError(ValueError):
 class StepDiagnostics:
     """Norm bookkeeping for one step: p + losses + residual should be 1.
 
-    propagator_method is "expm" if any segment of any sector fell back from
-    the eigenbasis, else "eig"; eigvec_condition is the largest eigenvector
-    condition number (the Frobenius bound of `Propagator.condition`) over
-    the sectors and segments.
+    propagator_method is the step's `Propagator.method` ("eig", or "expm"
+    when it fell back from the eigenbasis) and eigvec_condition its
+    eigenvector condition number (the Frobenius bound
+    `Propagator.condition`).
     """
 
     channel_losses: dict[str, float] = field(default_factory=dict)
@@ -156,11 +155,15 @@ def _herald_index(basis: BasisSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class _Sector:
-    """One mirror-parity sector of a step: its basis, the folded input, the
-    channels, the undriven no-jump generator, its stage-parity frame (which
-    every segment's Propagator takes, drives included) and the herald
-    positions and weights."""
+class _Model:
+    """The model a step evolves: its basis, the folded input, the channels,
+    the undriven no-jump generator, its stage-parity frame (which the step's
+    Propagator takes, drive included) and the herald positions and weights.
+
+    In EXACT mode the basis is the mirror-parity sector of a parity
+    eigenstate input and the full 4m+1 basis of a mixed one; in APPROX mode
+    it is the chain.
+    """
 
     basis: BasisSet
     psi0: np.ndarray
@@ -171,87 +174,63 @@ class _Sector:
     weights: np.ndarray
 
     def heralded(self, psi: np.ndarray) -> np.ndarray:
-        """Heralded amplitudes of a sector state, unfolded to storage order."""
+        """Heralded amplitudes of a model state, unfolded to storage order."""
         return self.weights * psi[self.idx]
 
 
-def _parities(p: DissipativeParams, mode: HPMode,
-              input_target_state: np.ndarray | None) -> tuple:
-    """The mirror-parity sectors an input occupies, read off its storage
-    amplitudes a: the swap maps them to a[::-1], so a == a[::-1] is P = +1
-    alone and a == -a[::-1] is P = -1 alone.  APPROX mode has one chain."""
+def _parity(p: DissipativeParams, mode: HPMode,
+            input_target_state: np.ndarray | None) -> int | None:
+    """The mirror parity of an input, read off its storage amplitudes a: the
+    swap maps them to a[::-1], so a == a[::-1] is P = +1 and a == -a[::-1]
+    is P = -1.  None for a mixed input and in APPROX mode."""
     if mode != HPMode.EXACT:
-        return (None,)
+        return None
     if input_target_state is None:
         a = goal_amplitudes(p.m - 1)
     else:
         a = np.asarray(input_target_state, dtype=complex)
     if np.array_equal(a, a[::-1]):
-        return (1,)
+        return 1
     if np.array_equal(a, -a[::-1]):
-        return (-1,)
-    return (1, -1)
+        return -1
+    return None
 
 
 def _model(p: DissipativeParams, mode: HPMode,
            input_target_state: np.ndarray | None = None, decay: bool = True,
-           with_drive: bool = False) -> list[_Sector]:
-    """The sectors of a step of p that its input occupies: one or both
-    mirror-parity sectors in EXACT mode, the single chain in APPROX mode.
+           with_drive: bool = False) -> _Model:
+    """The undriven model of a step of p on the basis its input needs.
     decay=False drops every channel."""
-    sectors = []
-    for parity in _parities(p, mode, input_target_state):
-        basis = build_basis(p.N, p.m, mode, with_drive, parity)
-        psi0 = _embed_input(basis, input_target_state)
-        channels = build_jump_operators(p, basis) if decay else []
-        h = no_jump_generator(build_H_coherent(p, basis), channels)
-        sectors.append(_Sector(basis, psi0, channels, h, stage_frame(basis),
-                               *_herald_index(basis)))
-    return sectors
+    basis = build_basis(p.N, p.m, mode, with_drive, _parity(p, mode, input_target_state))
+    psi0 = _embed_input(basis, input_target_state)
+    channels = build_jump_operators(p, basis) if decay else []
+    h = no_jump_generator(build_H_coherent(p, basis), channels)
+    return _Model(basis, psi0, channels, h, stage_frame(basis), *_herald_index(basis))
 
 
-def _drives(basis: BasisSet):
-    """Unit-strength source-loading and readout drive matrices on basis."""
-    return (matrix_from_action(basis, source_drive).matrix,
-            matrix_from_action(basis, readout_drive).matrix)
+def _evolve(model: _Model, prop: Propagator, T: float) -> StepResult:
+    """Evolve the model's input for a time T under prop, book every
+    channel's loss from one integrated density, and herald.
 
-
-def _evolve_segments(sectors: list[_Sector], segments, T: float) -> StepResult:
-    """Evolve each sector through its piecewise-constant (Propagator,
-    duration) segments, booking every channel's loss per segment from one
-    integrated density, and herald.
-
-    segments[k] are the segments of sectors[k].  The losses, residuals and
-    unfolded heralded amplitudes of the sectors add up, and the diagnostics
-    record the worst propagator over them.  T is the free-evolution time
-    reported as T_used; it must lie in (0, inf).
+    prop propagates the model's generator plus the step's drive.  T must lie
+    in (0, inf).
     """
     if not 0 < T < math.inf:
         raise ProtocolError(f"evolution time T must be positive and finite, not {T!r}")
-    diags = StepDiagnostics()
-    amps, norm = [], 0.0
-    for sector, sector_segments in zip(sectors, segments):
-        psi = sector.psi0
-        for prop, dt in sector_segments:
-            integrals = prop.integrated_expectation(
-                [ch.opdag_op for ch in sector.channels], dt, psi)
-            for ch, integral in zip(sector.channels, integrals):
-                loss = ch.rate * integral
-                diags.channel_losses[ch.name] = diags.channel_losses.get(ch.name, 0.0) + loss
-            if prop.method == "expm":
-                diags.propagator_method = "expm"
-            diags.eigvec_condition = max(diags.eigvec_condition, prop.condition)
-            psi = prop.apply(dt, psi)
-        amps.append(sector.heralded(psi))
-        norm += norm_sq(psi)
-    herald_amps = np.sum(amps, axis=0)
+    integrals = prop.integrated_expectation(
+        [ch.opdag_op for ch in model.channels], T, model.psi0)
+    diags = StepDiagnostics(
+        {ch.name: ch.rate * integral for ch, integral in zip(model.channels, integrals)},
+        propagator_method=prop.method, eigvec_condition=prop.condition)
+    psi = prop.apply(T, model.psi0)
+    herald_amps = model.heralded(psi)
     p_success = norm_sq(herald_amps)
-    diags.unheralded_residual = norm - p_success
+    diags.unheralded_residual = norm_sq(psi) - p_success
     if p_success < HERALD_FLOOR:
         diags.herald_impossible = True
         return StepResult(p_success, None, None, T, diags)
     post = herald_amps / math.sqrt(p_success)
-    ovl = abs(overlap(goal_state(sectors[0].basis), post)) ** 2
+    ovl = abs(overlap(goal_state(model.basis), post)) ** 2
     return StepResult(p_success, post, ovl, T, diags)
 
 
@@ -268,8 +247,8 @@ def run_step(
     """
     if T is None:
         T = optimal_time(p)
-    sectors = _model(p, mode, input_target_state)
-    return _evolve_segments(sectors, [[(Propagator(s.h, s.frame), T)] for s in sectors], T)
+    model = _model(p, mode, input_target_state)
+    return _evolve(model, Propagator(model.h, model.frame), T)
 
 
 def run_step_fixed_ratio(
@@ -320,10 +299,11 @@ def run_step_continuous_drive(
         raise ProtocolError(f"drive strength omega must be positive and finite, not {omega!r}")
     default_omega = abs(omega - omega_opt) < 1e-12 * g
     p = DissipativeParams.from_purcell(N, m, p1d)
-    (sector,) = _model(p, HPMode.APPROX, decay=not zero_decay, with_drive=True)
-    psi0, idx = sector.psi0, sector.idx
-    src, det = _drives(sector.basis)
-    prop = Propagator(sector.h + (omega / 2) * (src + det), sector.frame)
+    model = _model(p, HPMode.APPROX, decay=not zero_decay, with_drive=True)
+    psi0, idx = model.psi0, model.idx
+    src = matrix_from_action(model.basis, source_drive).matrix
+    det = matrix_from_action(model.basis, readout_drive).matrix
+    prop = Propagator(model.h + (omega / 2) * (src + det), model.frame)
 
     if T is None:
         if default_omega:
@@ -339,38 +319,7 @@ def run_step_continuous_drive(
             hi = grid[min(k + 1, len(grid) - 1)]
             T = golden_section_max(lambda t: norm_sq(prop.apply(t, psi0)[idx]),
                                    lo, hi, 1e-9 * t_hi)
-    return _evolve_segments([sector], [[(prop, T)]], T)
-
-
-def run_step_pulsed(
-    N: int,
-    m: int,
-    p1d: float,
-    omega_pulse: float,
-    T: float | None = None,
-) -> StepResult:
-    """Fast-pulse step with finite-strength loading and readout pulses.
-
-    The source pulse (duration pi/omega) and the detector readout pulse run
-    with the waveguide couplings still on, so for finite omega the step
-    differs from the ideal instantaneous-pulse protocol by O(g/omega); as
-    omega grows it converges to run_step.  A true continuous drive does not
-    have this limit: its dressed-state splitting detunes the transfer.
-    """
-    p = DissipativeParams.from_purcell(N, m, p1d)
-    if T is None:
-        T = optimal_time(p)
-    if not 0 < omega_pulse < math.inf:
-        raise ProtocolError(f"pulse strength must be positive and finite, not {omega_pulse!r}")
-    (sector,) = _model(p, HPMode.APPROX, with_drive=True)
-    src, det = _drives(sector.basis)
-    t_pulse = math.pi / omega_pulse
-    segments = [
-        (Propagator(sector.h + (omega_pulse / 2) * src, sector.frame), t_pulse),
-        (Propagator(sector.h, sector.frame), T),
-        (Propagator(sector.h + (omega_pulse / 2) * det, sector.frame), t_pulse),
-    ]
-    return _evolve_segments([sector], [segments], T)
+    return _evolve(model, prop, T)
 
 
 def run_accumulation(
@@ -398,14 +347,13 @@ def run_accumulation(
         p = DissipativeParams.from_purcell(N, k, p1d)
         T = optimal_time(p)
         if refine_T:
-            # the kept step evolves on the model the search built
-            sectors = _model(p, mode, state)
-            props = [Propagator(s.h, s.frame) for s in sectors]
+            # the kept step evolves on the model and propagator the search built
+            model = _model(p, mode, state)
+            prop = Propagator(model.h, model.frame)
             T = golden_section_max(
-                lambda t: sum(norm_sq(s.heralded(prop.apply(t, s.psi0)))
-                              for s, prop in zip(sectors, props)),
+                lambda t: norm_sq(model.heralded(prop.apply(t, model.psi0))),
                 0.8 * T, 1.2 * T, 1e-6 * T)
-            res = _evolve_segments(sectors, [[(prop, T)] for prop in props], T)
+            res = _evolve(model, prop, T)
         else:
             res = run_step(p, mode, state, T)
         if res.post_state is None:

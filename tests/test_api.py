@@ -22,13 +22,20 @@ PARAMETERS = {
     wgherald.run_step_fixed_ratio: ["N", "m", "p1d", "mode", "input_target_state"],
     wgherald.run_step_fresh_level: ["N", "p1d"],
     wgherald.run_step_continuous_drive: ["N", "m", "p1d", "omega", "T", "zero_decay"],
-    protocol.run_step_pulsed: ["N", "m", "p1d", "omega_pulse", "T"],
     wgherald.run_accumulation: ["N", "m_target", "p1d", "mode", "refine_T"],
     wgherald.run_transfer: ["p", "n_grid"],
     wgherald.DissipativeParams.from_purcell: ["N", "m", "p1d", "gamma_s"],
     wgherald.build_H_bandgap: ["p"],
     formulas.table1_compare: ["m", "N", "p1d", "xi", "eta", "x"],
 }
+
+# Every public callable of the protocol module is an entry point some caller
+# outside the tests uses: the package exports, the sweep table or the CLI.
+PROTOCOL_CALLABLES = [
+    "AccumulationResult", "ProtocolError", "StepDiagnostics", "StepResult",
+    "run_accumulation", "run_step", "run_step_continuous_drive",
+    "run_step_fixed_ratio", "run_step_fresh_level",
+]
 
 # A model object describes the undriven model; a drive is a term a protocol
 # step adds to a segment's generator, so no params field carries one.
@@ -47,6 +54,13 @@ def test_public_names_are_pinned_and_resolve():
 def test_entry_point_parameters_are_pinned():
     for fn, names in PARAMETERS.items():
         assert list(inspect.signature(fn).parameters) == names, fn.__qualname__
+
+
+def test_protocol_callables_are_pinned():
+    defined = sorted(name for name, obj in vars(protocol).items()
+                     if callable(obj) and not name.startswith("_")
+                     and getattr(obj, "__module__", None) == protocol.__name__)
+    assert defined == PROTOCOL_CALLABLES
 
 
 def test_model_fields_are_pinned():

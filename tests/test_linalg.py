@@ -1,5 +1,6 @@
 """Propagator, norm/overlap accounting, and dissipativity checks."""
 
+import cmath
 import warnings
 
 import numpy as np
@@ -153,6 +154,26 @@ def test_integrated_expectation_matches_quadrature():
     assert prop.integrated_expectation([], t, v0).shape == (0,)
     with pytest.raises(DimensionError):
         prop.integrated_expectation([diag, np.eye(4)], t, v0)
+
+
+def test_integrated_expectation_at_large_eigenvalues_matches_the_closed_form():
+    # each pairwise factor is (e^{i mu t} - 1) / (i mu) at any |mu t|, and t at
+    # mu = 0, however large the eigenvalues: here they are near 1e10, with
+    # one pair at |mu t| ~ 10, one real eigenvalue and the rest far apart
+    lam = np.array([1e10, 1e10 + 10 - 2j, -3e10 - 0.5j, 2e10 - 1j])
+    rng = np.random.default_rng(15)
+    v0 = random_state(rng, 4)
+    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = b @ b.conj().T
+    t = 1.0
+    ref = 0.0
+    for a in range(4):
+        for c in range(4):
+            mu = lam[a].conjugate() - lam[c]
+            factor = t if mu == 0 else (cmath.exp(1j * mu * t) - 1) / (1j * mu)
+            ref += (v0[a].conjugate() * m[a, c] * v0[c] * factor).real
+    got = Propagator(np.diag(lam)).integrated_expectation([m], t, v0)[0]
+    assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_simpson_weights_match_scipy():
