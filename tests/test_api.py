@@ -38,7 +38,7 @@ PROTOCOL_CALLABLES = [
 ]
 
 # A model object describes the undriven model; a drive is a term a protocol
-# step adds to a segment's generator, so no params field carries one.
+# step adds to its generator, so no params field carries one.
 FIELDS = {
     wgherald.DissipativeParams: ["N", "m", "gamma_g", "gamma_s", "gamma_star"],
     wgherald.BandgapParams: ["N", "xi", "m", "gamma_g", "gamma_star"],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import full_basis_step
+from oracles import drive_matrix, full_basis_step
 from wgherald.basis import HPMode, goal_amplitudes
 from wgherald.dissipative import DissipativeParams, build_H_nh, optimal_time
 from wgherald.formulas import (
@@ -28,8 +28,6 @@ from wgherald.protocol import (
     run_step_fresh_level,
 )
 from wgherald import build_basis, linalg, protocol
-from wgherald.basis import matrix_from_action
-from wgherald.dissipative import readout_drive, source_drive
 
 
 def test_step_probability_matches_closed_form():
@@ -177,7 +175,7 @@ def test_step_diagnostics_report_the_worst_propagator(monkeypatch):
 def _step_generators():
     # (generator, frame, channel products, time, herald index) of every step
     # kind: exact sectors of both parities and the full exact basis up to
-    # m = 40, the 3-state chain, the driven 5-state chain under each drive
+    # m = 40, the 3-state chain, the continuously driven 5-state chain with
     # and without decay
     cases = []
     for n, m, p1d in ((100, 1, 10.0), (300, 2, 5.0), (500, 7, math.inf), (1000, 40, 10.0)):
@@ -192,18 +190,15 @@ def _step_generators():
     omega = math.sqrt(2.0 / 3.0) * math.sqrt(800)
     for decay in (True, False):
         s = _model(p, HPMode.APPROX, decay=decay, with_drive=True)
-        src = matrix_from_action(s.basis, source_drive).matrix
-        det = matrix_from_action(s.basis, readout_drive).matrix
-        for drive, t in ((0, optimal_time(p)), (src, math.pi / (20 * omega)),
-                         (det, math.pi / (20 * omega)), (src + det, 2 * math.pi / omega)):
-            cases.append((s.h + (omega / 2) * drive, s.frame, s.channels, t, s.idx))
+        cases.append((s.h + (omega / 2) * drive_matrix(s.basis), s.frame, s.channels,
+                      2 * math.pi / omega, s.idx))
     return cases
 
 
 def test_frame_path_matches_frameless_path_on_every_step_generator():
     rng = np.random.default_rng(14)
     cases = _step_generators()
-    assert len(cases) == 16
+    assert len(cases) == 10
     for h, frame, channels, t, idx in cases:
         prop, ref = Propagator(h, frame), Propagator(h)
         assert prop.method == ref.method == "eig"
