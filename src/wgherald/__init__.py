@@ -5,6 +5,17 @@ configurations, the exact and linearized symmetric-subspace representations,
 closed-form benchmark formulas, and a sweep/fit command-line harness.
 """
 
+import numpy as _np
+
+# glibc's malloc serves blocks above its mmap threshold (128 KiB at process
+# start) by mmap and returns heap-top memory past its trim threshold, so the
+# few hundred KiB that each step allocates and frees would be paged in again
+# at every step: 12 times the page faults and about 9% more time over an
+# exact accumulation.  Freeing one 1 MiB mmapped block at import raises both
+# thresholds (mallopt(3), dynamic mmap threshold).  Its pages are never
+# touched; other allocators just allocate and free it.
+_np.empty(1 << 17)
+
 from .basis import (
     BasisLabel,
     BasisSet,

@@ -27,7 +27,9 @@ O(N) time and memory.  Each step first sums the error integrand at a few
 scan times; that partial sum is a lower bound on the full one, so where it
 already exceeds KRYLOV_MAX_ERROR the full 2,048-point bound is not
 evaluated.  The dense `build_H_bandgap` and `compensate` are the documented
-reference for that product and are not on the transfer path.
+reference for that product and are not on the transfer path.  The two LAPACK
+routines the transfer calls come from scipy, which is imported on the first
+transfer and not at process start.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstevd, dtbtrs
 
 from .linalg import golden_section_max, norm_sq
 
@@ -169,6 +170,8 @@ def _products(p: BandgapParams):
     banded solve with two right-hand sides.  The mean target shift of
     `compensate` is the same product on the target indicator.
     """
+    from scipy.linalg.lapack import dtbtrs
+
     n = p.N + 1
     unit = p.gamma_g / (2 * p.xi)
     ab = np.empty((2, n))  # band storage: unit diagonal, subdiagonal -rho
@@ -207,6 +210,8 @@ def _lanczos(apply, n: int, dt: float, n_grid: int):
     (beta_k = 0) gives a zero bound: the propagation is then exact.  Returns
     the basis Q S, the Ritz values theta, k and the bound.
     """
+    from scipy.linalg.lapack import dstevd
+
     q = np.zeros((min(n, 16), n))  # row j is q_j; doubled as steps are taken
     q[0, 0] = 1.0
     alpha, beta = np.zeros(n), np.zeros(n)

@@ -20,7 +20,6 @@ import sys
 import warnings
 
 import numpy as np
-import yaml
 
 from . import bandgap as bg
 from . import formulas
@@ -119,6 +118,8 @@ def _load_spec(args) -> SweepSpec:
     """The spec of a command's config file and flags."""
     cfg = {}
     if args.config is not None:
+        import yaml
+
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = yaml.safe_load(fh) or {}

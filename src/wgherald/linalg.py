@@ -4,7 +4,9 @@ Everything in the protocol state spaces is small (a few to a few hundred
 dimensions), so exact dense methods are used throughout: the propagator
 e^{-iHt} is built from an eigendecomposition of H (with a scaling-and-squaring
 fallback when H is too ill-conditioned to diagonalize reliably), which makes
-evolution to arbitrary times exact up to rounding.  Given a diagonal frame T of
+evolution to arbitrary times exact up to rounding.  numpy does all of it but
+that fallback, scipy's expm, so scipy.linalg is imported on the first
+fallback and not at process start.  Given a diagonal frame T of
 units in which T^-1 (-iH) T is exactly real, as it is for the protocol's
 no-jump generators, the decomposition is taken on that real matrix (LAPACK's
 real eig, about a third of the cost of the complex one at dimension 81).  The
@@ -20,7 +22,6 @@ rate, times in its inverse.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 # At or above this eigenvector condition number, taken as the Frobenius bound
 # kappa_F = ||V||_F ||V^-1||_F (never below the 2-norm condition number, and
@@ -96,8 +97,11 @@ class Propagator:
     accuracy.  The decomposition falls back to scipy's
     expm (Pade scaling-and-squaring) when V is singular or its condition
     number `condition`, the Frobenius bound ||V||_F ||V^-1||_F (inf when V
-    is singular or the product overflows), reaches EIGBASIS_MAX_CONDITION.
-    `method` is "eig" or "expm".
+    is singular or the product overflows), reaches EIGBASIS_MAX_CONDITION;
+    scipy.linalg is imported by the first such fallback in a process.
+    `method` is "eig" or "expm".  A non-finite result, such as one at a time
+    t where an eigenvalue product lambda t or gap mu t leaves the float range,
+    raises NumericError without a numpy warning first.
     """
 
     def __init__(self, h, frame=None):
@@ -133,8 +137,12 @@ class Propagator:
         if not np.isfinite(t):
             raise NumericError("evolution time must be finite")
         if self.method == "eig":
-            out = self.eigvecs @ (np.exp(-1j * self.eigvals * t) * (self._vinv @ v))
+            # |lambda| t past the float range leaves non-finite amplitudes, raised below
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = self.eigvecs @ (np.exp(-1j * self.eigvals * t) * (self._vinv @ v))
         else:
+            import scipy.linalg
+
             out = scipy.linalg.expm(-1j * self.h * t) @ v
         if not np.all(np.isfinite(out.view(float))):
             raise NumericError("propagation produced non-finite amplitudes")
@@ -178,11 +186,18 @@ class Propagator:
         v0 = as_state(v0)
         if v0.shape[0] != self.dim or any(m.shape[0] != self.dim for m in ops):
             raise DimensionError("integrated_expectation dimension mismatch")
-        r = self._integrated_density(t, v0).T
-        return np.array([np.sum(m * r).real for m in ops])
+        # |mu| t past the float range leaves non-finite integrals, raised below
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = self._integrated_density(t, v0).T
+            out = np.array([np.sum(m * r).real for m in ops])
+        if not np.all(np.isfinite(out)):
+            raise NumericError("loss integrals are non-finite")
+        return out
 
     def _integrated_density(self, t, v0):
         if self.method != "eig":
+            import scipy.linalg
+
             times = np.linspace(0.0, t, SIMPSON_POINTS)
             step = scipy.linalg.expm(-1j * self.h * (times[1] - times[0]))
             psis = np.empty((SIMPSON_POINTS, self.dim), dtype=complex)

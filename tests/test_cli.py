@@ -3,16 +3,23 @@
 import csv
 import io
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import wgherald
 from wgherald import sweep as sweep_module
 from wgherald.cli import main
 from wgherald.linalg import NumericError
 from wgherald.protocol import run_accumulation
 from wgherald.sweep import COLUMNS, SweepConfigError, SweepSpec, run_sweep, rows_to_csv
+
+SRC = str(pathlib.Path(wgherald.__file__).resolve().parent.parent)
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +95,21 @@ def test_numeric_failures_exit_2(capsys, monkeypatch, exc):
     code, _, err = run_cli(capsys, "step", "--N", "100", "--m", "1", "--p1d", "10")
     assert code == 2
     assert err.startswith("numeric failure: ")
+
+
+@pytest.mark.parametrize("T", ["2.5e298", "1e300"])
+def test_overflowing_step_fails_with_one_line(T):
+    # a fresh process under the default warning filters: the overflowing
+    # products print no numpy RuntimeWarning before the exit-2 message
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = SRC
+    proc = subprocess.run(
+        [sys.executable, "-m", "wgherald.cli", "step", "--variant", "continuous-drive",
+         "--N", "100", "--m", "1", "--p1d", "10", "--omega", "1e10", "--T", T],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "numeric failure: NumericError: loss integrals are non-finite\n"
 
 
 @pytest.mark.parametrize("variant", ["continuous-drive", "fresh-level"])

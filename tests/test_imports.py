@@ -55,12 +55,66 @@ def test_no_unused_imports():
     assert {path: names for path, names in found.items() if names} == {}
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # scipy.integrate costs a quarter second or more at every process start;
-    # the expm fallback's Simpson rule is written out in numpy instead
-    src = str(pathlib.Path(wgherald.__file__).resolve().parent.parent)
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import wgherald.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+SRC = str(pathlib.Path(wgherald.__file__).resolve().parent.parent)
+
+
+def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports wgherald from this tree."""
+    return subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1])\n"
+                           + code, SRC, *args], capture_output=True, text=True)
+
+
+def test_cli_import_leaves_out_scipy_and_yaml():
+    # scipy.linalg is half of a process start, and step, accumulate, sweep,
+    # fit and compare never call it; yaml is read only for a --config file
+    out = run_fresh("import wgherald.cli\n"
+                    "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml')))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+LAZY_PATHS = """
+import numpy as np
+from wgherald import linalg
+from wgherald.bandgap import BandgapParams, run_transfer
+from wgherald.basis import HPMode
+from wgherald.dissipative import DissipativeParams, optimal_time
+from wgherald.protocol import _model
+
+def scipy_loaded():
+    return any(m.split('.')[0] == 'scipy' for m in sys.modules)
+
+assert not scipy_loaded()
+p = DissipativeParams.from_purcell(200, 3, 10.0)
+model, t = _model(p, HPMode.EXACT), optimal_time(p)
+ops = [ch.opdag_op for ch in model.channels]
+eig = linalg.Propagator(model.h, model.frame)
+assert eig.method == 'eig'
+linalg.EIGBASIS_MAX_CONDITION = 0
+fallback = linalg.Propagator(model.h, model.frame)
+assert fallback.method == 'expm' and not scipy_loaded()
+psi = fallback.apply(t, model.psi0)
+assert np.abs(psi - eig.apply(t, model.psi0)).max() <= 1e-12
+assert scipy_loaded()
+losses = fallback.integrated_expectation(ops, t, model.psi0)
+assert np.abs(losses - eig.integrated_expectation(ops, t, model.psi0)).max() <= 1e-12
+rec = run_transfer(BandgapParams(40, 40.0, gamma_star=0.1))
+assert rec.krylov_steps > 1 and 0 < rec.infidelity < 1
+"""
+
+
+def test_deferred_scipy_imports_resolve_where_first_needed():
+    # the expm fallback (apply and the loss density) and the bandgap
+    # transfer's dtbtrs and dstevd each import scipy inside the function
+    out = run_fresh(LAZY_PATHS)
+    assert out.returncode == 0, out.stderr
+
+
+def test_invalid_yaml_config_exits_1_in_a_fresh_process(tmp_path):
+    # yaml is first imported by the config loader, whose error path names it
+    path = tmp_path / "bad.yaml"
+    path.write_text("axes: [unclosed\n")
+    out = run_fresh("from wgherald.cli import main; sys.exit(main(sys.argv[2:]))",
+                    "sweep", "--config", str(path))
+    assert out.returncode == 1
+    assert "is not valid YAML" in out.stderr

@@ -289,6 +289,14 @@ def test_dimension_and_finiteness_errors():
     for h in (1000j * np.eye(2), 1000j * np.eye(2) + jordan):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
             Propagator(h).population([0.0, 1.0], np.ones(2), [0])
+    # apply and the loss integrals raise without a numpy warning where a gain
+    # overflows, and the integrals where a gap mu t does with every lambda t finite
+    gain = Propagator(1000j * np.eye(2))
+    with pytest.raises(NumericError):
+        gain.apply(1.0, np.ones(2))
+    for prop, t in ((gain, 1.0), (Propagator(np.diag([1e300 - 1j, -1e300 - 1j])), 1e8)):
+        with pytest.raises(NumericError):
+            prop.integrated_expectation([np.eye(2)], t, np.ones(2))
 
 
 def _chain(n=500, gamma=1.0, gamma_star=0.1):

@@ -17,7 +17,7 @@ from wgherald.formulas import (
     p_double_mirrors,
     p_fixed_ratio,
 )
-from wgherald.linalg import Propagator, golden_section_max, norm_sq
+from wgherald.linalg import NumericError, Propagator, golden_section_max, norm_sq
 from wgherald.protocol import (
     ProtocolError,
     _model,
@@ -238,6 +238,15 @@ def test_step_at_an_extreme_time_books_every_loss_quietly():
         res = run_step(DissipativeParams.from_purcell(100, m, 10.0), mode, T=1e300)
         assert res.diagnostics.herald_impossible
         assert abs(res.diagnostics.bookkeeping_total(res.p_success) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("T", [1.9e298, 2.5e298, 3.5e298])
+def test_step_whose_loss_integrals_overflow_raises(T):
+    # at omega = 1e10 the pairwise gaps mu t of the loss density overflow
+    # from T ~ 1.83e298 while every eigenvalue lambda t is still finite; the
+    # losses are then NaN and the step refuses to book them
+    with pytest.raises(NumericError, match="loss integrals"):
+        run_step_continuous_drive(100, 1, 10.0, omega=1e10, T=T)
 
 
 def test_step_bookkeeping_sums_to_one():
