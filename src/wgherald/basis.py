@@ -21,16 +21,19 @@ excitation and is carried as a three-valued flag: 'none' (all atoms parked),
 'excited' (one collective flip present, matrix element sqrt(2N)), 'heralded'
 (the flip has been mapped to the readout level, unit matrix element).
 
+A basis does not depend on N, and `build_basis` builds each one once.
 Operators are written as per-label rules, functions from a basis label to its
-(image label, amplitude) pairs; `matrix_from_action` turns a rule into its
-matrix on a basis, folding every image into its orbit representative on a
-parity sector, and reports the squared norm the basis cuts off.  This
-module supplies the exact per-mirror amplitudes (`mirror_image`); the model's
-terms themselves are written in `dissipative`.
+(image label, amplitude) pairs, amplitudes free of N and of the rates (see
+`roots`).  `matrix_from_action` runs a rule over a basis once, folding every
+image into its orbit representative on a parity sector, and records sparse
+terms that `OperatorTerms.at` evaluates at an N and rates.  This module
+supplies the exact per-mirror amplitudes (`mirror_image`); the model's terms
+themselves are written in `dissipative`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -42,6 +45,10 @@ DET_NONE = "none"
 DET_EXCITED = "excited"
 DET_HERALDED = "heralded"
 _DET_ORDER = {DET_NONE: 0, DET_EXCITED: 1, DET_HERALDED: 2}
+BASIS_CACHE_SIZE = 256  # bases (each with the terms kept on it) build_basis keeps
+
+# root indices q of an amplitude factor (c, q): see `roots`
+ONE, RATE_G, RATE_S, ROOT_2N, ROOT_N = range(5)
 
 
 class HPMode(Enum):
@@ -94,7 +101,6 @@ class BasisSet:
 
     labels: tuple[BasisLabel, ...]
     mode: HPMode
-    N: int
     m: int
     with_drive: bool = False
     fold: dict | None = field(default=None, compare=False, repr=False)
@@ -103,8 +109,16 @@ class BasisSet:
         if len(set(self.labels)) != len(self.labels):
             raise BasisError("duplicate basis labels")
         object.__setattr__(self, "_index", {lbl: i for i, lbl in enumerate(self.labels)})
+        object.__setattr__(self, "_memo", {})
         if self.fold is None:
             object.__setattr__(self, "fold", {lbl: (i, 1.0) for i, lbl in enumerate(self.labels)})
+
+    def memo(self, fn, *args):
+        """fn(self, *args), computed once per basis object and kept on it."""
+        key = (fn, *args)
+        if key not in self._memo:
+            self._memo[key] = fn(self, *args)
+        return self._memo[key]
 
     @property
     def dim(self) -> int:
@@ -134,12 +148,17 @@ def build_basis(N: int, m: int, mode: HPMode, with_drive: bool = False,
     states), with the fold that maps the reachable set onto them.
     APPROX mode returns the 3-state chain, or the 5-state chain in protocol
     order when with_drive is set (start state, then the transfer chain, then
-    the heralded end state).
+    the heralded end state).  N only bounds m: one basis serves every N.
     """
     if m < 1:
         raise BasisError("excitation sector m must be >= 1")
     if m > N:
         raise BasisError(f"m = {m} exceeds atoms per mirror N = {N}")
+    return _build_basis(m, mode, with_drive, parity)
+
+
+@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
+def _build_basis(m: int, mode: HPMode, with_drive: bool, parity: int | None) -> BasisSet:
     if mode == HPMode.EXACT:
         if with_drive:
             raise BasisError("the driven protocol is modeled in APPROX mode only")
@@ -152,7 +171,7 @@ def build_basis(N: int, m: int, mode: HPMode, with_drive: bool = False,
             labels.append(BasisLabel("g", m - i, 0, i, 0, DET_EXCITED))
         labels.sort(key=BasisLabel.sort_key)
         if parity is None:
-            return BasisSet(tuple(labels), mode, N, m)
+            return BasisSet(tuple(labels), mode, m)
         if parity not in (1, -1):
             raise BasisError(f"parity must be +1 or -1, not {parity!r}")
         reps, fold, half = [], {}, 1 / math.sqrt(2)
@@ -165,7 +184,7 @@ def build_basis(N: int, m: int, mode: HPMode, with_drive: bool = False,
             else:
                 fold[lbl] = (len(reps), half if image != lbl else 1.0)
                 reps.append(lbl)
-        return BasisSet(tuple(reps), mode, N, m, fold=fold)
+        return BasisSet(tuple(reps), mode, m, fold=fold)
     if parity is not None:
         raise BasisError("parity sectors exist in EXACT mode only")
 
@@ -178,7 +197,7 @@ def build_basis(N: int, m: int, mode: HPMode, with_drive: bool = False,
         chain = [BasisLabel("s", m - 1, 0, 0, 0, DET_NONE)] + chain + [
             BasisLabel("g", m, 0, 0, 0, DET_HERALDED)
         ]
-    return BasisSet(tuple(chain), mode, N, m, with_drive)
+    return BasisSet(tuple(chain), mode, m, with_drive)
 
 
 def stage_frame(basis: BasisSet) -> np.ndarray:
@@ -197,29 +216,35 @@ def stage_frame(basis: BasisSet) -> np.ndarray:
                      for lbl in basis.labels], dtype=complex)
 
 
-def mirror_image(which: str, k: int, l: int, N: int) -> tuple[int, int, float] | None:
-    """Bosonized per-mirror collective operator S_which on |k, l> (N atoms).
+def roots(N: int, top: int, rates=(1.0, 1.0)) -> np.ndarray:
+    """The roots r that amplitude factors (c, q), worth c * r[q], stand for:
+    r[ONE] = 1, r[RATE_G] and r[RATE_S] the caller's two rates, r[ROOT_2N] =
+    sqrt(2N) and r[ROOT_N + j] = sqrt(max(N - j, 0)) for j < top."""
+    return np.concatenate(([1.0, *rates, math.sqrt(2 * N)],
+                           np.sqrt(np.maximum(N - np.arange(top), 0))))
+
+
+def mirror_image(which: str, k: int, l: int) -> tuple[int, int, tuple[float, int]] | None:
+    """Bosonized per-mirror collective operator S_which on |k, l>.
 
     `which` names the transition as S_eg etc.: eg, ge, sg, gs, se or es.
-    Returns the image occupations (k', l') and the amplitude, or None where
-    the operator annihilates the state.
+    Returns the image occupations (k', l') and the amplitude factor (c, q),
+    or None where the operator annihilates the state.
     """
-    s = k + l
+    s = ROOT_N + k + l
     if which == "eg":
-        image = (k, l + 1, math.sqrt(l + 1) * math.sqrt(max(N - s, 0)))
-    elif which == "ge":
-        image = (k, l - 1, math.sqrt(l) * math.sqrt(N - s + 1)) if l else None
-    elif which == "sg":
-        image = (k + 1, l, math.sqrt(k + 1) * math.sqrt(max(N - s, 0)))
-    elif which == "gs":
-        image = (k - 1, l, math.sqrt(k) * math.sqrt(N - s + 1)) if k else None
-    elif which == "se":
-        image = (k + 1, l - 1, math.sqrt(k + 1) * math.sqrt(l)) if l else None
-    elif which == "es":
-        image = (k - 1, l + 1, math.sqrt(k) * math.sqrt(l + 1)) if k else None
-    else:
-        raise BasisError(f"unknown mirror operator {which!r}")
-    return image if image and image[2] else None
+        return k, l + 1, (math.sqrt(l + 1), s)
+    if which == "ge":
+        return (k, l - 1, (math.sqrt(l), s - 1)) if l else None
+    if which == "sg":
+        return k + 1, l, (math.sqrt(k + 1), s)
+    if which == "gs":
+        return (k - 1, l, (math.sqrt(k), s - 1)) if k else None
+    if which == "se":
+        return (k + 1, l - 1, (math.sqrt(k + 1) * math.sqrt(l), ONE)) if l else None
+    if which == "es":
+        return (k - 1, l + 1, (math.sqrt(k) * math.sqrt(l + 1), ONE)) if k else None
+    raise BasisError(f"unknown mirror operator {which!r}")
 
 
 @dataclass(frozen=True)
@@ -235,29 +260,61 @@ class CollectiveOperator:
     truncation_loss: float
 
 
-def matrix_from_action(basis: BasisSet, action) -> CollectiveOperator:
-    """Matrix of the operator whose per-label rule is `action` on the basis.
+class OperatorTerms:
+    """Per-label rules recorded on a basis, free of N and of the rates.
+
+    Term t adds (c[0, t] r[q[0, t]]) * (c[1, t] r[q[1, t]]) * ratio[t] to
+    entry flat[t] of the flattened matrix (or stack of matrices, one per
+    rule), in the rules' loop order; flat[t] = its size marks an image
+    outside the basis.  The arrays are read-only.
+    """
+
+    def __init__(self, shape: tuple[int, ...], rows: list[tuple]):
+        flat, c1, c2, q1, q2, ratio = np.array(rows, dtype=float).reshape(-1, 6).T
+        self.shape, self.flat = shape, flat.astype(np.intp)
+        self.c, self.q = np.array([c1, c2]), np.array([q1, q2], dtype=np.intp)
+        self.ratio = np.ascontiguousarray(ratio)
+        self.top = int(self.q.max(initial=ROOT_N)) - ROOT_N + 1
+        for a in (self.flat, self.c, self.q, self.ratio):
+            a.flags.writeable = False
+
+    def at(self, N: int, rates=(1.0, 1.0)) -> CollectiveOperator:
+        """The newly allocated matrix at N and rates, and its truncation loss.
+        Each entry sums its terms in order, as one loop over the rule would."""
+        x = self.c * roots(N, self.top, rates)[self.q]
+        v = x[0] * x[1] * self.ratio
+        size = math.prod(self.shape)
+        matrix = np.bincount(self.flat, v, size + 1)[:size].reshape(self.shape)
+        lost = v[self.flat == size]
+        return CollectiveOperator(matrix.astype(complex), float(lost @ lost))
+
+
+def matrix_from_action(basis: BasisSet, *actions) -> OperatorTerms:
+    """The terms of the operator whose per-label rule is `action` on the
+    basis, or of the stack of operators of several rules.
 
     `action(label)` returns the (image label, amplitude) pairs of one basis
-    state; amplitude on images outside the reachable set is the truncation
-    loss.  On a parity sector the operator must commute with the mirror swap:
-    column j is then the rule applied to its representative alone, each
-    image folded in as amp * phase * sqrt(size_j / size_i), where phase is
-    +-1 for an image in orbit i and an image of the other parity cancels.
+    state; an amplitude is a number, a factor (c, q) (see `roots`) or a
+    product (f1, f2) of two factors, and amplitude on images outside the
+    reachable set is the truncation loss.  On a parity sector the operator
+    must commute with the mirror swap: column j is then the rule applied to
+    its representative alone, each image folded in as amp * phase *
+    sqrt(size_j / size_i), where phase is +-1 for an image in orbit i and an
+    image of the other parity cancels.
     """
-    dim = basis.dim
-    mat = np.zeros((dim, dim), dtype=complex)
-    loss = 0.0
-    fold = basis.fold
-    for j, lbl in enumerate(basis.labels):
-        wj = fold[lbl][1]
-        for out, amp in action(lbl):
-            hit = fold.get(out)
-            if hit is None:
-                loss += abs(amp) ** 2
-            else:
-                mat[hit[0], j] += amp * (hit[1] / wj)
-    return CollectiveOperator(mat, loss)
+    dim, fold, rows = basis.dim, basis.fold, []
+    size = len(actions) * dim * dim
+    for k, action in enumerate(actions):
+        for j, lbl in enumerate(basis.labels):
+            wj = fold[lbl][1]
+            for out, amp in action(lbl):
+                amp = amp if isinstance(amp, tuple) else (amp, ONE)
+                (c1, q1), (c2, q2) = amp if isinstance(amp[0], tuple) else (amp, (1.0, ONE))
+                hit = fold.get(out)
+                flat, ratio = ((size, 1.0) if hit is None
+                               else ((k * dim + hit[0]) * dim + j, hit[1] / wj))
+                rows.append((flat, c1, c2, q1, q2, ratio))
+    return OperatorTerms((dim, dim) if len(actions) == 1 else (len(actions), dim, dim), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ it.  Free-space emission acts per excited atom at the uniform rate Gamma*, so
 it enters as a diagonal channel weighted by the excited-atom count.
 
 Every term is written once below as a per-label rule (a function from a basis
-label to its (image label, amplitude) pairs) and assembled on the basis by
-`basis.matrix_from_action`: the exchange, the detector loading, the drives and
-each channel's O^dag O.  The O^dag O products pass through intermediate images
-that may lie outside the basis, so they are exact on the reachable sector.
-Every term commutes with the signed mirror swap of `basis`, so the same rules
-assemble the model on either mirror-parity sector.
+label to its (image label, amplitude) pairs, free of N and of the rates) and
+recorded once per basis by `basis.matrix_from_action`: the exchange, the
+detector loading, the drives and each channel's O^dag O.  The builders
+evaluate the recorded terms at the params' N and rates.  The O^dag O products
+pass through intermediate images that may lie outside the basis, so they are
+exact on the reachable sector.  Every term commutes with the signed mirror
+swap of `basis`, so the same rules assemble the model on either mirror-parity
+sector.
 
 A model is undriven: the unit-strength loading and readout drives
 (`source_drive`, `readout_drive`) are rules a protocol step scales and adds to
@@ -35,6 +37,10 @@ from .basis import (
     DET_EXCITED,
     DET_HERALDED,
     DET_NONE,
+    ONE,
+    RATE_G,
+    RATE_S,
+    ROOT_2N,
     BasisLabel,
     BasisSet,
     HPMode,
@@ -96,7 +102,8 @@ class JumpChannel:
 
 
 def target_images(basis: BasisSet, lbl: BasisLabel, which: str, sign: float):
-    """Images of lbl under the collective target operator S_which,sign.
+    """Images of lbl under the collective target operator S_which,sign, each
+    with its amplitude factor (c, q) (see `basis.roots`).
 
     S_which,+- = S_which(mirror 1) +- S_which(mirror 2).  EXACT: the bosonized
     per-mirror operator on each mirror.  APPROX: the linearized modes (k1 the
@@ -105,27 +112,28 @@ def target_images(basis: BasisSet, lbl: BasisLabel, which: str, sign: float):
     """
     if basis.mode == HPMode.EXACT:
         out = []
-        image = mirror_image(which, lbl.k1, lbl.l1, basis.N)
+        image = mirror_image(which, lbl.k1, lbl.l1)
         if image:
             out.append((lbl._replace(k1=image[0], l1=image[1]), image[2]))
-        image = mirror_image(which, lbl.k2, lbl.l2, basis.N)
+        image = mirror_image(which, lbl.k2, lbl.l2)
         if image:
-            out.append((lbl._replace(k2=image[0], l2=image[1]), sign * image[2]))
+            out.append((lbl._replace(k2=image[0], l2=image[1]), (sign * image[2][0], image[2][1])))
         return out
     k, l = lbl.k1, lbl.l1
-    root2n = math.sqrt(2 * basis.N)
     if (which, sign) == ("eg", 1.0):
-        return [(lbl._replace(l1=l + 1), root2n * math.sqrt(l + 1))]
+        return [(lbl._replace(l1=l + 1), (math.sqrt(l + 1), ROOT_2N))]
     if (which, sign) == ("ge", 1.0):
-        return [(lbl._replace(l1=l - 1), root2n * math.sqrt(l))] if l else []
+        return [(lbl._replace(l1=l - 1), (math.sqrt(l), ROOT_2N))] if l else []
     if (which, sign) == ("ge", -1.0):
         # annihilates the antisymmetric excited mode, which the chain never fills
         return []
     if (which, sign) == ("se", -1.0):
         # bs-^dag be+ survives; bs+^dag be- annihilates an empty mode
-        return [(lbl._replace(k1=k + 1, l1=l - 1), math.sqrt(k + 1) * math.sqrt(l))] if l else []
+        return [(lbl._replace(k1=k + 1, l1=l - 1),
+                 (math.sqrt(k + 1) * math.sqrt(l), ONE))] if l else []
     if (which, sign) == ("es", -1.0):
-        return [(lbl._replace(k1=k - 1, l1=l + 1), math.sqrt(k) * math.sqrt(l + 1))] if k else []
+        return [(lbl._replace(k1=k - 1, l1=l + 1),
+                 (math.sqrt(k) * math.sqrt(l + 1), ONE))] if k else []
     raise ValueError(f"S_{which},{sign:+.0f} leaves the linearized chain")
 
 
@@ -141,24 +149,25 @@ def readout_drive(lbl: BasisLabel):
     return [(lbl._replace(detector=flip), 1.0)] if flip else []
 
 
-def _coherent_rule(p: DissipativeParams, basis: BasisSet):
-    """(gamma_g/2)(sigma_ge S_eg,+ + h.c.) + (gamma_s/2)(S_es,-^d S_se,- + h.c.)."""
-    half_g, half_s = p.gamma_g / 2, p.gamma_s / 2
-    root = math.sqrt(2 * basis.N)  # collective flip of the 2N detector atoms
+def _coherent_rule(basis: BasisSet):
+    """(gamma_g/2)(sigma_ge S_eg,+ + h.c.) + (gamma_s/2)(S_es,-^d S_se,- + h.c.),
+    the rates in the roots RATE_G and RATE_S."""
+    half_g, half_s = (1.0, RATE_G), (1.0, RATE_S)
 
     def rule(lbl):
         out = []
         if lbl.source_level == "e":
-            out += [(t._replace(source_level="g"), half_g * a)
+            out += [(t._replace(source_level="g"), (half_g, a))
                     for t, a in target_images(basis, lbl, "eg", 1.0)]
         elif lbl.source_level == "g":
-            out += [(t._replace(source_level="e"), half_g * a)
+            out += [(t._replace(source_level="e"), (half_g, a))
                     for t, a in target_images(basis, lbl, "ge", 1.0)]
+        # the collective flip of the 2N detector atoms: sqrt(2N)
         if lbl.detector == DET_NONE:
-            out += [(t._replace(detector=DET_EXCITED), half_s * (a * root))
+            out += [(t._replace(detector=DET_EXCITED), (half_s, (a[0], ROOT_2N)))
                     for t, a in target_images(basis, lbl, "se", -1.0)]
         elif lbl.detector == DET_EXCITED:
-            out += [(t._replace(detector=DET_NONE), half_s * (a * root))
+            out += [(t._replace(detector=DET_NONE), (half_s, (a[0], ROOT_2N)))
                     for t, a in target_images(basis, lbl, "es", -1.0)]
         return out
 
@@ -169,24 +178,40 @@ def _jump_product(basis: BasisSet, which: str):
     """O^dag O for O = S_which,-, with O^dag = S_(which reversed),-."""
 
     def rule(lbl):
-        return [(fin, a * b)
+        return [(fin, (a, b))
                 for mid, a in target_images(basis, lbl, which, -1.0)
                 for fin, b in target_images(basis, mid, which[::-1], -1.0)]
 
     return rule
 
 
+# (name, rate field): the source guided decay, the antisymmetric and the
+# superradiant target decay, and one free-space channel per excited atom
+_CHANNELS = (("source_guided", "gamma_g"), ("target_guided_ge", "gamma_g"),
+             ("target_guided_se", "gamma_s"), ("free_space", "gamma_star"))
+
+
+def _terms(basis: BasisSet):
+    """The model's recorded terms on a basis: the coherent part, and the stack
+    of each channel's O^dag O in _CHANNELS order."""
+    return (matrix_from_action(basis, _coherent_rule(basis)),
+            matrix_from_action(basis,
+                               lambda lbl: [(lbl, 1.0)] if lbl.source_level == "e" else [],
+                               _jump_product(basis, "ge"), _jump_product(basis, "se"),
+                               # one excited atom at most per reachable state,
+                               # so O^dag O = diag(n_e)
+                               lambda lbl: [(lbl, lbl.excited_count)]))
+
+
 def _check_match(p: DissipativeParams, basis: BasisSet) -> None:
-    if p.N != basis.N or p.m != basis.m:
-        raise ValueError(
-            f"params (N={p.N}, m={p.m}) do not match basis (N={basis.N}, m={basis.m})"
-        )
+    if p.m != basis.m or p.N < p.m:
+        raise ValueError(f"params (N={p.N}, m={p.m}) do not match basis (m={basis.m})")
 
 
 def build_H_coherent(p: DissipativeParams, basis: BasisSet) -> np.ndarray:
     """Waveguide-mediated exchange Hamiltonian."""
     _check_match(p, basis)
-    op = matrix_from_action(basis, _coherent_rule(p, basis))
+    op = basis.memo(_terms)[0].at(p.N, (p.gamma_g / 2, p.gamma_s / 2))
     if op.truncation_loss > 1e-12:
         raise ValueError(
             f"coherent Hamiltonian leaks outside the reachable basis "
@@ -196,26 +221,12 @@ def build_H_coherent(p: DissipativeParams, basis: BasisSet) -> np.ndarray:
 
 
 def build_jump_operators(p: DissipativeParams, basis: BasisSet) -> list[JumpChannel]:
-    """Jump channels with rates folded so the no-jump diagonal is reproduced.
-
-    Channels: the source guided decay, the antisymmetric target decay on the
-    first guided mode, the superradiant target decay on the second guided
-    mode, and one uniform free-space channel per excited atom.  Channels with
-    zero rate are omitted.
-    """
+    """The _CHANNELS whose rate is nonzero, each with the exact O^dag O whose
+    rate-weighted sum reproduces the no-jump diagonal."""
     _check_match(p, basis)
-    rules = []
-    if p.gamma_g > 0:
-        rules.append(("source_guided", p.gamma_g,
-                      lambda lbl: [(lbl, 1.0)] if lbl.source_level == "e" else []))
-        rules.append(("target_guided_ge", p.gamma_g, _jump_product(basis, "ge")))
-    if p.gamma_s > 0:
-        rules.append(("target_guided_se", p.gamma_s, _jump_product(basis, "se")))
-    if p.gamma_star > 0:
-        # one excited atom at most per reachable state, so O^dag O = diag(n_e)
-        rules.append(("free_space", p.gamma_star, lambda lbl: [(lbl, lbl.excited_count)]))
-    return [JumpChannel(name, rate, matrix_from_action(basis, rule).matrix)
-            for name, rate, rule in rules]
+    products = basis.memo(_terms)[1].at(p.N).matrix
+    return [JumpChannel(name, getattr(p, rate), opdag_op)
+            for (name, rate), opdag_op in zip(_CHANNELS, products) if getattr(p, rate) > 0]
 
 
 def no_jump_generator(h_coherent: np.ndarray, channels: list[JumpChannel]) -> np.ndarray:

@@ -1,16 +1,13 @@
 """Closed-form probabilities, infidelity fits, and the protocol comparison.
 
 Each function evaluates one closed form exactly as written, in units of the
-first guided-mode rate (gamma_g = 1).  Where two inconsistent forms exist for
-the fixed-ratio large-N plateau, both are exposed and the simulator is the
-arbiter (see limit_fixed_ratio).
+first guided-mode rate (gamma_g = 1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 INFIDELITY_FIT_PREFACTOR = 0.061
 
@@ -28,16 +25,6 @@ def p_fixed_ratio(N: float, m: float, p1d: float) -> float:
     pref = 4 * m / (m + 1) ** 2
     coeff = 2 * math.pi / math.sqrt(2 * N * (m + 1))
     return pref * math.exp(-coeff * ((3 * m**2 + m + 1) / (2 * (m + 1) ** 2) + 1 / p1d))
-
-
-def limit_fixed_ratio(m: float) -> dict[str, float]:
-    """Candidate large-N plateaus of the fixed-ratio probability.
-
-    Two inconsistent closed forms circulate for this constant, 4m/(m+1)^2 and
-    4m/(m+2)^2.  Both are exposed so numerical evolution can arbitrate; the
-    dynamics matches the (m+1)^2 form (see the acceptance suite).
-    """
-    return {"m_plus_1": 4 * m / (m + 1) ** 2, "m_plus_2": 4 * m / (m + 2) ** 2}
 
 
 def p_continuous_drive(N: float, m: float, p1d: float) -> float:
@@ -67,56 +54,6 @@ def infidelity_fit(n_total: float, m: float) -> float:
 def accumulation_infidelity_prediction(n_per_mirror: float, m: float) -> float:
     """infidelity_fit evaluated for a double-mirrors run with N atoms per mirror."""
     return infidelity_fit(2 * n_per_mirror, m)
-
-
-def repetitions(p_list: Iterable[float]) -> float:
-    """Expected number of protocol repetitions, prod_k 1/p_k."""
-    r = 1.0
-    for p in p_list:
-        if not 0 < p <= 1:
-            raise ValueError("step probabilities must lie in (0, 1]")
-        r /= p
-    return r
-
-
-def r_m_asymptotic(N: float, m: float) -> float:
-    """Large-m repetition scaling exp(m sqrt(m/N))."""
-    return math.exp(m * math.sqrt(m / N))
-
-
-def effective_rates_M_scheme(
-    gamma_1d: Iterable[float],
-    gamma_star: float,
-    omega: Iterable[float],
-    delta: Iterable[float],
-) -> tuple[list[float], float]:
-    """Drive-diluted rates after adiabatic elimination of the far levels.
-
-    Each guided rate becomes Gamma |Omega/(2 Delta)|^2 and the free-space rate
-    the matching sum over channels.
-    """
-    gamma_1d = list(gamma_1d)
-    omega = list(omega)
-    delta = list(delta)
-    if not (len(gamma_1d) == len(omega) == len(delta)):
-        raise ValueError("need one (Omega, Delta) pair per guided rate")
-    weights = [abs(o / (2 * d)) ** 2 for o, d in zip(omega, delta)]
-    eff = [g * w for g, w in zip(gamma_1d, weights)]
-    eff_star = gamma_star * sum(weights)
-    return eff, eff_star
-
-
-def repumping_error_bound(N: float, p1d: float) -> float:
-    """Upper bound on the storage-salvage repumping error: 1/(P_1d N^{3/2})."""
-    return 1.0 / (p1d * N**1.5)
-
-
-def single_mode_infidelity_terms(
-    N: float, pulse_area_error: float, gamma_c_star: float, gamma_g: float = 1.0
-) -> float:
-    """Extra per-step infidelity of the one-guided-mode variant:
-    N (delta pulse area)^2 + gamma_c* / (sqrt(N) gamma_g)."""
-    return N * pulse_area_error**2 + gamma_c_star / (math.sqrt(N) * gamma_g)
 
 
 # ---------------------------------------------------------------------------

@@ -128,30 +128,35 @@ def _embed_input(basis: BasisSet, input_state: np.ndarray | None) -> np.ndarray:
         return psi
     if input_state is None:
         input_state = goal_amplitudes(m - 1)
-    labels = storage_labels(m - 1)
-    if input_state.shape[0] != len(labels):
+    idx, weights = basis.memo(_layout)[3:]
+    if input_state.shape[0] != len(idx):
         raise ProtocolError(
             f"input target state has {input_state.shape[0]} components, "
-            f"sector m={m} expects {len(labels)}"
+            f"sector m={m} expects {len(idx)}"
         )
     nrm = math.sqrt(norm_sq(input_state))
     if abs(nrm - 1.0) > 1e-9:
         raise ProtocolError("input target state must be normalized")
-    for (k1, k2), amp in zip(labels, input_state):
-        i, w = basis.fold[BasisLabel("e", k1, 0, k2, 0, DET_NONE)]
-        psi[i] += w * amp
+    np.add.at(psi, idx, weights * input_state)
     return psi
 
 
-def _herald_index(basis: BasisSet) -> tuple[np.ndarray, np.ndarray]:
-    """Basis positions and weights of the heralded branch in storage-space
-    order (the readout level on a driven basis, the excited detector
-    otherwise): weights * psi[positions] unfolds its amplitudes."""
+def _layout(basis: BasisSet) -> tuple[np.ndarray, ...]:
+    """Read-only arrays a step reads off its basis, built once per basis: the
+    stage-parity frame, then the basis positions and weights of the heralded
+    branch (the readout level on a driven basis, the excited detector
+    otherwise) and of the input under an excited source, in storage order:
+    weights * psi[positions] unfolds a branch."""
     detector = DET_HERALDED if basis.with_drive else DET_EXCITED
-    occupations = storage_labels(basis.m) if basis.mode == HPMode.EXACT else [(basis.m, 0)]
-    idx, weights = zip(*(basis.fold[BasisLabel("g", k1, 0, k2, 0, detector)]
-                         for k1, k2 in occupations))
-    return np.array(idx), np.array(weights)
+    m, exact = basis.m, basis.mode == HPMode.EXACT
+    arrays = [stage_frame(basis)]
+    for source, det, occupations in (("g", detector, storage_labels(m) if exact else [(m, 0)]),
+                                     ("e", DET_NONE, storage_labels(m - 1) if exact else [])):
+        folds = [basis.fold[BasisLabel(source, k1, 0, k2, 0, det)] for k1, k2 in occupations]
+        arrays += [np.array([f[0] for f in folds], dtype=np.intp), np.array([f[1] for f in folds])]
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple(arrays)
 
 
 @dataclass
@@ -205,7 +210,7 @@ def _model(p: DissipativeParams, mode: HPMode,
     psi0 = _embed_input(basis, input_target_state)
     channels = build_jump_operators(p, basis) if decay else []
     h = no_jump_generator(build_H_coherent(p, basis), channels)
-    return _Model(basis, psi0, channels, h, stage_frame(basis), *_herald_index(basis))
+    return _Model(basis, psi0, channels, h, *basis.memo(_layout)[:3])
 
 
 def _evolve(model: _Model, prop: Propagator, T: float) -> StepResult:
@@ -301,8 +306,8 @@ def run_step_continuous_drive(
     p = DissipativeParams.from_purcell(N, m, p1d)
     model = _model(p, HPMode.APPROX, decay=not zero_decay, with_drive=True)
     psi0, idx = model.psi0, model.idx
-    src = matrix_from_action(model.basis, source_drive).matrix
-    det = matrix_from_action(model.basis, readout_drive).matrix
+    src, det = (model.basis.memo(matrix_from_action, rule).at(N).matrix
+                for rule in (source_drive, readout_drive))
     prop = Propagator(model.h + (omega / 2) * (src + det), model.frame)
 
     if T is None:

@@ -2,7 +2,7 @@
 operators on the full tensor-product space, and the reference quantities the
 tests check the package against (decay generator, excitation number, the
 drive terms, the signed mirror swap, the ideal-limit bandgap chain, a
-straight-line fit, a Chebyshev propagator).
+straight-line fit, a Chebyshev propagator, the candidate fixed-ratio plateaus).
 
 These deliberately share no code with the package internals: states are
 base-3 integer configurations, collective operators are sums of sparse
@@ -421,3 +421,13 @@ def detector_coupling_element(n_atoms_total):
     flip_ge = collective_flip(n, "g", "e")
     readout = flip_ge @ excited
     return float(exc_norm), float(np.linalg.norm(readout))
+
+
+def limit_fixed_ratio(m: float) -> dict[str, float]:
+    """Candidate large-N plateaus of the fixed-ratio probability.
+
+    Two inconsistent closed forms circulate for this constant, 4m/(m+1)^2 and
+    4m/(m+2)^2.  Both are exposed so numerical evolution can arbitrate; the
+    dynamics matches the (m+1)^2 form (see the acceptance suite).
+    """
+    return {"m_plus_1": 4 * m / (m + 1) ** 2, "m_plus_2": 4 * m / (m + 2) ** 2}

@@ -13,15 +13,14 @@ import math
 import numpy as np
 
 from oracles import FullModelOracle, decay_generator_max_eig, drive_matrix, \
-    excitation_number_operator, ideal_bandgap_chain, linear_regression_r2, \
-    mirror_operator_element, rk4_evolve
+    excitation_number_operator, ideal_bandgap_chain, limit_fixed_ratio, \
+    linear_regression_r2, mirror_operator_element, rk4_evolve
 from wgherald.bandgap import BandgapParams, build_H_bandgap, compensate, \
     ideal_step_probability, run_transfer
 from wgherald.basis import HPMode, build_basis
 from wgherald.dissipative import DissipativeParams, build_H_coherent, build_H_nh, \
     optimal_time
-from wgherald.formulas import limit_fixed_ratio, p_continuous_drive, \
-    p_double_mirrors, p_fresh_level
+from wgherald.formulas import p_continuous_drive, p_double_mirrors, p_fresh_level
 from wgherald.linalg import Propagator, norm_sq
 from wgherald.protocol import run_accumulation, run_step, run_step_continuous_drive, \
     run_step_fixed_ratio
@@ -171,7 +170,7 @@ def test_criterion_7_oracle_equivalence():
     """Exact representation vs brute force (1e-12); propagator vs RK4 (1e-7)."""
     # collective operators: every per-mirror element at N <= 5, occupations
     # for sectors m <= 2
-    from wgherald.basis import mirror_image
+    from wgherald.basis import mirror_image, roots
 
     max_op_dev = 0.0
     ops = {"eg": ("e", "g"), "ge": ("g", "e"), "sg": ("s", "g"),
@@ -180,8 +179,8 @@ def test_criterion_7_oracle_equivalence():
         pairs = [(k, l) for k in range(3) for l in (0, 1) if k + l <= min(2, n)]
         for which, ab in ops.items():
             for kl in pairs:
-                out = mirror_image(which, kl[0], kl[1], n)
-                image = {} if out is None else {out[:2]: out[2]}
+                out = mirror_image(which, kl[0], kl[1])
+                image = {} if out is None else {out[:2]: out[2][0] * roots(n, 3)[out[2][1]]}
                 for klp in pairs:
                     want = mirror_operator_element(n, ab, klp, kl).real
                     got = image.get(klp, 0.0)

@@ -22,6 +22,7 @@ from wgherald.basis import (
     goal_state,
     matrix_from_action,
     mirror_image,
+    roots,
     storage_labels,
 )
 from wgherald.dissipative import target_images
@@ -118,7 +119,7 @@ def test_goal_state_storage_number():
 def test_single_atom_limit_exact():
     # N=1: collective ops reduce to single-atom flips, sqrt(N - s) = 1
     basis = build_basis(1, 1, HPMode.EXACT)
-    op = matrix_from_action(basis, lambda lbl: target_images(basis, lbl, "eg", 1.0)).matrix
+    op = matrix_from_action(basis, lambda lbl: target_images(basis, lbl, "eg", 1.0)).at(1).matrix
     idx_in = basis.index_of(basis.labels[0])
     assert basis.labels[idx_in].source_level == "e"
     col = op[:, idx_in]
@@ -129,14 +130,17 @@ def test_linearized_mode_commutator_below_cutoff():
     # [b, b^dag] = 1 on the chain labels, below the occupation cutoff; the
     # matrices act on the chain widened by one excited quantum either way, so
     # both products of a chain label stay inside it
-    basis = build_basis(200, 2, HPMode.APPROX)
-    two_n = 2 * basis.N
+    n_atoms = 200
+    basis = build_basis(n_atoms, 2, HPMode.APPROX)
+    two_n = 2 * n_atoms
     wide = sorted({lbl._replace(l1=l) for lbl in basis.labels
                    for l in (lbl.l1 - 1, lbl.l1, lbl.l1 + 1) if l >= 0},
                   key=lambda lbl: lbl.sort_key())
-    wide = BasisSet(tuple(wide), basis.mode, basis.N, basis.m)
-    create = matrix_from_action(wide, lambda lbl: target_images(wide, lbl, "eg", 1.0)).matrix
-    annih = matrix_from_action(wide, lambda lbl: target_images(wide, lbl, "ge", 1.0)).matrix
+    wide = BasisSet(tuple(wide), basis.mode, basis.m)
+    create = matrix_from_action(
+        wide, lambda lbl: target_images(wide, lbl, "eg", 1.0)).at(n_atoms).matrix
+    annih = matrix_from_action(
+        wide, lambda lbl: target_images(wide, lbl, "ge", 1.0)).at(n_atoms).matrix
     comm_matrix = annih @ create - create @ annih
     for lbl in basis.labels:
         i = wide.index_of(lbl)
@@ -150,8 +154,8 @@ def test_collective_operator_matches_bruteforce_per_mirror():
         pairs = [p for p in kl_pairs(2) if sum(p) <= n_atoms]
         for which, (alpha, beta) in MIRROR_OPS.items():
             for k, l in pairs:
-                out = mirror_image(which, k, l, n_atoms)
-                image = {} if out is None else {out[:2]: out[2]}
+                out = mirror_image(which, k, l)
+                image = {} if out is None else {out[:2]: out[2][0] * roots(n_atoms, 3)[out[2][1]]}
                 for kp, lp in pairs:
                     want = mirror_operator_element(n_atoms, (alpha, beta), (kp, lp), (k, l))
                     got = image.get((kp, lp), 0.0)
@@ -165,7 +169,7 @@ def test_truncation_loss_matches_bruteforce_column_norm():
     # the squared norm the oracle sees leaving the projected space
     n_atoms, m = 4, 2
     basis = build_basis(n_atoms, m, HPMode.EXACT)
-    op = matrix_from_action(basis, lambda lbl: target_images(basis, lbl, "eg", 1.0))
+    op = matrix_from_action(basis, lambda lbl: target_images(basis, lbl, "eg", 1.0)).at(n_atoms)
     in_basis = np.abs(op.matrix) ** 2
     total_in = float(in_basis.sum())
     total_full = 0.0

@@ -15,7 +15,19 @@ from oracles import (
     excitation_number_operator,
     mirror_swap_matrix,
 )
-from wgherald.basis import HPMode, build_basis, matrix_from_action, stage_frame
+from wgherald import dissipative
+from wgherald.basis import (
+    ONE,
+    RATE_G,
+    RATE_S,
+    ROOT_2N,
+    ROOT_N,
+    BasisSet,
+    HPMode,
+    build_basis,
+    matrix_from_action,
+    stage_frame,
+)
 from wgherald.dissipative import (
     DissipativeParams,
     build_H_coherent,
@@ -193,10 +205,11 @@ def test_exact_h_nh_matches_bruteforce():
 
 
 def test_params_basis_mismatch_rejected():
-    p = DissipativeParams(N=10, m=1)
-    basis = build_basis(20, 1, HPMode.APPROX)
-    with pytest.raises(ValueError):
-        build_H_coherent(p, basis)
+    # a basis serves every N >= m, so params must match its m and have N >= m
+    basis = build_basis(20, 2, HPMode.APPROX)
+    for p in (DissipativeParams(N=10, m=1), DissipativeParams(N=1, m=2)):
+        with pytest.raises(ValueError):
+            build_H_coherent(p, basis)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -242,8 +255,8 @@ def test_stage_frame_makes_the_generator_exactly_real(n, data, p1d, gamma_s, par
     chain = build_basis(n, m, HPMode.APPROX)
     driven = build_basis(n, m, HPMode.APPROX, with_drive=True)
     h_driven = build_H_nh(p, driven)
-    src = matrix_from_action(driven, source_drive).matrix
-    det = matrix_from_action(driven, readout_drive).matrix
+    src = matrix_from_action(driven, source_drive).at(n).matrix
+    det = matrix_from_action(driven, readout_drive).at(n).matrix
     cases = [(exact, build_H_nh(p, exact)), (chain, build_H_nh(p, chain)),
              (driven, h_driven + (omega / 2) * src), (driven, h_driven + (omega / 2) * det),
              (driven, build_H_coherent(p, driven) + (omega / 2) * (src + det))]
@@ -251,3 +264,67 @@ def test_stage_frame_makes_the_generator_exactly_real(n, data, p1d, gamma_s, par
         frame = stage_frame(basis)
         g = (-1j * h) * (frame[None, :] / frame[:, None])
         assert np.array_equal(g.imag, np.zeros(h.shape))
+
+
+def test_terms_are_recorded_once_and_every_matrix_is_fresh(monkeypatch):
+    # one basis serves every N: the rules run once on it, the recorded terms
+    # are read-only, and each builder call returns newly allocated matrices,
+    # so mutating one changes no later call and interleaving two N values of
+    # one shape gives the bytes each gives built alone
+    calls = []
+    record = dissipative.matrix_from_action
+    monkeypatch.setattr(dissipative, "matrix_from_action",
+                        lambda *args: calls.append(args) or record(*args))
+    sector = build_basis(40, 5, HPMode.EXACT, parity=1)
+
+    def fresh():  # an equal basis object with nothing recorded on it yet
+        return BasisSet(sector.labels, sector.mode, sector.m, fold=sector.fold)
+
+    def model(p, basis):
+        channels = build_jump_operators(p, basis)
+        return [build_H_coherent(p, basis), build_H_nh(p, basis)] + [c.opdag_op for c in channels]
+
+    params = {n: DissipativeParams.from_purcell(n, 5, 10.0) for n in (7, 1000)}
+    alone = {n: [a.tobytes() for a in model(p, fresh())] for n, p in params.items()}
+    shared = fresh()
+    del calls[:]
+    for n in (7, 1000, 7, 1000):
+        matrices = model(params[n], shared)
+        assert [a.tobytes() for a in matrices] == alone[n]
+        for a in matrices:
+            a[...] = np.nan
+    assert len(calls) == 2  # the coherent part and the channels' stack
+    for terms in shared.memo(dissipative._terms):
+        for a in (terms.flat, terms.c, terms.q, terms.ratio):
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+
+def loop_matrix(terms, n, rates):
+    # the loop the recorded terms stand for: each term's product in its
+    # association, added to its entry in term order, the roots from math
+    def root(q):
+        if q >= ROOT_N:
+            return math.sqrt(max(n - (q - ROOT_N), 0))
+        return {ONE: 1.0, RATE_G: rates[0], RATE_S: rates[1], ROOT_2N: math.sqrt(2 * n)}[q]
+
+    size = math.prod(terms.shape)
+    out = [0.0] * (size + 1)
+    for t, flat in enumerate(terms.flat.tolist()):
+        (c1, c2), (q1, q2) = terms.c[:, t].tolist(), terms.q[:, t].tolist()
+        out[flat] += (c1 * root(q1)) * (c2 * root(q2)) * terms.ratio[t].item()
+    return np.array(out[:size]).reshape(terms.shape).astype(complex)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (5, 3), (7, 7), (300, 6), (1000, 40)])
+def test_recorded_terms_evaluate_as_their_loop(n, m):
+    # the array evaluation gives the bytes of the loop, roots that vanish at
+    # N = m included, on every basis kind, with and without the drives
+    rates = (0.5, 0.5 / math.sqrt(m))
+    bases = [build_basis(n, m, HPMode.EXACT, parity=par) for par in (None, 1, -1)]
+    bases += [build_basis(n, m, HPMode.APPROX, with_drive=drive) for drive in (False, True)]
+    for basis in bases:
+        terms = [*basis.memo(dissipative._terms), matrix_from_action(basis, source_drive),
+                 matrix_from_action(basis, readout_drive)]
+        for t in terms:
+            assert t.at(n, rates).matrix.tobytes() == loop_matrix(t, n, rates).tobytes()

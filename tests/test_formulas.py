@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import limit_fixed_ratio
 from wgherald import formulas as F
 
 
@@ -20,9 +21,9 @@ def test_double_mirrors_monotone_in_m():
 
 
 def test_fixed_ratio_limits():
-    lim1 = F.limit_fixed_ratio(1)
+    lim1 = limit_fixed_ratio(1)
     assert lim1["m_plus_1"] == pytest.approx(1.0)
-    lim2 = F.limit_fixed_ratio(2)
+    lim2 = limit_fixed_ratio(2)
     assert lim2["m_plus_2"] == pytest.approx(0.5)
     assert lim2["m_plus_1"] == pytest.approx(8 / 9)
 
@@ -30,7 +31,7 @@ def test_fixed_ratio_limits():
 def test_fixed_ratio_consistent_with_own_limit():
     # exponent ~ 2 pi (5/8) / sqrt(2N(m+1)) = 9.8e-4 at N = 4e6, m = 1
     p = F.p_fixed_ratio(4e6, 1, math.inf)
-    assert abs(p - F.limit_fixed_ratio(1)["m_plus_1"]) < 1e-3
+    assert abs(p - limit_fixed_ratio(1)["m_plus_1"]) < 1e-3
 
 
 def test_continuous_drive_values():
@@ -64,42 +65,12 @@ def test_infidelity_fit():
         assert F.infidelity_fit(100, m) >= 0.0
 
 
-def test_repetitions():
-    assert F.repetitions([]) == 1.0
-    assert F.repetitions([1.0, 1.0]) == 1.0
-    assert F.repetitions([0.5, 0.5]) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        F.repetitions([0.0])
-
-
 def test_repetitions_asymptotic_vs_product():
     n, m = 100, 9
-    product = F.repetitions(F.p_double_mirrors(n, k, math.inf) for k in range(1, m + 1))
-    asym = F.r_m_asymptotic(n, m)
+    # prod_k 1/p_k against the large-m scaling exp(m sqrt(m/N))
+    product = math.prod(1 / F.p_double_mirrors(n, k, math.inf) for k in range(1, m + 1))
+    asym = math.exp(m * math.sqrt(m / n))
     assert 0.5 <= asym / product <= 2.0
-
-
-def test_effective_rates_m_scheme():
-    eff, eff_star = F.effective_rates_M_scheme([1.0, 2.0], 0.5, [0.0, 0.0], [1.0, 1.0])
-    assert eff == [0.0, 0.0] and eff_star == 0.0
-    eff, eff_star = F.effective_rates_M_scheme([1.0], 0.5, [2.0], [1.0])
-    assert eff[0] == pytest.approx(1.0)  # Omega = 2 Delta leaves the rate unscaled
-    assert eff_star == pytest.approx(0.5)
-    eff, _ = F.effective_rates_M_scheme([1.0], 0.5, [1.0], [1.0])
-    assert eff[0] == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        F.effective_rates_M_scheme([1.0, 2.0], 0.5, [1.0], [1.0])
-
-
-def test_repumping_error_bound():
-    assert F.repumping_error_bound(100, 10.0) == pytest.approx(1e-4)
-    assert F.repumping_error_bound(400, 10.0) < F.repumping_error_bound(100, 10.0)
-
-
-def test_single_mode_infidelity_terms():
-    assert F.single_mode_infidelity_terms(100, 0.0, 0.0) == 0.0
-    val = F.single_mode_infidelity_terms(100, 0.01, 0.001)
-    assert val == pytest.approx(100 * 1e-4 + 0.001 / 10.0)
 
 
 def test_table1_rows():

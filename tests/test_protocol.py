@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import drive_matrix, full_basis_step
+from oracles import drive_matrix, full_basis_step, limit_fixed_ratio
 from wgherald.basis import HPMode, goal_amplitudes
 from wgherald.dissipative import DissipativeParams, build_H_nh, optimal_time
 from wgherald.formulas import (
     accumulation_infidelity_prediction,
-    limit_fixed_ratio,
     p_continuous_drive,
     p_double_mirrors,
     p_fixed_ratio,
@@ -149,6 +148,24 @@ def test_every_step_kind_builds_one_basis_and_one_propagator(monkeypatch):
         props.clear()
         step()
         assert len(bases) == len(props) == count
+
+
+def test_models_share_read_only_layouts_and_fresh_matrices():
+    # two models of one shape at different N: the basis and its read-only
+    # frame and herald positions are shared, the generator, the channels and
+    # the input are newly allocated, so mutating them changes no later model
+    p, q = (DissipativeParams.from_purcell(n, 6, 10.0) for n in (30, 900))
+    first = _model(p, HPMode.EXACT)
+    want = [a.tobytes() for a in (first.psi0, first.h, first.channels[1].opdag_op)]
+    for a in (first.psi0, first.h, first.channels[1].opdag_op):
+        a[...] = np.nan
+    other = _model(q, HPMode.EXACT)
+    again = _model(p, HPMode.EXACT)
+    assert [a.tobytes() for a in (again.psi0, again.h, again.channels[1].opdag_op)] == want
+    assert other.basis is again.basis and other.frame is again.frame
+    for a in (again.frame, again.idx, again.weights):
+        with pytest.raises(ValueError):
+            a[...] = 0
 
 
 def test_step_diagnostics_report_the_worst_propagator(monkeypatch):

@@ -1,6 +1,7 @@
 """The (protocol, variant) table agrees with the code it dispatches to, and
 `run_sweep` splits points over forked processes."""
 
+import csv
 import math
 import os
 import signal
@@ -9,7 +10,7 @@ import time
 import pytest
 import yaml
 
-from wgherald import sweep
+from wgherald import basis, sweep
 from wgherald.cli import main
 from wgherald.sweep import PARAMETERS, TABLE, SweepConfigError, SweepSpec, run_point, run_sweep
 
@@ -132,3 +133,25 @@ def test_jobs_above_one_need_fork(monkeypatch):
     with pytest.raises(SweepConfigError, match="os.fork"):
         SweepSpec.from_config(sweep_config(2))
     assert SweepSpec.from_config(sweep_config(1)).jobs == 1
+
+
+def test_exact_sweep_rows_do_not_depend_on_jobs_or_on_bases_built_before(tmp_path):
+    # forked children inherit the caller's bases and the terms recorded on
+    # them: from a cold cache, and again after the caller has built every
+    # basis, --jobs 2 writes the cells --jobs 1 writes, apart from wall_time_s
+    config = tmp_path / "sweep.yaml"
+    config.write_text(yaml.safe_dump({
+        "protocol": "accumulate", "mode": "hp-exact", "fixed": {"p1d": 10},
+        "axes": [{"name": "N", "values": [30, 200, 1000]}, {"name": "m", "values": [2, 5, 8]}]}))
+    basis._build_basis.cache_clear()
+    tables = []
+    for i, jobs in enumerate((2, 1, 2)):
+        out = tmp_path / f"rows{i}.csv"
+        argv = ["sweep", "--config", str(config), "--out", str(out), "--jobs", str(jobs)]
+        assert main(argv) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        wall = rows[0].index("wall_time_s")
+        tables.append([row[:wall] + row[wall + 1:] for row in rows])
+    assert len(tables[0]) == 10
+    assert tables[0] == tables[1] == tables[2]
