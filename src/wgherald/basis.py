@@ -279,14 +279,14 @@ class OperatorTerms:
             a.flags.writeable = False
 
     def at(self, N: int, rates=(1.0, 1.0)) -> CollectiveOperator:
-        """The newly allocated matrix at N and rates, and its truncation loss.
-        Each entry sums its terms in order, as one loop over the rule would."""
+        """The newly allocated real matrix at N and rates, and its truncation
+        loss.  Each entry sums its terms in order, as one rule loop would."""
         x = self.c * roots(N, self.top, rates)[self.q]
         v = x[0] * x[1] * self.ratio
         size = math.prod(self.shape)
         matrix = np.bincount(self.flat, v, size + 1)[:size].reshape(self.shape)
         lost = v[self.flat == size]
-        return CollectiveOperator(matrix.astype(complex), float(lost @ lost))
+        return CollectiveOperator(matrix, float(lost @ lost))
 
 
 def matrix_from_action(basis: BasisSet, *actions) -> OperatorTerms:

@@ -92,8 +92,9 @@ class JumpChannel:
 
     `opdag_op` is the exact product on the reachable basis (not the product
     of basis-projected jump operators, whose images of the collective
-    channels leave the no-jump sector).  It sets the channel's decay diagonal
-    in H_nh and its loss rate Gamma <psi|O^dag O|psi> in the bookkeeping.
+    channels leave the no-jump sector), a real matrix: a view of the stack
+    `model_matrices` returns.  It sets the channel's decay diagonal in H_nh
+    and its loss rate Gamma <psi|O^dag O|psi> in the bookkeeping.
     """
 
     name: str
@@ -192,54 +193,60 @@ _CHANNELS = (("source_guided", "gamma_g"), ("target_guided_ge", "gamma_g"),
 
 
 def _terms(basis: BasisSet):
-    """The model's recorded terms on a basis: the coherent part, and the stack
-    of each channel's O^dag O in _CHANNELS order."""
-    return (matrix_from_action(basis, _coherent_rule(basis)),
-            matrix_from_action(basis,
-                               lambda lbl: [(lbl, 1.0)] if lbl.source_level == "e" else [],
-                               _jump_product(basis, "ge"), _jump_product(basis, "se"),
-                               # one excited atom at most per reachable state,
-                               # so O^dag O = diag(n_e)
-                               lambda lbl: [(lbl, lbl.excited_count)]))
+    """The model's recorded terms on a basis: one stack of the coherent part
+    and each channel's O^dag O in _CHANNELS order.  The channels use neither
+    rate root, and no O^dag O image leaves the basis."""
+    return matrix_from_action(basis, _coherent_rule(basis),
+                              lambda lbl: [(lbl, 1.0)] if lbl.source_level == "e" else [],
+                              _jump_product(basis, "ge"), _jump_product(basis, "se"),
+                              # one excited atom at most per reachable state,
+                              # so O^dag O = diag(n_e)
+                              lambda lbl: [(lbl, lbl.excited_count)])
 
 
-def _check_match(p: DissipativeParams, basis: BasisSet) -> None:
+def model_matrices(p: DissipativeParams, basis: BasisSet) -> tuple:
+    """The coherent Hamiltonian, and the names, rates and stack of exact
+    O^dag O of the _CHANNELS whose rate is nonzero, in _CHANNELS order: newly
+    allocated real matrices from one evaluation of the recorded terms."""
     if p.m != basis.m or p.N < p.m:
         raise ValueError(f"params (N={p.N}, m={p.m}) do not match basis (m={basis.m})")
-
-
-def build_H_coherent(p: DissipativeParams, basis: BasisSet) -> np.ndarray:
-    """Waveguide-mediated exchange Hamiltonian."""
-    _check_match(p, basis)
-    op = basis.memo(_terms)[0].at(p.N, (p.gamma_g / 2, p.gamma_s / 2))
+    op = basis.memo(_terms).at(p.N, (p.gamma_g / 2, p.gamma_s / 2))
     if op.truncation_loss > 1e-12:
         raise ValueError(
             f"coherent Hamiltonian leaks outside the reachable basis "
             f"(loss {op.truncation_loss:.3e}); basis/sector mismatch"
         )
-    return op.matrix
+    rates = [getattr(p, rate) for _, rate in _CHANNELS]
+    keep = [k for k, rate in enumerate(rates) if rate > 0]
+    products = op.matrix[1:] if len(keep) == len(rates) else op.matrix[1:][keep]
+    return op.matrix[0], [_CHANNELS[k][0] for k in keep], [rates[k] for k in keep], products
+
+
+def build_H_coherent(p: DissipativeParams, basis: BasisSet) -> np.ndarray:
+    """Waveguide-mediated exchange Hamiltonian, a real matrix."""
+    return model_matrices(p, basis)[0]
 
 
 def build_jump_operators(p: DissipativeParams, basis: BasisSet) -> list[JumpChannel]:
     """The _CHANNELS whose rate is nonzero, each with the exact O^dag O whose
     rate-weighted sum reproduces the no-jump diagonal."""
-    _check_match(p, basis)
-    products = basis.memo(_terms)[1].at(p.N).matrix
-    return [JumpChannel(name, getattr(p, rate), opdag_op)
-            for (name, rate), opdag_op in zip(_CHANNELS, products) if getattr(p, rate) > 0]
+    return [JumpChannel(*channel) for channel in zip(*model_matrices(p, basis)[1:])]
 
 
-def no_jump_generator(h_coherent: np.ndarray, channels: list[JumpChannel]) -> np.ndarray:
-    """H_coherent - (i/2) sum_k Gamma_k O_k^dag O_k over the given channels."""
+def no_jump_generator(h_coherent: np.ndarray, rates, ops: np.ndarray) -> np.ndarray:
+    """H_coherent - (i/2) sum_k rates[k] ops[k] as a new complex matrix, each
+    real product ops[k] subtracted from its imaginary part in real arithmetic."""
     h = h_coherent.astype(complex)
-    for ch in channels:
-        h -= 0.5j * ch.rate * ch.opdag_op
+    decay = h.imag
+    for rate, op in zip(rates, ops):
+        decay -= (0.5 * rate) * op
     return h
 
 
 def build_H_nh(p: DissipativeParams, basis: BasisSet) -> np.ndarray:
     """No-jump generator of the model's coherent part and all its channels."""
-    return no_jump_generator(build_H_coherent(p, basis), build_jump_operators(p, basis))
+    h, _, rates, ops = model_matrices(p, basis)
+    return no_jump_generator(h, rates, ops)
 
 
 def optimal_time(p: DissipativeParams) -> float:

@@ -11,15 +11,18 @@ units in which T^-1 (-iH) T is exactly real, as it is for the protocol's
 no-jump generators, the decomposition is taken on that real matrix (LAPACK's
 real eig, about a third of the cost of the complex one at dimension 81).  The
 conditioning test is the Frobenius bound kappa_F = ||V||_F ||V^-1||_F >=
-kappa_2 on the inverse the eigenbasis needs anyway, so no SVD is taken.  Loss bookkeeping integrates one
-density R = integral psi psi^dag ds per evolution and reads every channel's
-integral off it.
+kappa_2 on the inverse the eigenbasis needs anyway, so no SVD is taken.
+Loss bookkeeping integrates one density R = integral psi psi^dag ds per
+evolution and reads every channel's integral off it in one reduction over
+the stack of channel operators.
 
 Conventions: hbar = 1, all rates in units of the reference guided-mode decay
 rate, times in its inverse.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -46,7 +49,7 @@ def as_state(v) -> np.ndarray:
     arr = np.asarray(v, dtype=complex)
     if arr.ndim != 1:
         raise DimensionError(f"expected a 1-d state vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise NumericError("state vector contains non-finite entries")
     return arr
 
@@ -56,7 +59,7 @@ def as_operator(h) -> np.ndarray:
     arr = np.asarray(h, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise NumericError("operator contains non-finite entries")
     return arr
 
@@ -120,13 +123,15 @@ class Propagator:
             self.eigvals, self.eigvecs = np.linalg.eig(self.h)
         try:
             vinv = np.linalg.inv(self.eigvecs)
-            with np.errstate(over="ignore", invalid="ignore"):
-                cond = float(np.linalg.norm(self.eigvecs) * np.linalg.norm(vinv))
         except np.linalg.LinAlgError:
-            vinv, cond = None, np.inf
-        self.condition = cond if np.isfinite(cond) else np.inf
+            vinv, cond = None, math.inf
+        else:  # Python floats: a product past the float range is inf, quietly
+            cond = (math.sqrt(np.vdot(self.eigvecs, self.eigvecs).real)
+                    * math.sqrt(np.vdot(vinv, vinv).real))
+        self.condition = cond if math.isfinite(cond) else math.inf
         usable = self.condition < EIGBASIS_MAX_CONDITION
         self._vinv = vinv if usable else None
+        self._exponents = -1j * self.eigvals
         self.method = "eig" if usable else "expm"
 
     def apply(self, t: float, v) -> np.ndarray:
@@ -134,17 +139,17 @@ class Propagator:
         v = as_state(v)
         if v.shape[0] != self.dim:
             raise DimensionError(f"state dim {v.shape[0]} != operator dim {self.dim}")
-        if not np.isfinite(t):
+        if not math.isfinite(t):
             raise NumericError("evolution time must be finite")
         if self.method == "eig":
             # |lambda| t past the float range leaves non-finite amplitudes, raised below
             with np.errstate(over="ignore", invalid="ignore"):
-                out = self.eigvecs @ (np.exp(-1j * self.eigvals * t) * (self._vinv @ v))
+                out = self.eigvecs @ (np.exp(self._exponents * t) * (self._vinv @ v))
         else:
             import scipy.linalg
 
             out = scipy.linalg.expm(-1j * self.h * t) @ v
-        if not np.all(np.isfinite(out.view(float))):
+        if not np.isfinite(out).all():
             raise NumericError("propagation produced non-finite amplitudes")
         return out
 
@@ -173,24 +178,33 @@ class Propagator:
 
     def integrated_expectation(self, ops, t: float, v0) -> np.ndarray:
         """Exact integral_0^t <psi(s)|M|psi(s)> ds along psi(s) = e^{-iHs} v0,
-        one for each operator M of the list ops.
+        one for each operator M of ops, a (k, dim, dim) stack or a list of k
+        matrices, real or complex.
 
         Every integral reads the one density R = integral_0^t psi psi^dag ds
-        as sum_ij M_ij R_ji.  In the eigenbasis R = A F^T A^dag in closed
-        form, with A = V diag(V^-1 v0) and F the integrals of the pairwise
-        exponentials, expm1(i mu t) / (i mu) for mu = conj(lambda_a) -
-        lambda_b (t where mu = 0); the expm fallback sums psi psi^dag with
-        composite Simpson weights on a fine uniform grid.
+        as sum_ij M_ij R_ji, all k in one reduction.  In the eigenbasis
+        R = A F^T A^dag in closed form, with A = V diag(V^-1 v0) and F the
+        integrals of the pairwise exponentials, expm1(i mu t) / (i mu) for
+        mu = conj(lambda_a) - lambda_b (t where mu = 0); the expm fallback
+        sums psi psi^dag with composite Simpson weights on a fine uniform
+        grid.
         """
-        ops = [as_operator(m) for m in ops]
         v0 = as_state(v0)
-        if v0.shape[0] != self.dim or any(m.shape[0] != self.dim for m in ops):
+        try:
+            ops = np.asarray(ops)
+        except ValueError:  # matrices of different shapes
+            ops = None
+        if ops is not None and ops.shape == (0,):
+            ops = ops.reshape(0, self.dim, self.dim)
+        if ops is None or ops.shape[1:] != (self.dim, self.dim) or v0.shape[0] != self.dim:
             raise DimensionError("integrated_expectation dimension mismatch")
+        if not np.isfinite(ops).all():
+            raise NumericError("operator contains non-finite entries")
         # |mu| t past the float range leaves non-finite integrals, raised below
         with np.errstate(over="ignore", invalid="ignore"):
             r = self._integrated_density(t, v0).T
-            out = np.array([np.sum(m * r).real for m in ops])
-        if not np.all(np.isfinite(out)):
+            out = (ops * r).sum(axis=(1, 2)).real
+        if not np.isfinite(out).all():
             raise NumericError("loss integrals are non-finite")
         return out
 
@@ -206,9 +220,9 @@ class Propagator:
                 psis[i] = step @ psis[i - 1]
             return (psis.T * simpson_weights(t, SIMPSON_POINTS)) @ psis.conj()
         a = self.eigvecs * (self._vinv @ v0)
-        mu = np.conj(self.eigvals)[:, None] - self.eigvals[None, :]
-        zero = mu == 0
-        factors = np.where(zero, t, np.expm1(1j * mu * t) / (1j * np.where(zero, 1.0, mu)))
+        imu = 1j * (np.conj(self.eigvals)[:, None] - self.eigvals[None, :])
+        zero = imu == 0
+        factors = np.where(zero, t, np.expm1(imu * t) / np.where(zero, 1j, imu))
         return a @ factors.T @ a.conj().T
 
 

@@ -44,9 +44,7 @@ from .basis import (
 )
 from .dissipative import (
     DissipativeParams,
-    JumpChannel,
-    build_H_coherent,
-    build_jump_operators,
+    model_matrices,
     no_jump_generator,
     optimal_time,
     readout_drive,
@@ -113,7 +111,7 @@ def _embed_input(basis: BasisSet, input_state: np.ndarray | None) -> np.ndarray:
     psi = np.zeros(basis.dim, dtype=complex)
     if input_state is not None:
         input_state = np.asarray(input_state, dtype=complex)
-        if input_state.ndim != 1 or not np.all(np.isfinite(input_state)):
+        if input_state.ndim != 1 or not np.isfinite(input_state).all():
             raise ProtocolError("input target state must be a finite 1-d vector, "
                                 f"got shape {input_state.shape}")
     if basis.mode == HPMode.APPROX:
@@ -126,9 +124,9 @@ def _embed_input(basis: BasisSet, input_state: np.ndarray | None) -> np.ndarray:
         start = BasisLabel("s" if basis.with_drive else "e", m - 1, 0, 0, 0, DET_NONE)
         psi[basis.index_of(start)] = 1.0
         return psi
+    idx, weights, goal_input = basis.memo(_layout)[4:]
     if input_state is None:
-        input_state = goal_amplitudes(m - 1)
-    idx, weights = basis.memo(_layout)[3:]
+        input_state = goal_input
     if input_state.shape[0] != len(idx):
         raise ProtocolError(
             f"input target state has {input_state.shape[0]} components, "
@@ -143,17 +141,19 @@ def _embed_input(basis: BasisSet, input_state: np.ndarray | None) -> np.ndarray:
 
 def _layout(basis: BasisSet) -> tuple[np.ndarray, ...]:
     """Read-only arrays a step reads off its basis, built once per basis: the
-    stage-parity frame, then the basis positions and weights of the heralded
-    branch (the readout level on a driven basis, the excited detector
-    otherwise) and of the input under an excited source, in storage order:
-    weights * psi[positions] unfolds a branch."""
+    stage-parity frame, the goal, the basis positions and weights of the
+    heralded branch (the readout level on a driven basis, the excited
+    detector otherwise) and of the input under an excited source, in storage
+    order (weights * psi[positions] unfolds a branch), and the goal of m - 1
+    quanta, an EXACT step's default input."""
     detector = DET_HERALDED if basis.with_drive else DET_EXCITED
     m, exact = basis.m, basis.mode == HPMode.EXACT
-    arrays = [stage_frame(basis)]
+    arrays = [stage_frame(basis), goal_state(basis)]
     for source, det, occupations in (("g", detector, storage_labels(m) if exact else [(m, 0)]),
                                      ("e", DET_NONE, storage_labels(m - 1) if exact else [])):
         folds = [basis.fold[BasisLabel(source, k1, 0, k2, 0, det)] for k1, k2 in occupations]
         arrays += [np.array([f[0] for f in folds], dtype=np.intp), np.array([f[1] for f in folds])]
+    arrays.append(goal_amplitudes(m - 1) if exact else np.zeros(0, dtype=complex))
     for a in arrays:
         a.flags.writeable = False
     return tuple(arrays)
@@ -161,9 +161,10 @@ def _layout(basis: BasisSet) -> tuple[np.ndarray, ...]:
 
 @dataclass
 class _Model:
-    """The model a step evolves: its basis, the folded input, the channels,
-    the undriven no-jump generator, its stage-parity frame (which the step's
-    Propagator takes, drive included) and the herald positions and weights.
+    """The model a step evolves: its basis, the folded input, its channels'
+    names, rates and real O^dag O stack, the undriven no-jump generator, its
+    stage-parity frame (which the step's Propagator takes, drive included),
+    the goal and the herald positions and weights.
 
     In EXACT mode the basis is the mirror-parity sector of a parity
     eigenstate input and the full 4m+1 basis of a mixed one; in APPROX mode
@@ -172,9 +173,12 @@ class _Model:
 
     basis: BasisSet
     psi0: np.ndarray
-    channels: list[JumpChannel]
+    channels: list[str]
+    rates: list[float]
+    ops: np.ndarray
     h: np.ndarray
     frame: np.ndarray
+    goal: np.ndarray
     idx: np.ndarray
     weights: np.ndarray
 
@@ -187,16 +191,16 @@ def _parity(p: DissipativeParams, mode: HPMode,
             input_target_state: np.ndarray | None) -> int | None:
     """The mirror parity of an input, read off its storage amplitudes a: the
     swap maps them to a[::-1], so a == a[::-1] is P = +1 and a == -a[::-1]
-    is P = -1.  None for a mixed input and in APPROX mode."""
+    is P = -1; the default input, the goal of k = m - 1 quanta, has
+    a[::-1] = (-1)^k a.  None for a mixed input and in APPROX mode."""
     if mode != HPMode.EXACT:
         return None
     if input_target_state is None:
-        a = goal_amplitudes(p.m - 1)
-    else:
-        a = np.asarray(input_target_state, dtype=complex)
-    if np.array_equal(a, a[::-1]):
+        return -1 if (p.m - 1) % 2 else 1
+    a = np.asarray(input_target_state, dtype=complex)
+    if (a == a[::-1]).all():
         return 1
-    if np.array_equal(a, -a[::-1]):
+    if (a == -a[::-1]).all():
         return -1
     return None
 
@@ -208,9 +212,11 @@ def _model(p: DissipativeParams, mode: HPMode,
     decay=False drops every channel."""
     basis = build_basis(p.N, p.m, mode, with_drive, _parity(p, mode, input_target_state))
     psi0 = _embed_input(basis, input_target_state)
-    channels = build_jump_operators(p, basis) if decay else []
-    h = no_jump_generator(build_H_coherent(p, basis), channels)
-    return _Model(basis, psi0, channels, h, *basis.memo(_layout)[:3])
+    h, names, rates, ops = model_matrices(p, basis)
+    if not decay:
+        names, rates, ops = [], [], ops[:0]
+    h = no_jump_generator(h, rates, ops)
+    return _Model(basis, psi0, names, rates, ops, h, *basis.memo(_layout)[:4])
 
 
 def _evolve(model: _Model, prop: Propagator, T: float) -> StepResult:
@@ -222,10 +228,9 @@ def _evolve(model: _Model, prop: Propagator, T: float) -> StepResult:
     """
     if not 0 < T < math.inf:
         raise ProtocolError(f"evolution time T must be positive and finite, not {T!r}")
-    integrals = prop.integrated_expectation(
-        [ch.opdag_op for ch in model.channels], T, model.psi0)
+    integrals = prop.integrated_expectation(model.ops, T, model.psi0)
     diags = StepDiagnostics(
-        {ch.name: ch.rate * integral for ch, integral in zip(model.channels, integrals)},
+        {name: rate * x for name, rate, x in zip(model.channels, model.rates, integrals)},
         propagator_method=prop.method, eigvec_condition=prop.condition)
     psi = prop.apply(T, model.psi0)
     herald_amps = model.heralded(psi)
@@ -235,7 +240,7 @@ def _evolve(model: _Model, prop: Propagator, T: float) -> StepResult:
         diags.herald_impossible = True
         return StepResult(p_success, None, None, T, diags)
     post = herald_amps / math.sqrt(p_success)
-    ovl = abs(overlap(goal_state(model.basis), post)) ** 2
+    ovl = abs(overlap(model.goal, post)) ** 2
     return StepResult(p_success, post, ovl, T, diags)
 
 

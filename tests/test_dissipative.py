@@ -293,11 +293,11 @@ def test_terms_are_recorded_once_and_every_matrix_is_fresh(monkeypatch):
         assert [a.tobytes() for a in matrices] == alone[n]
         for a in matrices:
             a[...] = np.nan
-    assert len(calls) == 2  # the coherent part and the channels' stack
-    for terms in shared.memo(dissipative._terms):
-        for a in (terms.flat, terms.c, terms.q, terms.ratio):
-            with pytest.raises(ValueError):
-                a[...] = 0
+    assert len(calls) == 1  # one stack: the coherent part and the channels
+    terms = shared.memo(dissipative._terms)
+    for a in (terms.flat, terms.c, terms.q, terms.ratio):
+        with pytest.raises(ValueError):
+            a[...] = 0
 
 
 def loop_matrix(terms, n, rates):
@@ -313,7 +313,7 @@ def loop_matrix(terms, n, rates):
     for t, flat in enumerate(terms.flat.tolist()):
         (c1, c2), (q1, q2) = terms.c[:, t].tolist(), terms.q[:, t].tolist()
         out[flat] += (c1 * root(q1)) * (c2 * root(q2)) * terms.ratio[t].item()
-    return np.array(out[:size]).reshape(terms.shape).astype(complex)
+    return np.array(out[:size]).reshape(terms.shape)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (5, 3), (7, 7), (300, 6), (1000, 40)])
@@ -324,7 +324,7 @@ def test_recorded_terms_evaluate_as_their_loop(n, m):
     bases = [build_basis(n, m, HPMode.EXACT, parity=par) for par in (None, 1, -1)]
     bases += [build_basis(n, m, HPMode.APPROX, with_drive=drive) for drive in (False, True)]
     for basis in bases:
-        terms = [*basis.memo(dissipative._terms), matrix_from_action(basis, source_drive),
+        terms = [basis.memo(dissipative._terms), matrix_from_action(basis, source_drive),
                  matrix_from_action(basis, readout_drive)]
         for t in terms:
             assert t.at(n, rates).matrix.tobytes() == loop_matrix(t, n, rates).tobytes()

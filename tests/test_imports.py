@@ -87,7 +87,7 @@ def scipy_loaded():
 assert not scipy_loaded()
 p = DissipativeParams.from_purcell(200, 3, 10.0)
 model, t = _model(p, HPMode.EXACT), optimal_time(p)
-ops = [ch.opdag_op for ch in model.channels]
+ops = model.ops
 eig = linalg.Propagator(model.h, model.frame)
 assert eig.method == 'eig'
 linalg.EIGBASIS_MAX_CONDITION = 0

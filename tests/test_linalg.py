@@ -156,6 +156,38 @@ def test_integrated_expectation_matches_quadrature():
         prop.integrated_expectation([diag, np.eye(4)], t, v0)
 
 
+def test_integrated_expectation_takes_a_stack_or_a_list():
+    # the operators come as a (k, dim, dim) stack, real or complex, or as a
+    # list of k matrices, and give the same values; a stack is checked with
+    # one shape and one finiteness test
+    rng = np.random.default_rng(12)
+    h, v0, t = random_decaying_h(rng, 4), random_state(rng, 4), 0.7
+    prop = Propagator(h)
+    b = rng.standard_normal((3, 4, 4))
+    stack = b @ b.transpose(0, 2, 1)
+    want = prop.integrated_expectation(list(stack), t, v0)
+    assert want.shape == (3,)
+    assert np.array_equal(prop.integrated_expectation(stack, t, v0), want)
+    assert np.array_equal(prop.integrated_expectation(stack.astype(complex), t, v0), want)
+    for k, m in enumerate(stack):
+        assert prop.integrated_expectation([m], t, v0)[0] == want[k]
+    for empty in ([], np.zeros((0, 4, 4))):
+        assert prop.integrated_expectation(empty, t, v0).shape == (0,)
+    for bad in ([np.eye(4), np.eye(3)], [np.eye(4), np.ones((4, 3))], np.zeros((2, 3, 3)),
+                np.zeros((0, 3, 3)), np.eye(4), np.zeros((1, 4, 4, 1))):
+        with pytest.raises(DimensionError):
+            prop.integrated_expectation(bad, t, v0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(3):
+            for value in (np.nan, np.inf, complex(0.0, np.nan), complex(-np.inf, 1.0)):
+                ops = stack.astype(complex)
+                ops[k, 1, 2] = value
+                for form in (ops, list(ops)):
+                    with pytest.raises(NumericError, match="operator"):
+                        prop.integrated_expectation(form, t, v0)
+
+
 def test_integrated_expectation_at_large_eigenvalues_matches_the_closed_form():
     # each pairwise factor is (e^{i mu t} - 1) / (i mu) at any |mu t|, and t at
     # mu = 0, however large the eigenvalues: here they are near 1e10, with

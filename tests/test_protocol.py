@@ -1,6 +1,8 @@
 """Heralded steps, accumulation, and the protocol variants."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,20 +154,84 @@ def test_every_step_kind_builds_one_basis_and_one_propagator(monkeypatch):
 
 def test_models_share_read_only_layouts_and_fresh_matrices():
     # two models of one shape at different N: the basis and its read-only
-    # frame and herald positions are shared, the generator, the channels and
-    # the input are newly allocated, so mutating them changes no later model
+    # frame, goal and herald positions are shared, the generator, the
+    # channels' stack and the input are newly allocated, so mutating them
+    # changes no later model
     p, q = (DissipativeParams.from_purcell(n, 6, 10.0) for n in (30, 900))
     first = _model(p, HPMode.EXACT)
-    want = [a.tobytes() for a in (first.psi0, first.h, first.channels[1].opdag_op)]
-    for a in (first.psi0, first.h, first.channels[1].opdag_op):
+    want = [a.tobytes() for a in (first.psi0, first.h, first.ops)]
+    for a in (first.psi0, first.h, first.ops):
         a[...] = np.nan
     other = _model(q, HPMode.EXACT)
     again = _model(p, HPMode.EXACT)
-    assert [a.tobytes() for a in (again.psi0, again.h, again.channels[1].opdag_op)] == want
+    assert [a.tobytes() for a in (again.psi0, again.h, again.ops)] == want
     assert other.basis is again.basis and other.frame is again.frame
-    for a in (again.frame, again.idx, again.weights):
+    layout = again.basis.memo(protocol._layout)
+    assert [again.frame, again.goal, again.idx, again.weights] == list(layout[:4])
+    for a in layout:
         with pytest.raises(ValueError):
             a[...] = 0
+
+
+def test_mutating_step_outputs_changes_no_later_step():
+    # a step's post state and its model's arrays are its own: writing to them
+    # leaves the goal, layout and terms memoized on the basis intact
+    p, q = (DissipativeParams.from_purcell(300, m, 10.0) for m in (4, 5))
+    first = run_step(p, HPMode.EXACT)
+    chained = run_step(q, HPMode.EXACT, first.post_state)
+    want = [first.post_state.tobytes(), chained.post_state.tobytes()]
+    model = _model(q, HPMode.EXACT, first.post_state)
+    for a in (first.post_state, chained.post_state, model.psi0, model.h, model.ops):
+        a[...] = np.nan
+    again = run_step(p, HPMode.EXACT)
+    assert [again.post_state.tobytes(),
+            run_step(q, HPMode.EXACT, again.post_state).post_state.tobytes()] == want
+
+
+def test_default_input_parity_matches_the_goal_amplitudes():
+    # the default input's parity (-1)^(m-1) is the one read off its amplitudes
+    for m in range(1, 41):
+        p = DissipativeParams.from_purcell(40, m, 10.0)
+        assert protocol._parity(p, HPMode.EXACT, None) == protocol._parity(
+            p, HPMode.EXACT, goal_amplitudes(m - 1)) == (-1) ** (m - 1)
+
+
+# p_success, each channel loss, overlap_goal, T and post_state of these steps,
+# as computed at commit c47b1c5 (before the channels became one real stack)
+STEP_PINS = json.loads(Path(__file__).with_name("step_pins.json").read_text())
+
+
+def _pinned_steps(name):
+    approx = {f"hp-approx-m{m}": (317, m) for m in (1, 6)}
+    exact = {f"hp-exact-m{m}-{kind}": (m, kind) for m in (2, 5, 12, 40) for kind in ("goal", "mixed")}
+    if name in approx:
+        return [run_step(DissipativeParams.from_purcell(*approx[name], 10.0), HPMode.APPROX)]
+    if name in exact:
+        m, kind = exact[name]
+        state = _mixed_parity_input(m) if kind == "mixed" else None
+        return [run_step(DissipativeParams.from_purcell(500, m, 10.0), HPMode.EXACT, state)]
+    return {
+        "fixed-ratio": lambda: [run_step_fixed_ratio(400, 3, 10.0, HPMode.EXACT)],
+        "drive-default-omega": lambda: [run_step_continuous_drive(300, 2, 10.0)],
+        "drive-off-omega": lambda: [run_step_continuous_drive(300, 2, 10.0, omega=20.0)],
+        "refine-T-accumulation-m5": lambda: run_accumulation(150, 5, 10.0, refine_T=True).steps,
+    }[name]()
+
+
+@pytest.mark.parametrize("name", sorted(STEP_PINS))
+def test_step_outputs_match_the_recorded_pins(name):
+    steps = _pinned_steps(name)
+    assert len(steps) == len(STEP_PINS[name])
+    for res, pin in zip(steps, STEP_PINS[name]):
+        for key in ("p_success", "overlap_goal", "T_used"):
+            assert getattr(res, key) == pytest.approx(pin[key], rel=1e-12, abs=0), key
+        losses = res.diagnostics.channel_losses
+        assert list(losses) == list(pin["channel_losses"])
+        want = np.array(list(pin["channel_losses"].values()))
+        assert np.abs(np.array(list(losses.values())) - want).max() <= 1e-12 * want.max()
+        post = np.array([complex(re, im) for re, im in pin["post_state"]])
+        assert res.post_state.shape == post.shape
+        assert np.abs(res.post_state - post).max() <= 1e-12 * np.abs(post).max()
 
 
 def test_step_diagnostics_report_the_worst_propagator(monkeypatch):
@@ -200,14 +266,14 @@ def _step_generators():
         inputs = [goal_amplitudes(m - 1)] + ([_mixed_parity_input(m)] if m > 1 else [])
         for state in inputs:
             s = _model(p, HPMode.EXACT, state)
-            cases.append((s.h, s.frame, s.channels, optimal_time(p), s.idx))
+            cases.append((s.h, s.frame, s.ops, optimal_time(p), s.idx))
     p = DissipativeParams.from_purcell(400, 3, 10.0)
     chain = _model(p, HPMode.APPROX)
-    cases.append((chain.h, chain.frame, chain.channels, optimal_time(p), chain.idx))
+    cases.append((chain.h, chain.frame, chain.ops, optimal_time(p), chain.idx))
     omega = math.sqrt(2.0 / 3.0) * math.sqrt(800)
     for decay in (True, False):
         s = _model(p, HPMode.APPROX, decay=decay, with_drive=True)
-        cases.append((s.h + (omega / 2) * drive_matrix(s.basis), s.frame, s.channels,
+        cases.append((s.h + (omega / 2) * drive_matrix(s.basis), s.frame, s.ops,
                       2 * math.pi / omega, s.idx))
     return cases
 
@@ -216,7 +282,7 @@ def test_frame_path_matches_frameless_path_on_every_step_generator():
     rng = np.random.default_rng(14)
     cases = _step_generators()
     assert len(cases) == 10
-    for h, frame, channels, t, idx in cases:
+    for h, frame, products, t, idx in cases:
         prop, ref = Propagator(h, frame), Propagator(h)
         assert prop.method == ref.method == "eig"
         v0 = rng.normal(size=(h.shape[0], 2)) @ [1.0, 1.0j]
@@ -225,7 +291,7 @@ def test_frame_path_matches_frameless_path_on_every_step_generator():
         times = np.linspace(0.0, 2 * t, 200)
         assert np.abs(prop.population(times, v0, idx)
                       - ref.population(times, v0, idx)).max() <= 1e-12
-        ops = [ch.opdag_op for ch in channels] + [np.eye(h.shape[0])]
+        ops = [*products, np.eye(h.shape[0])]
         assert np.abs(prop.integrated_expectation(ops, t, v0)
                       - ref.integrated_expectation(ops, t, v0)).max() <= 1e-12
 
