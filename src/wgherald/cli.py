@@ -89,8 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "bandgap":
             sub.add_argument("--jsonl", action="store_true",
                              help="emit JSON lines instead of CSV")
-    subs.choices["sweep"].add_argument("--jobs", type=int, default=None,
-                                       help="processes evaluating points, this one included")
+    subs.choices["sweep"].add_argument(
+        "--jobs", type=int, default=None,
+        help="at most this many processes evaluating points, this one included; the others "
+             "are forked only if the first point shows that the rest outlasts the forks")
     subs.choices["bandgap"].add_argument(
         "--profile-out", default=None,
         help="write the per-atom intensity/phase profile at the optimum here")

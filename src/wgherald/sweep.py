@@ -6,9 +6,12 @@ selector.  TABLE is the one place that says which (protocol, variant) pairs
 exist, which parameters and modes each reads, how it runs and which closed
 form its row reports; a spec that sets anything its entry ignores is
 rejected.  Points are enumerated lexicographically over the axes in the order
-given, evaluated independently (on `jobs` processes, this one included), and
-written as CSV or JSON lines with one row per point.  Rows that fail are
-recorded in the `error` column and the sweep continues.
+given, evaluated independently, and written as CSV or JSON lines with one row
+per point.  Rows that fail are recorded in the `error` column and the sweep
+continues.  `jobs` caps the processes evaluating points, this one included:
+the first point is evaluated here, and the other processes are forked only if
+its time, times the points left, predicts that they finish sooner than the
+forks cost (see `run_sweep`).
 
 Everything evaluated here is deterministic, so identical specs produce
 byte-identical outputs apart from the wall-time column.
@@ -63,6 +66,13 @@ _DEFAULTS = {
 _CHOICES = ("protocol", "variant", "mode")
 PARAMETERS = tuple(k for k in _DEFAULTS if k not in _CHOICES)
 _OPTIONS = {"out": None, "jobs": 1, "jsonl": False}
+
+# Seconds one forked worker costs its sweep: the fork, the copy-on-write page
+# faults it causes in both processes, and the reaping.  Measured as the wall
+# time of a cheap 18-point `cli.main` sweep at --jobs 2, less that at --jobs 1,
+# plus half its points' time, on a 2-vCPU machine: 11-13 ms at 34 MB resident
+# (a fresh `import wgherald.cli`) and 14 ms at 56 MB.
+FORK_COST_S = 0.015
 
 
 class SweepConfigError(ValueError):
@@ -294,16 +304,26 @@ def _evaluate(point: dict, record_errors: bool) -> dict:
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate all points on min(jobs, points) processes and return the rows
-    in axis order.  Point i runs in process i mod jobs: process 0 is this one,
-    and each other is an `os.fork` child that pickles its rows to a pipe.  A
-    child that dies or sends unreadable rows raises RuntimeError; on any
-    exception the children still running are killed and reaped."""
+    """Evaluate all points on at most jobs = min(spec.jobs, points)
+    processes and return the rows in axis order.
+
+    This process evaluates point 0 first.  It forks the other jobs - 1
+    processes only if that point's `wall_time_s` times the points left
+    exceeds jobs * FORK_COST_S, that is if the rest run here would outlast
+    the rest split over jobs processes plus the forks; otherwise it evaluates
+    every point itself.  When it forks, point i runs in process i mod jobs:
+    process 0 is this one, and each other is an `os.fork` child that pickles
+    its rows to a pipe.  A child that dies or sends unreadable rows raises
+    RuntimeError; on any exception the children still running are killed
+    and reaped."""
     points = spec.points()
     jobs = min(spec.jobs, len(points))
     rows = [None] * len(points)
     workers = []  # (index, pid, read end) of each child not yet reaped
     try:
+        rows[0] = evaluate_point(points[0])
+        if rows[0]["wall_time_s"] * (len(points) - 1) <= jobs * FORK_COST_S:
+            jobs = 1
         for k in range(1, jobs):
             read, write = os.pipe()
             pid = os.fork()
@@ -311,7 +331,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
                 _worker(points[k::jobs], write, [read, *(p.fileno() for _, _, p in workers)])
             os.close(write)
             workers.append((k, pid, os.fdopen(read, "rb")))
-        rows[0::jobs] = [evaluate_point(pt) for pt in points[0::jobs]]
+        rows[jobs::jobs] = [evaluate_point(pt) for pt in points[jobs::jobs]]
         while workers:
             k, pid, pipe = workers[0]
             with pipe:

@@ -164,15 +164,18 @@ def sweep_config(tmp_path, **extra):
     return path
 
 
-def test_sweep_deterministic_and_parallel_equal(tmp_path, capsys):
+def test_sweep_deterministic_and_parallel_equal(tmp_path, capsys, free_forks):
     cfg = sweep_config(tmp_path)
     outs = []
-    # jobs 5 is more processes than the 4 points: one child per other point
-    for i, jobs in enumerate(("1", "1", "2", "3", "5")):
+    # forks cost nothing here, so every sweep of jobs > 1 forks; jobs 5 is
+    # more processes than the 4 points: one child per other point
+    for i, jobs in enumerate((1, 1, 2, 3, 5)):
         out_path = tmp_path / f"out{i}.csv"
+        before = len(free_forks)
         code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg),
-                             "--out", str(out_path), "--jobs", jobs)
+                             "--out", str(out_path), "--jobs", str(jobs))
         assert code == 0
+        assert len(free_forks) - before == min(jobs, 4) - 1
         outs.append(out_path.read_text())
     for out in outs[1:]:
         assert strip_wall_time(out) == strip_wall_time(outs[0])

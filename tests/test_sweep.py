@@ -1,5 +1,6 @@
 """The (protocol, variant) table agrees with the code it dispatches to, and
-`run_sweep` splits points over forked processes."""
+`run_sweep` splits points over forked processes when its first point shows
+that the forks pay."""
 
 import csv
 import math
@@ -64,28 +65,72 @@ def tag_pid(monkeypatch, before=lambda: None):
     monkeypatch.setattr(sweep, "evaluate_point", tagged)
 
 
-def test_point_i_runs_in_process_i_mod_jobs(monkeypatch):
+def test_point_i_runs_in_process_i_mod_jobs(monkeypatch, free_forks):
     tag_pid(monkeypatch)
     pids = [row["pid"] for row in run_sweep(SweepSpec.from_config(sweep_config(2)))]
+    assert len(free_forks) == 1
     assert pids[0] == pids[2] == os.getpid()
-    assert pids[1] == pids[3] != os.getpid()
+    assert pids[1] == pids[3] == free_forks[0]
 
 
-def test_more_jobs_than_points_forks_one_child_per_other_point(monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", counting_fork)
+def test_more_jobs_than_points_forks_one_child_per_other_point(monkeypatch, free_forks):
     tag_pid(monkeypatch)
     spec = SweepSpec.from_config(sweep_config(5, N=(100,), m=(1, 2, 3)))
     pids = [row["pid"] for row in run_sweep(spec)]
-    assert len(forks) == 2
-    assert pids == [os.getpid(), *forks]
+    assert len(free_forks) == 2
+    assert pids == [os.getpid(), *free_forks]
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_cheap_sweep_starts_no_child(monkeypatch, forks, jobs):
+    # four hp-approx steps of well under a millisecond each: the forks would
+    # cost more than the three points left, so this process runs them all
+    serial = run_sweep(SweepSpec.from_config(sweep_config(1)))
+    tag_pid(monkeypatch)
+    rows = run_sweep(SweepSpec.from_config(sweep_config(jobs)))
+    assert forks == []
+    assert [row.pop("pid") for row in rows] == [os.getpid()] * 4
+    assert list(map(without_wall_time, rows)) == list(map(without_wall_time, serial))
+
+
+@pytest.mark.parametrize("jobs, N, m", [(2, (100, 200), (1, 2)), (3, (100, 200), (1, 2)),
+                                        (5, (100,), (1, 2, 3))],
+                         ids=["2-jobs", "3-jobs", "more-jobs-than-points"])
+@pytest.mark.parametrize("scale, forked", [(0.99, False), (1.01, True)],
+                         ids=["below", "above"])
+def test_first_point_decides_whether_to_fork(monkeypatch, forks, jobs, N, m, scale, forked):
+    # rows report a wall time just below or just above the break-even time
+    # of the first point: jobs * FORK_COST_S over the points left
+    spec = SweepSpec.from_config(sweep_config(jobs, N=N, m=m))
+    points = len(spec.points())
+    used = min(jobs, points)
+    wall = scale * used * sweep.FORK_COST_S / (points - 1)
+    evaluate = sweep.evaluate_point
+    monkeypatch.setattr(sweep, "evaluate_point",
+                        lambda pt: dict(evaluate(pt), pid=os.getpid(), wall_time_s=wall))
+    pids = [row["pid"] for row in run_sweep(spec)]
+    assert len(forks) == (used - 1 if forked else 0)
+    owners = [os.getpid(), *forks]
+    assert pids == [owners[i % len(owners)] for i in range(points)]
+
+
+@pytest.mark.parametrize("free", [False, True], ids=["default-cost", "free-forks"])
+def test_error_row_at_point_0_keeps_the_split(monkeypatch, forks, free):
+    # point 0 (m = 80 > N = 50) fails at once; whether the sweep then forks
+    # or not, every row lands at its point and the failure stays in its row
+    config = {"protocol": "step", "mode": "hp-approx", "fixed": {"p1d": 10, "N": 50},
+              "axes": [{"name": "m", "values": [80, 1, 2, 3, 4]}]}
+    serial = run_sweep(SweepSpec.from_config(dict(config, jobs=1)))
+    if free:
+        monkeypatch.setattr(sweep, "FORK_COST_S", 0.0)
+    tag_pid(monkeypatch)
+    rows = run_sweep(SweepSpec.from_config(dict(config, jobs=2)))
+    assert len(forks) == (1 if free else 0)
+    owners = [os.getpid(), *forks]
+    assert [row.pop("pid") for row in rows] == [owners[i % len(owners)] for i in range(5)]
+    assert list(map(without_wall_time, rows)) == list(map(without_wall_time, serial))
+    assert serial[0]["error"].startswith("BasisError")
+    assert [row["error"] for row in serial[1:]] == [""] * 4
 
 
 def assert_no_child_left():
@@ -98,32 +143,38 @@ def assert_no_child_left():
     (lambda: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {signal.SIGKILL:d}"),
     (lambda: os._exit(0), "sent unreadable rows"),
 ], ids=["exit-status", "killed", "no-rows"])
-def test_dying_worker_fails_loudly(monkeypatch, tmp_path, capsys, death, message):
+def test_dying_worker_fails_loudly(monkeypatch, tmp_path, capsys, free_forks, death,
+                                   message):
     caller = os.getpid()
     tag_pid(monkeypatch, lambda: os.getpid() != caller and death())
     with pytest.raises(RuntimeError, match=rf"sweep worker 1 \(pid \d+\) {message}"):
         run_sweep(SweepSpec.from_config(sweep_config(2)))
+    assert len(free_forks) == 1
     assert_no_child_left()
 
     config, out = tmp_path / "sweep.yaml", tmp_path / "f.csv"
     config.write_text(yaml.safe_dump(sweep_config(2)))
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+    assert len(free_forks) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
     assert_no_child_left()
 
 
-def test_interrupted_caller_kills_and_reaps_its_children(monkeypatch):
-    caller = os.getpid()
+def test_interrupted_caller_kills_and_reaps_its_children(monkeypatch, free_forks):
+    caller, calls = os.getpid(), []
 
     def interrupt_or_stall():
-        if os.getpid() == caller:
+        if os.getpid() != caller:
+            time.sleep(60)
+        calls.append(None)
+        if len(calls) == 2:  # the caller's second point, after both forks
             raise KeyboardInterrupt
-        time.sleep(60)
     tag_pid(monkeypatch, interrupt_or_stall)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         run_sweep(SweepSpec.from_config(sweep_config(3)))
+    assert len(free_forks) == 2
     assert_no_child_left()
     assert time.monotonic() - start < 30
 
@@ -135,7 +186,7 @@ def test_jobs_above_one_need_fork(monkeypatch):
     assert SweepSpec.from_config(sweep_config(1)).jobs == 1
 
 
-def test_exact_sweep_rows_do_not_depend_on_jobs_or_on_bases_built_before(tmp_path):
+def test_exact_sweep_rows_do_not_depend_on_jobs_or_on_bases_built_before(tmp_path, free_forks):
     # forked children inherit the caller's bases and the terms recorded on
     # them: from a cold cache, and again after the caller has built every
     # basis, --jobs 2 writes the cells --jobs 1 writes, apart from wall_time_s
@@ -153,5 +204,6 @@ def test_exact_sweep_rows_do_not_depend_on_jobs_or_on_bases_built_before(tmp_pat
             rows = list(csv.reader(fh))
         wall = rows[0].index("wall_time_s")
         tables.append([row[:wall] + row[wall + 1:] for row in rows])
+    assert len(free_forks) == 2
     assert len(tables[0]) == 10
     assert tables[0] == tables[1] == tables[2]
