@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs.choices["sweep"].add_argument(
         "--jobs", type=int, default=None,
         help="at most this many processes evaluating points, this one included; the others "
-             "are forked only if the first point shows that the rest outlasts the forks")
+             "are forked only if the points' predicted times show that the forks pay")
     subs.choices["bandgap"].add_argument(
         "--profile-out", default=None,
         help="write the per-atom intensity/phase profile at the optimum here")

@@ -136,28 +136,15 @@ class Propagator:
 
     def apply(self, t: float, v) -> np.ndarray:
         """Return e^{-iHt} v."""
-        return self._apply(t, *self._project(v))
-
-    def evolve(self, ops, t: float, v0) -> tuple[np.ndarray, np.ndarray]:
-        """integrated_expectation(ops, t, v0) and apply(t, v0), from one check
-        and one projection V^-1 v0 of v0."""
-        v0, c = self._project(v0)
-        return self._expectations(ops, t, v0, c), self._apply(t, v0, c)
-
-    def _project(self, v):
-        """The checked state v and, on the eigenbasis path, V^-1 v."""
         v = as_state(v)
         if v.shape[0] != self.dim:
             raise DimensionError(f"state dim {v.shape[0]} != operator dim {self.dim}")
-        return v, (self._vinv @ v if self.method == "eig" else None)
-
-    def _apply(self, t, v, c):
         if not math.isfinite(t):
             raise NumericError("evolution time must be finite")
         if self.method == "eig":
             # |lambda| t past the float range leaves non-finite amplitudes, raised below
             with np.errstate(over="ignore", invalid="ignore"):
-                out = self.eigvecs @ (np.exp(self._exponents * t) * c)
+                out = self.eigvecs @ (np.exp(self._exponents * t) * (self._vinv @ v))
         else:
             import scipy.linalg
 
@@ -172,15 +159,15 @@ class Propagator:
         The eigenbasis path forms V^-1 v0 once and applies only the rows
         `index` of V, 256 times at a time; the expm fallback loops over apply.
         """
-        v0, c = self._project(v0)
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1:
-            raise DimensionError(f"population needs a 1-d time grid, got shape {times.shape}")
+        v0, times = as_state(v0), np.asarray(times, dtype=float)
+        if v0.shape[0] != self.dim or times.ndim != 1:
+            raise DimensionError(f"population needs a state of dim {self.dim} and a "
+                                 f"1-d time grid, got {v0.shape} and {times.shape}")
         if not np.all(np.isfinite(times)):
             raise NumericError("evolution times must be finite")
         if self.method != "eig":
             return np.array([norm_sq(self.apply(t, v0)[index]) for t in times])
-        rows = self.eigvecs[index].T
+        c, rows = self._vinv @ v0, self.eigvecs[index].T
         pops = np.empty(times.shape[0])
         for k in range(0, times.shape[0], 256):
             amps = (np.exp(-1j * np.outer(times[k:k + 256], self.eigvals)) * c) @ rows
@@ -202,28 +189,26 @@ class Propagator:
         sums psi psi^dag with composite Simpson weights on a fine uniform
         grid.
         """
-        return self._expectations(ops, t, *self._project(v0))
-
-    def _expectations(self, ops, t, v0, c):
+        v0 = as_state(v0)
         try:
             ops = np.asarray(ops)
         except ValueError:  # matrices of different shapes
             ops = None
         if ops is not None and ops.shape == (0,):
             ops = ops.reshape(0, self.dim, self.dim)
-        if ops is None or ops.shape[1:] != (self.dim, self.dim):
+        if ops is None or ops.shape[1:] != (self.dim, self.dim) or v0.shape[0] != self.dim:
             raise DimensionError("integrated_expectation dimension mismatch")
         if not np.isfinite(ops).all():
             raise NumericError("operator contains non-finite entries")
         # |mu| t past the float range leaves non-finite integrals, raised below
         with np.errstate(over="ignore", invalid="ignore"):
-            r = self._integrated_density(t, v0, c).T
+            r = self._integrated_density(t, v0).T
             out = (ops * r).sum(axis=(1, 2)).real
         if not np.isfinite(out).all():
             raise NumericError("loss integrals are non-finite")
         return out
 
-    def _integrated_density(self, t, v0, c):
+    def _integrated_density(self, t, v0):
         if self.method != "eig":
             import scipy.linalg
 
@@ -234,7 +219,7 @@ class Propagator:
             for i in range(1, SIMPSON_POINTS):
                 psis[i] = step @ psis[i - 1]
             return (psis.T * simpson_weights(t, SIMPSON_POINTS)) @ psis.conj()
-        a = self.eigvecs * c
+        a = self.eigvecs * (self._vinv @ v0)
         imu = 1j * (np.conj(self.eigvals)[:, None] - self.eigvals[None, :])
         zero = imu == 0
         factors = np.where(zero, t, np.expm1(imu * t) / np.where(zero, 1j, imu))

@@ -228,10 +228,11 @@ def _evolve(model: _Model, prop: Propagator, T: float) -> StepResult:
     """
     if not 0 < T < math.inf:
         raise ProtocolError(f"evolution time T must be positive and finite, not {T!r}")
-    integrals, psi = prop.evolve(model.ops, T, model.psi0)
+    integrals = prop.integrated_expectation(model.ops, T, model.psi0)
     diags = StepDiagnostics(
         {name: rate * x for name, rate, x in zip(model.channels, model.rates, integrals)},
         propagator_method=prop.method, eigvec_condition=prop.condition)
+    psi = prop.apply(T, model.psi0)
     herald_amps = model.heralded(psi)
     p_success = norm_sq(herald_amps)
     diags.unheralded_residual = norm_sq(psi) - p_success

@@ -9,9 +9,8 @@ rejected.  Points are enumerated lexicographically over the axes in the order
 given, evaluated independently, and written as CSV or JSON lines with one row
 per point.  Rows that fail are recorded in the `error` column and the sweep
 continues.  `jobs` caps the processes evaluating points, this one included:
-the first point is evaluated here, and the other processes are forked only if
-its time, times the points left, predicts that they finish sooner than the
-forks cost (see `run_sweep`).
+the others are forked only if the points' predicted times, which depend on
+their parameters alone, show that the forks pay (see `run_sweep`).
 
 Everything evaluated here is deterministic, so identical specs produce
 byte-identical outputs apart from the wall-time column.
@@ -74,6 +73,13 @@ _OPTIONS = {"out": None, "jobs": 1, "jsonl": False}
 # (a fresh `import wgherald.cli`) and 14 ms at 56 MB.
 FORK_COST_S = 0.015
 
+# A point's predicted seconds, from its parameters alone (TABLE's `cost`):
+# STEP_S + EIG_S * d**3 per protocol step on a propagator of dimension d, and
+# TRANSFER_S + TRANSFER_N_S * N per bandgap transfer.  Fitted to single points
+# of every entry (N 40-5000, m 1-160, one BLAS thread, 2-vCPU machine).
+STEP_S, EIG_S = 4e-4, 1e-8
+TRANSFER_S, TRANSFER_N_S = 1.5e-3, 6.5e-6
+
 
 class SweepConfigError(ValueError):
     """Bad sweep specification."""
@@ -125,15 +131,33 @@ def _bandgap_row(pt: dict) -> dict:
                 overlap_goal=1.0 - rec.infidelity, infidelity=rec.infidelity)
 
 
+def _step_s(pt: dict, dim: int | None = None) -> float:
+    """One step: dimension 3 in hp-approx, 2m + 1 (a parity sector) in hp-exact."""
+    if dim is None:
+        dim = 3 if pt["mode"] is HPMode.APPROX else 2 * max(pt["m"], 0) + 1
+    return STEP_S + EIG_S * dim ** 3
+
+
+def _accumulation_s(pt: dict) -> float:
+    """Steps k = 1..m, at dimension 2k + 1 in hp-exact: n = m + 1 odd cubes sum
+    to n^2 (2n^2 - 1), the first of them 1."""
+    m = max(pt["m"], 0)
+    if pt["mode"] is HPMode.APPROX:
+        return m * _step_s(pt)
+    n = m + 1
+    return m * STEP_S + EIG_S * (n * n * (2 * n * n - 1) - 1)
+
+
 class Entry(NamedTuple):
     """One (protocol, variant): the parameters its model reads, the modes it
-    has (the default first), the runner that fills its row and its closed-form
-    step probability."""
+    has (the default first), the runner that fills its row, its closed-form
+    step probability and its predicted seconds."""
 
     reads: frozenset
     modes: tuple
     run: Callable[[dict], dict]
     formula: Callable[[dict], float]
+    cost: Callable[[dict], float]
 
 
 _EXACT_FIRST = (HPMode.EXACT.value, HPMode.APPROX.value)
@@ -143,27 +167,30 @@ _APPROX = (HPMode.APPROX.value,)
 TABLE = {
     ("step", "pi-pulse"): Entry(
         frozenset({"N", "m", "p1d", "gamma_s_ratio", "T"}), _APPROX_FIRST, _pi_pulse_row,
-        lambda pt: formulas.p_double_mirrors(pt["N"], pt["m"], pt["p1d"])),
+        lambda pt: formulas.p_double_mirrors(pt["N"], pt["m"], pt["p1d"]), _step_s),
     ("step", "fixed-ratio"): Entry(
         frozenset({"N", "m", "p1d"}), _APPROX_FIRST,
         lambda pt: _step_row(run_step_fixed_ratio(pt["N"], pt["m"], pt["p1d"], mode=pt["mode"])),
-        lambda pt: formulas.p_fixed_ratio(pt["N"], pt["m"], pt["p1d"])),
+        lambda pt: formulas.p_fixed_ratio(pt["N"], pt["m"], pt["p1d"]), _step_s),
     ("step", "continuous-drive"): Entry(
         frozenset({"N", "m", "p1d", "omega", "T"}), _APPROX,
         lambda pt: _step_row(run_step_continuous_drive(pt["N"], pt["m"], pt["p1d"],
                                                        omega=pt["omega"], T=pt["T"])),
-        lambda pt: formulas.p_continuous_drive(pt["N"], pt["m"], pt["p1d"])),
+        lambda pt: formulas.p_continuous_drive(pt["N"], pt["m"], pt["p1d"]),
+        # off the optimal drive and without a T, the herald peak is scanned for
+        lambda pt: (3 if pt["omega"] is not None and pt["T"] is None else 1) * _step_s(pt, 5)),
     ("step", "fresh-level"): Entry(
         frozenset({"N", "p1d"}), _APPROX,
         lambda pt: _step_row(run_step_fresh_level(pt["N"], pt["p1d"])),
-        lambda pt: formulas.p_fresh_level(pt["N"], pt["p1d"])),
+        lambda pt: formulas.p_fresh_level(pt["N"], pt["p1d"]), _step_s),
     ("accumulate", "pi-pulse"): Entry(
         frozenset({"N", "m", "p1d"}), _EXACT_FIRST, _accumulation_row,
-        lambda pt: formulas.p_double_mirrors(pt["N"], pt["m"], pt["p1d"])),
+        lambda pt: formulas.p_double_mirrors(pt["N"], pt["m"], pt["p1d"]), _accumulation_s),
     # the transfer has no variants or representations; rows echo the defaults
     ("bandgap", "pi-pulse"): Entry(
         frozenset({"N", "m", "p1d", "xi"}), _APPROX, _bandgap_row,
-        lambda pt: bg.ideal_step_probability(bandgap_params(pt))),
+        lambda pt: bg.ideal_step_probability(bandgap_params(pt)),
+        lambda pt: TRANSFER_S + TRANSFER_N_S * max(pt["N"], 0)),
 }
 
 
@@ -278,6 +305,23 @@ def run_point(point: dict) -> dict:
     return _evaluate(point, record_errors=False)
 
 
+def _converted(point: dict) -> dict:
+    """The point with its numbers and mode as the runners take them."""
+    return dict(point, N=int(point["N"]), m=int(point["m"]), p1d=float(point["p1d"]),
+                xi=float(point["xi"]), mode=HPMode(point["mode"]),
+                **{k: None if point[k] is None else float(point[k])
+                   for k in ("gamma_s_ratio", "omega", "T")})
+
+
+def predicted_s(point: dict) -> float:
+    """Seconds evaluate_point(point) is predicted to take, from the point's
+    parameters alone (see STEP_S); 0 for a point that fails before it runs."""
+    try:
+        return TABLE[(point["protocol"], point["variant"])].cost(_converted(point))
+    except (TypeError, ValueError, OverflowError):  # evaluate_point records it at once
+        return 0.0
+
+
 def _evaluate(point: dict, record_errors: bool) -> dict:
     """A row echoes the point's protocol, variant and mode and the parameters
     its TABLE entry reads; the other parameter cells stay empty."""
@@ -287,10 +331,7 @@ def _evaluate(point: dict, record_errors: bool) -> dict:
     try:
         entry = TABLE[(point["protocol"], point["variant"])]
         row.update((key, point[key]) for key in entry.reads)
-        pt = dict(point, N=int(point["N"]), m=int(point["m"]), p1d=float(point["p1d"]),
-                  xi=float(point["xi"]), mode=HPMode(point["mode"]),
-                  **{k: None if point[k] is None else float(point[k])
-                     for k in ("gamma_s_ratio", "omega", "T")})
+        pt = _converted(point)
         row.update(entry.run(pt))
         row["formula_p"] = fp = entry.formula(pt)
         if fp > 0:
@@ -304,26 +345,26 @@ def _evaluate(point: dict, record_errors: bool) -> dict:
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate all points on at most jobs = min(spec.jobs, points)
-    processes and return the rows in axis order.
+    """Evaluate all points on at most jobs = min(spec.jobs, points) processes
+    and return the rows in axis order.
 
-    This process evaluates point 0 first.  It forks the other jobs - 1
-    processes only if that point's `wall_time_s` times the points left
-    exceeds jobs * FORK_COST_S, that is if the rest run here would outlast
-    the rest split over jobs processes plus the forks; otherwise it evaluates
-    every point itself.  When it forks, point i runs in process i mod jobs:
-    process 0 is this one, and each other is an `os.fork` child that pickles
-    its rows to a pipe.  A child that dies or sends unreadable rows raises
-    RuntimeError; on any exception the children still running are killed
-    and reaped."""
+    Point i runs in process i mod jobs: process 0 is this one, and each other
+    is an `os.fork` child that pickles its rows to a pipe.  Forked, the sweep
+    lasts about its largest share of the points plus (jobs - 1) FORK_COST_S;
+    if that, from the points' `predicted_s`, is no shorter than all points in
+    a row, this process evaluates every point itself.  The choice depends on
+    the spec alone, and the rows do not depend on it.  A child that dies or
+    sends unreadable rows raises RuntimeError; on any exception the children
+    still running are killed and reaped."""
     points = spec.points()
     jobs = min(spec.jobs, len(points))
+    if jobs > 1:
+        cost = [predicted_s(pt) for pt in points]
+        if max(sum(cost[k::jobs]) for k in range(jobs)) + (jobs - 1) * FORK_COST_S >= sum(cost):
+            jobs = 1
     rows = [None] * len(points)
     workers = []  # (index, pid, read end) of each child not yet reaped
     try:
-        rows[0] = evaluate_point(points[0])
-        if rows[0]["wall_time_s"] * (len(points) - 1) <= jobs * FORK_COST_S:
-            jobs = 1
         for k in range(1, jobs):
             read, write = os.pipe()
             pid = os.fork()
@@ -331,7 +372,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
                 _worker(points[k::jobs], write, [read, *(p.fileno() for _, _, p in workers)])
             os.close(write)
             workers.append((k, pid, os.fdopen(read, "rb")))
-        rows[jobs::jobs] = [evaluate_point(pt) for pt in points[jobs::jobs]]
+        rows[0::jobs] = [evaluate_point(pt) for pt in points[0::jobs]]
         while workers:
             k, pid, pipe = workers[0]
             with pipe:

@@ -1,5 +1,5 @@
 """Fixtures for the tests of forked sweeps: count the children a sweep starts,
-and make a sweep fork whatever its first point costs."""
+and make a sweep fork whatever its points cost."""
 
 import os
 

@@ -296,24 +296,6 @@ def test_population_matches_apply_on_every_path():
         assert np.abs(got - ref).max() < 1e-12
 
 
-def test_evolve_is_the_integrals_and_the_state_to_the_bit():
-    rng = np.random.default_rng(6)
-    jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    for h, method in ((random_decaying_h(rng, 6), "eig"), (jordan, "expm")):
-        prop = Propagator(h)
-        assert prop.method == method
-        dim = h.shape[0]
-        ops = np.stack([np.eye(dim), np.diag(np.arange(dim, dtype=float))])
-        v = random_state(rng, dim)
-        integrals, psi = prop.evolve(ops, 0.7, v)
-        assert integrals.tobytes() == prop.integrated_expectation(ops, 0.7, v).tobytes()
-        assert psi.tobytes() == prop.apply(0.7, v).tobytes()
-    with pytest.raises(DimensionError):
-        prop.evolve(ops, 0.7, np.zeros(3))
-    with pytest.raises(NumericError):
-        prop.evolve(ops, np.inf, v)
-
-
 def test_dimension_and_finiteness_errors():
     with pytest.raises(DimensionError):
         Propagator(np.zeros((3, 3))).apply(1.0, np.zeros(4))

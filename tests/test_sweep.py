@@ -1,6 +1,6 @@
 """The (protocol, variant) table agrees with the code it dispatches to, and
-`run_sweep` splits points over forked processes when its first point shows
-that the forks pay."""
+`run_sweep` splits points over forked processes when the points' predicted
+times show that the forks pay."""
 
 import csv
 import math
@@ -13,7 +13,16 @@ import yaml
 
 from wgherald import basis, sweep
 from wgherald.cli import main
-from wgherald.sweep import PARAMETERS, TABLE, SweepConfigError, SweepSpec, run_point, run_sweep
+from wgherald.sweep import (
+    PARAMETERS,
+    TABLE,
+    Entry,
+    SweepConfigError,
+    SweepSpec,
+    predicted_s,
+    run_point,
+    run_sweep,
+)
 
 # a value for each parameter that differs from the small base point below
 CHANGED = {"N": 60, "m": 3, "p1d": 20.0, "gamma_s_ratio": 3.0, "omega": 5.0,
@@ -83,8 +92,8 @@ def test_more_jobs_than_points_forks_one_child_per_other_point(monkeypatch, free
 
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_cheap_sweep_starts_no_child(monkeypatch, forks, jobs):
-    # four hp-approx steps of well under a millisecond each: the forks would
-    # cost more than the three points left, so this process runs them all
+    # four hp-approx steps predicted at STEP_S each: the forks would cost
+    # more than the points they take over, so this process runs them all
     serial = run_sweep(SweepSpec.from_config(sweep_config(1)))
     tag_pid(monkeypatch)
     rows = run_sweep(SweepSpec.from_config(sweep_config(jobs)))
@@ -93,31 +102,102 @@ def test_cheap_sweep_starts_no_child(monkeypatch, forks, jobs):
     assert list(map(without_wall_time, rows)) == list(map(without_wall_time, serial))
 
 
-@pytest.mark.parametrize("jobs, N, m", [(2, (100, 200), (1, 2)), (3, (100, 200), (1, 2)),
-                                        (5, (100,), (1, 2, 3))],
-                         ids=["2-jobs", "3-jobs", "more-jobs-than-points"])
+def stub_entry(monkeypatch, cost, run=lambda pt: {"p_success": 1.0}):
+    """Add a ("step", "stub") entry to TABLE, reading N and m and predicted
+    to take cost(point) seconds, and return its sweep config at one N over
+    m = 1..4."""
+    monkeypatch.setitem(TABLE, ("step", "stub"), Entry(
+        frozenset({"N", "m"}), ("hp-approx",), run, lambda pt: 0.0, cost))
+    return {"protocol": "step", "variant": "stub",
+            "axes": [{"name": "m", "values": [1, 2, 3, 4]}]}
+
+
+@pytest.mark.parametrize("jobs, points", [(2, 4), (3, 4), (2, 2), (5, 3)],
+                         ids=["2-jobs", "3-jobs", "2-jobs-2-points", "more-jobs-than-points"])
 @pytest.mark.parametrize("scale, forked", [(0.99, False), (1.01, True)],
                          ids=["below", "above"])
-def test_first_point_decides_whether_to_fork(monkeypatch, forks, jobs, N, m, scale, forked):
-    # rows report a wall time just below or just above the break-even time
-    # of the first point: jobs * FORK_COST_S over the points left
-    spec = SweepSpec.from_config(sweep_config(jobs, N=N, m=m))
-    points = len(spec.points())
+def test_predicted_times_decide_whether_to_fork(monkeypatch, forks, jobs, points, scale,
+                                                forked):
+    # every point is predicted just below or just above the break-even time
+    # c, at which the largest share, ceil(points / used) c, plus the
+    # (used - 1) forks lasts as long as all points in a row
     used = min(jobs, points)
-    wall = scale * used * sweep.FORK_COST_S / (points - 1)
-    evaluate = sweep.evaluate_point
-    monkeypatch.setattr(sweep, "evaluate_point",
-                        lambda pt: dict(evaluate(pt), pid=os.getpid(), wall_time_s=wall))
-    pids = [row["pid"] for row in run_sweep(spec)]
+    break_even = (used - 1) * sweep.FORK_COST_S / (points - math.ceil(points / used))
+    config = stub_entry(monkeypatch, lambda pt: scale * break_even)
+    config["axes"][0]["values"] = list(range(1, points + 1))
+    tag_pid(monkeypatch)
+    pids = [row["pid"] for row in run_sweep(SweepSpec.from_config(dict(config, jobs=jobs)))]
     assert len(forks) == (used - 1 if forked else 0)
     owners = [os.getpid(), *forks]
     assert pids == [owners[i % len(owners)] for i in range(points)]
 
 
+@pytest.mark.parametrize("points", [2, 4])
+def test_slow_sweep_forks_and_finishes_sooner(monkeypatch, forks, points):
+    # points of 0.15 s each, predicted as such: --jobs 2 forks one child,
+    # which takes the odd points, and finishes well before --jobs 1
+    config = stub_entry(monkeypatch, lambda pt: 0.15,
+                        lambda pt: time.sleep(0.15) or {"p_success": 1.0})
+    config["axes"][0]["values"] = list(range(1, points + 1))
+    walls = []
+    for jobs in (1, 2):
+        start = time.perf_counter()
+        rows = run_sweep(SweepSpec.from_config(dict(config, jobs=jobs)))
+        walls.append(time.perf_counter() - start)
+        assert [row["error"] for row in rows] == [""] * points
+    assert len(forks) == 1
+    assert walls[1] < 0.8 * walls[0]
+
+
+@pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+def test_one_long_point_keeps_the_sweep_serial(monkeypatch, forks, order):
+    # m = 2 is predicted at 1 s and m = 1 at 1 ms: whichever process took
+    # the long point, forking would save 1 ms and cost FORK_COST_S
+    config = stub_entry(monkeypatch, lambda pt: 1.0 if pt["m"] == 2 else 0.001)
+    config["axes"][0]["values"] = list(order)
+    run_sweep(SweepSpec.from_config(dict(config, jobs=2)))
+    assert forks == []
+
+
+def test_cheap_first_point_does_not_keep_the_sweep_serial(monkeypatch, forks):
+    # hp-exact accumulations to m = 1, 30, 40 and 50: three more points of
+    # the first one's time would not pay for the fork, but the points after
+    # it take far longer, so the sweep forks
+    config = {"protocol": "accumulate", "mode": "hp-exact", "jobs": 2,
+              "axes": [{"name": "m", "values": [1, 30, 40, 50]}]}
+    spec = SweepSpec.from_config(config)
+    cost = [predicted_s(pt) for pt in spec.points()]
+    assert 3 * cost[0] < 2 * sweep.FORK_COST_S
+    assert sum(cost[1:]) > 10 * sweep.FORK_COST_S
+    monkeypatch.setattr(sweep, "evaluate_point", lambda pt: {"m": pt["m"], "pid": os.getpid()})
+    rows = run_sweep(spec)
+    assert len(forks) == 1
+    assert rows == [{"m": m, "pid": pid} for m, pid in
+                    zip((1, 30, 40, 50), [os.getpid(), forks[0]] * 2)]
+
+
+def test_predicted_times_follow_the_parameters():
+    # a deterministic function of the point: more quanta, more atoms or a
+    # longer accumulation never predict less, and a failing point predicts 0
+    def cost(config, **fixed):
+        point = SweepSpec.from_config(dict(config, fixed=fixed)).points()[0]
+        return predicted_s(point)
+    exact = {"protocol": "step", "mode": "hp-exact"}
+    assert cost(exact, m=1) < cost(exact, m=20) < cost(exact, m=40)
+    assert cost({"protocol": "step", "mode": "hp-approx"}, m=40) == sweep.STEP_S + 27 * sweep.EIG_S
+    acc = {"protocol": "accumulate", "mode": "hp-exact"}
+    assert cost(acc, m=3) == pytest.approx(3 * sweep.STEP_S + (27 + 125 + 343) * sweep.EIG_S)
+    assert cost(acc, m=40) > 40 * cost(exact, m=1)
+    assert cost({"protocol": "bandgap"}, N=40) < cost({"protocol": "bandgap"}, N=5000)
+    drive = {"protocol": "step", "variant": "continuous-drive"}
+    assert cost(drive, omega=20.0) == 3 * cost(drive)
+    assert cost({"protocol": "step"}, p1d="many") == 0.0
+
+
 @pytest.mark.parametrize("free", [False, True], ids=["default-cost", "free-forks"])
 def test_error_row_at_point_0_keeps_the_split(monkeypatch, forks, free):
-    # point 0 (m = 80 > N = 50) fails at once; whether the sweep then forks
-    # or not, every row lands at its point and the failure stays in its row
+    # point 0 (m = 80 > N = 50) fails at once; whether the sweep forks or
+    # not, every row lands at its point and the failure stays in its row
     config = {"protocol": "step", "mode": "hp-approx", "fixed": {"p1d": 10, "N": 50},
               "axes": [{"name": "m", "values": [80, 1, 2, 3, 4]}]}
     serial = run_sweep(SweepSpec.from_config(dict(config, jobs=1)))
@@ -162,14 +242,12 @@ def test_dying_worker_fails_loudly(monkeypatch, tmp_path, capsys, free_forks, de
 
 
 def test_interrupted_caller_kills_and_reaps_its_children(monkeypatch, free_forks):
-    caller, calls = os.getpid(), []
+    caller = os.getpid()
 
     def interrupt_or_stall():
-        if os.getpid() != caller:
-            time.sleep(60)
-        calls.append(None)
-        if len(calls) == 2:  # the caller's second point, after both forks
+        if os.getpid() == caller:
             raise KeyboardInterrupt
+        time.sleep(60)
     tag_pid(monkeypatch, interrupt_or_stall)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
