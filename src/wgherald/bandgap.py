@@ -4,11 +4,12 @@ The model holds the source atom and the target ensemble in the
 single-excitation sector: the source excitation is transferred into the
 target's collective mode.  Excited emitters are dressed by an exponentially
 localized photon cloud of range xi (in units of the lattice spacing), giving
-position-dependent couplings (gamma_g / 2 xi) exp(-|z_i - z_j| / xi).  There
-are no collective jumps; only the free-space rate gamma_star decays the norm,
-uniformly over the single-excitation space, so the no-jump survival
-factorizes exactly as exp(-gamma_star t) and the Hamiltonian built here is
-the real symmetric coherent kernel alone.
+position-dependent couplings (gamma_g / 2 xi) exp(-|z_i - z_j| / xi); rates
+are in units of gamma_g = 1, times in its inverse.  There are no collective
+jumps; only the free-space rate gamma_star decays the norm, uniformly over
+the single-excitation space, so the no-jump survival factorizes exactly as
+exp(-gamma_star t) and the Hamiltonian built here is the real symmetric
+coherent kernel alone.
 
 The couplings shift the source and the collective target mode; the shifts are
 compensated by subtracting, per ensemble, the mean of the site-dependent
@@ -25,8 +26,8 @@ exp(-|i - j| / xi) is a Kac-Murdock-Szego matrix, so its product with a
 vector is two first-order recursions, run as one banded triangular solve in
 O(N) time and memory.  Each step first sums the error integrand at a few
 scan times; that partial sum is a lower bound on the full one, so where it
-already exceeds KRYLOV_MAX_ERROR the full 2,048-point bound is not
-evaluated.  The dense `build_H_bandgap` and `compensate` are the documented
+already exceeds KRYLOV_MAX_ERROR the full bound over the SCAN_POINTS scan
+times is not evaluated.  The dense `build_H_bandgap` and `compensate` are the documented
 reference for that product and are not on the transfer path.  The two LAPACK
 routines the transfer calls come from scipy, which is imported on the first
 transfer and not at process start.
@@ -49,6 +50,10 @@ KRYLOV_MAX_ERROR = 1e-12
 # full bound is evaluated only where that lower bound does not already fail.
 _PROBE_TIMES = 8
 
+# Points of the uniform grid on which the transfer scans the target
+# population (and sums the error bound) over its window [0, 10 pi / G].
+SCAN_POINTS = 2048
+
 
 class TransferWindowError(RuntimeError):
     """No interior population-transfer maximum found in the search window."""
@@ -56,7 +61,8 @@ class TransferWindowError(RuntimeError):
 
 @dataclass(frozen=True)
 class BandgapParams:
-    """Geometry and rates for the bandgap configuration.
+    """Geometry and free-space rate (in units of gamma_g = 1) for the
+    bandgap configuration.
 
     The atoms sit on a uniform lattice (units of the spacing d): the source
     at site 0 and the target ensemble contiguous at sites 1..N.  N_m = N-m+1
@@ -66,7 +72,6 @@ class BandgapParams:
     N: int
     xi: float
     m: int = 1
-    gamma_g: float = 1.0
     gamma_star: float = 0.0
 
     def __post_init__(self):
@@ -76,8 +81,6 @@ class BandgapParams:
             raise ValueError("need N - m + 1 >= 1")
         if not (self.xi > 0 and math.isfinite(self.xi)):
             raise ValueError("xi must be positive and finite")
-        if not (self.gamma_g > 0 and math.isfinite(self.gamma_g)):
-            raise ValueError("gamma_g must be positive and finite")
         if not (self.gamma_star >= 0 and math.isfinite(self.gamma_star)):
             raise ValueError("gamma_star must be non-negative and finite")
 
@@ -87,27 +90,27 @@ class BandgapParams:
 
     @property
     def purcell(self) -> float:
-        return math.inf if self.gamma_star == 0 else self.gamma_g / self.gamma_star
+        return math.inf if self.gamma_star == 0 else 1.0 / self.gamma_star
 
     @property
     def coupling(self) -> float:
-        """Source <-> collective-mode matrix element sqrt(N_m) gamma_g / (2 xi)."""
-        return math.sqrt(self.N_m) * self.gamma_g / (2 * self.xi)
+        """Source <-> collective-mode matrix element sqrt(N_m) / (2 xi)."""
+        return math.sqrt(self.N_m) / (2 * self.xi)
 
 
 def build_H_bandgap(p: BandgapParams) -> np.ndarray:
     """Real symmetric coherent kernel of the atom-resolved (N+1)-dimensional
     single-excitation block {source excited, target atom n excited}: the
     exchange couplings, the intra-target dipole-dipole block (diagonal
-    included) and the source self-energy, all at strength gamma_g / (2 xi)
-    times the range factors.  The uniform free-space decay -i gamma_star / 2
+    included) and the source self-energy, all at strength 1 / (2 xi) times
+    the range factors.  The uniform free-space decay -i gamma_star / 2
     is not included: it only multiplies the norm by exp(-gamma_star t).
 
     This dense matrix is the reference for `_products`; the transfer never
     builds it.
     """
     z = np.arange(p.N + 1, dtype=float)
-    return p.gamma_g / (2 * p.xi) * np.exp(-np.abs(z[:, None] - z[None, :]) / p.xi)
+    return 1.0 / (2 * p.xi) * np.exp(-np.abs(z[:, None] - z[None, :]) / p.xi)
 
 
 def compensate(h: np.ndarray, p: BandgapParams) -> np.ndarray:
@@ -120,7 +123,7 @@ def compensate(h: np.ndarray, p: BandgapParams) -> np.ndarray:
     """
     mean_shift = h[1:, 1:].real.sum() / p.N
     h = h.copy()
-    unit = p.gamma_g / (2 * p.xi)
+    unit = 1.0 / (2 * p.xi)
     idx = np.arange(1, p.N + 1)
     h[idx, idx] -= mean_shift
     h[0, 0] -= unit
@@ -173,7 +176,7 @@ def _products(p: BandgapParams):
     from scipy.linalg.lapack import dtbtrs
 
     n = p.N + 1
-    unit = p.gamma_g / (2 * p.xi)
+    unit = 1.0 / (2 * p.xi)
     ab = np.empty((2, n))  # band storage: unit diagonal, subdiagonal -rho
     ab[0] = 1.0
     ab[1] = -math.exp(-1.0 / p.xi)
@@ -244,26 +247,24 @@ def _lanczos(apply, n: int, dt: float, n_grid: int):
         q[j + 1] = w / b
 
 
-def run_transfer(p: BandgapParams, n_grid: int = 2048) -> TransferRecord:
+def run_transfer(p: BandgapParams) -> TransferRecord:
     """Evolve the single-excitation transfer and characterize its optimum.
 
     The compensated coherent Hamiltonian (real symmetric) drives the
     dynamics of the excited source e_0, propagated in its Krylov space (see
     `_lanczos`; `krylov_steps` and `error_bound` report the step count and
     the error bound reached).  The target population, 1 - source, is scanned
-    on [0, 10 pi / G] and its maximum refined by golden section to
-    1e-6 * pi / G.  The uniform free-space decay multiplies the norm by
+    at SCAN_POINTS times on [0, 10 pi / G] and its maximum refined by golden
+    section to 1e-6 * pi / G.  The uniform free-space decay multiplies the norm by
     exp(-gamma_star t), so the no-jump survival at the optimum is reported
     without re-evolving.
     """
     _, hamiltonian = _products(p)
     g = p.coupling
     t_hi = 10 * math.pi / g
-    times = np.linspace(0.0, t_hi, n_grid)
-    if n_grid < 3:
-        raise TransferWindowError(f"a grid of {n_grid} times has no interior maximum")
-    dt = t_hi / (n_grid - 1)
-    basis, theta, steps, bound = _lanczos(hamiltonian, p.N + 1, dt, n_grid)
+    times = np.linspace(0.0, t_hi, SCAN_POINTS)
+    dt = t_hi / (SCAN_POINTS - 1)
+    basis, theta, steps, bound = _lanczos(hamiltonian, p.N + 1, dt, SCAN_POINTS)
     s0 = basis[0]  # e_0 in the Ritz basis
 
     def psi(t):
@@ -271,7 +272,7 @@ def run_transfer(p: BandgapParams, n_grid: int = 2048) -> TransferRecord:
         return basis @ v.real + 1j * (basis @ v.imag)  # no complex copy of basis
 
     # norm is conserved by the coherent dynamics: target = 1 - source
-    source = _phase_sum(theta, s0 * s0, dt, n_grid)
+    source = _phase_sum(theta, s0 * s0, dt, SCAN_POINTS)
     pops = 1.0 - (source.real**2 + source.imag**2)
     # first interior population maximum: later quasi-revivals can edge higher
     # but are useless once the uniform decay factor is attached

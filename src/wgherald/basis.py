@@ -108,7 +108,6 @@ class BasisSet:
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise BasisError("duplicate basis labels")
-        object.__setattr__(self, "_index", {lbl: i for i, lbl in enumerate(self.labels)})
         object.__setattr__(self, "_memo", {})
         if self.fold is None:
             object.__setattr__(self, "fold", {lbl: (i, 1.0) for i, lbl in enumerate(self.labels)})
@@ -123,9 +122,6 @@ class BasisSet:
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-    def index_of(self, label: BasisLabel) -> int:
-        return self._index[label]
 
 
 def _mirror_swap(lbl: BasisLabel) -> tuple[BasisLabel, float]:

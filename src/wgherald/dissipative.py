@@ -6,9 +6,10 @@ representation: with jump channels (O_k, Gamma_k) the no-jump Hamiltonian is
     H_nh = H_coherent - (i/2) sum_k Gamma_k O_k^dag O_k,
 
 which puts -i(Gamma_g + Gamma*)/2, -i(m Gamma_s + Gamma*)/2 and -i Gamma*/2 on
-the three chain states.  The detector ensemble's own collective jump channel
-is dropped: both detector states the protocol visits are dark with respect to
-it.  Free-space emission acts per excited atom at the uniform rate Gamma*, so
+the three chain states.  Rates are in units of Gamma_g = 1, times in its
+inverse.  The detector ensemble's own collective jump channel is dropped:
+both detector states the protocol visits are dark with respect to it.
+Free-space emission acts per excited atom at the uniform rate Gamma*, so
 it enters as a diagonal channel weighted by the excited-atom count.
 
 Every term is written once below as a per-label rule (a function from a basis
@@ -54,23 +55,21 @@ class DissipativeParams:
     """Physical rates and counts for the double-mirrors configuration.
 
     N is the number of atoms per target mirror (the detector ensemble holds
-    2N), m the excitation sector being added.  gamma_s defaults to the
-    transfer-optimal gamma_g / sqrt(m).
+    2N), m the excitation sector being added.  The rates are in units of the
+    guided decay rate gamma_g = 1.  gamma_s defaults to the transfer-optimal
+    1 / sqrt(m).
     """
 
     N: int
     m: int
-    gamma_g: float = 1.0
     gamma_s: float | None = None
     gamma_star: float = 0.0
 
     def __post_init__(self):
         if self.N < 1 or self.m < 1:
             raise ValueError("N and m must be positive integers")
-        if not (self.gamma_g > 0 and math.isfinite(self.gamma_g)):
-            raise ValueError("gamma_g must be positive and finite")
         if self.gamma_s is None:
-            object.__setattr__(self, "gamma_s", self.gamma_g / math.sqrt(self.m))
+            object.__setattr__(self, "gamma_s", 1.0 / math.sqrt(self.m))
         for name in ("gamma_s", "gamma_star"):
             val = getattr(self, name)
             if val < 0 or not math.isfinite(val):
@@ -78,12 +77,12 @@ class DissipativeParams:
 
     @classmethod
     def from_purcell(cls, N, m, p1d, gamma_s=None):
-        """Rates in units of gamma_g = 1 from P_1d = gamma_g / gamma_star;
-        P_1d = inf means no free-space decay."""
+        """Rates from P_1d = gamma_g / gamma_star; P_1d = inf means no
+        free-space decay."""
         if not p1d > 0:
             raise ValueError(f"p1d must be positive, not {p1d!r}")
         gamma_star = 0.0 if math.isinf(p1d) else 1.0 / p1d
-        return cls(N, m, 1.0, gamma_s, gamma_star)
+        return cls(N, m, gamma_s, gamma_star)
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,7 @@ def readout_drive(lbl: BasisLabel):
 
 def _coherent_rule(basis: BasisSet):
     """(gamma_g/2)(sigma_ge S_eg,+ + h.c.) + (gamma_s/2)(S_es,-^d S_se,- + h.c.),
-    the rates in the roots RATE_G and RATE_S."""
+    the halved rates 1/2 and gamma_s / 2 in the roots RATE_G and RATE_S."""
     half_g, half_s = (1.0, RATE_G), (1.0, RATE_S)
 
     def rule(lbl):
@@ -186,10 +185,10 @@ def _jump_product(basis: BasisSet, which: str):
     return rule
 
 
-# (name, rate field): the source guided decay, the antisymmetric and the
-# superradiant target decay, and one free-space channel per excited atom
-_CHANNELS = (("source_guided", "gamma_g"), ("target_guided_ge", "gamma_g"),
-             ("target_guided_se", "gamma_s"), ("free_space", "gamma_star"))
+# the source guided decay and the antisymmetric target decay (both at rate
+# gamma_g = 1), the superradiant target decay (gamma_s), and one free-space
+# channel per excited atom (gamma_star)
+_CHANNELS = ("source_guided", "target_guided_ge", "target_guided_se", "free_space")
 
 
 def _terms(basis: BasisSet):
@@ -210,16 +209,16 @@ def model_matrices(p: DissipativeParams, basis: BasisSet) -> tuple:
     allocated real matrices from one evaluation of the recorded terms."""
     if p.m != basis.m or p.N < p.m:
         raise ValueError(f"params (N={p.N}, m={p.m}) do not match basis (m={basis.m})")
-    op = basis.memo(_terms).at(p.N, (p.gamma_g / 2, p.gamma_s / 2))
+    op = basis.memo(_terms).at(p.N, (0.5, p.gamma_s / 2))
     if op.truncation_loss > 1e-12:
         raise ValueError(
             f"coherent Hamiltonian leaks outside the reachable basis "
             f"(loss {op.truncation_loss:.3e}); basis/sector mismatch"
         )
-    rates = [getattr(p, rate) for _, rate in _CHANNELS]
+    rates = [1.0, 1.0, p.gamma_s, p.gamma_star]
     keep = [k for k, rate in enumerate(rates) if rate > 0]
     products = op.matrix[1:] if len(keep) == len(rates) else op.matrix[1:][keep]
-    return op.matrix[0], [_CHANNELS[k][0] for k in keep], [rates[k] for k in keep], products
+    return op.matrix[0], [_CHANNELS[k] for k in keep], [rates[k] for k in keep], products
 
 
 def build_H_coherent(p: DissipativeParams, basis: BasisSet) -> np.ndarray:
@@ -251,7 +250,7 @@ def build_H_nh(p: DissipativeParams, basis: BasisSet) -> np.ndarray:
 
 def optimal_time(p: DissipativeParams) -> float:
     """Evolution time maximizing the fast-pulse source-to-detector transfer,
-    T = sqrt(2) pi / (sqrt(2N) gamma_g), at the optimal gamma_s = gamma_g /
-    sqrt(m) (the DissipativeParams default).  The driven step finds its own
-    optimum (run_step_continuous_drive)."""
-    return math.sqrt(2) * math.pi / (math.sqrt(2 * p.N) * p.gamma_g)
+    T = sqrt(2) pi / sqrt(2N), at the optimal gamma_s = 1 / sqrt(m) (the
+    DissipativeParams default).  The driven step finds its own optimum
+    (run_step_continuous_drive)."""
+    return math.sqrt(2) * math.pi / math.sqrt(2 * p.N)

@@ -12,9 +12,10 @@ no-jump generators, the decomposition is taken on that real matrix (LAPACK's
 real eig, about a third of the cost of the complex one at dimension 81).  The
 conditioning test is the Frobenius bound kappa_F = ||V||_F ||V^-1||_F >=
 kappa_2 on the inverse the eigenbasis needs anyway, so no SVD is taken.
-Loss bookkeeping integrates one density R = integral psi psi^dag ds per
-evolution and reads every channel's integral off it in one reduction over
-the stack of channel operators.
+A Propagator evolves the one state it is built with, validated and
+projected onto the eigenbasis once.  Loss bookkeeping integrates one density
+R = integral psi psi^dag ds per evolution and reads every channel's integral
+off it in one reduction over the stack of channel operators.
 
 Conventions: hbar = 1, all rates in units of the reference guided-mode decay
 rate, times in its inverse.
@@ -89,27 +90,33 @@ def simpson_weights(t: float, npts: int) -> np.ndarray:
 
 
 class Propagator:
-    """Applies e^{-iHt} to vectors, reusing one eigendecomposition of H.
+    """Evolves one state v0 under e^{-iHt}, reusing one eigendecomposition of H.
 
-    The decomposition is eig with V^-1 from inv.  With a frame (a vector of
-    units, one per basis state) whose G = T^-1 (-iH) T, T = diag(frame), has
-    an imaginary part of exactly zero, eig runs on the real G = W diag(lam)
-    W^-1 and H's eigenpairs are i lam and T W; multiplying by +-1 and +-i is
-    exact, so only the rounding of eig itself changes.  Any other frame falls
-    through to the complex eig of H, so a wrong frame costs speed, never
-    accuracy.  The decomposition falls back to scipy's
-    expm (Pade scaling-and-squaring) when V is singular or its condition
-    number `condition`, the Frobenius bound ||V||_F ||V^-1||_F (inf when V
-    is singular or the product overflows), reaches EIGBASIS_MAX_CONDITION;
-    scipy.linalg is imported by the first such fallback in a process.
-    `method` is "eig" or "expm".  A non-finite result, such as one at a time
-    t where an eigenvalue product lambda t or gap mu t leaves the float range,
-    raises NumericError without a numpy warning first.
+    The state is validated and projected onto the eigenbasis once, c = V^-1
+    v0, and `apply`, `population` and `integrated_expectation` read it at
+    any times.  The decomposition is eig with V^-1 from inv.  With a frame (a
+    vector of units, one per basis state) whose G = T^-1 (-iH) T, T =
+    diag(frame), has an imaginary part of exactly zero, eig runs on the real
+    G = W diag(lam) W^-1 and H's eigenpairs are i lam and T W; multiplying by
+    +-1 and +-i is exact, so only the rounding of eig itself changes.  Any
+    other frame falls through to the complex eig of H, so a wrong frame costs
+    speed, never accuracy.  The decomposition falls back to scipy's
+    expm (Pade scaling-and-squaring), which keeps v0, when V is singular or
+    its condition number `condition`, the Frobenius bound ||V||_F ||V^-1||_F
+    (inf when V is singular or the product overflows), reaches
+    EIGBASIS_MAX_CONDITION; scipy.linalg is imported by the first such
+    fallback in a process.  `method` is "eig" or "expm".  A non-finite
+    result, such as one at a time t where an eigenvalue product lambda t or
+    gap mu t leaves the float range, raises NumericError without a numpy
+    warning first.
     """
 
-    def __init__(self, h, frame=None):
+    def __init__(self, h, v0, frame=None):
         self.h = as_operator(h)
         self.dim = self.h.shape[0]
+        self.v0 = as_state(v0)
+        if self.v0.shape[0] != self.dim:
+            raise DimensionError(f"state dim {self.v0.shape[0]} != operator dim {self.dim}")
         g = None
         if frame is not None:
             frame = np.asarray(frame, dtype=complex)
@@ -130,44 +137,40 @@ class Propagator:
                     * math.sqrt(np.vdot(vinv, vinv).real))
         self.condition = cond if math.isfinite(cond) else math.inf
         usable = self.condition < EIGBASIS_MAX_CONDITION
-        self._vinv = vinv if usable else None
+        self._c = vinv @ self.v0 if usable else None
         self._exponents = -1j * self.eigvals
         self.method = "eig" if usable else "expm"
 
-    def apply(self, t: float, v) -> np.ndarray:
-        """Return e^{-iHt} v."""
-        v = as_state(v)
-        if v.shape[0] != self.dim:
-            raise DimensionError(f"state dim {v.shape[0]} != operator dim {self.dim}")
+    def apply(self, t: float) -> np.ndarray:
+        """Return e^{-iHt} v0."""
         if not math.isfinite(t):
             raise NumericError("evolution time must be finite")
         if self.method == "eig":
             # |lambda| t past the float range leaves non-finite amplitudes, raised below
             with np.errstate(over="ignore", invalid="ignore"):
-                out = self.eigvecs @ (np.exp(self._exponents * t) * (self._vinv @ v))
+                out = self.eigvecs @ (np.exp(self._exponents * t) * self._c)
         else:
             import scipy.linalg
 
-            out = scipy.linalg.expm(-1j * self.h * t) @ v
+            out = scipy.linalg.expm(-1j * self.h * t) @ self.v0
         if not np.isfinite(out).all():
             raise NumericError("propagation produced non-finite amplitudes")
         return out
 
-    def population(self, times, v0, index) -> np.ndarray:
+    def population(self, times, index) -> np.ndarray:
         """sum_{i in index} |(e^{-iHt} v0)_i|^2 for each t of a 1-d time grid.
 
-        The eigenbasis path forms V^-1 v0 once and applies only the rows
-        `index` of V, 256 times at a time; the expm fallback loops over apply.
+        The eigenbasis path applies only the rows `index` of V, 256 times at
+        a time; the expm fallback loops over apply.
         """
-        v0, times = as_state(v0), np.asarray(times, dtype=float)
-        if v0.shape[0] != self.dim or times.ndim != 1:
-            raise DimensionError(f"population needs a state of dim {self.dim} and a "
-                                 f"1-d time grid, got {v0.shape} and {times.shape}")
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1:
+            raise DimensionError(f"population needs a 1-d time grid, got {times.shape}")
         if not np.all(np.isfinite(times)):
             raise NumericError("evolution times must be finite")
         if self.method != "eig":
-            return np.array([norm_sq(self.apply(t, v0)[index]) for t in times])
-        c, rows = self._vinv @ v0, self.eigvecs[index].T
+            return np.array([norm_sq(self.apply(t)[index]) for t in times])
+        c, rows = self._c, self.eigvecs[index].T
         pops = np.empty(times.shape[0])
         for k in range(0, times.shape[0], 256):
             amps = (np.exp(-1j * np.outer(times[k:k + 256], self.eigvals)) * c) @ rows
@@ -176,50 +179,44 @@ class Propagator:
             raise NumericError("propagation produced non-finite populations")
         return pops
 
-    def integrated_expectation(self, ops, t: float, v0) -> np.ndarray:
+    def integrated_expectation(self, ops, t: float) -> np.ndarray:
         """Exact integral_0^t <psi(s)|M|psi(s)> ds along psi(s) = e^{-iHs} v0,
-        one for each operator M of ops, a (k, dim, dim) stack or a list of k
-        matrices, real or complex.
+        one for each operator M of ops, a (k, dim, dim) array, real or
+        complex.
 
         Every integral reads the one density R = integral_0^t psi psi^dag ds
         as sum_ij M_ij R_ji, all k in one reduction.  In the eigenbasis
-        R = A F^T A^dag in closed form, with A = V diag(V^-1 v0) and F the
+        R = A F^T A^dag in closed form, with A = V diag(c) and F the
         integrals of the pairwise exponentials, expm1(i mu t) / (i mu) for
         mu = conj(lambda_a) - lambda_b (t where mu = 0); the expm fallback
         sums psi psi^dag with composite Simpson weights on a fine uniform
         grid.
         """
-        v0 = as_state(v0)
-        try:
-            ops = np.asarray(ops)
-        except ValueError:  # matrices of different shapes
-            ops = None
-        if ops is not None and ops.shape == (0,):
-            ops = ops.reshape(0, self.dim, self.dim)
-        if ops is None or ops.shape[1:] != (self.dim, self.dim) or v0.shape[0] != self.dim:
-            raise DimensionError("integrated_expectation dimension mismatch")
+        if not isinstance(ops, np.ndarray) or ops.shape[1:] != (self.dim, self.dim):
+            raise DimensionError(f"integrated_expectation takes a (k, {self.dim}, "
+                                 f"{self.dim}) array of operators")
         if not np.isfinite(ops).all():
             raise NumericError("operator contains non-finite entries")
         # |mu| t past the float range leaves non-finite integrals, raised below
         with np.errstate(over="ignore", invalid="ignore"):
-            r = self._integrated_density(t, v0).T
+            r = self._integrated_density(t).T
             out = (ops * r).sum(axis=(1, 2)).real
         if not np.isfinite(out).all():
             raise NumericError("loss integrals are non-finite")
         return out
 
-    def _integrated_density(self, t, v0):
+    def _integrated_density(self, t):
         if self.method != "eig":
             import scipy.linalg
 
             times = np.linspace(0.0, t, SIMPSON_POINTS)
             step = scipy.linalg.expm(-1j * self.h * (times[1] - times[0]))
             psis = np.empty((SIMPSON_POINTS, self.dim), dtype=complex)
-            psis[0] = v0
+            psis[0] = self.v0
             for i in range(1, SIMPSON_POINTS):
                 psis[i] = step @ psis[i - 1]
             return (psis.T * simpson_weights(t, SIMPSON_POINTS)) @ psis.conj()
-        a = self.eigvecs * (self._vinv @ v0)
+        a = self.eigvecs * self._c
         imu = 1j * (np.conj(self.eigvals)[:, None] - self.eigvals[None, :])
         zero = imu == 0
         factors = np.where(zero, t, np.expm1(imu * t) / np.where(zero, 1j, imu))

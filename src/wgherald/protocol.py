@@ -6,8 +6,10 @@ level, and herald on finding it there.  The heralding probability is the
 squared norm of the projected state; failures are handled analytically (the
 protocol restarts on failure, so jump branches are never propagated).
 
-Every step builds its undriven model in `_model` and evolves it under one
-`Propagator` in `_evolve`.  A drive is a term of that propagator's
+Every step builds its undriven model in `_model`, its input placed by the
+positions and the default input its basis records (in either
+representation), and evolves that input under one `Propagator`, built with
+it, in `_evolve`.  A drive is a term of that propagator's
 generator: (omega/2)(source + readout drive) for the continuous drive.  In
 the exact representation the model commutes with the signed mirror swap, so
 the input of step m, a parity eigenstate, evolves in its mirror-parity
@@ -105,36 +107,24 @@ class AccumulationResult:
 
 
 def _embed_input(basis: BasisSet, input_state: np.ndarray | None) -> np.ndarray:
-    """Place a normalized (m-1)-quanta target state under an excited source,
-    folded onto the basis."""
-    m = basis.m
-    psi = np.zeros(basis.dim, dtype=complex)
-    if input_state is not None:
+    """Place a normalized (m-1)-quanta target state under the loaded source,
+    folded onto the basis; None is the recorded default input."""
+    idx, weights, default = basis.memo(_layout)[4:]
+    if input_state is None:
+        input_state = default
+    else:
         input_state = np.asarray(input_state, dtype=complex)
         if input_state.ndim != 1 or not np.isfinite(input_state).all():
             raise ProtocolError("input target state must be a finite 1-d vector, "
                                 f"got shape {input_state.shape}")
-    if basis.mode == HPMode.APPROX:
-        if input_state is not None and (
-            len(input_state) != 1 or abs(abs(input_state[0]) - 1.0) > 1e-9
-        ):
+        if input_state.shape[0] != len(idx):
             raise ProtocolError(
-                "the approximate chain admits only the reference input state"
+                f"input target state has {input_state.shape[0]} components, "
+                f"sector m={basis.m} expects {len(idx)}"
             )
-        start = BasisLabel("s" if basis.with_drive else "e", m - 1, 0, 0, 0, DET_NONE)
-        psi[basis.index_of(start)] = 1.0
-        return psi
-    idx, weights, goal_input = basis.memo(_layout)[4:]
-    if input_state is None:
-        input_state = goal_input
-    if input_state.shape[0] != len(idx):
-        raise ProtocolError(
-            f"input target state has {input_state.shape[0]} components, "
-            f"sector m={m} expects {len(idx)}"
-        )
-    nrm = math.sqrt(norm_sq(input_state))
-    if abs(nrm - 1.0) > 1e-9:
-        raise ProtocolError("input target state must be normalized")
+        if abs(math.sqrt(norm_sq(input_state)) - 1.0) > 1e-9:
+            raise ProtocolError("input target state must be normalized")
+    psi = np.zeros(basis.dim, dtype=complex)
     np.add.at(psi, idx, weights * input_state)
     return psi
 
@@ -143,17 +133,18 @@ def _layout(basis: BasisSet) -> tuple[np.ndarray, ...]:
     """Read-only arrays a step reads off its basis, built once per basis: the
     stage-parity frame, the goal, the basis positions and weights of the
     heralded branch (the readout level on a driven basis, the excited
-    detector otherwise) and of the input under an excited source, in storage
-    order (weights * psi[positions] unfolds a branch), and the goal of m - 1
-    quanta, an EXACT step's default input."""
-    detector = DET_HERALDED if basis.with_drive else DET_EXCITED
-    m, exact = basis.m, basis.mode == HPMode.EXACT
+    detector otherwise) and of the input (under the loaded source: s on a
+    driven basis, e otherwise), in storage order (weights * psi[positions]
+    unfolds a branch), and the default input, the goal of m - 1 quanta ([1]
+    on the chain, whose one storage state is (m - 1, 0))."""
+    driven, m, exact = basis.with_drive, basis.m, basis.mode == HPMode.EXACT
     arrays = [stage_frame(basis), goal_state(basis)]
-    for source, det, occupations in (("g", detector, storage_labels(m) if exact else [(m, 0)]),
-                                     ("e", DET_NONE, storage_labels(m - 1) if exact else [])):
+    for source, det, k in (("g", DET_HERALDED if driven else DET_EXCITED, m),
+                           ("s" if driven else "e", DET_NONE, m - 1)):
+        occupations = storage_labels(k) if exact else [(k, 0)]
         folds = [basis.fold[BasisLabel(source, k1, 0, k2, 0, det)] for k1, k2 in occupations]
         arrays += [np.array([f[0] for f in folds], dtype=np.intp), np.array([f[1] for f in folds])]
-    arrays.append(goal_amplitudes(m - 1) if exact else np.zeros(0, dtype=complex))
+    arrays.append(goal_amplitudes(m - 1) if exact else np.ones(1, dtype=complex))
     for a in arrays:
         a.flags.writeable = False
     return tuple(arrays)
@@ -223,16 +214,16 @@ def _evolve(model: _Model, prop: Propagator, T: float) -> StepResult:
     """Evolve the model's input for a time T under prop, book every
     channel's loss from one integrated density, and herald.
 
-    prop propagates the model's generator plus the step's drive.  T must lie
-    in (0, inf).
+    prop propagates the model's input under its generator plus the step's
+    drive.  T must lie in (0, inf).
     """
     if not 0 < T < math.inf:
         raise ProtocolError(f"evolution time T must be positive and finite, not {T!r}")
-    integrals = prop.integrated_expectation(model.ops, T, model.psi0)
+    integrals = prop.integrated_expectation(model.ops, T)
     diags = StepDiagnostics(
         {name: rate * x for name, rate, x in zip(model.channels, model.rates, integrals)},
         propagator_method=prop.method, eigvec_condition=prop.condition)
-    psi = prop.apply(T, model.psi0)
+    psi = prop.apply(T)
     herald_amps = model.heralded(psi)
     p_success = norm_sq(herald_amps)
     diags.unheralded_residual = norm_sq(psi) - p_success
@@ -252,13 +243,14 @@ def run_step(
 ) -> StepResult:
     """One fast-pulse heralded step in sector p.m.
 
-    The input state (storage-only, sector m-1) defaults to the goal of the
-    previous sector.  T defaults to the transfer-optimal time.
+    The input state (storage-only, sector m-1; on the approximate chain its
+    one amplitude) defaults to the goal of the previous sector.  T defaults
+    to the transfer-optimal time.
     """
     if T is None:
         T = optimal_time(p)
     model = _model(p, mode, input_target_state)
-    return _evolve(model, Propagator(model.h, model.frame), T)
+    return _evolve(model, Propagator(model.h, model.psi0, model.frame), T)
 
 
 def run_step_fixed_ratio(
@@ -266,13 +258,11 @@ def run_step_fixed_ratio(
     m: int,
     p1d: float,
     mode: HPMode = HPMode.APPROX,
-    input_target_state: np.ndarray | None = None,
 ) -> StepResult:
     """Heralded step with gamma_s = gamma_g, evolved to its own optimum
-    T = 2 pi / (sqrt(2N(m+1)) gamma_s)."""
+    T = 2 pi / sqrt(2N(m+1)), from the default input."""
     p = DissipativeParams.from_purcell(N, m, p1d, gamma_s=1.0)
-    T = 2 * math.pi / math.sqrt(2 * N * (m + 1))
-    return run_step(p, mode, input_target_state, T)
+    return run_step(p, mode, T=2 * math.pi / math.sqrt(2 * N * (m + 1)))
 
 
 def run_step_fresh_level(N: int, p1d: float) -> StepResult:
@@ -310,10 +300,9 @@ def run_step_continuous_drive(
     default_omega = abs(omega - omega_opt) < 1e-12 * g
     p = DissipativeParams.from_purcell(N, m, p1d)
     model = _model(p, HPMode.APPROX, decay=not zero_decay, with_drive=True)
-    psi0, idx = model.psi0, model.idx
     src, det = (model.basis.memo(matrix_from_action, rule).at(N).matrix
                 for rule in (source_drive, readout_drive))
-    prop = Propagator(model.h + (omega / 2) * (src + det), model.frame)
+    prop = Propagator(model.h + (omega / 2) * (src + det), model.psi0, model.frame)
 
     if T is None:
         if default_omega:
@@ -324,10 +313,10 @@ def run_step_continuous_drive(
             t_hi = 6 * math.pi / min(omega, g)
             npts = min(20001, max(1201, int(40 * t_hi * omega / (2 * math.pi))))
             grid = np.linspace(0.0, t_hi, npts)
-            k = int(np.argmax(prop.population(grid, psi0, idx)))
+            k = int(np.argmax(prop.population(grid, model.idx)))
             lo = grid[max(k - 1, 0)]
             hi = grid[min(k + 1, len(grid) - 1)]
-            T = golden_section_max(lambda t: norm_sq(prop.apply(t, psi0)[idx]),
+            T = golden_section_max(lambda t: norm_sq(prop.apply(t)[model.idx]),
                                    lo, hi, 1e-9 * t_hi)
     return _evolve(model, prop, T)
 
@@ -359,9 +348,9 @@ def run_accumulation(
         if refine_T:
             # the kept step evolves on the model and propagator the search built
             model = _model(p, mode, state)
-            prop = Propagator(model.h, model.frame)
+            prop = Propagator(model.h, model.psi0, model.frame)
             T = golden_section_max(
-                lambda t: norm_sq(model.heralded(prop.apply(t, model.psi0))),
+                lambda t: norm_sq(model.heralded(prop.apply(t))),
                 0.8 * T, 1.2 * T, 1e-6 * T)
             res = _evolve(model, prop, T)
         else:

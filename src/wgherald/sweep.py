@@ -7,10 +7,12 @@ exist, which parameters and modes each reads, how it runs and which closed
 form its row reports; a spec that sets anything its entry ignores is
 rejected.  Points are enumerated lexicographically over the axes in the order
 given, evaluated independently, and written as CSV or JSON lines with one row
-per point.  Rows that fail are recorded in the `error` column and the sweep
-continues.  `jobs` caps the processes evaluating points, this one included:
-the others are forked only if the points' predicted times, which depend on
-their parameters alone, show that the forks pay (see `run_sweep`).
+per point; both formats write a non-finite number as the string inf, -inf or
+nan, so every JSON line parses under a strict parser.  Rows that fail are
+recorded in the `error` column and the sweep continues.  `jobs` caps the
+processes evaluating points, this one included: the others are forked only
+if the points' predicted times, which depend on their parameters alone, show
+that the forks pay (see `run_sweep`).
 
 Everything evaluated here is deterministic, so identical specs produce
 byte-identical outputs apart from the wall-time column.
@@ -410,12 +412,17 @@ def _worker(points: list[dict], write: int, read_ends: list[int]) -> None:
         os._exit(code)
 
 
+def _cell(value):
+    """A non-finite float as the string inf, -inf or nan, the rule both
+    writers share; any other value as it is."""
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _format_cell(value) -> str:
+    value = _cell(value)
     if value is None:
         return ""
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
         return format(value, ".12g")
     return str(value)
 
@@ -428,16 +435,8 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 
 def rows_to_jsonl(rows: list[dict]) -> str:
-    out = []
-    for row in rows:
-        clean = {}
-        for c in COLUMNS:
-            v = row.get(c, "")
-            if isinstance(v, float) and math.isinf(v):
-                v = "inf"
-            clean[c] = v
-        out.append(json.dumps(clean, sort_keys=True))
-    return "\n".join(out) + "\n"
+    return "\n".join(json.dumps({c: _cell(row.get(c, "")) for c in COLUMNS}, sort_keys=True)
+                     for row in rows) + "\n"
 
 
 def write_text(text: str, path: str | None) -> None:

@@ -143,10 +143,9 @@ def full_basis_step(p, input_state, T):
     for i, amp in enumerate(input_state):
         psi0[index[("e", p.m - 1 - i, 0, i, 0, "none")]] = amp
     h = build_H_nh(p, basis)
-    prop = Propagator(h)
     losses = {ch.name: ch.rate * eigenbasis_integral(h, ch.opdag_op, T, psi0)
               for ch in build_jump_operators(p, basis)}
-    psi = prop.apply(T, psi0)
+    psi = Propagator(h, psi0).apply(T)
     herald = psi[[index[("g", p.m - i, 0, i, 0, "excited")] for i in range(p.m + 1)]]
     p_success = float(np.vdot(herald, herald).real)
     residual = float(np.vdot(psi, psi).real) - p_success
@@ -158,11 +157,11 @@ def ideal_bandgap_chain(p):
     detector mode) for package BandgapParams p, shifts already compensated.
 
     Couplings carry the exact collective factors sqrt(N_m) and sqrt(N m), with
-    N detector atoms at gamma_s = gamma_g / sqrt(m); the free-space rate puts
+    N detector atoms at gamma_s = 1 / sqrt(m); the free-space rate puts
     -i gamma_star / 2 on every state.
     """
     a = p.coupling
-    gamma_s = p.gamma_g / math.sqrt(p.m)
+    gamma_s = 1 / math.sqrt(p.m)
     b = math.sqrt(p.N * p.m) * gamma_s / (2 * p.xi)
     h = np.array([[0, a, 0], [a, 0, b], [0, b, 0]], dtype=complex)
     if p.gamma_star > 0:
@@ -346,8 +345,9 @@ class FullModelOracle:
         )
         return vec
 
-    def _h_nh_terms(self, gamma_g, gamma_s, gamma_star):
-        """(coefficient, [factors applied right-to-left]) for every term."""
+    def _h_nh_terms(self, gamma_s, gamma_star):
+        """(coefficient, [factors applied right-to-left]) for every term, at
+        gamma_g = 1."""
         s_ge = self.source_op("g", "e")
         s_eg = self.source_op("e", "g")
         t_eg_plus = self.target_op(("e", "g"), +1.0)
@@ -363,17 +363,17 @@ class FullModelOracle:
             + self._lift(m2=collective_flip(self.N, "e", "e")) \
             + self._lift(det=sparse.diags([0.0, 1.0]))
         return [
-            (gamma_g / 2, [s_ge, t_eg_plus]),
-            (gamma_g / 2, [s_eg, t_ge_plus]),
+            (0.5, [s_ge, t_eg_plus]),
+            (0.5, [s_eg, t_ge_plus]),
             (gamma_s / 2, [d_exc, t_se_minus]),
             (gamma_s / 2, [d_dex, t_es_minus]),
-            (-0.5j * gamma_g, [s_eg, s_ge]),
-            (-0.5j * gamma_g, [t_eg_minus, t_ge_minus]),
+            (-0.5j, [s_eg, s_ge]),
+            (-0.5j, [t_eg_minus, t_ge_minus]),
             (-0.5j * gamma_s, [t_es_minus, t_se_minus]),
             (-0.5j * gamma_star, [n_e]),
         ]
 
-    def h_nh_projected(self, labels, gamma_g, gamma_s, gamma_star):
+    def h_nh_projected(self, labels, gamma_s, gamma_star):
         """Matrix elements of the no-jump generator on embedded basis labels.
 
         Columns are built by applying each term's sparse factors to the
@@ -383,7 +383,7 @@ class FullModelOracle:
                              l.detector == "excited")
             for l in labels
         ]
-        terms = self._h_nh_terms(gamma_g, gamma_s, gamma_star)
+        terms = self._h_nh_terms(gamma_s, gamma_star)
         out = np.zeros((len(labels), len(labels)), dtype=complex)
         for j, ket in enumerate(kets):
             acc = np.zeros_like(ket)

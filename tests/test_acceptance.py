@@ -190,9 +190,9 @@ def test_criterion_7_oracle_equivalence():
     max_h_dev = 0.0
     for (n, m) in ((3, 1), (4, 2), (5, 2)):
         basis = build_basis(n, m, HPMode.EXACT)
-        p = DissipativeParams(N=n, m=m, gamma_g=1.0, gamma_s=0.7, gamma_star=0.3)
+        p = DissipativeParams(N=n, m=m, gamma_s=0.7, gamma_star=0.3)
         h_pkg = build_H_nh(p, basis)
-        h_orc = FullModelOracle(n).h_nh_projected(basis.labels, 1.0, 0.7, 0.3)
+        h_orc = FullModelOracle(n).h_nh_projected(basis.labels, 0.7, 0.3)
         max_h_dev = max(max_h_dev, float(np.abs(h_pkg - h_orc).max()))
 
     # propagator vs fine-step RK4 on every protocol generator family
@@ -216,7 +216,7 @@ def test_criterion_7_oracle_equivalence():
         psi0 = np.zeros(h.shape[0], complex)
         psi0[0] = 1.0
         ref = rk4_evolve(h, psi0, t, 10**5)
-        got = Propagator(h).apply(t, psi0)
+        got = Propagator(h, psi0).apply(t)
         max_rk_dev = max(max_rk_dev, float(np.abs(got - ref).max()))
 
     ok = max_op_dev <= 1e-12 and max_h_dev <= 1e-12 and max_rk_dev <= 1e-7
@@ -236,16 +236,15 @@ def test_criterion_8_property_suite(free_forks):
         mode = HPMode.EXACT if rng.random() < 0.5 else HPMode.APPROX
         p = DissipativeParams(
             N=n, m=m,
-            gamma_g=float(rng.uniform(0.1, 3.0)),
             gamma_s=float(rng.uniform(0.0, 3.0)),
             gamma_star=float(rng.uniform(0.0, 1.0)),
         )
         h = build_H_nh(p, build_basis(n, m, mode))
         mono_ok &= decay_generator_max_eig(h) <= 1e-10
-        prop = Propagator(h)
         v = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
         v /= math.sqrt(norm_sq(v))
-        norms = [norm_sq(prop.apply(t, v))
+        prop = Propagator(h, v)
+        norms = [norm_sq(prop.apply(t))
                  for t in np.sort(rng.uniform(0, 1.5, size=4))]
         mono_ok &= all(b <= a + 1e-10 for a, b in zip(norms, norms[1:]))
         mono_ok &= norms[0] <= 1 + 1e-9

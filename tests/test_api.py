@@ -4,7 +4,7 @@ import dataclasses
 import inspect
 
 import wgherald
-from wgherald import formulas, protocol
+from wgherald import formulas, linalg, protocol
 
 PUBLIC = [
     "AccumulationResult", "BandgapParams", "BasisLabel", "BasisSet",
@@ -16,17 +16,22 @@ PUBLIC = [
     "run_step_fixed_ratio", "run_step_fresh_level", "run_transfer",
 ]
 
-# Rates are in units of gamma_g = 1, so no entry point takes gamma_g.
+# Rates are in units of gamma_g = 1, so no entry point or model takes gamma_g.
 PARAMETERS = {
     wgherald.run_step: ["p", "mode", "input_target_state", "T"],
-    wgherald.run_step_fixed_ratio: ["N", "m", "p1d", "mode", "input_target_state"],
+    wgherald.run_step_fixed_ratio: ["N", "m", "p1d", "mode"],
     wgherald.run_step_fresh_level: ["N", "p1d"],
     wgherald.run_step_continuous_drive: ["N", "m", "p1d", "omega", "T", "zero_decay"],
     wgherald.run_accumulation: ["N", "m_target", "p1d", "mode", "refine_T"],
-    wgherald.run_transfer: ["p", "n_grid"],
+    wgherald.run_transfer: ["p"],
     wgherald.DissipativeParams.from_purcell: ["N", "m", "p1d", "gamma_s"],
     wgherald.build_H_bandgap: ["p"],
     formulas.table1_compare: ["m", "N", "p1d", "xi", "eta", "x"],
+    # a Propagator takes its one state when it is built
+    linalg.Propagator.__init__: ["self", "h", "v0", "frame"],
+    linalg.Propagator.apply: ["self", "t"],
+    linalg.Propagator.population: ["self", "times", "index"],
+    linalg.Propagator.integrated_expectation: ["self", "ops", "t"],
 }
 
 # Every public callable of the protocol module is an entry point some caller
@@ -40,8 +45,8 @@ PROTOCOL_CALLABLES = [
 # A model object describes the undriven model; a drive is a term a protocol
 # step adds to its generator, so no params field carries one.
 FIELDS = {
-    wgherald.DissipativeParams: ["N", "m", "gamma_g", "gamma_s", "gamma_star"],
-    wgherald.BandgapParams: ["N", "xi", "m", "gamma_g", "gamma_star"],
+    wgherald.DissipativeParams: ["N", "m", "gamma_s", "gamma_star"],
+    wgherald.BandgapParams: ["N", "xi", "m", "gamma_star"],
 }
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import chebyshev_propagate, dense_lanczos, ideal_bandgap_chain
+from wgherald import bandgap
 from wgherald.bandgap import (
     KRYLOV_MAX_ERROR,
     BandgapParams,
@@ -32,16 +33,15 @@ def test_params_validation():
         BandgapParams(N=10, xi=0.0)
     with pytest.raises(ValueError):
         BandgapParams(N=3, m=5, xi=10.0)
-    for rates in ({"gamma_g": 0.0}, {"gamma_g": math.inf}, {"gamma_star": -0.2},
-                  {"gamma_star": math.nan}, {"gamma_star": math.inf}):
+    for gamma_star in (-0.2, math.nan, math.inf):
         with pytest.raises(ValueError):
-            BandgapParams(N=10, xi=10.0, **rates)
+            BandgapParams(N=10, xi=10.0, gamma_star=gamma_star)
 
 
 def test_two_site_coupling():
     p = BandgapParams(N=1, xi=3.0)
     h = build_H_bandgap(p)
-    unit = p.gamma_g / (2 * p.xi)
+    unit = 1 / (2 * p.xi)
     assert h[0, 1] == pytest.approx(unit * math.exp(-1 / 3.0))
     assert h[0, 0] == pytest.approx(unit)  # source self-energy
     assert h[1, 1] == pytest.approx(unit)
@@ -54,7 +54,7 @@ def test_large_range_limit_collective_coupling():
     sym = np.full(n, 1 / math.sqrt(n))
     g_eff = float(np.real(sym @ h[1:, 0]))
     assert g_eff == pytest.approx(p.coupling, rel=1e-6)
-    assert p.coupling == pytest.approx(math.sqrt(n) * p.gamma_g / (2 * p.xi))
+    assert p.coupling == pytest.approx(math.sqrt(n) / (2 * p.xi))
 
 
 def test_compensated_symmetric_mode_near_zero():
@@ -63,7 +63,7 @@ def test_compensated_symmetric_mode_near_zero():
     h = compensate(build_H_bandgap(p), p)
     sym = np.full(n, 1 / math.sqrt(n), dtype=complex)
     shift = np.real(sym.conj() @ h[1:, 1:] @ sym)
-    assert abs(shift) < 1e-10 * p.gamma_g / (2 * p.xi) * n
+    assert abs(shift) < 1e-10 / (2 * p.xi) * n
     assert abs(h[0, 0]) < 1e-15
 
 
@@ -78,12 +78,12 @@ def test_norm_conserved_without_free_space_decay():
     p = BandgapParams(N=30, xi=40.0)
     h = compensate(build_H_bandgap(p), p)
     assert np.abs(h - h.conj().T).max() < 1e-13
-    prop = Propagator(h)
     psi0 = np.zeros(31, complex)
     psi0[0] = 1.0
+    prop = Propagator(h, psi0)
     g = p.coupling
     for t in np.linspace(0.0, 10 * math.pi / g, 7):
-        assert norm_sq(prop.apply(t, psi0)) == pytest.approx(1.0, abs=1e-10)
+        assert norm_sq(prop.apply(t)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_transfer_depletes_source_and_records_profile():
@@ -218,7 +218,7 @@ def test_transfer_matches_chebyshev_oracle_at_large_n(ratio):
     kernel, hamiltonian = _products(p)
     # Gershgorin on the positive kernel: its spectrum lies in (0, max row
     # sum], and compensation subtracts a diagonal in [0, max(shift, unit)]
-    unit = p.gamma_g / (2 * p.xi)
+    unit = 1 / (2 * p.xi)
     target = np.ones(n + 1)
     target[0] = 0.0
     lo = -max(target @ kernel(target) / n, unit)
@@ -270,27 +270,25 @@ def test_ideal_step_probability_values():
 
 
 def test_ideal_chain_equivalent_to_rescaled_mirror_chain():
-    # collective three-state chain == double-mirrors chain under
-    # gamma -> gamma/xi with half the atoms per mirror (m = 1)
+    # collective three-state chain == double-mirrors chain at gamma_s =
+    # gamma_g with every rate divided by xi, half the atoms per mirror (m = 1)
     n, xi = 64, 500.0
     p = BandgapParams(N=n, m=1, xi=xi)
     h_band = ideal_bandgap_chain(p)
-    p_mirror = DissipativeParams(N=n // 2, m=1, gamma_g=1.0 / xi, gamma_s=1.0 / xi)
+    p_mirror = DissipativeParams(N=n // 2, m=1, gamma_s=1.0)
     basis = build_basis(n // 2, 1, HPMode.APPROX)
-    h_mirror = build_H_coherent(p_mirror, basis)
+    h_mirror = build_H_coherent(p_mirror, basis) / xi
     assert np.abs(h_band - h_mirror).max() < 1e-14
 
-    # and the chain transfer completes at sqrt(2) pi xi / (sqrt(N) gamma_g)
-    prop = Propagator(h_band)
-    psi0 = np.array([1.0, 0, 0], complex)
+    # and the chain transfer completes at sqrt(2) pi xi / sqrt(N)
+    prop = Propagator(h_band, np.array([1.0, 0, 0], complex))
     t_expect = math.sqrt(2) * math.pi * xi / math.sqrt(n)
-    pop = abs(prop.apply(t_expect, psi0)[2]) ** 2
+    pop = abs(prop.apply(t_expect)[2]) ** 2
     assert pop == pytest.approx(1.0, abs=1e-9)
 
 
-def test_transfer_window_error():
-    # a window too small to contain the first maximum must be diagnosed
-    p = BandgapParams(N=100, xi=100.0)
-    for n_grid in (1, 4):
-        with pytest.raises(TransferWindowError):
-            run_transfer(p, n_grid=n_grid)
+def test_transfer_window_error(monkeypatch):
+    # a scan too coarse to resolve the first maximum must be diagnosed
+    monkeypatch.setattr(bandgap, "SCAN_POINTS", 4)
+    with pytest.raises(TransferWindowError):
+        run_transfer(BandgapParams(N=100, xi=100.0))

@@ -50,7 +50,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         DissipativeParams(N=0, m=1)
     with pytest.raises(ValueError):
-        DissipativeParams(N=10, m=1, gamma_g=0.0)
+        DissipativeParams(N=10, m=1, gamma_star=math.inf)
     with pytest.raises(ValueError):
         DissipativeParams(N=10, m=1, gamma_s=-1.0)
     p = DissipativeParams(N=10, m=4)
@@ -102,7 +102,7 @@ def test_decay_sum_on_middle_chain_state():
     p, basis = chain_setup(n, m, gamma_s=0.7, gamma_star=0.25)
     total = sum(ch.rate * ch.opdag_op for ch in build_jump_operators(p, basis))
     assert total[1, 1] == pytest.approx(m * 0.7 + 0.25)
-    assert total[0, 0] == pytest.approx(p.gamma_g + 0.25)
+    assert total[0, 0] == pytest.approx(1.0 + 0.25)
     assert total[2, 2] == pytest.approx(0.25)
 
 
@@ -115,7 +115,6 @@ def test_h_nh_dissipative_over_random_draws():
         drive = float(rng.uniform(0, 10)) if (mode == HPMode.APPROX and rng.random() < 0.3) else 0.0
         p = DissipativeParams(
             N=n, m=m,
-            gamma_g=float(rng.uniform(0.1, 3.0)),
             gamma_s=float(rng.uniform(0.0, 3.0)),
             gamma_star=float(rng.uniform(0.0, 1.0)),
         )
@@ -162,19 +161,18 @@ def test_eigenvalue_probability_close_to_closed_form():
     basis = build_basis(n, m, HPMode.APPROX)
     h = build_H_nh(p, basis)
     t = optimal_time(p)
-    psi = Propagator(h).apply(t, np.array([1.0, 0, 0], complex))
+    psi = Propagator(h, np.array([1.0, 0, 0], complex)).apply(t)
     assert abs(psi[2]) ** 2 == pytest.approx(p_double_mirrors(n, m, 10.0), rel=0.03)
     assert abs(psi[2]) ** 2 == pytest.approx(0.890111, abs=5e-4)
 
 
 def test_exact_h_nh_matches_bruteforce():
-    for (n, m, gg, gs, gst) in ((3, 1, 1.0, 1.0, 0.0), (4, 2, 1.0, 0.7, 0.3),
-                                (5, 2, 0.8, 1.3, 0.05)):
+    for (n, m, gs, gst) in ((3, 1, 1.0, 0.0), (4, 2, 0.7, 0.3), (5, 2, 1.3, 0.05)):
         basis = build_basis(n, m, HPMode.EXACT)
-        p = DissipativeParams(N=n, m=m, gamma_g=gg, gamma_s=gs, gamma_star=gst)
+        p = DissipativeParams(N=n, m=m, gamma_s=gs, gamma_star=gst)
         h_pkg = build_H_nh(p, basis)
         orc = FullModelOracle(n)
-        h_cols = orc.h_nh_projected(basis.labels, gg, gs, gst)
+        h_cols = orc.h_nh_projected(basis.labels, gs, gst)
         assert np.abs(h_pkg - h_cols).max() < 1e-12
 
         # each channel on its own: <i|O^dag O|j> = (O|i>)^dag (O|j>) with the
@@ -216,16 +214,15 @@ def test_params_basis_mismatch_rejected():
 @given(
     n=st.integers(1, 1000),
     data=st.data(),
-    gamma_g=st.floats(0.1, 10.0),
     gamma_s=st.floats(0.0, 10.0),
     gamma_star=st.floats(0.0, 2.0),
 )
-def test_mirror_swap_commutes_with_the_model(n, data, gamma_g, gamma_s, gamma_star):
+def test_mirror_swap_commutes_with_the_model(n, data, gamma_s, gamma_star):
     # the premise of the parity-sector steps: P commutes exactly with H_nh and
     # every channel's O^dag O, and the default input of step m has parity
     # (-1)^(m-1)
     m = data.draw(st.integers(1, min(n, 40)), label="m")
-    p = DissipativeParams(N=n, m=m, gamma_g=gamma_g, gamma_s=gamma_s, gamma_star=gamma_star)
+    p = DissipativeParams(N=n, m=m, gamma_s=gamma_s, gamma_star=gamma_star)
     basis = build_basis(n, m, HPMode.EXACT)
     swap = mirror_swap_matrix(basis)
     h = build_H_nh(p, basis)

@@ -42,7 +42,7 @@ def test_step_equals_direct_chain_amplitude():
     basis = build_basis(300, 2, HPMode.APPROX)
     h = build_H_nh(p, basis)
     t = optimal_time(p)
-    amp = Propagator(h).apply(t, np.array([1.0, 0, 0], complex))[2]
+    amp = Propagator(h, np.array([1.0, 0, 0], complex)).apply(t)[2]
     res = run_step(p, HPMode.APPROX)
     assert res.p_success == pytest.approx(abs(amp) ** 2, abs=1e-14)
 
@@ -69,6 +69,23 @@ def test_step_rejects_bad_time_and_input():
         run_step(p, HPMode.EXACT, input_target_state=np.array([2.0]))
     with pytest.raises(ProtocolError):
         run_step_continuous_drive(100, 1, 10.0, T=math.inf)
+
+
+def test_approx_input_keeps_its_phase():
+    # the chain's one input amplitude goes through the embedding both
+    # representations share: -1 negates the post state bit for bit and
+    # leaves every probability and loss unchanged
+    p = DissipativeParams.from_purcell(317, 3, 10.0)
+    default = run_step(p, HPMode.APPROX)
+    flipped = run_step(p, HPMode.APPROX, np.array([-1.0]))
+    assert flipped.post_state.tobytes() == (-default.post_state).tobytes()
+    assert flipped.p_success == default.p_success
+    assert flipped.overlap_goal == default.overlap_goal
+    assert flipped.diagnostics.channel_losses == default.diagnostics.channel_losses
+    assert flipped.diagnostics.unheralded_residual == default.diagnostics.unheralded_residual
+    for state, match in (([2.0], "normalized"), ([1.0, 0.0], "components")):
+        with pytest.raises(ProtocolError, match=match):
+            run_step(p, HPMode.APPROX, np.array(state))
 
 
 @pytest.mark.parametrize("mode, state", [
@@ -242,7 +259,7 @@ def test_step_diagnostics_report_the_worst_propagator(monkeypatch):
     state = _mixed_parity_input(3)
     res = run_step(p, HPMode.EXACT, state)
     model = _model(p, HPMode.EXACT, state)
-    condition = Propagator(model.h, model.frame).condition
+    condition = Propagator(model.h, model.psi0, model.frame).condition
     assert res.diagnostics.propagator_method == "eig"
     assert res.diagnostics.eigvec_condition == condition
     monkeypatch.setattr(linalg, "EIGBASIS_MAX_CONDITION", 0.0)
@@ -283,17 +300,16 @@ def test_frame_path_matches_frameless_path_on_every_step_generator():
     cases = _step_generators()
     assert len(cases) == 10
     for h, frame, products, t, idx in cases:
-        prop, ref = Propagator(h, frame), Propagator(h)
-        assert prop.method == ref.method == "eig"
         v0 = rng.normal(size=(h.shape[0], 2)) @ [1.0, 1.0j]
         v0 /= math.sqrt(norm_sq(v0))
-        assert np.abs(prop.apply(t, v0) - ref.apply(t, v0)).max() <= 1e-12
+        prop, ref = Propagator(h, v0, frame), Propagator(h, v0)
+        assert prop.method == ref.method == "eig"
+        assert np.abs(prop.apply(t) - ref.apply(t)).max() <= 1e-12
         times = np.linspace(0.0, 2 * t, 200)
-        assert np.abs(prop.population(times, v0, idx)
-                      - ref.population(times, v0, idx)).max() <= 1e-12
-        ops = [*products, np.eye(h.shape[0])]
-        assert np.abs(prop.integrated_expectation(ops, t, v0)
-                      - ref.integrated_expectation(ops, t, v0)).max() <= 1e-12
+        assert np.abs(prop.population(times, idx) - ref.population(times, idx)).max() <= 1e-12
+        ops = np.concatenate([products, np.eye(h.shape[0])[None]])
+        assert np.abs(prop.integrated_expectation(ops, t)
+                      - ref.integrated_expectation(ops, t)).max() <= 1e-12
 
 
 def test_every_step_kind_diagonalizes_a_real_matrix(monkeypatch):

@@ -3,6 +3,7 @@
 times show that the forks pay."""
 
 import csv
+import json
 import math
 import os
 import signal
@@ -285,3 +286,30 @@ def test_exact_sweep_rows_do_not_depend_on_jobs_or_on_bases_built_before(tmp_pat
     assert len(free_forks) == 2
     assert len(tables[0]) == 10
     assert tables[0] == tables[1] == tables[2]
+
+
+def _strict(constant):
+    raise ValueError(f"bare JSON constant {constant}")
+
+
+def test_non_finite_cells_are_written_alike_in_csv_and_jsonl(tmp_path):
+    # both writers give -inf, inf and nan as those strings, so -inf keeps its
+    # sign and every JSON line parses without a bare NaN or Infinity token
+    config = tmp_path / "sweep.yaml"
+    config.write_text("protocol: step\nfixed: {N: 100}\n"
+                      "axes: [{name: T, values: [-.inf, .inf, 0.05]},"
+                      " {name: p1d, values: [.nan, 10.0]}]\n")
+    for suffix, flags in (("csv", []), ("jsonl", ["--jsonl"])):
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / f"rows.{suffix}"),
+                     *flags]) == 0
+    with open(tmp_path / "rows.csv", newline="") as fh:
+        table = list(csv.DictReader(fh))
+    lines = [json.loads(line, parse_constant=_strict)
+             for line in (tmp_path / "rows.jsonl").read_text().splitlines()]
+    cells = [(t, p) for t in ("-inf", "inf", "0.05") for p in ("nan", "10")]
+    assert [(row["T"], row["p1d"]) for row in table] == cells
+    assert [(row["T"], row["p1d"]) for row in lines] == [
+        (t, p) for t in ("-inf", "inf", 0.05) for p in ("nan", 10.0)]
+    assert lines[1]["error"].endswith("not -inf") and lines[3]["error"].endswith("not inf")
+    assert table[5]["error"] == lines[5]["error"] == ""
+    assert table[5]["p_success"] == format(lines[5]["p_success"], ".12g")
