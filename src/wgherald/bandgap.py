@@ -23,14 +23,13 @@ Hochbruck-Lubich a-posteriori bound (SIAM J. Numer. Anal. 34, 1911 (1997)) on
 the error over the whole scan window falls below KRYLOV_MAX_ERROR.  The
 Lanczos steps never form H: on the uniform lattice the range kernel
 exp(-|i - j| / xi) is a Kac-Murdock-Szego matrix, so its product with a
-vector is two first-order recursions, run as one banded triangular solve in
-O(N) time and memory.  Each step first sums the error integrand at a few
-scan times; that partial sum is a lower bound on the full one, so where it
-already exceeds KRYLOV_MAX_ERROR the full bound over the SCAN_POINTS scan
-times is not evaluated.  The dense `build_H_bandgap` and `compensate` are the documented
-reference for that product and are not on the transfer path.  The two LAPACK
-routines the transfer calls come from scipy, which is imported on the first
-transfer and not at process start.
+vector is a blocked product, one small dense block per block of sites and a
+rank-one coupling between blocks, in O(N) memory.  Each step first sums the
+error integrand at a few scan times; that partial sum is a lower bound on the
+full one, so where it already exceeds KRYLOV_MAX_ERROR the full bound over
+the SCAN_POINTS scan times is not evaluated.  The dense `build_H_bandgap` and
+`compensate` are the documented reference for that product and are not on
+the transfer path.  The transfer runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -163,28 +162,43 @@ def _phase_sum(theta: np.ndarray, c: np.ndarray, dt: float, n: int) -> np.ndarra
 
 
 def _products(p: BandgapParams):
-    """O(N) products x -> build_H_bandgap(p) @ x and x -> H @ x, with H the
-    compensated compensate(build_H_bandgap(p), p); neither matrix is formed.
+    """O(N)-memory products x -> build_H_bandgap(p) @ x and x -> H @ x, with H
+    the compensated compensate(build_H_bandgap(p), p); neither matrix is
+    formed.
 
     On the uniform lattice the range kernel K_ij = rho^|i-j|, rho =
-    exp(-1/xi), is a Kac-Murdock-Szego matrix: K x = y + reverse(u) - x,
-    where y_i = x_i + rho y_{i-1} runs forward over x and u is the same
-    recursion over reverse(x).  Both recursions are one unit lower-bidiagonal
-    banded solve with two right-hand sides.  The mean target shift of
-    `compensate` is the same product on the target indicator.
+    exp(-1/xi), is a Kac-Murdock-Szego matrix.  With x padded to nb blocks
+    of b = ceil(sqrt(N + 1)) sites, each block is multiplied by one symmetric
+    b x b KMS block (the near field).  Between site a of block k and site c
+    of block l < k the kernel is rank one, rho^(b(k-l-1)) rho^(a+1)
+    rho^(b-1-c), so the far field is two sums of x per block, weighted
+    towards its end and towards its start, carried to the blocks on the
+    other side by one (2 nb) x (2 nb) matrix.  Every factor is
+    exp(-d / xi), scaled as `build_H_bandgap` scales it, and every operation
+    is a matrix product.  The mean target shift of `compensate` is the same
+    product on the target indicator.
     """
-    from scipy.linalg.lapack import dtbtrs
-
     n = p.N + 1
     unit = 1.0 / (2 * p.xi)
-    ab = np.empty((2, n))  # band storage: unit diagonal, subdiagonal -rho
-    ab[0] = 1.0
-    ab[1] = -math.exp(-1.0 / p.xi)
+    b = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    nb = -(-n // b)
+    a = np.arange(b)
+    near = unit * np.exp(-np.abs(a[:, None] - a[None, :]) / p.xi)
+    ends = np.exp(-np.column_stack((b - 1 - a, a + 1)) / p.xi)
+    k = np.arange(nb)
+    far = np.tril(np.exp(-b * np.abs(k[:, None] - k[None, :] - 1) / p.xi), -1)
+    across = np.zeros((nb, 2, nb, 2))  # (block k, sum) <- (block l, sum)
+    across[:, 0, :, 1] = far.T  # from the blocks on the right
+    across[:, 1, :, 0] = far  # from the blocks on the left
+    across = across.reshape(2 * nb, 2 * nb)
+    spread = unit * ends.T
+    xb = np.zeros((nb, b))  # x, padded with zeros
+    flat = xb.reshape(-1)
 
     def kernel(x):
-        # a unit diagonal is never singular, so info is always 0
-        y, _ = dtbtrs(ab, np.column_stack((x, x[::-1])), uplo="L", diag="U")
-        return unit * (y[:, 0] + y[::-1, 1] - x)
+        flat[:n] = x
+        carried = (across @ (xb @ ends).ravel()).reshape(nb, 2)
+        return (xb @ near + carried @ spread).ravel()[:n]
 
     target = np.ones(n)
     target[0] = 0.0
@@ -202,7 +216,9 @@ def _lanczos(apply, n: int, dt: float, n_grid: int):
     (given as its product `apply`) on the orbit of e_0, with full
     reorthogonalization.
 
-    e^{-iHt} e_0 ~ Q S e^{-i theta t} (Q S)^T e_0, with T_k = S diag(theta) S^T.
+    e^{-iHt} e_0 ~ Q S e^{-i theta t} (Q S)^T e_0, with T_k = S diag(theta) S^T
+    from `np.linalg.eigh` on the leading block of T, which is filled as the
+    steps are taken.
     Steps continue until beta_k int_0^{t_hi} |e_k^T e^{-isT_k} e_1| ds, the
     Hochbruck-Lubich bound on that error for every t up to t_hi, is at most
     KRYLOV_MAX_ERROR, or until k = n, where the Krylov space is the whole
@@ -213,24 +229,17 @@ def _lanczos(apply, n: int, dt: float, n_grid: int):
     (beta_k = 0) gives a zero bound: the propagation is then exact.  Returns
     the basis Q S, the Ritz values theta, k and the bound.
     """
-    from scipy.linalg.lapack import dstevd
-
     q = np.zeros((min(n, 16), n))  # row j is q_j; doubled as steps are taken
     q[0, 0] = 1.0
-    alpha, beta = np.zeros(n), np.zeros(n)
+    t = np.zeros((len(q), len(q)))  # T_k, lower triangle only; grows with q
     probe = dt * np.unique(np.linspace(1, n_grid - 2, _PROBE_TIMES).round())
     for j in range(n):
         w = apply(q[j])
-        alpha[j] = q[j] @ w
+        t[j, j] = q[j] @ w
         for _ in range(2):  # twice is enough (Parlett)
             w -= (q[:j + 1] @ w) @ q[:j + 1]
         b = math.sqrt(w @ w)
-        if j == 0:  # dstevd rejects the 1 x 1 case
-            theta, s = alpha[:1].copy(), np.ones((1, 1))
-        else:
-            theta, s, info = dstevd(alpha[:j + 1], beta[:j])
-            if info:
-                raise np.linalg.LinAlgError(f"dstevd did not converge (info={info})")
+        theta, s = np.linalg.eigh(t[:j + 1, :j + 1])  # reads the lower triangle
         c = s[-1] * s[0]
         last = j + 1 == n
         partial = b * dt * np.abs(np.exp(-1j * np.outer(probe, theta)) @ c).sum()
@@ -239,11 +248,12 @@ def _lanczos(apply, n: int, dt: float, n_grid: int):
             bound = b * dt * (defect.sum() - 0.5 * (defect[0] + defect[-1]))
             if bound <= KRYLOV_MAX_ERROR or last:
                 return q[:j + 1].T @ s, theta, j + 1, bound
-        beta[j] = b
         if j + 1 == len(q):  # twice the rows, at most n
             grown = np.zeros((min(2 * len(q), n), n))
             grown[:len(q)] = q
             q = grown
+            t = np.pad(t, (0, len(q) - len(t)))
+        t[j + 1, j] = b
         q[j + 1] = w / b
 
 
@@ -266,13 +276,10 @@ def run_transfer(p: BandgapParams) -> TransferRecord:
     dt = t_hi / (SCAN_POINTS - 1)
     basis, theta, steps, bound = _lanczos(hamiltonian, p.N + 1, dt, SCAN_POINTS)
     s0 = basis[0]  # e_0 in the Ritz basis
-
-    def psi(t):
-        v = np.exp(-1j * theta * t) * s0
-        return basis @ v.real + 1j * (basis @ v.imag)  # no complex copy of basis
+    weights = s0 * s0
 
     # norm is conserved by the coherent dynamics: target = 1 - source
-    source = _phase_sum(theta, s0 * s0, dt, SCAN_POINTS)
+    source = _phase_sum(theta, weights, dt, SCAN_POINTS)
     pops = 1.0 - (source.real**2 + source.imag**2)
     # first interior population maximum: later quasi-revivals can edge higher
     # but are useless once the uniform decay factor is attached
@@ -282,10 +289,11 @@ def run_transfer(p: BandgapParams) -> TransferRecord:
             f"no transfer maximum inside the window [0, {t_hi:.4g}]"
         )
     k = int(interior[0])
-    t_opt = golden_section_max(lambda t: norm_sq(psi(t)[1:]),
+    t_opt = golden_section_max(lambda t: 1.0 - abs(np.exp(-1j * theta * t) @ weights) ** 2,
                                times[k - 1], times[k + 1], 1e-6 * math.pi / g)
 
-    psi_opt = psi(t_opt)
+    v = np.exp(-1j * theta * t_opt) * s0
+    psi_opt = basis @ v.real + 1j * (basis @ v.imag)  # no complex copy of basis
     c = psi_opt[1:]
     proj = c / math.sqrt(norm_sq(c))
     sym = np.full(p.N, 1.0 / math.sqrt(p.N), dtype=complex)

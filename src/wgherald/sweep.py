@@ -20,6 +20,8 @@ byte-identical outputs apart from the wall-time column.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 import math
@@ -78,9 +80,10 @@ FORK_COST_S = 0.015
 # A point's predicted seconds, from its parameters alone (TABLE's `cost`):
 # STEP_S + EIG_S * d**3 per protocol step on a propagator of dimension d, and
 # TRANSFER_S + TRANSFER_N_S * N per bandgap transfer.  Fitted to single points
-# of every entry (N 40-5000, m 1-160, one BLAS thread, 2-vCPU machine).
+# of every entry (N 40-5000, m 1-160, one BLAS thread, 2-vCPU machine); the
+# transfer to medians at N 40, 200, 600, 2000 and 5000 with xi = 2N.
 STEP_S, EIG_S = 4e-4, 1e-8
-TRANSFER_S, TRANSFER_N_S = 1.5e-3, 6.5e-6
+TRANSFER_S, TRANSFER_N_S = 1.5e-3, 1e-6
 
 
 class SweepConfigError(ValueError):
@@ -428,10 +431,13 @@ def _format_cell(value) -> str:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
-    lines = [",".join(COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(c, "")) for c in COLUMNS))
-    return "\n".join(lines) + "\n"
+    """CSV with a header line; only a cell holding a comma, a quote or a line
+    break is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    writer.writerows([_format_cell(row.get(c, "")) for c in COLUMNS] for row in rows)
+    return out.getvalue()
 
 
 def rows_to_jsonl(rows: list[dict]) -> str:

@@ -2,7 +2,8 @@
 operators on the full tensor-product space, and the reference quantities the
 tests check the package against (decay generator, excitation number, the
 drive terms, the signed mirror swap, the ideal-limit bandgap chain, a
-straight-line fit, a Chebyshev propagator, the candidate fixed-ratio plateaus).
+straight-line fit, a Chebyshev propagator, an extended-precision
+Kac-Murdock-Szego product, the candidate fixed-ratio plateaus).
 
 These deliberately share no code with the package internals: states are
 base-3 integer configurations, collective operators are sums of sparse
@@ -30,16 +31,22 @@ LEVELS = {"g": 0, "e": 1, "s": 2}
 
 
 def rk4_evolve(h, v0, t_final, steps):
-    """Classic fixed-step RK4 for dv/dt = -i H v."""
+    """Classic fixed-step RK4 for dv/dt = -i H v.
+
+    On a linear system one RK4 step is the map v -> M v with M the Taylor
+    polynomial sum_{k<=4} (-i dt H)^k / k!, so M is formed once and applied
+    at each step.
+    """
     h = np.asarray(h, dtype=complex)
     v = np.asarray(v0, dtype=complex).copy()
-    dt = t_final / steps
+    a = -1j * (t_final / steps) * h
+    m = np.eye(len(h), dtype=complex)
+    term = m
+    for k in range(1, 5):
+        term = term @ a / k
+        m = m + term
     for _ in range(steps):
-        k1 = -1j * (h @ v)
-        k2 = -1j * (h @ (v + 0.5 * dt * k1))
-        k3 = -1j * (h @ (v + 0.5 * dt * k2))
-        k4 = -1j * (h @ (v + dt * k3))
-        v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        v = m @ v
     return v
 
 
@@ -224,6 +231,27 @@ def chebyshev_propagate(apply, lo, hi, v, t, tol=1e-18):
         out += 2 * (1, -1j, -1, 1j)[k % 4] * coef * cur  # (-i)^k
         if k > a and abs(coef) < tol:
             return np.exp(-1j * c * t) * out
+
+
+def kms_product(x, xi):
+    """sum_j exp(-|i - j| / xi) x_j for every i, in np.longdouble.
+
+    The Kac-Murdock-Szego kernel rho^|i-j|, rho = exp(-1/xi), is y + u - x,
+    with y_i = x_i + rho y_{i-1} run forward over x and u the same recursion
+    run backward: two first-order recursions, one element at a time.
+    """
+    x = np.asarray(x, dtype=np.longdouble)
+    rho = np.exp(np.longdouble(-1) / np.longdouble(xi))
+    y, u = np.empty_like(x), np.empty_like(x)
+    acc = np.longdouble(0)
+    for i in range(len(x)):
+        acc = x[i] + rho * acc
+        y[i] = acc
+    acc = np.longdouble(0)
+    for i in reversed(range(len(x))):
+        acc = x[i] + rho * acc
+        u[i] = acc
+    return y + u - x
 
 
 def linear_regression_r2(x, y) -> tuple[float, float, float]:

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chebyshev_propagate, dense_lanczos, ideal_bandgap_chain
+from oracles import chebyshev_propagate, dense_lanczos, ideal_bandgap_chain, kms_product
 from wgherald import bandgap
 from wgherald.bandgap import (
     KRYLOV_MAX_ERROR,
@@ -167,10 +167,12 @@ def test_transfer_matches_dense_eigensolution(p):
     assert 0.0 <= rec.error_bound <= KRYLOV_MAX_ERROR
 
 
-@pytest.mark.parametrize("n", [1, 2, 600])
-@pytest.mark.parametrize("ratio", [0.5, 1.0, 8.0, 8e3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 16, 600])
+@pytest.mark.parametrize("ratio", [1e-3, 0.5, 1.0, 8.0, 8e3])
 def test_products_match_dense_kernel(n, ratio):
-    # the O(N) Kac-Murdock-Szego products against the dense reference
+    # the blocked Kac-Murdock-Szego products against the dense reference:
+    # N + 1 = 4 and 16 fill their blocks and 5 and 17 pad them, and at
+    # ratio 1e-3 the far field's products underflow to 0
     p = BandgapParams(N=n, xi=n * ratio)
     kernel, hamiltonian = _products(p)
     h = build_H_bandgap(p)
@@ -179,9 +181,21 @@ def test_products_match_dense_kernel(n, ratio):
     for x in (rng.standard_normal(n + 1), np.ones(n + 1)):
         want = h @ x
         assert np.abs(kernel(x) - want).max() <= 1e-13 * np.abs(want).max()
-        # compensation cancels: measure against the size of the terms
-        scale = (np.abs(hc) @ np.abs(x)).max()
+        # compensation cancels: measure against the size of the terms; at
+        # ratio 1e-3 the couplings are below the rounding of the diagonal it
+        # removes (in `compensate` too), so that diagonal is one of the terms
+        terms = np.abs(hc) if ratio >= 0.5 else np.abs(h) + np.abs(h - hc)
+        scale = (terms @ np.abs(x)).max()
         assert np.abs(hamiltonian(x) - hc @ x).max() <= 1e-13 * scale
+
+
+def test_kernel_product_matches_extended_precision_recursion_at_large_n():
+    n = 10**5
+    p = BandgapParams(N=n, xi=8.0 * n)
+    kernel, _ = _products(p)
+    x = np.random.default_rng(n).standard_normal(n + 1)
+    want = kms_product(x, p.xi) / (2 * p.xi)
+    assert np.abs(kernel(x) - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -76,7 +76,6 @@ def test_cli_import_leaves_out_scipy_and_yaml():
 LAZY_PATHS = """
 import numpy as np
 from wgherald import linalg
-from wgherald.bandgap import BandgapParams, run_transfer
 from wgherald.basis import HPMode
 from wgherald.dissipative import DissipativeParams, optimal_time
 from wgherald.protocol import _model
@@ -98,16 +97,37 @@ assert np.abs(psi - eig.apply(t)).max() <= 1e-12
 assert scipy_loaded()
 losses = fallback.integrated_expectation(ops, t)
 assert np.abs(losses - eig.integrated_expectation(ops, t)).max() <= 1e-12
-rec = run_transfer(BandgapParams(40, 40.0, gamma_star=0.1))
-assert rec.krylov_steps > 1 and 0 < rec.infidelity < 1
 """
 
 
 def test_deferred_scipy_imports_resolve_where_first_needed():
-    # the expm fallback (apply and the loss density) and the bandgap
-    # transfer's dtbtrs and dstevd each import scipy inside the function
+    # the expm fallback (apply and the loss density) imports scipy inside
+    # the function
     out = run_fresh(LAZY_PATHS)
     assert out.returncode == 0, out.stderr
+
+
+TRANSFER = """
+from wgherald.bandgap import BandgapParams, run_transfer
+from wgherald.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+
+rec = run_transfer(BandgapParams(40, 40.0, gamma_star=0.1))
+assert rec.krylov_steps > 1 and 0 < rec.infidelity < 1
+print(scipy_modules())
+assert main(['bandgap', '--N', '100', '--xi', '100', '--out', sys.argv[2]]) == 0
+print(scipy_modules())
+"""
+
+
+def test_bandgap_transfer_leaves_out_scipy(tmp_path):
+    # the blocked Kac-Murdock-Szego product and the Ritz pairs from numpy's
+    # eigh keep the whole transfer, library call and CLI, on numpy alone
+    out = run_fresh(TRANSFER, str(tmp_path / "series.csv"))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_invalid_yaml_config_exits_1_in_a_fresh_process(tmp_path):

@@ -313,3 +313,27 @@ def test_non_finite_cells_are_written_alike_in_csv_and_jsonl(tmp_path):
     assert lines[1]["error"].endswith("not -inf") and lines[3]["error"].endswith("not inf")
     assert table[5]["error"] == lines[5]["error"] == ""
     assert table[5]["p_success"] == format(lines[5]["p_success"], ".12g")
+
+
+def test_error_cells_keep_every_csv_row_as_wide_as_the_header(tmp_path):
+    # an error message holding a comma is quoted, so a CSV reader sees each
+    # row's cells under the header's names and the message whole; a row with
+    # no comma, quote or line break in any cell is its cells joined by commas
+    config = tmp_path / "sweep.yaml"
+    config.write_text("protocol: step\nfixed: {N: 100}\n"
+                      "axes: [{name: T, values: [-.inf, 0.05]},"
+                      " {name: p1d, values: [.nan, 10.0]}]\n")
+    path = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(path)]) == 0
+    with open(path, newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert len(table) == 4
+    for row in table:
+        assert list(row) == list(sweep.COLUMNS) and None not in row.values()
+    assert [row["error"] for row in table] == [
+        "ValueError: p1d must be positive, not nan",
+        "ProtocolError: evolution time T must be positive and finite, not -inf",
+        "ValueError: p1d must be positive, not nan",
+        ""]
+    last = path.read_text().splitlines()[-1]
+    assert last == ",".join(table[-1].values())
