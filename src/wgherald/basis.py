@@ -205,8 +205,11 @@ def stage_frame(basis: BasisSet) -> np.ndarray:
     moves it one stage with a real amplitude, and every channel's O^dag O
     keeps it in its stage with real amplitudes, on a parity sector too.  So
     H = A - (i/2) D with A and D real, and with T = diag(frame),
-    T^-1 (-iH) T = T^-1 (-iA) T - D/2 is exactly real: `linalg.Propagator`
-    diagonalizes that real matrix.
+    T^-1 (-iH) T = S o A - D/2 is exactly real, where S_ij = Im f_j - Im f_i
+    is +1 from an odd stage j to an even stage i, -1 from even to odd, and 0
+    between stages of one parity.  A step builds
+    that real generator directly (`dissipative.no_jump_generator`) and
+    `linalg.Propagator` takes it with this frame.
     """
     return np.array([1j if lbl.source_level == "e" or lbl.detector == DET_EXCITED else 1.0
                      for lbl in basis.labels], dtype=complex)
@@ -262,7 +265,8 @@ class OperatorTerms:
     Term t adds (c[0, t] r[q[0, t]]) * (c[1, t] r[q[1, t]]) * ratio[t] to
     entry flat[t] of the flattened matrix (or stack of matrices, one per
     rule), in the rules' loop order; flat[t] = its size marks an image
-    outside the basis.  The arrays are read-only.
+    outside the basis, and `lost` indexes those terms.  The arrays are
+    read-only.
     """
 
     def __init__(self, shape: tuple[int, ...], rows: list[tuple]):
@@ -271,7 +275,8 @@ class OperatorTerms:
         self.c, self.q = np.array([c1, c2]), np.array([q1, q2], dtype=np.intp)
         self.ratio = np.ascontiguousarray(ratio)
         self.top = int(self.q.max(initial=ROOT_N)) - ROOT_N + 1
-        for a in (self.flat, self.c, self.q, self.ratio):
+        self.lost = np.flatnonzero(self.flat == math.prod(shape))
+        for a in (self.flat, self.c, self.q, self.ratio, self.lost):
             a.flags.writeable = False
 
     def at(self, N: int, rates=(1.0, 1.0)) -> CollectiveOperator:
@@ -281,7 +286,7 @@ class OperatorTerms:
         v = x[0] * x[1] * self.ratio
         size = math.prod(self.shape)
         matrix = np.bincount(self.flat, v, size + 1)[:size].reshape(self.shape)
-        lost = v[self.flat == size]
+        lost = v[self.lost]
         return CollectiveOperator(matrix, float(lost @ lost))
 
 

@@ -22,9 +22,13 @@ exact on the reachable sector.  Every term commutes with the signed mirror
 swap of `basis`, so the same rules assemble the model on either mirror-parity
 sector.
 
-A model is undriven: the unit-strength loading and readout drives
-(`source_drive`, `readout_drive`) are rules a protocol step scales and adds to
-its generator.
+A step never forms the complex H_nh: `no_jump_generator` builds the real
+generator G = S o H_coherent - (1/2) sum_k Gamma_k O_k^dag O_k, the form
+T^-1 (-i H_nh) T takes in the stage-parity frame T, where S = +-1 is the sign
+between adjacent stages.  `build_H_nh` is the complex reference.  A model is
+undriven: the unit-strength loading and readout drives (`source_drive`,
+`readout_drive`) are rules a protocol step scales, signs and adds to its
+generator.
 """
 
 from __future__ import annotations
@@ -232,20 +236,25 @@ def build_jump_operators(p: DissipativeParams, basis: BasisSet) -> list[JumpChan
     return [JumpChannel(*channel) for channel in zip(*model_matrices(p, basis)[1:])]
 
 
-def no_jump_generator(h_coherent: np.ndarray, rates, ops: np.ndarray) -> np.ndarray:
-    """H_coherent - (i/2) sum_k rates[k] ops[k] as a new complex matrix, each
-    real product ops[k] subtracted from its imaginary part in real arithmetic."""
-    h = h_coherent.astype(complex)
-    decay = h.imag
+def no_jump_generator(h_coherent: np.ndarray, rates, ops: np.ndarray, sign) -> np.ndarray:
+    """The real no-jump generator sign * H_coherent - sum_k (rates[k]/2) ops[k]
+    as a new matrix, the channels subtracted one at a time in order.
+
+    With sign the stage-parity sign of a basis (see `basis.stage_frame`) it is
+    G = T^-1 (-i H_nh) T, the generator `linalg.Propagator` takes with the
+    frame T; with sign 0 it is the decay part -(1/2) sum_k Gamma_k O_k^dag O_k
+    alone, the imaginary part of H_nh."""
+    g = sign * h_coherent
     for rate, op in zip(rates, ops):
-        decay -= (0.5 * rate) * op
-    return h
+        g -= (0.5 * rate) * op
+    return g
 
 
 def build_H_nh(p: DissipativeParams, basis: BasisSet) -> np.ndarray:
-    """No-jump generator of the model's coherent part and all its channels."""
+    """No-jump Hamiltonian H_nh of the model's coherent part and all its
+    channels, a complex matrix."""
     h, _, rates, ops = model_matrices(p, basis)
-    return no_jump_generator(h, rates, ops)
+    return h + 1j * no_jump_generator(h, rates, ops, 0.0)
 
 
 def optimal_time(p: DissipativeParams) -> float:

@@ -1,21 +1,22 @@
-"""Dense complex linear algebra for non-Hermitian time evolution.
+"""Dense linear algebra for non-Hermitian time evolution.
 
 Everything in the protocol state spaces is small (a few to a few hundred
 dimensions), so exact dense methods are used throughout: the propagator
-e^{-iHt} is built from an eigendecomposition of H (with a scaling-and-squaring
-fallback when H is too ill-conditioned to diagonalize reliably), which makes
-evolution to arbitrary times exact up to rounding.  numpy does all of it but
-that fallback, scipy's expm, so scipy.linalg is imported on the first
-fallback and not at process start.  Given a diagonal frame T of
-units in which T^-1 (-iH) T is exactly real, as it is for the protocol's
-no-jump generators, the decomposition is taken on that real matrix (LAPACK's
-real eig, about a third of the cost of the complex one at dimension 81).  The
-conditioning test is the Frobenius bound kappa_F = ||V||_F ||V^-1||_F >=
-kappa_2 on the inverse the eigenbasis needs anyway, so no SVD is taken.
-A Propagator evolves the one state it is built with, validated and
-projected onto the eigenbasis once.  Loss bookkeeping integrates one density
-R = integral psi psi^dag ds per evolution and reads every channel's integral
-off it in one reduction over the stack of channel operators.
+e^{-iHt} is built from an eigendecomposition of its generator -iH (with a
+scaling-and-squaring fallback when that is too ill-conditioned to
+diagonalize reliably), which makes evolution to arbitrary times exact up to
+rounding.  numpy does all of it but that fallback, scipy's expm, so
+scipy.linalg is imported on the first fallback and not at process start.
+A generator is given in a diagonal frame T of units, G = T^-1 (-iH) T; the
+protocol's no-jump generators are exactly real in their stage-parity frame,
+so the decomposition is LAPACK's real eig (about a third of the cost of the
+complex one at dimension 81), and no complex H is formed.  The conditioning
+test is the Frobenius bound kappa_F = ||V||_F ||V^-1||_F >= kappa_2 on the
+inverse the eigenbasis needs anyway, so no SVD is taken.  A Propagator
+evolves the one state it is built with, validated and projected onto the
+eigenbasis once.  Loss bookkeeping integrates one density R = integral psi
+psi^dag ds per evolution and reads every channel's integral off it in one
+real product with the flattened stack of channel operators.
 
 Conventions: hbar = 1, all rates in units of the reference guided-mode decay
 rate, times in its inverse.
@@ -45,23 +46,19 @@ class NumericError(ArithmeticError):
     """Non-finite values were produced or supplied."""
 
 
+def all_finite(a) -> bool:
+    """Whether every entry of a is finite, at half the cost of
+    np.isfinite(a).all() on the small arrays of a step."""
+    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+
+
 def as_state(v) -> np.ndarray:
     """Coerce to a finite complex 1-d array."""
     arr = np.asarray(v, dtype=complex)
     if arr.ndim != 1:
         raise DimensionError(f"expected a 1-d state vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise NumericError("state vector contains non-finite entries")
-    return arr
-
-
-def as_operator(h) -> np.ndarray:
-    """Coerce to a finite complex square matrix."""
-    arr = np.asarray(h, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NumericError("operator contains non-finite entries")
     return arr
 
 
@@ -90,44 +87,44 @@ def simpson_weights(t: float, npts: int) -> np.ndarray:
 
 
 class Propagator:
-    """Evolves one state v0 under e^{-iHt}, reusing one eigendecomposition of H.
+    """Evolves one state v0 under the generator g in a frame, reusing one
+    eigendecomposition of g.
 
-    The state is validated and projected onto the eigenbasis once, c = V^-1
-    v0, and `apply`, `population` and `integrated_expectation` read it at
-    any times.  The decomposition is eig with V^-1 from inv.  With a frame (a
-    vector of units, one per basis state) whose G = T^-1 (-iH) T, T =
-    diag(frame), has an imaginary part of exactly zero, eig runs on the real
-    G = W diag(lam) W^-1 and H's eigenpairs are i lam and T W; multiplying by
-    +-1 and +-i is exact, so only the rounding of eig itself changes.  Any
-    other frame falls through to the complex eig of H, so a wrong frame costs
-    speed, never accuracy.  The decomposition falls back to scipy's
-    expm (Pade scaling-and-squaring), which keeps v0, when V is singular or
-    its condition number `condition`, the Frobenius bound ||V||_F ||V^-1||_F
-    (inf when V is singular or the product overflows), reaches
-    EIGBASIS_MAX_CONDITION; scipy.linalg is imported by the first such
-    fallback in a process.  `method` is "eig" or "expm".  A non-finite
-    result, such as one at a time t where an eigenvalue product lambda t or
-    gap mu t leaves the float range, raises NumericError without a numpy
-    warning first.
+    g is -iH written in the diagonal frame T = diag(frame), a vector of
+    units: G = T^-1 (-iH) T, so psi(t) = e^{-iHt} v0 = T e^{Gt} T^-1 v0; a
+    frame of None is T = 1, so g is -iH itself.  The protocol's no-jump
+    generators are exactly real in their stage-parity frame (see
+    `basis.stage_frame`) and LAPACK's real eig runs on them; a complex g
+    takes the same eig.  With G = W diag(lam) W^-1 the eigenvectors are
+    V = T W and the exponents lam, the eigenvalues of -iH; V^-1 comes from
+    inv.  The state is validated and projected onto the eigenbasis once,
+    c = V^-1 v0, and `apply`, `population` and `integrated_expectation` read
+    it at any times.  The decomposition falls back to scipy's expm (Pade
+    scaling-and-squaring) of G, mapped back through the frame, which keeps
+    v0, when V is singular or its condition number `condition`, the
+    Frobenius bound ||V||_F ||V^-1||_F (inf when V is singular or the
+    product overflows), reaches EIGBASIS_MAX_CONDITION; scipy.linalg is
+    imported by the first such fallback in a process.  `method` is "eig" or
+    "expm".  A non-finite result, such as one at a time t where an exponent
+    product lam t or mu t leaves the float range, raises NumericError
+    without a numpy warning first.
     """
 
-    def __init__(self, h, v0, frame=None):
-        self.h = as_operator(h)
-        self.dim = self.h.shape[0]
+    def __init__(self, g, v0, frame=None):
+        self.g = np.asarray(g)
+        if self.g.ndim != 2 or self.g.shape[0] != self.g.shape[1]:
+            raise DimensionError(f"expected a square generator, got shape {self.g.shape}")
+        if not all_finite(self.g):
+            raise NumericError("generator contains non-finite entries")
+        self.dim = self.g.shape[0]
         self.v0 = as_state(v0)
         if self.v0.shape[0] != self.dim:
             raise DimensionError(f"state dim {self.v0.shape[0]} != operator dim {self.dim}")
-        g = None
-        if frame is not None:
-            frame = np.asarray(frame, dtype=complex)
-            if frame.shape != (self.dim,):
-                raise DimensionError(f"frame shape {frame.shape} != ({self.dim},)")
-            g = (-1j * self.h) * (frame[None, :] / frame[:, None])
-        if g is not None and not g.imag.any():
-            lam, w = np.linalg.eig(np.ascontiguousarray(g.real))
-            self.eigvals, self.eigvecs = 1j * lam, frame[:, None] * w
-        else:
-            self.eigvals, self.eigvecs = np.linalg.eig(self.h)
+        self.frame = np.ones(self.dim) if frame is None else np.asarray(frame, dtype=complex)
+        if self.frame.shape != (self.dim,):
+            raise DimensionError(f"frame shape {self.frame.shape} != ({self.dim},)")
+        lam, w = np.linalg.eig(self.g)
+        self.exponents, self.eigvecs = lam.astype(complex), self.frame[:, None] * w
         try:
             vinv = np.linalg.inv(self.eigvecs)
         except np.linalg.LinAlgError:
@@ -138,22 +135,33 @@ class Propagator:
         self.condition = cond if math.isfinite(cond) else math.inf
         usable = self.condition < EIGBASIS_MAX_CONDITION
         self._c = vinv @ self.v0 if usable else None
-        self._exponents = -1j * self.eigvals
         self.method = "eig" if usable else "expm"
+
+    def _expm_states(self, dt: float, steps: int) -> np.ndarray:
+        """The fallback's states at times 0, dt, ..., steps dt, one per row:
+        e^{G dt} applied in the frame, mapped back through it."""
+        import scipy.linalg
+
+        step = scipy.linalg.expm(self.g * dt)
+        u = np.empty((steps + 1, self.dim), dtype=complex)
+        u[0] = self.v0 / self.frame
+        # a gain past the float range leaves non-finite states, raised by the callers
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, steps + 1):
+                u[i] = step @ u[i - 1]
+            return u * self.frame
 
     def apply(self, t: float) -> np.ndarray:
         """Return e^{-iHt} v0."""
         if not math.isfinite(t):
             raise NumericError("evolution time must be finite")
         if self.method == "eig":
-            # |lambda| t past the float range leaves non-finite amplitudes, raised below
+            # |lam| t past the float range leaves non-finite amplitudes, raised below
             with np.errstate(over="ignore", invalid="ignore"):
-                out = self.eigvecs @ (np.exp(self._exponents * t) * self._c)
+                out = self.eigvecs @ (np.exp(self.exponents * t) * self._c)
         else:
-            import scipy.linalg
-
-            out = scipy.linalg.expm(-1j * self.h * t) @ self.v0
-        if not np.isfinite(out).all():
+            out = self._expm_states(t, 1)[1]
+        if not all_finite(out):
             raise NumericError("propagation produced non-finite amplitudes")
         return out
 
@@ -166,16 +174,16 @@ class Propagator:
         times = np.asarray(times, dtype=float)
         if times.ndim != 1:
             raise DimensionError(f"population needs a 1-d time grid, got {times.shape}")
-        if not np.all(np.isfinite(times)):
+        if not all_finite(times):
             raise NumericError("evolution times must be finite")
         if self.method != "eig":
             return np.array([norm_sq(self.apply(t)[index]) for t in times])
         c, rows = self._c, self.eigvecs[index].T
         pops = np.empty(times.shape[0])
         for k in range(0, times.shape[0], 256):
-            amps = (np.exp(-1j * np.outer(times[k:k + 256], self.eigvals)) * c) @ rows
+            amps = (np.exp(np.outer(times[k:k + 256], self.exponents)) * c) @ rows
             pops[k:k + 256] = (amps.real**2 + amps.imag**2).sum(axis=1)
-        if not np.all(np.isfinite(pops)):
+        if not all_finite(pops):
             raise NumericError("propagation produced non-finite populations")
         return pops
 
@@ -185,42 +193,40 @@ class Propagator:
         complex.
 
         Every integral reads the one density R = integral_0^t psi psi^dag ds
-        as sum_ij M_ij R_ji, all k in one reduction.  In the eigenbasis
-        R = A F^T A^dag in closed form, with A = V diag(c) and F the
-        integrals of the pairwise exponentials, expm1(i mu t) / (i mu) for
-        mu = conj(lambda_a) - lambda_b (t where mu = 0); the expm fallback
-        sums psi psi^dag with composite Simpson weights on a fine uniform
-        grid.
+        as Re sum_ij M_ij R_ji: all k in one real product of the flattened
+        stack, (k, 1, dim^2) @ (dim^2), with Re(R^T), less one with Im(R^T)
+        for a complex stack; each operator's is one dot, summed alike
+        whatever k.  In the eigenbasis R^T = conj(A) F A^T in closed
+        form, with A = V diag(c) and F the integrals of the pairwise
+        exponentials, expm1(mu t) / mu for mu = conj(lam_a) + lam_b (t where
+        mu = 0); the expm fallback sums conj(psi) psi^T with composite
+        Simpson weights on a fine uniform grid.
         """
         if not isinstance(ops, np.ndarray) or ops.shape[1:] != (self.dim, self.dim):
             raise DimensionError(f"integrated_expectation takes a (k, {self.dim}, "
                                  f"{self.dim}) array of operators")
-        if not np.isfinite(ops).all():
+        if not all_finite(ops):
             raise NumericError("operator contains non-finite entries")
+        shape = (ops.shape[0], 1, self.dim * self.dim)
         # |mu| t past the float range leaves non-finite integrals, raised below
         with np.errstate(over="ignore", invalid="ignore"):
-            r = self._integrated_density(t).T
-            out = (ops * r).sum(axis=(1, 2)).real
-        if not np.isfinite(out).all():
+            rt = self._density_transpose(t)
+            out = (np.ascontiguousarray(ops.real).reshape(shape) @ rt.real.ravel())[:, 0]
+            if np.iscomplexobj(ops):
+                out -= (np.ascontiguousarray(ops.imag).reshape(shape) @ rt.imag.ravel())[:, 0]
+        if not all_finite(out):
             raise NumericError("loss integrals are non-finite")
         return out
 
-    def _integrated_density(self, t):
+    def _density_transpose(self, t: float) -> np.ndarray:
         if self.method != "eig":
-            import scipy.linalg
-
-            times = np.linspace(0.0, t, SIMPSON_POINTS)
-            step = scipy.linalg.expm(-1j * self.h * (times[1] - times[0]))
-            psis = np.empty((SIMPSON_POINTS, self.dim), dtype=complex)
-            psis[0] = self.v0
-            for i in range(1, SIMPSON_POINTS):
-                psis[i] = step @ psis[i - 1]
-            return (psis.T * simpson_weights(t, SIMPSON_POINTS)) @ psis.conj()
+            psis = self._expm_states(t / (SIMPSON_POINTS - 1), SIMPSON_POINTS - 1)
+            return (psis.conj().T * simpson_weights(t, SIMPSON_POINTS)) @ psis
         a = self.eigvecs * self._c
-        imu = 1j * (np.conj(self.eigvals)[:, None] - self.eigvals[None, :])
-        zero = imu == 0
-        factors = np.where(zero, t, np.expm1(imu * t) / np.where(zero, 1j, imu))
-        return a @ factors.T @ a.conj().T
+        mu = np.add.outer(np.conj(self.exponents), self.exponents)
+        factors = np.expm1(mu * t) / mu  # 0 / 0 where mu = 0, whose factor is t
+        factors[mu == 0] = t
+        return a.conj() @ factors @ a.T
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float) -> float:

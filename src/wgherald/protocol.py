@@ -7,10 +7,13 @@ squared norm of the projected state; failures are handled analytically (the
 protocol restarts on failure, so jump branches are never propagated).
 
 Every step builds its undriven model in `_model`, its input placed by the
-positions and the default input its basis records (in either
-representation), and evolves that input under one `Propagator`, built with
-it, in `_evolve`.  A drive is a term of that propagator's
-generator: (omega/2)(source + readout drive) for the continuous drive.  In
+positions its basis records, or a copy of the default input embedded there
+(in either representation), and evolves that input under one `Propagator`,
+built with it, in `_evolve`.  The model's generator is real: the no-jump
+generator in the basis's stage-parity frame, built from the recorded terms
+in real arithmetic, so no complex H is formed.  A drive is a term of that
+generator, multiplied by the stage-parity sign: S o (omega/2)(source +
+readout drive) for the continuous drive.  In
 the exact representation the model commutes with the signed mirror swap, so
 the input of step m, a parity eigenstate, evolves in its mirror-parity
 sector alone.  The parity is read off the input before any basis is built:
@@ -52,7 +55,7 @@ from .dissipative import (
     readout_drive,
     source_drive,
 )
-from .linalg import Propagator, golden_section_max, norm_sq, overlap
+from .linalg import Propagator, all_finite, golden_section_max, norm_sq, overlap
 
 HERALD_FLOOR = 1e-15
 
@@ -108,22 +111,19 @@ class AccumulationResult:
 
 def _embed_input(basis: BasisSet, input_state: np.ndarray | None) -> np.ndarray:
     """Place a normalized (m-1)-quanta target state under the loaded source,
-    folded onto the basis; None is the recorded default input."""
-    idx, weights, default = basis.memo(_layout)[4:]
+    folded onto the basis; None is a copy of the recorded default input."""
+    idx, weights, default = basis.memo(_layout)[5:]
     if input_state is None:
-        input_state = default
-    else:
-        input_state = np.asarray(input_state, dtype=complex)
-        if input_state.ndim != 1 or not np.isfinite(input_state).all():
-            raise ProtocolError("input target state must be a finite 1-d vector, "
-                                f"got shape {input_state.shape}")
-        if input_state.shape[0] != len(idx):
-            raise ProtocolError(
-                f"input target state has {input_state.shape[0]} components, "
-                f"sector m={basis.m} expects {len(idx)}"
-            )
-        if abs(math.sqrt(norm_sq(input_state)) - 1.0) > 1e-9:
-            raise ProtocolError("input target state must be normalized")
+        return default.copy()
+    input_state = np.asarray(input_state, dtype=complex)
+    if input_state.ndim != 1 or not all_finite(input_state):
+        raise ProtocolError("input target state must be a finite 1-d vector, "
+                            f"got shape {input_state.shape}")
+    if input_state.shape[0] != len(idx):
+        raise ProtocolError(f"input target state has {input_state.shape[0]} components, "
+                            f"sector m={basis.m} expects {len(idx)}")
+    if abs(math.sqrt(norm_sq(input_state)) - 1.0) > 1e-9:
+        raise ProtocolError("input target state must be normalized")
     psi = np.zeros(basis.dim, dtype=complex)
     np.add.at(psi, idx, weights * input_state)
     return psi
@@ -131,31 +131,35 @@ def _embed_input(basis: BasisSet, input_state: np.ndarray | None) -> np.ndarray:
 
 def _layout(basis: BasisSet) -> tuple[np.ndarray, ...]:
     """Read-only arrays a step reads off its basis, built once per basis: the
-    stage-parity frame, the goal, the basis positions and weights of the
-    heralded branch (the readout level on a driven basis, the excited
-    detector otherwise) and of the input (under the loaded source: s on a
-    driven basis, e otherwise), in storage order (weights * psi[positions]
-    unfolds a branch), and the default input, the goal of m - 1 quanta ([1]
-    on the chain, whose one storage state is (m - 1, 0))."""
+    stage-parity frame and sign S (see `basis.stage_frame`), the goal, the
+    basis positions and weights of the heralded branch (the readout level on
+    a driven basis, the excited detector otherwise) and of the input (under
+    the loaded source: s on a driven basis, e otherwise), in storage order
+    (weights * psi[positions] unfolds a branch), and the default input
+    embedded on the basis: the goal of m - 1 quanta ([1] on the chain, whose
+    one storage state is (m - 1, 0))."""
     driven, m, exact = basis.with_drive, basis.m, basis.mode == HPMode.EXACT
-    arrays = [stage_frame(basis), goal_state(basis)]
+    frame, parts = stage_frame(basis), []
     for source, det, k in (("g", DET_HERALDED if driven else DET_EXCITED, m),
                            ("s" if driven else "e", DET_NONE, m - 1)):
         occupations = storage_labels(k) if exact else [(k, 0)]
         folds = [basis.fold[BasisLabel(source, k1, 0, k2, 0, det)] for k1, k2 in occupations]
-        arrays += [np.array([f[0] for f in folds], dtype=np.intp), np.array([f[1] for f in folds])]
-    arrays.append(goal_amplitudes(m - 1) if exact else np.ones(1, dtype=complex))
+        parts += [np.array([f[0] for f in folds], dtype=np.intp), np.array([f[1] for f in folds])]
+    default = np.zeros(basis.dim, dtype=complex)
+    np.add.at(default, parts[2], parts[3] * (goal_amplitudes(m - 1) if exact else 1.0))
+    arrays = (frame, frame.imag - frame.imag[:, None], goal_state(basis), *parts, default)
     for a in arrays:
         a.flags.writeable = False
-    return tuple(arrays)
+    return arrays
 
 
 @dataclass
 class _Model:
     """The model a step evolves: its basis, the folded input, its channels'
-    names, rates and real O^dag O stack, the undriven no-jump generator, its
-    stage-parity frame (which the step's Propagator takes, drive included),
-    the goal and the herald positions and weights.
+    names, rates and real O^dag O stack, the undriven real no-jump generator
+    g, its stage-parity frame (which the step's Propagator takes, drive
+    included) and sign (which a drive term is multiplied by), the goal and
+    the herald positions and weights.
 
     In EXACT mode the basis is the mirror-parity sector of a parity
     eigenstate input and the full 4m+1 basis of a mixed one; in APPROX mode
@@ -167,8 +171,9 @@ class _Model:
     channels: list[str]
     rates: list[float]
     ops: np.ndarray
-    h: np.ndarray
+    g: np.ndarray
     frame: np.ndarray
+    sign: np.ndarray
     goal: np.ndarray
     idx: np.ndarray
     weights: np.ndarray
@@ -206,8 +211,9 @@ def _model(p: DissipativeParams, mode: HPMode,
     h, names, rates, ops = model_matrices(p, basis)
     if not decay:
         names, rates, ops = [], [], ops[:0]
-    h = no_jump_generator(h, rates, ops)
-    return _Model(basis, psi0, names, rates, ops, h, *basis.memo(_layout)[:4])
+    layout = basis.memo(_layout)
+    return _Model(basis, psi0, names, rates, ops, no_jump_generator(h, rates, ops, layout[1]),
+                  *layout[:5])
 
 
 def _evolve(model: _Model, prop: Propagator, T: float) -> StepResult:
@@ -250,7 +256,7 @@ def run_step(
     if T is None:
         T = optimal_time(p)
     model = _model(p, mode, input_target_state)
-    return _evolve(model, Propagator(model.h, model.psi0, model.frame), T)
+    return _evolve(model, Propagator(model.g, model.psi0, model.frame), T)
 
 
 def run_step_fixed_ratio(
@@ -297,27 +303,22 @@ def run_step_continuous_drive(
         omega = omega_opt
     if not 0 < omega < math.inf:
         raise ProtocolError(f"drive strength omega must be positive and finite, not {omega!r}")
-    default_omega = abs(omega - omega_opt) < 1e-12 * g
     p = DissipativeParams.from_purcell(N, m, p1d)
     model = _model(p, HPMode.APPROX, decay=not zero_decay, with_drive=True)
-    src, det = (model.basis.memo(matrix_from_action, rule).at(N).matrix
-                for rule in (source_drive, readout_drive))
-    prop = Propagator(model.h + (omega / 2) * (src + det), model.psi0, model.frame)
+    drive = model.basis.memo(matrix_from_action, source_drive, readout_drive).at(N).matrix.sum(0)
+    prop = Propagator(model.g + model.sign * ((omega / 2) * drive), model.psi0, model.frame)
 
-    if T is None:
-        if default_omega:
-            T = 2 * math.pi / omega
-        else:
-            # global max over a few chain periods: dense scan + local refine;
-            # the scan must resolve the fast Rabi scale when omega >> g
-            t_hi = 6 * math.pi / min(omega, g)
-            npts = min(20001, max(1201, int(40 * t_hi * omega / (2 * math.pi))))
-            grid = np.linspace(0.0, t_hi, npts)
-            k = int(np.argmax(prop.population(grid, model.idx)))
-            lo = grid[max(k - 1, 0)]
-            hi = grid[min(k + 1, len(grid) - 1)]
-            T = golden_section_max(lambda t: norm_sq(prop.apply(t)[model.idx]),
-                                   lo, hi, 1e-9 * t_hi)
+    if T is None and abs(omega - omega_opt) < 1e-12 * g:  # the optimal drive
+        T = 2 * math.pi / omega
+    elif T is None:
+        # global max over a few chain periods: dense scan + local refine;
+        # the scan must resolve the fast Rabi scale when omega >> g
+        t_hi = 6 * math.pi / min(omega, g)
+        npts = min(20001, max(1201, int(40 * t_hi * omega / (2 * math.pi))))
+        grid = np.linspace(0.0, t_hi, npts)
+        k = int(np.argmax(prop.population(grid, model.idx)))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+        T = golden_section_max(lambda t: norm_sq(prop.apply(t)[model.idx]), lo, hi, 1e-9 * t_hi)
     return _evolve(model, prop, T)
 
 
@@ -348,7 +349,7 @@ def run_accumulation(
         if refine_T:
             # the kept step evolves on the model and propagator the search built
             model = _model(p, mode, state)
-            prop = Propagator(model.h, model.psi0, model.frame)
+            prop = Propagator(model.g, model.psi0, model.frame)
             T = golden_section_max(
                 lambda t: norm_sq(model.heralded(prop.apply(t))),
                 0.8 * T, 1.2 * T, 1e-6 * T)

@@ -349,37 +349,50 @@ def _evaluate(point: dict, record_errors: bool) -> dict:
     return row
 
 
+def _shares(points: list[dict], jobs: int) -> list:
+    """The indices of the points each process evaluates, this one's first.
+
+    The points, longest `predicted_s` first (equal ones in axis order), each
+    go to the least loaded of the jobs processes, the lowest index on a tie,
+    and a process left without points is dropped.  Forked, the sweep lasts
+    about its largest share plus (jobs - 1) FORK_COST_S; if that is no
+    shorter than all points in a row, this process takes every point."""
+    cost = [predicted_s(pt) for pt in points] if jobs > 1 else [0.0] * len(points)
+    shares, load = [[] for _ in range(jobs)], [0.0] * jobs
+    for i in sorted(range(len(points)), key=lambda i: -cost[i]):
+        k = load.index(min(load))
+        shares[k].append(i)
+        load[k] += cost[i]
+    if max(load) + (jobs - 1) * FORK_COST_S >= sum(cost):
+        return [range(len(points))]
+    return [share for share in shares if share]
+
+
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate all points on at most jobs = min(spec.jobs, points) processes
     and return the rows in axis order.
 
-    Point i runs in process i mod jobs: process 0 is this one, and each other
-    is an `os.fork` child that pickles its rows to a pipe.  Forked, the sweep
-    lasts about its largest share of the points plus (jobs - 1) FORK_COST_S;
-    if that, from the points' `predicted_s`, is no shorter than all points in
-    a row, this process evaluates every point itself.  The choice depends on
-    the spec alone, and the rows do not depend on it.  A child that dies or
-    sends unreadable rows raises RuntimeError; on any exception the children
-    still running are killed and reaped."""
+    The points are split by their predicted times (see `_shares`): process 0
+    is this one, and each other is an `os.fork` child that pickles its rows
+    to a pipe.  The split, and whether to fork at all, depend on the spec
+    alone, and the rows do not depend on them.  A child that dies or sends
+    unreadable rows raises RuntimeError; on any exception the children still
+    running are killed and reaped."""
     points = spec.points()
-    jobs = min(spec.jobs, len(points))
-    if jobs > 1:
-        cost = [predicted_s(pt) for pt in points]
-        if max(sum(cost[k::jobs]) for k in range(jobs)) + (jobs - 1) * FORK_COST_S >= sum(cost):
-            jobs = 1
-    rows = [None] * len(points)
-    workers = []  # (index, pid, read end) of each child not yet reaped
+    shares = _shares(points, min(spec.jobs, len(points)))
+    rows = {}  # by point index
+    workers = []  # (index, pid, read end, point indices) of each child not yet reaped
     try:
-        for k in range(1, jobs):
+        for k, idx in enumerate(shares[1:], 1):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _worker(points[k::jobs], write, [read, *(p.fileno() for _, _, p in workers)])
+                _worker([points[i] for i in idx], write, [read, *(w[2].fileno() for w in workers)])
             os.close(write)
-            workers.append((k, pid, os.fdopen(read, "rb")))
-        rows[0::jobs] = [evaluate_point(pt) for pt in points[0::jobs]]
+            workers.append((k, pid, os.fdopen(read, "rb"), idx))
+        rows.update((i, evaluate_point(points[i])) for i in shares[0])
         while workers:
-            k, pid, pipe = workers[0]
+            k, pid, pipe, idx = workers[0]
             with pipe:
                 data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -389,15 +402,15 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
                 raise RuntimeError(f"{name} " + (f"was killed by signal {-code}" if code < 0
                                                  else f"exited with status {code}"))
             try:
-                rows[k::jobs] = pickle.loads(data)
+                rows.update(zip(idx, pickle.loads(data), strict=True))
             except (pickle.UnpicklingError, EOFError, ValueError) as exc:  # truncated, or short
                 raise RuntimeError(f"{name} sent unreadable rows: {exc!r}") from exc
     finally:
-        for _, pid, pipe in workers:
+        for _, pid, pipe, _ in workers:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return rows
+    return [rows[i] for i in range(len(points))]
 
 
 def _worker(points: list[dict], write: int, read_ends: list[int]) -> None:

@@ -28,7 +28,7 @@ PARAMETERS = {
     wgherald.build_H_bandgap: ["p"],
     formulas.table1_compare: ["m", "N", "p1d", "xi", "eta", "x"],
     # a Propagator takes its one state when it is built
-    linalg.Propagator.__init__: ["self", "h", "v0", "frame"],
+    linalg.Propagator.__init__: ["self", "g", "v0", "frame"],
     linalg.Propagator.apply: ["self", "t"],
     linalg.Propagator.population: ["self", "times", "index"],
     linalg.Propagator.integrated_expectation: ["self", "ops", "t"],

@@ -68,7 +68,7 @@ def test_expm_identity_and_pure_decay():
     gamma = 0.8
     h = -0.5j * gamma * np.eye(3)
     v3 = random_state(np.random.default_rng(1), 3)
-    out = Propagator(h, v3).apply(1.3)
+    out = Propagator(-1j * h, v3).apply(1.3)
     assert np.allclose(out, v3 * np.exp(-gamma * 1.3 / 2), atol=1e-13)
 
 
@@ -81,7 +81,7 @@ def test_expm_chain_norm_matches_rk4():
     )
     t = np.sqrt(2) * np.pi / np.sqrt(2 * n)
     v0 = np.array([1.0, 0, 0], dtype=complex)
-    exact = Propagator(h, v0).apply(t)
+    exact = Propagator(-1j * h, v0).apply(t)
     ref = rk4_evolve(h, v0, t, 10**5)
     assert abs(abs(exact[2]) ** 2 - abs(ref[2]) ** 2) <= 1e-8
 
@@ -93,7 +93,7 @@ def test_expm_matches_rk4_random_8x8():
         h /= np.linalg.norm(h, 2)
         v0 = random_state(rng, 8)
         t = 1.5
-        exact = Propagator(h, v0).apply(t)
+        exact = Propagator(-1j * h, v0).apply(t)
         ref = rk4_evolve(h, v0, t, 5000)
         assert np.abs(exact - ref).max() < 1e-7
 
@@ -104,8 +104,8 @@ def test_semigroup_property():
         h = random_decaying_h(rng, 6)
         v = random_state(rng, 6)
         t1, t2 = rng.uniform(0.05, 0.8, size=2)
-        once = Propagator(h, v).apply(t1 + t2)
-        twice = Propagator(h, Propagator(h, v).apply(t1)).apply(t2)
+        once = Propagator(-1j * h, v).apply(t1 + t2)
+        twice = Propagator(-1j * h, Propagator(-1j * h, v).apply(t1)).apply(t2)
         assert np.abs(once - twice).max() < 1e-9
 
 
@@ -115,7 +115,7 @@ def test_norm_monotone_under_decay():
         dim = int(rng.integers(2, 9))
         h = random_decaying_h(rng, dim)
         assert decay_generator_max_eig(h) <= 1e-10
-        prop = Propagator(h, random_state(rng, dim))
+        prop = Propagator(-1j * h, random_state(rng, dim))
         times = np.sort(rng.uniform(0.0, 2.0, size=10))
         norms = [norm_sq(prop.apply(t)) for t in times]
         assert norms[0] <= 1.0 + 1e-9
@@ -141,7 +141,7 @@ def test_integrated_expectation_matches_quadrature():
     b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     ops = np.array([diag, b @ b.conj().T, np.eye(5, dtype=complex)])
     t = 0.9
-    prop = Propagator(h, v0)
+    prop = Propagator(-1j * h, v0)
     exact = prop.integrated_expectation(ops, t)
     assert exact.shape == (3,)
     ts = np.linspace(0, t, 16001)
@@ -158,7 +158,7 @@ def test_integrated_expectation_takes_a_stack():
     # test, and a list of matrices is not a stack
     rng = np.random.default_rng(12)
     h, v0, t = random_decaying_h(rng, 4), random_state(rng, 4), 0.7
-    prop = Propagator(h, v0)
+    prop = Propagator(-1j * h, v0)
     b = rng.standard_normal((3, 4, 4))
     stack = b @ b.transpose(0, 2, 1)
     want = prop.integrated_expectation(stack, t)
@@ -197,7 +197,7 @@ def test_integrated_expectation_at_large_eigenvalues_matches_the_closed_form():
             mu = lam[a].conjugate() - lam[c]
             factor = t if mu == 0 else (cmath.exp(1j * mu * t) - 1) / (1j * mu)
             ref += (v0[a].conjugate() * m[a, c] * v0[c] * factor).real
-    got = Propagator(np.diag(lam), v0).integrated_expectation(m[None], t)[0]
+    got = Propagator(np.diag(-1j * lam), v0).integrated_expectation(m[None], t)[0]
     assert got == pytest.approx(ref, rel=1e-12)
 
 
@@ -220,7 +220,7 @@ def test_pade_fallback_on_defective_matrix():
     # a Jordan block has no usable eigenbasis; the scaling-and-squaring path
     # and its quadrature-based loss integral must take over
     h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    prop = Propagator(h, np.array([0.0, 1.0], dtype=complex))
+    prop = Propagator(-1j * h, np.array([0.0, 1.0], dtype=complex))
     assert prop.method == "expm"
     out = prop.apply(0.7)
     # e^{-iHt} = I - iHt for a nilpotent H
@@ -236,7 +236,7 @@ def test_frobenius_condition_bounds_the_2_norm_condition():
     rng = np.random.default_rng(13)
     for _ in range(50):
         dim = int(rng.integers(2, 30))
-        prop = Propagator(random_decaying_h(rng, dim), random_state(rng, dim))
+        prop = Propagator(-1j * random_decaying_h(rng, dim), random_state(rng, dim))
         assert prop.method == "eig"
         assert prop.condition >= np.linalg.cond(prop.eigvecs)
         assert dim <= prop.condition < EIGBASIS_MAX_CONDITION
@@ -254,7 +254,7 @@ def test_singular_or_overflowing_eigenvectors_fall_back_quietly():
         v[-1] = 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            prop = Propagator(h, v)
+            prop = Propagator(-1j * h, v)
         assert prop.method == "expm"
         assert prop.condition == np.inf
         ref = scipy.linalg.expm(-1j * h * 0.7) @ v
@@ -266,7 +266,7 @@ def test_eig_and_expm_paths_agree():
     for make_h in (random_decaying_h, random_hermitian_h):
         h = make_h(rng, 5)
         v = random_state(rng, 5)
-        prop = Propagator(h, v)
+        prop = Propagator(-1j * h, v)
         assert prop.method == "eig"
         ref = scipy.linalg.expm(-1j * h * 0.8) @ v
         assert np.abs(prop.apply(0.8) - ref).max() < 1e-10
@@ -279,7 +279,7 @@ def test_population_matches_apply_on_every_path():
     for h, index, method in ((random_decaying_h(rng, 6), [1, 4], "eig"),
                              (random_hermitian_h(rng, 6), [0], "eig"),
                              (jordan, [0], "expm")):
-        prop = Propagator(h, random_state(rng, h.shape[0]))
+        prop = Propagator(-1j * h, random_state(rng, h.shape[0]))
         assert prop.method == method
         got = prop.population(times, index)
         ref = np.array([norm_sq(prop.apply(t)[index]) for t in times])
@@ -310,14 +310,14 @@ def test_dimension_and_finiteness_errors():
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     for h in (1000j * np.eye(2), 1000j * np.eye(2) + jordan):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
-            Propagator(h, np.ones(2)).population([0.0, 1.0], [0])
+            Propagator(-1j * h, np.ones(2)).population([0.0, 1.0], [0])
     # apply and the loss integrals raise without a numpy warning where a gain
     # overflows, and the integrals where a gap mu t does with every lambda t finite
-    gain = Propagator(1000j * np.eye(2), np.ones(2))
+    gain = Propagator(-1j * (1000j * np.eye(2)), np.ones(2))
     with pytest.raises(NumericError):
         gain.apply(1.0)
     for prop, t in ((gain, 1.0),
-                    (Propagator(np.diag([1e300 - 1j, -1e300 - 1j]), np.ones(2)), 1e8)):
+                    (Propagator(-1j * np.diag([1e300 - 1j, -1e300 - 1j]), np.ones(2)), 1e8)):
         with pytest.raises(NumericError):
             prop.integrated_expectation(np.eye(2)[None], t)
 
@@ -331,6 +331,11 @@ def _chain(n=500, gamma=1.0, gamma_star=0.1):
                      [0, g, -0.5j * gamma_star]], dtype=complex)
 
 
+def _in_frame(h, frame):
+    # the generator T^-1 (-iH) T that a Propagator takes with the frame T
+    return (-1j * h) * (frame[None, :] / frame[:, None])
+
+
 def _eig_inputs(monkeypatch):
     # record whether each eig that linalg runs gets a complex array
     seen, eig = [], np.linalg.eig
@@ -342,11 +347,13 @@ def _eig_inputs(monkeypatch):
 def test_real_frame_path_matches_the_complex_eig(monkeypatch):
     h = _chain()
     frame = np.array([1j, 1.0, 1j])
+    g = _in_frame(h, frame)
+    assert not g.imag.any()
     v0 = random_state(np.random.default_rng(4), 3)
     seen = _eig_inputs(monkeypatch)
-    prop = Propagator(h, v0, frame)
+    prop = Propagator(g.real, v0, frame)
     assert seen == [False] and prop.method == "eig"
-    ref = Propagator(h, v0)
+    ref = Propagator(-1j * h, v0)
     assert seen == [False, True]
     t = np.sqrt(2) * np.pi / np.sqrt(1000)
     ops = np.array([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0]), np.eye(3)])
@@ -359,12 +366,13 @@ def test_real_frame_path_matches_the_complex_eig(monkeypatch):
     expm = scipy.linalg.expm(-1j * h * t) @ v0
     assert np.abs(prop.apply(t) - expm).max() <= 1e-12
     with pytest.raises(DimensionError):
-        Propagator(h, v0, frame[:2])
+        Propagator(g.real, v0, frame[:2])
 
 
-def test_frame_leaving_an_imaginary_part_falls_through(monkeypatch):
+def test_complex_generator_in_a_frame_matches_expm(monkeypatch):
     # a real detuning on one diagonal entry, or a random complex H, leaves
-    # T^-1 (-iH) T complex: the complex eig of H runs and matches expm
+    # T^-1 (-iH) T complex: the same eig runs on that complex generator, and
+    # the evolution mapped back through the frame matches expm
     rng = np.random.default_rng(9)
     detuned = _chain()
     detuned[1, 1] += 0.3
@@ -372,7 +380,7 @@ def test_frame_leaving_an_imaginary_part_falls_through(monkeypatch):
     for h, frame in ((detuned, np.array([1j, 1.0, 1j])),
                      (random_decaying_h(rng, 6), np.array([1, 1j, 1, 1j, -1, -1j]))):
         v0 = random_state(rng, h.shape[0])
-        prop = Propagator(h, v0, frame)
+        prop = Propagator(_in_frame(h, frame), v0, frame)
         assert seen.pop() and prop.method == "eig"
         ref = scipy.linalg.expm(-1j * h * 0.8) @ v0
         assert np.abs(prop.apply(0.8) - ref).max() <= 1e-12
@@ -381,8 +389,9 @@ def test_frame_leaving_an_imaginary_part_falls_through(monkeypatch):
 def test_expm_fallback_still_triggers_with_a_frame(monkeypatch):
     monkeypatch.setattr(linalg, "EIGBASIS_MAX_CONDITION", 0.0)
     h = _chain()
+    frame = np.array([1j, 1.0, 1j])
     v0 = random_state(np.random.default_rng(6), 3)
-    prop = Propagator(h, v0, np.array([1j, 1.0, 1j]))
+    prop = Propagator(_in_frame(h, frame).real, v0, frame)
     assert prop.method == "expm"
     t = np.sqrt(2) * np.pi / np.sqrt(1000)
     ref = scipy.linalg.expm(-1j * h * t) @ v0

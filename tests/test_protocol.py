@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import drive_matrix, full_basis_step, limit_fixed_ratio
 from wgherald.basis import HPMode, goal_amplitudes
-from wgherald.dissipative import DissipativeParams, build_H_nh, optimal_time
+from wgherald.dissipative import DissipativeParams, build_H_coherent, build_H_nh, optimal_time
 from wgherald.formulas import (
     accumulation_infidelity_prediction,
     p_continuous_drive,
@@ -28,7 +28,7 @@ from wgherald.protocol import (
     run_step_fixed_ratio,
     run_step_fresh_level,
 )
-from wgherald import build_basis, linalg, protocol
+from wgherald import build_basis, dissipative, linalg, protocol
 
 
 def test_step_probability_matches_closed_form():
@@ -42,7 +42,7 @@ def test_step_equals_direct_chain_amplitude():
     basis = build_basis(300, 2, HPMode.APPROX)
     h = build_H_nh(p, basis)
     t = optimal_time(p)
-    amp = Propagator(h, np.array([1.0, 0, 0], complex)).apply(t)[2]
+    amp = Propagator(-1j * h, np.array([1.0, 0, 0], complex)).apply(t)[2]
     res = run_step(p, HPMode.APPROX)
     assert res.p_success == pytest.approx(abs(amp) ** 2, abs=1e-14)
 
@@ -176,15 +176,15 @@ def test_models_share_read_only_layouts_and_fresh_matrices():
     # changes no later model
     p, q = (DissipativeParams.from_purcell(n, 6, 10.0) for n in (30, 900))
     first = _model(p, HPMode.EXACT)
-    want = [a.tobytes() for a in (first.psi0, first.h, first.ops)]
-    for a in (first.psi0, first.h, first.ops):
+    want = [a.tobytes() for a in (first.psi0, first.g, first.ops)]
+    for a in (first.psi0, first.g, first.ops):
         a[...] = np.nan
     other = _model(q, HPMode.EXACT)
     again = _model(p, HPMode.EXACT)
-    assert [a.tobytes() for a in (again.psi0, again.h, again.ops)] == want
+    assert [a.tobytes() for a in (again.psi0, again.g, again.ops)] == want
     assert other.basis is again.basis and other.frame is again.frame
     layout = again.basis.memo(protocol._layout)
-    assert [again.frame, again.goal, again.idx, again.weights] == list(layout[:4])
+    assert [again.frame, again.sign, again.goal, again.idx, again.weights] == list(layout[:5])
     for a in layout:
         with pytest.raises(ValueError):
             a[...] = 0
@@ -198,7 +198,7 @@ def test_mutating_step_outputs_changes_no_later_step():
     chained = run_step(q, HPMode.EXACT, first.post_state)
     want = [first.post_state.tobytes(), chained.post_state.tobytes()]
     model = _model(q, HPMode.EXACT, first.post_state)
-    for a in (first.post_state, chained.post_state, model.psi0, model.h, model.ops):
+    for a in (first.post_state, chained.post_state, model.psi0, model.g, model.ops):
         a[...] = np.nan
     again = run_step(p, HPMode.EXACT)
     assert [again.post_state.tobytes(),
@@ -259,7 +259,7 @@ def test_step_diagnostics_report_the_worst_propagator(monkeypatch):
     state = _mixed_parity_input(3)
     res = run_step(p, HPMode.EXACT, state)
     model = _model(p, HPMode.EXACT, state)
-    condition = Propagator(model.h, model.psi0, model.frame).condition
+    condition = Propagator(model.g, model.psi0, model.frame).condition
     assert res.diagnostics.propagator_method == "eig"
     assert res.diagnostics.eigvec_condition == condition
     monkeypatch.setattr(linalg, "EIGBASIS_MAX_CONDITION", 0.0)
@@ -273,7 +273,7 @@ def test_step_diagnostics_report_the_worst_propagator(monkeypatch):
 
 
 def _step_generators():
-    # (generator, frame, channel products, time, herald index) of every step
+    # (generator, frame, channel products, time, herald index, input) of every step
     # kind: exact sectors of both parities and the full exact basis up to
     # m = 40, the 3-state chain, the continuously driven 5-state chain with
     # and without decay
@@ -283,15 +283,15 @@ def _step_generators():
         inputs = [goal_amplitudes(m - 1)] + ([_mixed_parity_input(m)] if m > 1 else [])
         for state in inputs:
             s = _model(p, HPMode.EXACT, state)
-            cases.append((s.h, s.frame, s.ops, optimal_time(p), s.idx))
+            cases.append((s.g, s.frame, s.ops, optimal_time(p), s.idx, s.psi0))
     p = DissipativeParams.from_purcell(400, 3, 10.0)
     chain = _model(p, HPMode.APPROX)
-    cases.append((chain.h, chain.frame, chain.ops, optimal_time(p), chain.idx))
+    cases.append((chain.g, chain.frame, chain.ops, optimal_time(p), chain.idx, chain.psi0))
     omega = math.sqrt(2.0 / 3.0) * math.sqrt(800)
     for decay in (True, False):
         s = _model(p, HPMode.APPROX, decay=decay, with_drive=True)
-        cases.append((s.h + (omega / 2) * drive_matrix(s.basis), s.frame, s.ops,
-                      2 * math.pi / omega, s.idx))
+        cases.append((s.g + s.sign * ((omega / 2) * drive_matrix(s.basis)), s.frame, s.ops,
+                      2 * math.pi / omega, s.idx, s.psi0))
     return cases
 
 
@@ -299,15 +299,16 @@ def test_frame_path_matches_frameless_path_on_every_step_generator():
     rng = np.random.default_rng(14)
     cases = _step_generators()
     assert len(cases) == 10
-    for h, frame, products, t, idx in cases:
-        v0 = rng.normal(size=(h.shape[0], 2)) @ [1.0, 1.0j]
+    for g, frame, products, t, idx, _ in cases:
+        v0 = rng.normal(size=(g.shape[0], 2)) @ [1.0, 1.0j]
         v0 /= math.sqrt(norm_sq(v0))
-        prop, ref = Propagator(h, v0, frame), Propagator(h, v0)
+        # the frameless generator -iH = T G T^-1
+        prop, ref = Propagator(g, v0, frame), Propagator(frame[:, None] * g / frame, v0)
         assert prop.method == ref.method == "eig"
         assert np.abs(prop.apply(t) - ref.apply(t)).max() <= 1e-12
         times = np.linspace(0.0, 2 * t, 200)
         assert np.abs(prop.population(times, idx) - ref.population(times, idx)).max() <= 1e-12
-        ops = np.concatenate([products, np.eye(h.shape[0])[None]])
+        ops = np.concatenate([products, np.eye(g.shape[0])[None]])
         assert np.abs(prop.integrated_expectation(ops, t)
                       - ref.integrated_expectation(ops, t)).max() <= 1e-12
 
@@ -328,6 +329,102 @@ def test_every_step_kind_diagonalizes_a_real_matrix(monkeypatch):
     run_step_continuous_drive(300, 2, 10.0, zero_decay=True)
     assert len(seen) == 40 + 4 + 1 + 1 + 1 + 1 + 3
     assert not any(seen)
+
+
+def _rotated(h, frame):
+    # T^-1 (-iH) T, whose imaginary part is exactly zero on every step's H
+    g = (-1j * h) * (frame[None, :] / frame[:, None])
+    assert not g.imag.any()
+    return g.real
+
+
+def test_step_generator_is_the_real_part_of_the_rotated_h_nh():
+    # G = S o A - sum_k (Gamma_k / 2) O_k^dag O_k, built in real arithmetic,
+    # is bit for bit the real part of T^-1 (-i H_nh) T on parity sectors, the
+    # chain and the full basis of a mixed input, and with the drive term
+    # S o (omega/2)(source + readout) on the driven chain, with and without decay
+    cases = 0
+    for n in (5, 50, 317, 1000):
+        for m in (m for m in (1, 2, 4, 12, 40) if m <= n):
+            for p1d in (math.inf, 10.0, 3.0):
+                p = DissipativeParams.from_purcell(n, m, p1d)
+                models = [_model(p, HPMode.EXACT), _model(p, HPMode.APPROX)]
+                if m > 1:
+                    models.append(_model(p, HPMode.EXACT, _mixed_parity_input(m)))
+                    assert models[-1].basis.dim == 4 * m + 1
+                for model in models:
+                    assert model.g.dtype == np.float64
+                    assert np.array_equal(model.g, _rotated(build_H_nh(p, model.basis),
+                                                            model.frame))
+                    cases += 1
+                for decay in (True, False):
+                    model = _model(p, HPMode.APPROX, decay=decay, with_drive=True)
+                    drive = (math.sqrt(2 * n) / 2) * drive_matrix(model.basis)
+                    h = build_H_nh(p, model.basis) if decay else build_H_coherent(p, model.basis)
+                    assert np.array_equal(model.g + model.sign * drive,
+                                          _rotated(h + drive, model.frame))
+    assert cases == 108 + 42
+
+
+def test_step_path_forms_no_complex_generator(monkeypatch):
+    # with the complex model builders refused, every step kind still runs,
+    # and each Propagator it builds takes a real generator
+    def refuse(*args):
+        raise AssertionError("a step built a complex H")
+    for name in ("build_H_nh", "build_H_coherent", "build_jump_operators"):
+        monkeypatch.setattr(dissipative, name, refuse)
+    generators = []
+    monkeypatch.setattr(protocol, "Propagator",
+                        lambda g, *args: generators.append(g) or Propagator(g, *args))
+    steps = [
+        lambda: run_step(DissipativeParams.from_purcell(300, 2, 10.0), HPMode.APPROX),
+        lambda: run_step(DissipativeParams.from_purcell(300, 4, 10.0), HPMode.EXACT),
+        lambda: run_step(DissipativeParams.from_purcell(200, 3, 10.0), HPMode.EXACT,
+                         _mixed_parity_input(3)),
+        lambda: run_step_fixed_ratio(300, 2, 10.0, HPMode.EXACT),
+        lambda: run_step_fresh_level(300, 10.0),
+        lambda: run_step_continuous_drive(300, 2, 10.0),
+        lambda: run_step_continuous_drive(300, 2, 10.0, omega=25.0),
+        lambda: run_accumulation(150, 4, 10.0, refine_T=True),
+    ]
+    for step in steps:
+        step()
+    assert len(generators) == 7 + 4
+    assert all(g.dtype == np.float64 for g in generators)
+
+
+def _fallback_losses(monkeypatch, g, v0, frame, ops, t):
+    monkeypatch.setattr(linalg, "EIGBASIS_MAX_CONDITION", 0.0)
+    prop = Propagator(g, v0, frame)
+    monkeypatch.undo()
+    assert prop.method == "expm"
+    return prop.integrated_expectation(ops, t)
+
+
+def test_loss_integrals_match_the_expm_fallback(monkeypatch):
+    # the closed-form integrals off Re(R^T) agree with the Simpson sums of the
+    # expm fallback on every step generator from the step's own input, on the
+    # zero-decay drive's empty stack, and on a generator with mu = 0 pairs
+    cases = [(g, frame, ops, t, v0) for g, frame, ops, t, _, v0 in _step_generators()]
+    p = DissipativeParams.from_purcell(400, 3, 10.0)
+    zero_decay = _model(p, HPMode.APPROX, decay=False, with_drive=True)
+    assert zero_decay.ops.shape == (0, 5, 5)
+    omega = math.sqrt(2.0 / 3.0) * math.sqrt(800)
+    drive = zero_decay.sign * ((omega / 2) * drive_matrix(zero_decay.basis))
+    cases.append((zero_decay.g + drive, zero_decay.frame, zero_decay.ops, 2 * math.pi / omega,
+                  zero_decay.psi0))
+    flat = np.zeros((4, 4))
+    flat[3, 3] = -0.5
+    cases.append((flat, None, np.array([np.eye(4), np.diag([1.0, 2.0, 0.0, 1.0])]), 1.3,
+                  np.full(4, 0.5j)))
+    for g, frame, ops, t, v0 in cases:
+        prop = Propagator(g, v0, frame)
+        got = prop.integrated_expectation(ops, t)
+        want = _fallback_losses(monkeypatch, g, v0, frame, ops, t)
+        assert got.shape == want.shape == (len(ops),)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+    mu = np.conj(prop.exponents)[:, None] + prop.exponents
+    assert (mu == 0).sum() == 9
 
 
 def test_step_at_an_extreme_time_books_every_loss_quietly():

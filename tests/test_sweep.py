@@ -75,12 +75,35 @@ def tag_pid(monkeypatch, before=lambda: None):
     monkeypatch.setattr(sweep, "evaluate_point", tagged)
 
 
-def test_point_i_runs_in_process_i_mod_jobs(monkeypatch, free_forks):
+def test_points_go_longest_first_to_the_least_loaded_process(monkeypatch, free_forks):
+    # four points predicted equal alternate between the processes, caller
+    # first; points of 1, 2, 3 and 4 ms split as m = 4 and 1 in the caller
+    # and m = 3 and 2 in the child, 5 ms each
     tag_pid(monkeypatch)
     pids = [row["pid"] for row in run_sweep(SweepSpec.from_config(sweep_config(2)))]
     assert len(free_forks) == 1
-    assert pids[0] == pids[2] == os.getpid()
-    assert pids[1] == pids[3] == free_forks[0]
+    assert pids == [os.getpid(), free_forks[0]] * 2
+    config = stub_entry(monkeypatch, lambda pt: 1e-3 * pt["m"])
+    pids = [row["pid"] for row in run_sweep(SweepSpec.from_config(dict(config, jobs=2)))]
+    assert len(free_forks) == 2
+    assert pids == [os.getpid(), free_forks[1], free_forks[1], os.getpid()]
+    points = SweepSpec.from_config(dict(config, jobs=2)).points()
+    assert sweep._shares(points, 2) == [[3, 0], [2, 1]]
+
+
+def test_ci_accumulate_sweep_splits_evenly():
+    # N {200, 1000} x m {20, 40}: by index the two m = 40 points would share
+    # one process (23.8 and 145 ms); longest first, each process gets one
+    # m = 40 and one m = 20 point, 84.4 ms each
+    config = {"protocol": "accumulate", "mode": "hp-exact", "fixed": {"p1d": 10},
+              "axes": [{"name": "N", "values": [200, 1000]}, {"name": "m", "values": [20, 40]}]}
+    points = SweepSpec.from_config(config).points()
+    cost = [predicted_s(pt) for pt in points]
+    shares = sweep._shares(points, 2)
+    assert shares == [[1, 0], [3, 2]]
+    for share in shares:
+        assert sum(cost[i] for i in share) == pytest.approx(0.0843836, rel=1e-12)
+    assert [sum(cost[k::2]) for k in range(2)] == pytest.approx([0.0237704, 0.1449968], rel=1e-12)
 
 
 def test_more_jobs_than_points_forks_one_child_per_other_point(monkeypatch, free_forks):
@@ -129,6 +152,7 @@ def test_predicted_times_decide_whether_to_fork(monkeypatch, forks, jobs, points
     tag_pid(monkeypatch)
     pids = [row["pid"] for row in run_sweep(SweepSpec.from_config(dict(config, jobs=jobs)))]
     assert len(forks) == (used - 1 if forked else 0)
+    # points predicted equal go round the processes in axis order, caller first
     owners = [os.getpid(), *forks]
     assert pids == [owners[i % len(owners)] for i in range(points)]
 
@@ -173,8 +197,9 @@ def test_cheap_first_point_does_not_keep_the_sweep_serial(monkeypatch, forks):
     monkeypatch.setattr(sweep, "evaluate_point", lambda pt: {"m": pt["m"], "pid": os.getpid()})
     rows = run_sweep(spec)
     assert len(forks) == 1
+    # m = 50 alone outlasts the other three: it runs here, they in the child
     assert rows == [{"m": m, "pid": pid} for m, pid in
-                    zip((1, 30, 40, 50), [os.getpid(), forks[0]] * 2)]
+                    zip((1, 30, 40, 50), [forks[0]] * 3 + [os.getpid()])]
 
 
 def test_predicted_times_follow_the_parameters():
@@ -207,6 +232,8 @@ def test_error_row_at_point_0_keeps_the_split(monkeypatch, forks, free):
     tag_pid(monkeypatch)
     rows = run_sweep(SweepSpec.from_config(dict(config, jobs=2)))
     assert len(forks) == (1 if free else 0)
+    # the five hp-approx steps are predicted equal (m is not checked against N
+    # before the point runs), so they go round the processes, caller first
     owners = [os.getpid(), *forks]
     assert [row.pop("pid") for row in rows] == [owners[i % len(owners)] for i in range(5)]
     assert list(map(without_wall_time, rows)) == list(map(without_wall_time, serial))
