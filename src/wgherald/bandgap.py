@@ -24,12 +24,15 @@ the error over the whole scan window falls below KRYLOV_MAX_ERROR.  The
 Lanczos steps never form H: on the uniform lattice the range kernel
 exp(-|i - j| / xi) is a Kac-Murdock-Szego matrix, so its product with a
 vector is a blocked product, one small dense block per block of sites and a
-rank-one coupling between blocks, in O(N) memory.  Each step first sums the
-error integrand at a few scan times; that partial sum is a lower bound on the
-full one, so where it already exceeds KRYLOV_MAX_ERROR the full bound over
-the SCAN_POINTS scan times is not evaluated.  The dense `build_H_bandgap` and
-`compensate` are the documented reference for that product and are not on
-the transfer path.  The transfer runs on numpy alone.
+rank-one coupling between blocks, in O(N) memory.  A step's test first sums
+the error integrand at a few scan times; that partial sum is a lower bound on
+the full one, so where it already exceeds KRYLOV_MAX_ERROR the full bound over
+the SCAN_POINTS scan times is not evaluated.  Until that probe first passes,
+it (and the Ritz decomposition it needs) is taken at every other step, and
+the step skipped before the first pass is tested before it.  The stopping
+step's phase table also gives the scan of the source population.  The dense
+`build_H_bandgap` and `compensate` are the documented reference for that
+product and are not on the transfer path.  The transfer runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -149,16 +152,18 @@ class TransferRecord:
 
 
 def _phase_sum(theta: np.ndarray, c: np.ndarray, dt: float, n: int) -> np.ndarray:
-    """sum_j c_j exp(-i theta_j m dt) for m = 0 .. n-1.
+    """sum_j c_j exp(-i theta_j m dt) for m = 0 .. n-1, for c a vector or for
+    each row of a stack of them.
 
     With m = r a + b, the phases factor into a coarse and a fine table of
     about sqrt(n) rows each, so the n x len(theta) exponentials reduce to
-    one matrix product.
+    one matrix product per row of c; the rows share the tables.
     """
     r = math.isqrt(n - 1) + 1
     fine = np.exp(-1j * dt * np.outer(np.arange(r), theta))
     coarse = np.exp(-1j * dt * r * np.outer(np.arange(-(-n // r)), theta))
-    return ((coarse * c) @ fine.T).ravel()[:n]
+    sums = (coarse * c[..., None, :]) @ fine.T
+    return sums.reshape(c.shape[:-1] + (-1,))[..., :n]
 
 
 def _products(p: BandgapParams):
@@ -224,30 +229,60 @@ def _lanczos(apply, n: int, dt: float, n_grid: int):
     KRYLOV_MAX_ERROR, or until k = n, where the Krylov space is the whole
     space.  The integral is taken by the trapezoidal rule on the scan grid
     m dt, m < n_grid.  Its integrand is non-negative, so its sum over
-    _PROBE_TIMES interior grid points is a lower bound: where that already
-    fails the test, the full sum is skipped.  An invariant subspace
-    (beta_k = 0) gives a zero bound: the propagation is then exact.  Returns
-    the basis Q S, the Ritz values theta, k and the bound.
+    _PROBE_TIMES interior grid points is a lower bound: where that probe
+    already fails the test, the full sum is skipped.  Until the probe first
+    passes, the Ritz pairs and the probe are taken at odd j only (step
+    k = j + 1 even); when odd j's probe passes, the skipped step j - 1 is
+    tested first (probe, then full bound), then j, and every later step.
+    So the step returned always meets the bound, and it is the first that
+    does unless the probe passes at j - 1 and fails again at j.  An
+    invariant subspace (beta_k = 0) gives a zero bound, and its step is
+    always tested: the propagation is then exact.  At the stopping step one
+    phase table gives both the bound and the source amplitude
+    sum_j (S_0j)^2 e^{-i theta_j m dt} on the scan grid.  Returns the basis
+    Q S, the Ritz values theta, k, the bound and the source amplitudes.
     """
     q = np.zeros((min(n, 16), n))  # row j is q_j; doubled as steps are taken
     q[0, 0] = 1.0
     t = np.zeros((len(q), len(q)))  # T_k, lower triangle only; grows with q
-    probe = dt * np.unique(np.linspace(1, n_grid - 2, _PROBE_TIMES).round())
+    grid = np.linspace(1, n_grid - 2, _PROBE_TIMES).round()  # non-decreasing
+    probe = dt * grid[np.append(True, grid[1:] > grid[:-1])]
+
+    def ritz(i, b):  # step i's Ritz pairs, the bound's weights S_kj S_1j and its probe
+        theta, s = np.linalg.eigh(t[:i + 1, :i + 1])  # reads the lower triangle
+        c = s[-1] * s[0]
+        return theta, s, c, b * dt * np.abs(np.exp(-1j * np.outer(probe, theta)) @ c).sum()
+
+    def stop(i, b, pairs, last):  # step i's test: the probe, then the full bound
+        theta, s, c, partial = pairs
+        if not (partial <= KRYLOV_MAX_ERROR or last):
+            return None
+        sums = _phase_sum(theta, np.stack((c, s[0] * s[0])), dt, n_grid)
+        defect = np.abs(sums[0])
+        bound = b * dt * (defect.sum() - 0.5 * (defect[0] + defect[-1]))
+        if bound <= KRYLOV_MAX_ERROR or last:
+            return q[:i + 1].T @ s, theta, i + 1, bound, sums[1]
+        return None
+
+    every = False  # whether every step is tested: the probe has passed
     for j in range(n):
         w = apply(q[j])
         t[j, j] = q[j] @ w
         for _ in range(2):  # twice is enough (Parlett)
             w -= (q[:j + 1] @ w) @ q[:j + 1]
         b = math.sqrt(w @ w)
-        theta, s = np.linalg.eigh(t[:j + 1, :j + 1])  # reads the lower triangle
-        c = s[-1] * s[0]
-        last = j + 1 == n
-        partial = b * dt * np.abs(np.exp(-1j * np.outer(probe, theta)) @ c).sum()
-        if partial <= KRYLOV_MAX_ERROR or last:
-            defect = np.abs(_phase_sum(theta, c, dt, n_grid))
-            bound = b * dt * (defect.sum() - 0.5 * (defect[0] + defect[-1]))
-            if bound <= KRYLOV_MAX_ERROR or last:
-                return q[:j + 1].T @ s, theta, j + 1, bound
+        last = j + 1 == n or b == 0
+        if every or j % 2 or last:
+            pairs = ritz(j, b)
+            if not every and pairs[3] <= KRYLOV_MAX_ERROR:
+                every = True
+                # the skipped step j - 1 first
+                found = j % 2 and stop(j - 1, t[j, j - 1], ritz(j - 1, t[j, j - 1]), False)
+                if found:
+                    return found
+            found = stop(j, b, pairs, last)
+            if found:
+                return found
         if j + 1 == len(q):  # twice the rows, at most n
             grown = np.zeros((min(2 * len(q), n), n))
             grown[:len(q)] = q
@@ -274,12 +309,10 @@ def run_transfer(p: BandgapParams) -> TransferRecord:
     t_hi = 10 * math.pi / g
     times = np.linspace(0.0, t_hi, SCAN_POINTS)
     dt = t_hi / (SCAN_POINTS - 1)
-    basis, theta, steps, bound = _lanczos(hamiltonian, p.N + 1, dt, SCAN_POINTS)
+    basis, theta, steps, bound, source = _lanczos(hamiltonian, p.N + 1, dt, SCAN_POINTS)
     s0 = basis[0]  # e_0 in the Ritz basis
-    weights = s0 * s0
 
     # norm is conserved by the coherent dynamics: target = 1 - source
-    source = _phase_sum(theta, weights, dt, SCAN_POINTS)
     pops = 1.0 - (source.real**2 + source.imag**2)
     # first interior population maximum: later quasi-revivals can edge higher
     # but are useless once the uniform decay factor is attached
@@ -289,7 +322,8 @@ def run_transfer(p: BandgapParams) -> TransferRecord:
             f"no transfer maximum inside the window [0, {t_hi:.4g}]"
         )
     k = int(interior[0])
-    t_opt = golden_section_max(lambda t: 1.0 - abs(np.exp(-1j * theta * t) @ weights) ** 2,
+    rate, weights = -1j * theta, (s0 * s0).astype(complex)
+    t_opt = golden_section_max(lambda t: 1.0 - abs(np.exp(rate * t) @ weights) ** 2,
                                times[k - 1], times[k + 1], 1e-6 * math.pi / g)
 
     v = np.exp(-1j * theta * t_opt) * s0

@@ -34,8 +34,9 @@ import numpy as np
 # and the propagator falls back to scipy's expm.
 EIGBASIS_MAX_CONDITION = 1e8
 
-# Points of the uniform grid on which the expm fallback integrates densities.
-SIMPSON_POINTS = 4097
+# Points of the uniform grid on which the expm fallback integrates densities;
+# its 4096 intervals make 1024 panels of Boole's rule.
+BOOLE_POINTS = 4097
 
 
 class DimensionError(ValueError):
@@ -77,13 +78,15 @@ def overlap(u, v) -> complex:
     return complex(np.vdot(u, v))
 
 
-def simpson_weights(t: float, npts: int) -> np.ndarray:
-    """Composite Simpson weights h/3 [1, 4, 2, ..., 2, 4, 1] on npts (odd)
-    equally spaced points of [0, t]."""
-    w = np.full(npts, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w * (t / (npts - 1) / 3.0)
+def boole_weights(t: float, npts: int) -> np.ndarray:
+    """Composite Boole weights 2h/45 [7, 32, 12, 32, 14, ..., 14, 32, 12, 32,
+    7] on npts equally spaced points of [0, t], npts - 1 a multiple of 4;
+    exact for polynomials up to degree 5."""
+    w = np.full(npts, 32.0)
+    w[2::4] = 12.0
+    w[4::4] = 14.0
+    w[0] = w[-1] = 7.0
+    return w * (2.0 * t / (npts - 1) / 45.0)
 
 
 class Propagator:
@@ -200,7 +203,7 @@ class Propagator:
         form, with A = V diag(c) and F the integrals of the pairwise
         exponentials, expm1(mu t) / mu for mu = conj(lam_a) + lam_b (t where
         mu = 0); the expm fallback sums conj(psi) psi^T with composite
-        Simpson weights on a fine uniform grid.
+        Boole weights on a fine uniform grid.
         """
         if not isinstance(ops, np.ndarray) or ops.shape[1:] != (self.dim, self.dim):
             raise DimensionError(f"integrated_expectation takes a (k, {self.dim}, "
@@ -220,8 +223,8 @@ class Propagator:
 
     def _density_transpose(self, t: float) -> np.ndarray:
         if self.method != "eig":
-            psis = self._expm_states(t / (SIMPSON_POINTS - 1), SIMPSON_POINTS - 1)
-            return (psis.conj().T * simpson_weights(t, SIMPSON_POINTS)) @ psis
+            psis = self._expm_states(t / (BOOLE_POINTS - 1), BOOLE_POINTS - 1)
+            return (psis.conj().T * boole_weights(t, BOOLE_POINTS)) @ psis
         a = self.eigvecs * self._c
         mu = np.add.outer(np.conj(self.exponents), self.exponents)
         factors = np.expm1(mu * t) / mu  # 0 / 0 where mu = 0, whose factor is t

@@ -15,6 +15,8 @@ from wgherald.bandgap import (
     KRYLOV_MAX_ERROR,
     BandgapParams,
     TransferWindowError,
+    _lanczos,
+    _phase_sum,
     _products,
     build_H_bandgap,
     compensate,
@@ -198,18 +200,48 @@ def test_kernel_product_matches_extended_precision_recursion_at_large_n():
     assert np.abs(kernel(x) - want).max() <= 1e-13 * np.abs(want).max()
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(n=st.integers(1, 300), ratio=st.floats(0.5, 8.0))
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(n=st.integers(1, 600), ratio=st.floats(0.1, 20.0))
 def test_krylov_steps_match_full_bound_at_every_step(n, ratio):
-    # skipping the full bound where its partial sum already fails must stop
-    # at the step the dense loop with the full bound at every step stops at
+    # skipping the full bound where its partial sum already fails, and the
+    # Ritz pairs at even j until that probe first passes, must stop at the
+    # step the dense loop with the full bound at every step stops at; the
+    # loop is called directly, as short ranges leave no transfer maximum in
+    # the window
     p = BandgapParams(N=n, xi=n * ratio)
-    rec = run_transfer(p)
-    n_grid = len(rec.times)
-    dt = 10 * math.pi / p.coupling / (n_grid - 1)
-    _, _, steps, _ = dense_lanczos(compensate(build_H_bandgap(p), p), dt, n_grid)
-    assert rec.krylov_steps == steps
-    assert rec.error_bound <= KRYLOV_MAX_ERROR
+    dt = 10 * math.pi / p.coupling / (bandgap.SCAN_POINTS - 1)
+    _, hamiltonian = _products(p)
+    _, _, steps, bound, _ = _lanczos(hamiltonian, n + 1, dt, bandgap.SCAN_POINTS)
+    _, _, want, _ = dense_lanczos(compensate(build_H_bandgap(p), p), dt, bandgap.SCAN_POINTS)
+    assert steps == want
+    assert bound <= KRYLOV_MAX_ERROR
+
+
+@pytest.mark.parametrize("beta2", [1e-20, 0.0])
+def test_krylov_stop_at_a_skipped_step(beta2):
+    # beta_2 = 1e-20 leaves the orbit of e_0 nearly invariant after three
+    # vectors: the probe first passes at j = 3, and the skipped step j = 2 is
+    # tested first and stops there, as the full bound at every step does;
+    # beta_2 = 0 (an invariant subspace) stops at j = 2 itself
+    h = np.diag([1.0, 1.0, beta2, 1.0, 1.0], -1)
+    h += h.T + np.diag([0.0, 0.3, -0.2, 0.5, 0.1, -0.4])
+    _, theta, steps, bound, _ = _lanczos(lambda x: h @ x, 6, 0.01, 64)
+    assert steps == dense_lanczos(h, 0.01, 64)[2] == 3
+    assert bound <= KRYLOV_MAX_ERROR
+    assert np.allclose(theta, np.linalg.eigvalsh(h[:3, :3]), rtol=0, atol=1e-14)
+
+
+def test_phase_sum_on_stacked_weights_equals_its_rows():
+    # the stopping step sums the bound's weights and the source weights on
+    # one phase table; each row is bit for bit the sum of that row alone
+    rng = np.random.default_rng(8)
+    for k, n in ((1, 3), (7, 2048), (40, 2048), (13, 100)):
+        theta = rng.normal(size=k)
+        c = rng.normal(size=(2, k))
+        stacked = _phase_sum(theta, c, 0.37, n)
+        assert stacked.shape == (2, n)
+        for row, weights in zip(stacked, c):
+            assert np.array_equal(row, _phase_sum(theta, weights, 0.37, n))
 
 
 def test_transfer_memory_is_linear_in_n():

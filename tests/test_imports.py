@@ -114,17 +114,22 @@ from wgherald.cli import main
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
 
+masked = 'numpy.ma' in sys.modules  # numpy 1.x imports it with numpy, 2.x on first use
 rec = run_transfer(BandgapParams(40, 40.0, gamma_star=0.1))
 assert rec.krylov_steps > 1 and 0 < rec.infidelity < 1
+assert ('numpy.ma' in sys.modules) == masked
 print(scipy_modules())
 assert main(['bandgap', '--N', '100', '--xi', '100', '--out', sys.argv[2]]) == 0
+assert ('numpy.ma' in sys.modules) == masked
 print(scipy_modules())
 """
 
 
 def test_bandgap_transfer_leaves_out_scipy(tmp_path):
     # the blocked Kac-Murdock-Szego product and the Ritz pairs from numpy's
-    # eigh keep the whole transfer, library call and CLI, on numpy alone
+    # eigh keep the whole transfer, library call and CLI, on numpy alone; nor
+    # does it import numpy.ma where importing numpy leaves it out (np.unique
+    # does, through np.ma.is_masked, on numpy 2.4)
     out = run_fresh(TRANSFER, str(tmp_path / "series.csv"))
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["[]", "[]"]

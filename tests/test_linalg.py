@@ -11,15 +11,15 @@ import scipy.linalg
 from oracles import decay_generator_max_eig, rk4_evolve
 from wgherald import linalg
 from wgherald.linalg import (
+    BOOLE_POINTS,
     EIGBASIS_MAX_CONDITION,
-    SIMPSON_POINTS,
     DimensionError,
     NumericError,
     Propagator,
+    boole_weights,
     golden_section_max,
     norm_sq,
     overlap,
-    simpson_weights,
 )
 
 
@@ -201,19 +201,20 @@ def test_integrated_expectation_at_large_eigenvalues_matches_the_closed_form():
     assert got == pytest.approx(ref, rel=1e-12)
 
 
-def test_simpson_weights_match_scipy():
-    # the expm fallback's quadrature is scipy's composite Simpson rule on a
-    # uniform grid, written as weights h/3 [1, 4, 2, ..., 2, 4, 1]
-    assert np.array_equal(simpson_weights(3.0, 5), [0.25, 1.0, 0.5, 1.0, 0.25])
+def test_boole_weights_integrate_quintics_exactly():
+    # the expm fallback's quadrature is composite Boole on a uniform grid,
+    # weights 2h/45 [7, 32, 12, 32, 14, ..., 14, 32, 12, 32, 7]: exact for
+    # every monomial up to degree 5, and not for degree 6
+    assert np.array_equal(boole_weights(180.0, 9),
+                          [7.0, 32.0, 12.0, 32.0, 14.0, 32.0, 12.0, 32.0, 7.0])
     t = 0.9
-    for npts in (3, 5, 9, 65):
+    for npts in (5, 9, 65, BOOLE_POINTS):
         times = np.linspace(0.0, t, npts)
-        ref = scipy.integrate.simpson(np.eye(npts), x=times)
-        assert np.abs(simpson_weights(t, npts) - ref).max() <= 1e-15
-    times = np.linspace(0.0, t, SIMPSON_POINTS)
-    vals = np.random.default_rng(3).standard_normal(SIMPSON_POINTS)
-    ref = scipy.integrate.simpson(vals, x=times)
-    assert simpson_weights(t, SIMPSON_POINTS) @ vals == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        w = boole_weights(t, npts)
+        for k in range(6):
+            assert w @ times**k == pytest.approx(t ** (k + 1) / (k + 1), rel=1e-14)
+    times = np.linspace(0.0, t, 5)
+    assert abs(boole_weights(t, 5) @ times**6 - t**7 / 7) > 1e-6
 
 
 def test_pade_fallback_on_defective_matrix():

@@ -1,5 +1,6 @@
 """Heralded steps, accumulation, and the protocol variants."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -159,7 +160,7 @@ def test_every_step_kind_builds_one_basis_and_one_propagator(monkeypatch):
     steps = [
         (lambda: run_step(DissipativeParams.from_purcell(300, 2, 10.0), HPMode.APPROX), 1),
         (lambda: run_step_continuous_drive(300, 2, 10.0), 1),
-        (lambda: run_step_continuous_drive(300, 2, 10.0, omega=20.0), 1),
+        (lambda: run_step_continuous_drive(300, 2, 10.0, omega=25.0), 1),
         (lambda: run_accumulation(150, 4, 10.0, refine_T=True), 4),
     ]
     for step, count in steps:
@@ -214,7 +215,9 @@ def test_default_input_parity_matches_the_goal_amplitudes():
 
 
 # p_success, each channel loss, overlap_goal, T and post_state of these steps,
-# as computed at commit c47b1c5 (before the channels became one real stack)
+# as computed at commit c47b1c5 (before the channels became one real stack);
+# drive-off-omega, at omega 25 off the optimal 20 of N = 300, as computed at
+# commit 30e7d53
 STEP_PINS = json.loads(Path(__file__).with_name("step_pins.json").read_text())
 
 
@@ -230,7 +233,7 @@ def _pinned_steps(name):
     return {
         "fixed-ratio": lambda: [run_step_fixed_ratio(400, 3, 10.0, HPMode.EXACT)],
         "drive-default-omega": lambda: [run_step_continuous_drive(300, 2, 10.0)],
-        "drive-off-omega": lambda: [run_step_continuous_drive(300, 2, 10.0, omega=20.0)],
+        "drive-off-omega": lambda: [run_step_continuous_drive(300, 2, 10.0, omega=25.0)],
         "refine-T-accumulation-m5": lambda: run_accumulation(150, 5, 10.0, refine_T=True).steps,
     }[name]()
 
@@ -249,6 +252,15 @@ def test_step_outputs_match_the_recorded_pins(name):
         post = np.array([complex(re, im) for re, im in pin["post_state"]])
         assert res.post_state.shape == post.shape
         assert np.abs(res.post_state - post).max() <= 1e-12 * np.abs(post).max()
+
+
+def test_off_optimum_drive_pin_runs_the_numerical_time_search():
+    # at N = 300 the optimal omega is sqrt(2/3) sqrt(2N) = 20, where the step
+    # takes T = 2 pi / omega; at omega 25 it searches T numerically
+    assert math.sqrt(2 / 3) * math.sqrt(600) == pytest.approx(20.0, rel=1e-15)
+    res = _pinned_steps("drive-off-omega")[0]
+    assert res.T_used != 2 * math.pi / 25.0
+    assert STEP_PINS["drive-off-omega"][0]["T_used"] != 2 * math.pi / 25.0
 
 
 def test_step_diagnostics_report_the_worst_propagator(monkeypatch):
@@ -325,7 +337,7 @@ def test_every_step_kind_diagonalizes_a_real_matrix(monkeypatch):
     run_step_fixed_ratio(300, 2, 10.0, HPMode.EXACT)
     run_step_fresh_level(300, 10.0)
     run_step_continuous_drive(300, 2, 10.0)
-    run_step_continuous_drive(300, 2, 10.0, omega=20.0)
+    run_step_continuous_drive(300, 2, 10.0, omega=25.0)
     run_step_continuous_drive(300, 2, 10.0, zero_decay=True)
     assert len(seen) == 40 + 4 + 1 + 1 + 1 + 1 + 3
     assert not any(seen)
@@ -402,7 +414,7 @@ def _fallback_losses(monkeypatch, g, v0, frame, ops, t):
 
 
 def test_loss_integrals_match_the_expm_fallback(monkeypatch):
-    # the closed-form integrals off Re(R^T) agree with the Simpson sums of the
+    # the closed-form integrals off Re(R^T) agree with the Boole sums of the
     # expm fallback on every step generator from the step's own input, on the
     # zero-decay drive's empty stack, and on a generator with mu = 0 pairs
     cases = [(g, frame, ops, t, v0) for g, frame, ops, t, _, v0 in _step_generators()]
@@ -425,6 +437,22 @@ def test_loss_integrals_match_the_expm_fallback(monkeypatch):
         assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
     mu = np.conj(prop.exponents)[:, None] + prop.exponents
     assert (mu == 0).sum() == 9
+
+
+def test_fallback_loss_integrals_match_the_closed_form_from_random_inputs(monkeypatch):
+    # a random input excites the fast modes of an exact sector (|G| t about
+    # 50), where the fallback's quadrature error shows: Boole's rule on its
+    # 4,097 points keeps it within 1e-10 of the largest integral
+    rng = np.random.default_rng(23)
+    for n, m in itertools.product((300, 1000), (2, 5, 12, 40)):
+        p = DissipativeParams.from_purcell(n, m, 10.0)
+        s = _model(p, HPMode.EXACT)
+        v0 = rng.normal(size=(s.g.shape[0], 2)) @ [1.0, 1.0j]
+        v0 /= math.sqrt(norm_sq(v0))
+        t = optimal_time(p)
+        got = Propagator(s.g, v0, s.frame).integrated_expectation(s.ops, t)
+        want = _fallback_losses(monkeypatch, s.g, v0, s.frame, s.ops, t)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_step_at_an_extreme_time_books_every_loss_quietly():
