@@ -9,11 +9,14 @@ protocol restarts on failure, so jump branches are never propagated).
 Every step builds its undriven model in `_model`, its input placed by the
 positions its basis records, or a copy of the default input embedded there
 (in either representation), and evolves that input under one `Propagator`,
-built with it, in `_evolve`.  The model's generator is real: the no-jump
-generator in the basis's stage-parity frame, built from the recorded terms
-in real arithmetic, so no complex H is formed.  A drive is a term of that
-generator, multiplied by the stage-parity sign: S o (omega/2)(source +
-readout drive) for the continuous drive.  In
+built with it, in `_evolve`.  A pi-pulse step gives its Propagator the time
+it evolves to, T, and a refine_T step the end of its search, 1.2 T, so an
+exact sector of dimension `linalg.KRYLOV_MIN_DIM` or more is decomposed on
+the Krylov space of its input alone (16-28 dimensions).  The model's
+generator is real: the no-jump generator in the basis's stage-parity frame,
+built from the recorded terms in real arithmetic, so no complex H is formed.
+A drive is a term of that generator, multiplied by the stage-parity sign:
+S o (omega/2)(source + readout drive) for the continuous drive.  In
 the exact representation the model commutes with the signed mirror swap, so
 the input of step m, a parity eigenstate, evolves in its mirror-parity
 sector alone.  The parity is read off the input before any basis is built:
@@ -71,7 +74,9 @@ class StepDiagnostics:
     propagator_method is the step's `Propagator.method` ("eig", or "expm"
     when it fell back from the eigenbasis) and eigvec_condition its
     eigenvector condition number (the Frobenius bound
-    `Propagator.condition`).
+    `Propagator.condition`); on a step reduced to the Krylov space of its
+    input, that of the Ritz basis, ||W_k||_F ||W_k^-1||_F for H_k's
+    eigenvectors W_k.
     """
 
     channel_losses: dict[str, float] = field(default_factory=dict)
@@ -216,6 +221,11 @@ def _model(p: DissipativeParams, mode: HPMode,
                   *layout[:5])
 
 
+def _check_time(T: float) -> None:
+    if not 0 < T < math.inf:
+        raise ProtocolError(f"evolution time T must be positive and finite, not {T!r}")
+
+
 def _evolve(model: _Model, prop: Propagator, T: float) -> StepResult:
     """Evolve the model's input for a time T under prop, book every
     channel's loss from one integrated density, and herald.
@@ -223,8 +233,7 @@ def _evolve(model: _Model, prop: Propagator, T: float) -> StepResult:
     prop propagates the model's input under its generator plus the step's
     drive.  T must lie in (0, inf).
     """
-    if not 0 < T < math.inf:
-        raise ProtocolError(f"evolution time T must be positive and finite, not {T!r}")
+    _check_time(T)
     integrals = prop.integrated_expectation(model.ops, T)
     diags = StepDiagnostics(
         {name: rate * x for name, rate, x in zip(model.channels, model.rates, integrals)},
@@ -255,8 +264,9 @@ def run_step(
     """
     if T is None:
         T = optimal_time(p)
+    _check_time(T)
     model = _model(p, mode, input_target_state)
-    return _evolve(model, Propagator(model.g, model.psi0, model.frame), T)
+    return _evolve(model, Propagator(model.g, model.psi0, model.frame, T), T)
 
 
 def run_step_fixed_ratio(
@@ -349,7 +359,7 @@ def run_accumulation(
         if refine_T:
             # the kept step evolves on the model and propagator the search built
             model = _model(p, mode, state)
-            prop = Propagator(model.g, model.psi0, model.frame)
+            prop = Propagator(model.g, model.psi0, model.frame, 1.2 * T)
             T = golden_section_max(
                 lambda t: norm_sq(model.heralded(prop.apply(t))),
                 0.8 * T, 1.2 * T, 1e-6 * T)

@@ -40,6 +40,7 @@ from . import bandgap as bg
 from . import formulas
 from .basis import HPMode
 from .dissipative import DissipativeParams
+from .linalg import KRYLOV_MIN_DIM
 from .protocol import (
     run_accumulation,
     run_step,
@@ -78,11 +79,16 @@ _OPTIONS = {"out": None, "jobs": 1, "jsonl": False}
 FORK_COST_S = 0.015
 
 # A point's predicted seconds, from its parameters alone (TABLE's `cost`):
-# STEP_S + EIG_S * d**3 per protocol step on a propagator of dimension d, and
-# TRANSFER_S + TRANSFER_N_S * N per bandgap transfer.  Fitted to single points
-# of every entry (N 40-5000, m 1-160, one BLAS thread, 2-vCPU machine); the
-# transfer to medians at N 40, 200, 600, 2000 and 5000 with xi = 2N.
-STEP_S, EIG_S = 4e-4, 1e-8
+# per protocol step on a propagator of dimension d, STEP_S + EIG_S * d**3
+# below linalg.KRYLOV_MIN_DIM, where the step decomposes its generator, and
+# STEP_S + KRYLOV_S * d**2 from there on, where it decomposes the Krylov space
+# of its input (16-28 dimensions) after d x d products; TRANSFER_S +
+# TRANSFER_N_S * N per bandgap transfer.  The steps are fitted to hp-exact
+# accumulations at N 40, 300 and 5000 and m 1-160 (within 35%, median 10%),
+# and checked on single points of every entry; the transfer to medians at
+# N 40, 200, 600, 2000 and 5000 with xi = 2N (one BLAS thread, 2-vCPU
+# machine).
+STEP_S, EIG_S, KRYLOV_S = 2e-4, 2e-8, 5e-8
 TRANSFER_S, TRANSFER_N_S = 1.5e-3, 1e-6
 
 
@@ -140,17 +146,15 @@ def _step_s(pt: dict, dim: int | None = None) -> float:
     """One step: dimension 3 in hp-approx, 2m + 1 (a parity sector) in hp-exact."""
     if dim is None:
         dim = 3 if pt["mode"] is HPMode.APPROX else 2 * max(pt["m"], 0) + 1
-    return STEP_S + EIG_S * dim ** 3
+    return STEP_S + (EIG_S * dim ** 3 if dim < KRYLOV_MIN_DIM else KRYLOV_S * dim ** 2)
 
 
 def _accumulation_s(pt: dict) -> float:
-    """Steps k = 1..m, at dimension 2k + 1 in hp-exact: n = m + 1 odd cubes sum
-    to n^2 (2n^2 - 1), the first of them 1."""
+    """Steps k = 1..m, at dimension 2k + 1 in hp-exact."""
     m = max(pt["m"], 0)
     if pt["mode"] is HPMode.APPROX:
         return m * _step_s(pt)
-    n = m + 1
-    return m * STEP_S + EIG_S * (n * n * (2 * n * n - 1) - 1)
+    return sum(_step_s(pt, 2 * k + 1) for k in range(1, m + 1))
 
 
 class Entry(NamedTuple):

@@ -112,6 +112,21 @@ def test_overflowing_step_fails_with_one_line(T):
     assert proc.stderr == "numeric failure: NumericError: loss integrals are non-finite\n"
 
 
+def test_reducible_exact_step_at_an_extreme_time_runs_quietly():
+    # a parity sector of dimension 41, at the Krylov crossover, evolved to
+    # T = 1e300 in a fresh process under the default warning filters: exit 0,
+    # every amplitude decayed, and nothing on stderr
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = SRC
+    proc = subprocess.run(
+        [sys.executable, "-m", "wgherald.cli", "step", "--N", "100", "--m", "20",
+         "--p1d", "10", "--mode", "hp-exact", "--T", "1e300"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert parse_csv(proc.stdout)[0]["p_success"] == "0"
+
+
 @pytest.mark.parametrize("variant", ["continuous-drive", "fresh-level"])
 def test_hp_exact_rejected_without_exact_model(capsys, variant):
     with pytest.raises(SweepConfigError):

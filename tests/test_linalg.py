@@ -402,3 +402,90 @@ def test_expm_fallback_still_triggers_with_a_frame(monkeypatch):
 def test_golden_section_max():
     x = golden_section_max(lambda t: -((t - 1.3) ** 2), 0.0, 3.0, 1e-9)
     assert x == pytest.approx(1.3, abs=1e-7)
+
+
+def _random_generator(rng, dim, dtype=float):
+    # a random generator whose log-norm, the largest eigenvalue of
+    # (G + G^dag)/2, is positive, with a spectral radius near 1
+    g = rng.standard_normal((dim, dim))
+    if dtype is complex:
+        g = g + 1j * rng.standard_normal((dim, dim))
+    return g / np.sqrt(2 * dim) - 0.3 * np.eye(dim)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_reduced_propagator_with_a_positive_log_norm_matches_expm(dtype):
+    # the bound's factor e^{w t}, w from Gershgorin's circles, covers a
+    # generator that is not dissipative: the reduction closes well below the
+    # dimension and every query up to the horizon matches expm; a real g
+    # with a state real up to one global phase runs the real Arnoldi
+    rng = np.random.default_rng(31)
+    dim, horizon = linalg.KRYLOV_MIN_DIM + 19, 0.5
+    g = _random_generator(rng, dim, dtype)
+    assert np.linalg.eigvalsh((g + g.conj().T) / 2).max() > 0.5
+    v0 = rng.standard_normal(dim) * (0.6 - 0.8j) if dtype is float else random_state(rng, dim)
+    prop = Propagator(g, v0, horizon=horizon)
+    assert prop.method == "eig" and prop.dim == dim
+    assert prop.eigvecs.shape[1] < dim // 2
+    b = rng.standard_normal((2, dim, dim))
+    ops = b @ b.transpose(0, 2, 1)
+    for t in (horizon, horizon / 3):
+        ref = scipy.linalg.expm(g * t) @ v0
+        assert np.abs(prop.apply(t) - ref).max() <= 1e-12 * np.abs(ref).max()
+    dense = Propagator(g, v0)
+    assert dense.eigvecs.shape == (dim, dim)
+    times = np.linspace(0.0, horizon, 50)
+    want = dense.population(times, [0, 5])
+    assert np.abs(prop.population(times, [0, 5]) - want).max() <= 1e-12 * want.max()
+    want = dense.integrated_expectation(ops, horizon)
+    assert np.abs(prop.integrated_expectation(ops, horizon) - want).max() <= 1e-12 * want.max()
+
+
+def test_reduction_stops_exactly_at_an_invariant_subspace():
+    # e_0 is an eigenvector of an upper-triangular generator: the first
+    # Arnoldi step leaves nothing (h = 0), and the one-dimensional space
+    # propagates it exactly
+    rng = np.random.default_rng(32)
+    dim = linalg.KRYLOV_MIN_DIM + 3
+    g = np.triu(rng.standard_normal((dim, dim)), 1) - np.diag(rng.uniform(0.5, 2.0, dim))
+    v0 = np.zeros(dim, dtype=complex)
+    v0[0] = -1j
+    prop = Propagator(g, v0, horizon=2.0)
+    assert prop.method == "eig" and prop.eigvecs.shape == (dim, 1)
+    for t in (0.0, 0.7, 2.0):
+        want = v0 * np.exp(g[0, 0] * t)
+        assert np.abs(prop.apply(t) - want).max() <= 1e-16
+    want = (1 - np.exp(2 * g[0, 0] * 2.0)) / (-2 * g[0, 0])
+    assert prop.integrated_expectation(np.eye(dim)[None], 2.0)[0] == pytest.approx(want, rel=1e-14)
+
+
+def test_reduction_falls_back_to_the_full_decomposition():
+    # below the crossover, without a horizon, and where the Krylov space does
+    # not close by half the dimension (a horizon of many periods), the
+    # propagator decomposes g itself
+    rng = np.random.default_rng(33)
+    big, small = linalg.KRYLOV_MIN_DIM + 9, linalg.KRYLOV_MIN_DIM - 1
+    for g, horizon in ((_random_generator(rng, small), 1.0), (_random_generator(rng, big), None),
+                       (_random_generator(rng, big), 200.0)):
+        dim = g.shape[0]
+        prop = Propagator(g, rng.standard_normal(dim), horizon=horizon)
+        assert prop.method == "eig" and prop.eigvecs.shape == (dim, dim)
+
+
+def test_queries_outside_the_horizon_are_refused():
+    rng = np.random.default_rng(34)
+    for dim in (linalg.KRYLOV_MIN_DIM - 1, linalg.KRYLOV_MIN_DIM + 9):
+        prop = Propagator(_random_generator(rng, dim), rng.standard_normal(dim), horizon=1.5)
+        prop.apply(1.5)
+        prop.population([0.0, 1.5], [0])
+        prop.integrated_expectation(np.eye(dim)[None], 1.5)
+        for t in (1.5 + 1e-12, -0.1):
+            with pytest.raises(ValueError, match="horizon"):
+                prop.apply(t)
+            with pytest.raises(ValueError, match="horizon"):
+                prop.population([0.0, t], [0])
+            with pytest.raises(ValueError, match="horizon"):
+                prop.integrated_expectation(np.eye(dim)[None], t)
+    for horizon in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="horizon"):
+            Propagator(np.zeros((2, 2)), np.ones(2), horizon=horizon)

@@ -326,10 +326,20 @@ def test_frame_path_matches_frameless_path_on_every_step_generator():
 
 
 def test_every_step_kind_diagonalizes_a_real_matrix(monkeypatch):
-    # each step's eig runs on the real generator in its stage-parity frame
+    # each step's propagator runs one or more eigs: of the real generator in
+    # its stage-parity frame, or, on the sectors of m >= 20, of the real H_k
+    # of its Krylov space, one per tested bound
     seen, eig = [], np.linalg.eig
     monkeypatch.setattr(linalg.np.linalg, "eig",
                         lambda a: seen.append(np.iscomplexobj(a)) or eig(a))
+    counts = []
+
+    def counting(*args):
+        before = len(seen)
+        prop = Propagator(*args)
+        counts.append(len(seen) - before)
+        return prop
+    monkeypatch.setattr(protocol, "Propagator", counting)
     run_accumulation(1000, 40)
     run_accumulation(150, 4, 10.0, refine_T=True)
     run_step(DissipativeParams.from_purcell(300, 2, 10.0), HPMode.APPROX)
@@ -339,8 +349,58 @@ def test_every_step_kind_diagonalizes_a_real_matrix(monkeypatch):
     run_step_continuous_drive(300, 2, 10.0)
     run_step_continuous_drive(300, 2, 10.0, omega=25.0)
     run_step_continuous_drive(300, 2, 10.0, zero_decay=True)
-    assert len(seen) == 40 + 4 + 1 + 1 + 1 + 1 + 3
+    assert len(counts) == 40 + 4 + 1 + 1 + 1 + 1 + 3
+    assert min(counts) >= 1
     assert not any(seen)
+
+
+@pytest.mark.parametrize("n, p1d", [(60, 3.0), (317, 10.0), (1000, 100.0), (400, math.inf)])
+def test_reduced_propagator_matches_the_full_one_on_accumulation_steps(n, p1d):
+    # every step of an m = 40 accumulation, at its optimal time T, at the
+    # refine_T horizon 1.2 T and at T / 2: the propagator reduced to the
+    # Krylov space of the step's input agrees with the full decomposition on
+    # amplitudes, herald populations and loss integrals; every sector of
+    # dimension KRYLOV_MIN_DIM or more is reduced
+    state, reduced = None, 0
+    for k, res in enumerate(run_accumulation(n, 40, p1d).steps, 1):
+        p = DissipativeParams.from_purcell(n, k, p1d)
+        model, T = _model(p, HPMode.EXACT, state), optimal_time(p)
+        full = Propagator(model.g, model.psi0, model.frame)
+        ops = np.concatenate([model.ops, np.eye(model.g.shape[0])[None]])
+        for horizon in (T, 1.2 * T, T / 2):
+            prop = Propagator(model.g, model.psi0, model.frame, horizon)
+            assert prop.method == "eig" and prop.dim == model.g.shape[0]
+            reduced += prop.eigvecs.shape[1] < prop.dim
+            want = full.apply(horizon)
+            assert np.abs(prop.apply(horizon) - want).max() <= 1e-12 * np.abs(want).max()
+            times = np.linspace(0.0, horizon, 40)
+            want = full.population(times, model.idx)
+            assert np.abs(prop.population(times, model.idx) - want).max() <= 1e-12 * want.max()
+            want = full.integrated_expectation(ops, horizon)
+            got = prop.integrated_expectation(ops, horizon)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        state = res.post_state
+    assert reduced == 3 * sum(2 * k + 1 >= linalg.KRYLOV_MIN_DIM for k in range(1, 41))
+
+
+@pytest.mark.parametrize("m", [12, 40])
+def test_reduced_propagator_matches_the_full_one_on_a_mixed_input(m):
+    # a mixed input evolves on the full 4m + 1 basis in complex arithmetic:
+    # reduced at m = 40 (dimension 161), and at m = 12 (dimension 49, below
+    # twice the crossover) decomposed in full, as without a horizon
+    p = DissipativeParams.from_purcell(500, m, 10.0)
+    model, T = _model(p, HPMode.EXACT, _mixed_parity_input(m)), optimal_time(p)
+    prop = Propagator(model.g, model.psi0, model.frame, T)
+    full = Propagator(model.g, model.psi0, model.frame)
+    assert prop.dim == 4 * m + 1
+    assert (prop.eigvecs.shape[1] < prop.dim) == (m == 40)
+    want = full.apply(T)
+    assert np.abs(prop.apply(T) - want).max() <= 1e-12 * np.abs(want).max()
+    times = np.linspace(0.0, T, 40)
+    want = full.population(times, model.idx)
+    assert np.abs(prop.population(times, model.idx) - want).max() <= 1e-12 * want.max()
+    want = full.integrated_expectation(model.ops, T)
+    assert np.abs(prop.integrated_expectation(model.ops, T) - want).max() <= 1e-12 * want.max()
 
 
 def _rotated(h, frame):

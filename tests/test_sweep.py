@@ -93,8 +93,8 @@ def test_points_go_longest_first_to_the_least_loaded_process(monkeypatch, free_f
 
 def test_ci_accumulate_sweep_splits_evenly():
     # N {200, 1000} x m {20, 40}: by index the two m = 40 points would share
-    # one process (23.8 and 145 ms); longest first, each process gets one
-    # m = 40 and one m = 20 point, 84.4 ms each
+    # one process (21.0 and 36.9 ms); longest first, each process gets one
+    # m = 40 and one m = 20 point, 28.9 ms each
     config = {"protocol": "accumulate", "mode": "hp-exact", "fixed": {"p1d": 10},
               "axes": [{"name": "N", "values": [200, 1000]}, {"name": "m", "values": [20, 40]}]}
     points = SweepSpec.from_config(config).points()
@@ -102,8 +102,8 @@ def test_ci_accumulate_sweep_splits_evenly():
     shares = sweep._shares(points, 2)
     assert shares == [[1, 0], [3, 2]]
     for share in shares:
-        assert sum(cost[i] for i in share) == pytest.approx(0.0843836, rel=1e-12)
-    assert [sum(cost[k::2]) for k in range(2)] == pytest.approx([0.0237704, 0.1449968], rel=1e-12)
+        assert sum(cost[i] for i in share) == pytest.approx(0.02892906, rel=1e-12)
+    assert [sum(cost[k::2]) for k in range(2)] == pytest.approx([0.02095206, 0.03690606], rel=1e-12)
 
 
 def test_more_jobs_than_points_forks_one_child_per_other_point(monkeypatch, free_forks):
@@ -185,11 +185,11 @@ def test_one_long_point_keeps_the_sweep_serial(monkeypatch, forks, order):
 
 
 def test_cheap_first_point_does_not_keep_the_sweep_serial(monkeypatch, forks):
-    # hp-exact accumulations to m = 1, 30, 40 and 50: three more points of
-    # the first one's time would not pay for the fork, but the points after
-    # it take far longer, so the sweep forks
-    config = {"protocol": "accumulate", "mode": "hp-exact", "jobs": 2,
-              "axes": [{"name": "m", "values": [1, 30, 40, 50]}]}
+    # hp-exact accumulations to m = 1, 60, 80 and 120 at N = 1000: three more
+    # points of the first one's time would not pay for the fork, but the
+    # points after it take far longer, so the sweep forks
+    config = {"protocol": "accumulate", "mode": "hp-exact", "jobs": 2, "fixed": {"N": 1000},
+              "axes": [{"name": "m", "values": [1, 60, 80, 120]}]}
     spec = SweepSpec.from_config(config)
     cost = [predicted_s(pt) for pt in spec.points()]
     assert 3 * cost[0] < 2 * sweep.FORK_COST_S
@@ -197,9 +197,9 @@ def test_cheap_first_point_does_not_keep_the_sweep_serial(monkeypatch, forks):
     monkeypatch.setattr(sweep, "evaluate_point", lambda pt: {"m": pt["m"], "pid": os.getpid()})
     rows = run_sweep(spec)
     assert len(forks) == 1
-    # m = 50 alone outlasts the other three: it runs here, they in the child
+    # m = 120 alone outlasts the other three: it runs here, they in the child
     assert rows == [{"m": m, "pid": pid} for m, pid in
-                    zip((1, 30, 40, 50), [forks[0]] * 3 + [os.getpid()])]
+                    zip((1, 60, 80, 120), [forks[0]] * 3 + [os.getpid()])]
 
 
 def test_predicted_times_follow_the_parameters():
