@@ -15,9 +15,10 @@ test is the Frobenius bound kappa_F = ||V||_F ||V^-1||_F >= kappa_2 on the
 inverse the eigenbasis needs anyway, so no SVD is taken.  A Propagator
 evolves the one state it is built with, validated and projected onto the
 eigenbasis once.  Told the latest time it will be asked for, it decomposes
-a large generator only on the Krylov space of that state: an Arnoldi basis
-of 16-28 vectors on the protocol's exact sectors of dimension 41-161, grown
-until an a-posteriori bound (Saad 1992; Hochbruck and Lubich 1997) holds
+a large real generator only on the Krylov space of a real state: an Arnoldi
+basis of 16-24 vectors on the protocol's exact sectors of dimension 41-161,
+grown until an a-posteriori bound (Saad 1992; Hochbruck and Lubich 1997),
+its integral summed on a grid that resolves the reduced generator, holds
 every state up to that time within 1e-14 of the full evolution.  Loss
 bookkeeping integrates one density R = integral psi psi^dag ds per
 evolution and reads every channel's integral off it in one real product
@@ -43,8 +44,7 @@ EIGBASIS_MAX_CONDITION = 1e8
 # to the Krylov space of its state (see Propagator._reduce).  On the exact
 # sectors (dimension 2m + 1) of accumulation steps at N 60-1000, a reduced
 # step costs what a full one does near dimension 35-41, where the space closes
-# at k = 16-20, and from 41 on it closes by k = dim / 2 even at P_1d = 3; a
-# complex Krylov space on a real generator pays from twice this dimension.
+# at k = 16-20, and from 41 on it closes by k = dim / 2 even at P_1d = 3.
 KRYLOV_MIN_DIM = 41
 
 # The reduction stops at the first Krylov dimension whose a-posteriori bound
@@ -55,9 +55,20 @@ KRYLOV_MIN_DIM = 41
 # rounding floor, from 1e-15 to 1e-13, and 9e-14 at 1e-12.
 KRYLOV_MAX_ERROR = 1e-14
 
-# Points of the uniform grid of [0, horizon] on which that bound's integral is
-# summed by the trapezoidal rule.
-KRYLOV_BOUND_POINTS = 65
+# That bound's integral is a trapezoid sum on at least this many uniform
+# intervals of [0, horizon], and more where H_k's rates need them (see
+# Propagator._reduce).  On reduced steps of m = 40 accumulations at T and 5 T,
+# wherever the bound is within 1e-18-1e-10, the sum is 0.9996-1.003 of the
+# integral summed on 200,000 intervals (1.005-1.025 on contractive random
+# generators of dimension 60 at horizons 0.1-30).
+KRYLOV_BOUND_INTERVALS = 64
+
+# A horizon that needs more intervals than this keeps the full decomposition:
+# the sum on 1,024 intervals at k = 16 costs about what the full eig and inv
+# at dimension 41 do (0.45 against 0.54 ms).  The reduced steps of
+# `accumulate-exact` need 76-246, and m = 40-160 accumulations at N 40-5000
+# up to 549.
+KRYLOV_MAX_INTERVALS = 1024
 
 # Points of the uniform grid on which the expm fallback integrates densities;
 # its 4096 intervals make 1024 panels of Boole's rule.
@@ -140,15 +151,16 @@ class Propagator:
     horizon, when given, is the latest time the propagator is asked for:
     a time outside [0, horizon] is refused with a ValueError.  A generator
     of dimension KRYLOV_MIN_DIM or more is then first reduced to the Krylov
-    space of u0 = T^-1 v0 (`_reduce`): an Arnoldi basis Q of k columns,
-    with H_k = Q^dag G Q, k far below the dimension on the protocol's steps.
-    The same eig, inv and condition test then run on H_k, with
-    V = T Q W_k (dim x k), so every state and integral of the propagator
-    lives in that space, within KRYLOV_MAX_ERROR ||u0|| of the full
-    evolution at every time up to the horizon.  When the space does not
-    close by k = dim / 2, or H_k's eigenbasis is too ill-conditioned, or a
-    real g below 2 KRYLOV_MIN_DIM would need a complex space, the
-    decomposition is that of g itself, as without a horizon.
+    space of u0 = T^-1 v0 (`_reduce`) when g is real and u0 real up to
+    one phase: an Arnoldi basis Q of k columns, with H_k = Q^T G Q, k far
+    below the dimension on the protocol's steps.  The same eig, inv and
+    condition test then run on H_k, with V = T Q W_k (dim x k), so every
+    state and integral of the propagator lives in that space, within
+    KRYLOV_MAX_ERROR ||u0|| of the full evolution at every time up to the
+    horizon.  Otherwise, and when the space does not close by
+    k = dim / 2, the horizon is too long for the bound's grid, or H_k's
+    eigenbasis is too ill-conditioned, the decomposition is that of g
+    itself, as without a horizon.
     """
 
     def __init__(self, g, v0, frame=None, horizon=None):
@@ -197,67 +209,75 @@ class Propagator:
         return self.condition < EIGBASIS_MAX_CONDITION
 
     def _reduce(self, horizon: float) -> bool:
-        """Decompose G on the Krylov space of u0 = T^-1 v0; whether that
-        space closed within the error bound and gave a usable eigenbasis.
+        """Decompose a real G on the Krylov space of u0 = T^-1 v0, when u0
+        is real up to one global phase; whether that space closed within the
+        error bound and gave a usable eigenbasis.
 
         Arnoldi with two Gram-Schmidt passes per step builds the orthonormal
         Q_k and the Hessenberg H_k, with G Q_k = Q_k H_k + h_{k+1,k}
         q_{k+1} e_k^T.  For every t in [0, horizon] the error of
         beta Q_k e^{H_k t} e_1, beta = ||u0||, is at most
         beta h_{k+1,k} e^{w t} int_0^t |e_k^T e^{H_k s} e_1| ds (Saad 1992),
-        where w >= 0 bounds the largest eigenvalue of (G + G^dag)/2 by
+        where w >= 0 bounds the largest eigenvalue of (G + G^T)/2 by
         Gershgorin's circles, so ||e^{G t}|| <= e^{w t} for any G; for the
         protocol's generators G + G^T = -D <= 0 and the factor is near 1.
-        The integral is a trapezoid sum on KRYLOV_BOUND_POINTS points of
-        [0, horizon], taken from the eigenpairs of H_k, at k = 16, 20, ...
-        and at an invariant subspace (h_{k+1,k} = 0), where the reduction is
-        exact.  It stops at the first k whose bound is at most
-        KRYLOV_MAX_ERROR beta, and gives up past k = dim / 2.  A real G and
-        a u0 real up to one global phase, within 1e-15 beta, take real
-        arithmetic; the dropped imaginary residue is added to the bound.
+        The integral is a trapezoid sum, taken from the eigenpairs of H_k at
+        k = 16, 20, ... and at an invariant subspace (h_{k+1,k} = 0), where
+        the reduction is exact.  Its grid resolves the integrand: n
+        intervals of [0, horizon], at least KRYLOV_BOUND_INTERVALS and at
+        least 2 horizon r, for r = sqrt(||H_k||_1 ||H_k||_inf) >= ||H_k||_2,
+        so no interval spans more than half a unit of H_k's fastest rate;
+        past KRYLOV_MAX_INTERVALS the reduction is not tried.  It stops at
+        the first k whose bound is at most KRYLOV_MAX_ERROR beta, and gives
+        up past k = dim / 2.  The imaginary residue of u0's real part, at
+        most 1e-15 beta, is added to the bound.  A complex G or a complex
+        Krylov space keeps the decomposition of G: the complex eigs of H_k
+        cost what the real eig of G does.
         """
         g, u0 = self.g, self.v0 / self.frame
         beta = math.sqrt(norm_sq(u0))
-        if beta == 0.0:
+        if beta == 0.0 or np.iscomplexobj(g):
             return False
-        start, phase, dropped = u0, 1.0, 0.0
-        if not np.iscomplexobj(g):
-            top = u0[np.argmax(np.abs(u0))]
-            rotated = u0 * (abs(top) / top)
-            residue = float(np.linalg.norm(rotated.imag)) / beta
-            if residue <= 1e-15:
-                start, phase, dropped = rotated.real, top / abs(top), residue
-            elif self.dim < 2 * KRYLOV_MIN_DIM:
-                return False  # a complex H_k's eigs against one real eig of g
-        sym = g + g.conj().T
-        diag = sym.diagonal().real
+        top = u0[np.argmax(np.abs(u0))]
+        rotated = u0 * (abs(top) / top)
+        dropped = float(np.linalg.norm(rotated.imag)) / beta
+        if dropped > 1e-15:
+            return False
+        sym = g + g.T
+        diag = sym.diagonal()
         w_plus = max(0.0, 0.5 * float((diag + np.abs(sym).sum(axis=1) - np.abs(diag)).max()))
         if w_plus * horizon > 700.0:  # no bound below e^700
             return False
         growth = math.exp(w_plus * horizon)
+        start = rotated.real
         beta = float(np.linalg.norm(start))
         kmax = self.dim // 2
-        q = np.zeros((kmax + 1, self.dim), dtype=start.dtype)  # row j is q_j
-        h = np.zeros((kmax + 1, kmax), dtype=start.dtype)
+        q = np.zeros((kmax + 1, self.dim))  # row j is q_j
+        h = np.zeros((kmax + 1, kmax))
         q[0] = start / beta
-        times = np.linspace(0.0, horizon, KRYLOV_BOUND_POINTS)
         for j in range(kmax):
             w, basis = g @ q[j], q[:j + 1]
-            c = basis.conj() @ w
+            c = basis @ w
             w -= c @ basis
-            again = basis.conj() @ w  # twice is enough (Parlett)
+            again = basis @ w  # twice is enough (Parlett)
             w -= again @ basis
             h[:j + 1, j] = c + again
-            b = math.sqrt(np.vdot(w, w).real)
+            b = math.sqrt(w @ w)
             k = j + 1
             if b == 0.0 or (k >= 16 and k % 4 == 0):
+                hk = h[:k, :k]
                 try:
-                    lam, wk = np.linalg.eig(h[:k, :k])
+                    lam, wk = np.linalg.eig(hk)
                     winv = np.linalg.inv(wk)
                 except np.linalg.LinAlgError:
                     return False
                 defect = 0.0
                 if b:
+                    rate = math.sqrt(np.abs(hk).sum(axis=0).max() * np.abs(hk).sum(axis=1).max())
+                    n = max(KRYLOV_BOUND_INTERVALS, math.ceil(2.0 * horizon * rate))
+                    if n > KRYLOV_MAX_INTERVALS:
+                        return False
+                    times = np.linspace(0.0, horizon, n + 1)
                     # e^{H_k s} at s past the float range is no bound at all: nan fails the test
                     with np.errstate(over="ignore", invalid="ignore"):
                         f = np.abs(np.exp(np.outer(times, lam)) @ (wk[-1] * winv[:, 0]))
@@ -266,7 +286,7 @@ class Propagator:
                     vecs = self.frame[:, None] * (q[:k].T @ wk)
                     if not self._adopt(lam, vecs, winv):
                         return False
-                    self._c = winv[:, 0] * (beta * phase)
+                    self._c = winv[:, 0] * (beta * top / abs(top))
                     return True
                 if not b:
                     return False
@@ -299,17 +319,20 @@ class Propagator:
             raise NumericError("evolution time must be finite")
         if self.horizon is not None:
             self._check_times(t, t)
-        if self.method == "eig":
-            if abs(t) < self._quiet_until:
-                out = self.eigvecs @ (np.exp(self.exponents * t) * self._c)
-            else:  # |lam| t past the float range leaves non-finite amplitudes, raised below
-                with np.errstate(over="ignore", invalid="ignore"):
-                    out = self.eigvecs @ (np.exp(self.exponents * t) * self._c)
+        if self.method == "eig" and abs(t) < self._quiet_until:
+            out = self._eig_state(t)
+        elif self.method == "eig":
+            # |lam| t past the float range leaves non-finite amplitudes, raised below
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = self._eig_state(t)
         else:
             out = self._expm_states(t, 1)[1]
         if not all_finite(out):
             raise NumericError("propagation produced non-finite amplitudes")
         return out
+
+    def _eig_state(self, t: float) -> np.ndarray:
+        return self.eigvecs @ (np.exp(self.exponents * t) * self._c)
 
     def population(self, times, index) -> np.ndarray:
         """sum_{i in index} |(e^{-iHt} v0)_i|^2 for each t of a 1-d time grid.

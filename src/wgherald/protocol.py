@@ -12,7 +12,7 @@ positions its basis records, or a copy of the default input embedded there
 built with it, in `_evolve`.  A pi-pulse step gives its Propagator the time
 it evolves to, T, and a refine_T step the end of its search, 1.2 T, so an
 exact sector of dimension `linalg.KRYLOV_MIN_DIM` or more is decomposed on
-the Krylov space of its input alone (16-28 dimensions).  The model's
+the Krylov space of its input alone (16-24 dimensions).  The model's
 generator is real: the no-jump generator in the basis's stage-parity frame,
 built from the recorded terms in real arithmetic, so no complex H is formed.
 A drive is a term of that generator, multiplied by the stage-parity sign:
@@ -22,7 +22,8 @@ the input of step m, a parity eigenstate, evolves in its mirror-parity
 sector alone.  The parity is read off the input before any basis is built:
 the swap reverses the storage amplitudes, so an input equal to its reversal
 lies in P = +1 and one equal to minus its reversal in P = -1.  Any other
-input evolves on the full 4m+1 basis.
+input evolves on the full 4m+1 basis, and is complex past one global phase,
+so its propagator decomposes the whole generator.
 
 After a successful herald the source and detector are in definite states, so
 the reduction to the target ensemble is an amplitude relabeling onto the
@@ -221,19 +222,18 @@ def _model(p: DissipativeParams, mode: HPMode,
                   *layout[:5])
 
 
-def _check_time(T: float) -> None:
-    if not 0 < T < math.inf:
-        raise ProtocolError(f"evolution time T must be positive and finite, not {T!r}")
-
-
-def _evolve(model: _Model, prop: Propagator, T: float) -> StepResult:
+def _evolve(model: _Model, T: float, prop: Propagator | None = None) -> StepResult:
     """Evolve the model's input for a time T under prop, book every
     channel's loss from one integrated density, and herald.
 
     prop propagates the model's input under its generator plus the step's
-    drive.  T must lie in (0, inf).
+    drive; by default it is the model's generator alone, with horizon T.
+    T must lie in (0, inf).
     """
-    _check_time(T)
+    if not 0 < T < math.inf:
+        raise ProtocolError(f"evolution time T must be positive and finite, not {T!r}")
+    if prop is None:
+        prop = Propagator(model.g, model.psi0, model.frame, T)
     integrals = prop.integrated_expectation(model.ops, T)
     diags = StepDiagnostics(
         {name: rate * x for name, rate, x in zip(model.channels, model.rates, integrals)},
@@ -264,9 +264,7 @@ def run_step(
     """
     if T is None:
         T = optimal_time(p)
-    _check_time(T)
-    model = _model(p, mode, input_target_state)
-    return _evolve(model, Propagator(model.g, model.psi0, model.frame, T), T)
+    return _evolve(_model(p, mode, input_target_state), T)
 
 
 def run_step_fixed_ratio(
@@ -329,7 +327,7 @@ def run_step_continuous_drive(
         k = int(np.argmax(prop.population(grid, model.idx)))
         lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
         T = golden_section_max(lambda t: norm_sq(prop.apply(t)[model.idx]), lo, hi, 1e-9 * t_hi)
-    return _evolve(model, prop, T)
+    return _evolve(model, T, prop)
 
 
 def run_accumulation(
@@ -363,7 +361,7 @@ def run_accumulation(
             T = golden_section_max(
                 lambda t: norm_sq(model.heralded(prop.apply(t))),
                 0.8 * T, 1.2 * T, 1e-6 * T)
-            res = _evolve(model, prop, T)
+            res = _evolve(model, T, prop)
         else:
             res = run_step(p, mode, state, T)
         if res.post_state is None:

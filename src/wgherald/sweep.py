@@ -82,7 +82,7 @@ FORK_COST_S = 0.015
 # per protocol step on a propagator of dimension d, STEP_S + EIG_S * d**3
 # below linalg.KRYLOV_MIN_DIM, where the step decomposes its generator, and
 # STEP_S + KRYLOV_S * d**2 from there on, where it decomposes the Krylov space
-# of its input (16-28 dimensions) after d x d products; TRANSFER_S +
+# of its input (16-24 dimensions) after d x d products; TRANSFER_S +
 # TRANSFER_N_S * N per bandgap transfer.  The steps are fitted to hp-exact
 # accumulations at N 40, 300 and 5000 and m 1-160 (within 35%, median 10%),
 # and checked on single points of every entry; the transfer to medians at

@@ -14,9 +14,11 @@ import yaml
 
 import wgherald
 from wgherald import sweep as sweep_module
+from wgherald.basis import HPMode
 from wgherald.cli import main
-from wgherald.linalg import NumericError
-from wgherald.protocol import run_accumulation
+from wgherald.dissipative import DissipativeParams
+from wgherald.linalg import NumericError, Propagator
+from wgherald.protocol import _evolve, _model, run_accumulation, run_step
 from wgherald.sweep import COLUMNS, SweepConfigError, SweepSpec, run_sweep, rows_to_csv
 
 SRC = str(pathlib.Path(wgherald.__file__).resolve().parent.parent)
@@ -115,7 +117,15 @@ def test_overflowing_step_fails_with_one_line(T):
 def test_reducible_exact_step_at_an_extreme_time_runs_quietly():
     # a parity sector of dimension 41, at the Krylov crossover, evolved to
     # T = 1e300 in a fresh process under the default warning filters: exit 0,
-    # every amplitude decayed, and nothing on stderr
+    # every amplitude decayed, and nothing on stderr.  No Krylov bound holds
+    # to such a time, so the step decomposes the whole generator and books
+    # the losses of a propagator given no horizon
+    p = DissipativeParams.from_purcell(100, 20, 10.0)
+    model = _model(p, HPMode.EXACT)
+    prop = Propagator(model.g, model.psi0, model.frame, 1e300)
+    assert prop.eigvecs.shape == (41, 41)
+    want = _evolve(model, 1e300, Propagator(model.g, model.psi0, model.frame))
+    assert run_step(p, HPMode.EXACT, T=1e300) == want
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = SRC
     proc = subprocess.run(

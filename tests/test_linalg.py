@@ -416,9 +416,10 @@ def _random_generator(rng, dim, dtype=float):
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_reduced_propagator_with_a_positive_log_norm_matches_expm(dtype):
     # the bound's factor e^{w t}, w from Gershgorin's circles, covers a
-    # generator that is not dissipative: the reduction closes well below the
-    # dimension and every query up to the horizon matches expm; a real g
-    # with a state real up to one global phase runs the real Arnoldi
+    # generator that is not dissipative: for a real g with a state real up to
+    # one global phase the reduction closes well below the dimension, and a
+    # complex g keeps the full decomposition; every query up to the horizon
+    # matches expm
     rng = np.random.default_rng(31)
     dim, horizon = linalg.KRYLOV_MIN_DIM + 19, 0.5
     g = _random_generator(rng, dim, dtype)
@@ -426,7 +427,7 @@ def test_reduced_propagator_with_a_positive_log_norm_matches_expm(dtype):
     v0 = rng.standard_normal(dim) * (0.6 - 0.8j) if dtype is float else random_state(rng, dim)
     prop = Propagator(g, v0, horizon=horizon)
     assert prop.method == "eig" and prop.dim == dim
-    assert prop.eigvecs.shape[1] < dim // 2
+    assert (prop.eigvecs.shape[1] < dim // 2) == (dtype is float)
     b = rng.standard_normal((2, dim, dim))
     ops = b @ b.transpose(0, 2, 1)
     for t in (horizon, horizon / 3):
@@ -470,6 +471,33 @@ def test_reduction_falls_back_to_the_full_decomposition():
         dim = g.shape[0]
         prop = Propagator(g, rng.standard_normal(dim), horizon=horizon)
         assert prop.method == "eig" and prop.eigvecs.shape == (dim, dim)
+
+
+@pytest.mark.parametrize("horizon", [0.5, 2.0, 10.0, 1e4])
+def test_reduction_on_a_contractive_generator_at_long_horizons(horizon):
+    # an antisymmetric part and a negative diagonal: Gershgorin's w is 0, so
+    # the bound's factor is 1 however long the horizon.  The bound's grid
+    # resolves H_k's rates, so at every horizon the states and integrals agree
+    # with the full decomposition: reduced up to horizon 2, in full from 10
+    # on (the space does not close by half the dimension, and at 1e4 the grid
+    # would pass 512 intervals).  At 1e4 a fixed 65-point sum put the whole
+    # integrand in its first interval and passed at k = 24, 6e-2 off
+    rng = np.random.default_rng(35)
+    dim = 60
+    a = rng.standard_normal((dim, dim))
+    g = (a - a.T) / np.sqrt(dim) - np.diag(rng.uniform(0.05, 0.5, dim))
+    v0 = rng.standard_normal(dim)
+    prop = Propagator(g, v0, horizon=horizon)
+    full = Propagator(g, v0)
+    assert prop.method == "eig"
+    assert (prop.eigvecs.shape[1] < dim) == (horizon <= 2.0)
+    for t in (horizon / 1000, horizon / 10, horizon):
+        assert np.abs(prop.apply(t) - full.apply(t)).max() <= 1e-12 * np.linalg.norm(v0)
+    b = rng.standard_normal((2, dim, dim))
+    ops = b @ b.transpose(0, 2, 1)
+    for t in (horizon / 1000, horizon):
+        want = full.integrated_expectation(ops, t)
+        assert np.abs(prop.integrated_expectation(ops, t) - want).max() <= 1e-12 * want.max()
 
 
 def test_queries_outside_the_horizon_are_refused():

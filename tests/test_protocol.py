@@ -22,6 +22,7 @@ from wgherald.formulas import (
 from wgherald.linalg import NumericError, Propagator, golden_section_max, norm_sq
 from wgherald.protocol import (
     ProtocolError,
+    _evolve,
     _model,
     run_accumulation,
     run_step,
@@ -385,15 +386,15 @@ def test_reduced_propagator_matches_the_full_one_on_accumulation_steps(n, p1d):
 
 @pytest.mark.parametrize("m", [12, 40])
 def test_reduced_propagator_matches_the_full_one_on_a_mixed_input(m):
-    # a mixed input evolves on the full 4m + 1 basis in complex arithmetic:
-    # reduced at m = 40 (dimension 161), and at m = 12 (dimension 49, below
-    # twice the crossover) decomposed in full, as without a horizon
+    # a mixed input evolves on the full 4m + 1 basis; its Krylov space is
+    # complex, so at m = 12 (dimension 49) and m = 40 (dimension 161) the
+    # propagator decomposes the whole generator, as without a horizon
     p = DissipativeParams.from_purcell(500, m, 10.0)
     model, T = _model(p, HPMode.EXACT, _mixed_parity_input(m)), optimal_time(p)
     prop = Propagator(model.g, model.psi0, model.frame, T)
     full = Propagator(model.g, model.psi0, model.frame)
     assert prop.dim == 4 * m + 1
-    assert (prop.eigvecs.shape[1] < prop.dim) == (m == 40)
+    assert prop.eigvecs.shape == (prop.dim, prop.dim)
     want = full.apply(T)
     assert np.abs(prop.apply(T) - want).max() <= 1e-12 * np.abs(want).max()
     times = np.linspace(0.0, T, 40)
@@ -401,6 +402,27 @@ def test_reduced_propagator_matches_the_full_one_on_a_mixed_input(m):
     assert np.abs(prop.population(times, model.idx) - want).max() <= 1e-12 * want.max()
     want = full.integrated_expectation(model.ops, T)
     assert np.abs(prop.integrated_expectation(model.ops, T) - want).max() <= 1e-12 * want.max()
+
+
+@pytest.mark.parametrize("T", [0.3, 2.0, 50.0])
+def test_step_at_a_long_user_time_books_the_full_decomposition_losses(T):
+    # an exact sector of dimension 41, whose optimal time is pi / 10, evolved
+    # to a user time T: the step reduces near that time, and decomposes the
+    # whole generator where the space does not close by half the dimension
+    # or the bound's grid would pass 512 intervals; either way its losses,
+    # herald population and post state are those of the full decomposition
+    p = DissipativeParams.from_purcell(100, 20, 10.0)
+    model = _model(p, HPMode.EXACT)
+    res = run_step(p, HPMode.EXACT, T=T)
+    prop = Propagator(model.g, model.psi0, model.frame, T)
+    assert (prop.eigvecs.shape[1] < prop.dim) == (T < 1.0)
+    want = _evolve(model, T, Propagator(model.g, model.psi0, model.frame))
+    scale = max(want.diagnostics.channel_losses.values())
+    for name, loss in want.diagnostics.channel_losses.items():
+        assert abs(res.diagnostics.channel_losses[name] - loss) <= 1e-12 * scale
+    assert res.p_success == pytest.approx(want.p_success, rel=1e-12, abs=1e-15)
+    if want.post_state is not None:
+        assert np.abs(res.post_state - want.post_state).max() <= 1e-10
 
 
 def _rotated(h, frame):
