@@ -480,8 +480,9 @@ def test_reduction_on_a_contractive_generator_at_long_horizons(horizon):
     # resolves H_k's rates, so at every horizon the states and integrals agree
     # with the full decomposition: reduced up to horizon 2, in full from 10
     # on (the space does not close by half the dimension, and at 1e4 the grid
-    # would pass 512 intervals).  At 1e4 a fixed 65-point sum put the whole
-    # integrand in its first interval and passed at k = 24, 6e-2 off
+    # would pass 1,024 intervals).  At 1e4 the integrand lives in the first
+    # 1/64 of the horizon: a grid that does not resolve it passes at k = 24,
+    # with states 6e-2 off
     rng = np.random.default_rng(35)
     dim = 60
     a = rng.standard_normal((dim, dim))
