@@ -59,7 +59,7 @@ from .dissipative import (
     readout_drive,
     source_drive,
 )
-from .linalg import Propagator, all_finite, golden_section_max, norm_sq, overlap
+from .linalg import Propagator, all_finite, norm_sq, overlap
 
 HERALD_FLOOR = 1e-15
 
@@ -302,8 +302,11 @@ def run_step_continuous_drive(
     With the default omega = sqrt(2/3) sqrt(2N) gamma_g the five-state chain
     has perfect-transfer couplings and the herald population peaks at
     T = 2 pi / omega.  For other omega the herald population is maximized
-    numerically.  zero_decay drops every decay diagonal (coherent dynamics
-    only), which is the full-transfer check.
+    numerically: a scan of a few chain periods picks the largest grid
+    point, and `Propagator.peak_time` finds the root of the population's
+    closed-form slope between its neighbours (the window's end where the
+    population still rises there).  zero_decay drops every decay diagonal
+    (coherent dynamics only), which is the full-transfer check.
     """
     g = math.sqrt(2 * N)
     omega_opt = math.sqrt(2.0 / 3.0) * g
@@ -319,14 +322,15 @@ def run_step_continuous_drive(
     if T is None and abs(omega - omega_opt) < 1e-12 * g:  # the optimal drive
         T = 2 * math.pi / omega
     elif T is None:
-        # global max over a few chain periods: dense scan + local refine;
-        # the scan must resolve the fast Rabi scale when omega >> g
+        # global max over a few chain periods: dense scan + root of the slope
+        # between the best point's neighbours; the scan must resolve the fast
+        # Rabi scale when omega >> g
         t_hi = 6 * math.pi / min(omega, g)
         npts = min(20001, max(1201, int(40 * t_hi * omega / (2 * math.pi))))
         grid = np.linspace(0.0, t_hi, npts)
         k = int(np.argmax(prop.population(grid, model.idx)))
         lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-        T = golden_section_max(lambda t: norm_sq(prop.apply(t)[model.idx]), lo, hi, 1e-9 * t_hi)
+        T = prop.peak_time(lo, hi, 1e-9 * t_hi, model.idx, model.weights)
     return _evolve(model, T, prop)
 
 
@@ -341,7 +345,9 @@ def run_accumulation(
 
     Step k uses the re-derived optimum gamma_s = gamma_g / sqrt(k) and
     T = sqrt(2) pi / (sqrt(2N) gamma_g); with refine_T the time is re-optimized
-    numerically within +-20% of the analytic value.  In the exact
+    numerically within +-20% of the analytic value, at a root of the herald
+    probability's closed-form slope (`Propagator.peak_time`, to 1e-6 T) on
+    the propagator the kept step evolves with.  In the exact
     representation the input of step k is the renormalized heralded output of
     step k-1.
     """
@@ -358,9 +364,7 @@ def run_accumulation(
             # the kept step evolves on the model and propagator the search built
             model = _model(p, mode, state)
             prop = Propagator(model.g, model.psi0, model.frame, 1.2 * T)
-            T = golden_section_max(
-                lambda t: norm_sq(model.heralded(prop.apply(t))),
-                0.8 * T, 1.2 * T, 1e-6 * T)
+            T = prop.peak_time(0.8 * T, 1.2 * T, 1e-6 * T, model.idx, model.weights)
             res = _evolve(model, T, prop)
         else:
             res = run_step(p, mode, state, T)

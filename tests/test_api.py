@@ -33,6 +33,7 @@ PARAMETERS = {
     linalg.Propagator.apply: ["self", "t"],
     linalg.Propagator.population: ["self", "times", "index"],
     linalg.Propagator.integrated_expectation: ["self", "ops", "t"],
+    linalg.Propagator.peak_time: ["self", "lo", "hi", "tol", "index", "weights"],
 }
 
 # Every public callable of the protocol module is an entry point some caller

@@ -10,6 +10,8 @@ import scipy.linalg
 
 from oracles import decay_generator_max_eig, rk4_evolve
 from wgherald import linalg
+from wgherald.basis import HPMode
+from wgherald.dissipative import DissipativeParams, optimal_time
 from wgherald.linalg import (
     BOOLE_POINTS,
     EIGBASIS_MAX_CONDITION,
@@ -21,6 +23,7 @@ from wgherald.linalg import (
     norm_sq,
     overlap,
 )
+from wgherald.protocol import _model
 
 
 def random_decaying_h(rng, dim):
@@ -518,3 +521,68 @@ def test_queries_outside_the_horizon_are_refused():
     for horizon in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="horizon"):
             Propagator(np.zeros((2, 2)), np.ones(2), horizon=horizon)
+
+
+def _exact_sector(n, m):
+    # the no-jump sector of exact step m at P_1d 10 from its default input,
+    # with the analytic step time
+    p = DissipativeParams.from_purcell(n, m, 10.0)
+    return _model(p, HPMode.EXACT), optimal_time(p)
+
+
+@pytest.mark.parametrize("path, m", [("full", 6), ("reduced", 30), ("expm", 6)])
+def test_peak_time_slope_matches_a_central_difference(monkeypatch, path, m):
+    # f'(t) of the search, in closed form from the eigenbasis (of the whole
+    # sector below dimension 41, of its Krylov space above) and from
+    # T G T^-1 psi on the expm fallback, against a central difference of the
+    # weighted herald population read off apply; the search's time agrees
+    # with golden section's within golden's tolerance
+    if path == "expm":
+        monkeypatch.setattr(linalg, "EIGBASIS_MAX_CONDITION", 0.0)
+    model, T = _exact_sector(300, m)
+    prop = Propagator(model.g, model.psi0, model.frame, 1.2 * T)
+    assert prop.method == ("expm" if path == "expm" else "eig")
+    assert (prop.dim < linalg.KRYLOV_MIN_DIM) == (path != "reduced")
+    if path != "expm":
+        assert (prop.eigvecs.shape[1] < prop.dim) == (path == "reduced")
+    f = lambda t: norm_sq(model.weights * prop.apply(t)[model.idx])  # noqa: E731
+    evaluate, h = prop._slope(model.idx, model.weights), 1e-5 * T
+    for t in (0.85 * T, 0.9 * T, 1.1 * T):
+        value, slope = evaluate(t)
+        assert value == pytest.approx(f(t), rel=1e-12)
+        assert slope == pytest.approx((f(t + h) - f(t - h)) / (2 * h), rel=1e-6)
+    peak = prop.peak_time(0.8 * T, 1.2 * T, 1e-6 * T, model.idx, model.weights)
+    assert abs(peak - golden_section_max(f, 0.8 * T, 1.2 * T, 1e-6 * T)) <= 1e-6 * T
+
+
+def test_peak_time_returns_the_higher_end_without_a_sign_change():
+    # a decaying or a growing population has no interior maximum: the search
+    # returns the end where the population is larger
+    for rate, want in ((-1.0, 0.2), (0.5, 1.0)):
+        prop = Propagator(np.array([[rate]]), np.ones(1))
+        assert prop.peak_time(0.2, 1.0, 1e-9, [0], np.ones(1)) == want
+
+
+def test_peak_time_refuses_bad_brackets_and_non_finite_slopes(monkeypatch):
+    model, T = _exact_sector(300, 6)
+    prop = Propagator(model.g, model.psi0, model.frame, 1.2 * T)
+    for lo, hi in ((0.8 * T, 1.2 * T * (1 + 1e-12)), (-0.1 * T, T), (T, 0.9 * T)):
+        with pytest.raises(ValueError, match="horizon"):
+            prop.peak_time(lo, hi, 1e-6 * T, model.idx, model.weights)
+    with pytest.raises(NumericError):
+        prop.peak_time(0.8 * T, np.nan, 1e-6 * T, model.idx, model.weights)
+    with pytest.raises(ValueError, match="bracket"):
+        Propagator(np.eye(2), np.ones(2)).peak_time(1.0, 0.5, 1e-6, [0], np.ones(1))
+    # a gain e^{1000 t} overflows the population at t = 1; rates of -1e308
+    # leave every amplitude finite but overflow the slope at t = 0, on the
+    # eigenbasis path and on the expm fallback: NumericError, and no numpy
+    # warning first
+    props = [Propagator(g, np.ones(2)) for g in (1000.0 * np.eye(2), np.diag([-1e308, -1e308]))]
+    monkeypatch.setattr(linalg, "EIGBASIS_MAX_CONDITION", 0.0)
+    props.append(Propagator(np.diag([-1e308, -1e308]), np.ones(2)))
+    assert [prop.method for prop in props] == ["eig", "eig", "expm"]
+    for prop in props:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="slope"):
+                prop.peak_time(0.0, 1.0, 1e-9, [0, 1], np.ones(2))

@@ -217,8 +217,10 @@ def test_default_input_parity_matches_the_goal_amplitudes():
 
 # p_success, each channel loss, overlap_goal, T and post_state of these steps,
 # as computed at commit c47b1c5 (before the channels became one real stack);
-# drive-off-omega, at omega 25 off the optimal 20 of N = 300, as computed at
-# commit 30e7d53
+# drive-off-omega, at omega 25 off the optimal 20 of N = 300, and
+# refine-T-accumulation-m5, whose times come from a numerical search, as
+# computed by the root search on the population's slope (each T within 2e-15
+# of its scale of the population's maximum in 40-digit arithmetic)
 STEP_PINS = json.loads(Path(__file__).with_name("step_pins.json").read_text())
 
 
@@ -606,6 +608,94 @@ def test_refine_T_maximizes_run_step_probability(mode):
         )
         assert abs(step.T_used - T_ref) <= 1e-6 * T
         state = step.post_state if mode == HPMode.EXACT else None
+
+
+def _count_evaluations(monkeypatch):
+    # the slope evaluations of each Propagator.peak_time search, in order
+    counts, slope = [], Propagator._slope
+
+    def counting(self, index, weights):
+        evaluate = slope(self, index, weights)
+        counts.append(0)
+
+        def counted(t):
+            counts[-1] += 1
+            return evaluate(t)
+        return counted
+    monkeypatch.setattr(Propagator, "_slope", counting)
+    return counts
+
+
+def _refined_against_golden(monkeypatch, n, m_target, p1d, mode):
+    # each refined time of an accumulation, and golden section's maxima of
+    # the herald population on the propagator that step searched, at 1e-6 T
+    # and at 1e-12 T; the evaluations of each search
+    _, props = _count_builds(monkeypatch)
+    counts = _count_evaluations(monkeypatch)
+    acc = run_accumulation(n, m_target, p1d, mode, refine_T=True)
+    assert len(props) == len(counts) == m_target
+    state, rows = None, []
+    for k, (step, args) in enumerate(zip(acc.steps, props), start=1):
+        p = DissipativeParams.from_purcell(n, k, p1d)
+        T = optimal_time(p)
+        model, prop = _model(p, mode, state), Propagator(*args)
+        f = lambda t: norm_sq(model.heralded(prop.apply(t)))  # noqa: E731
+        rows.append((step, T, *(golden_section_max(f, 0.8 * T, 1.2 * T, tol * T)
+                                for tol in (1e-6, 1e-12))))
+        state = step.post_state if mode == HPMode.EXACT else None
+    return rows, counts
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    n=st.integers(20, 2000),
+    m=st.integers(1, 6),
+    p1d=st.floats(1.0, 1000.0),
+    mode=st.sampled_from([HPMode.EXACT, HPMode.APPROX]),
+)
+def test_refine_T_search_finds_the_maximum_in_few_evaluations(n, m, p1d, mode):
+    # the root of the population's slope is golden section's maximum within
+    # golden's own 1e-6 T, and within 5e-8 T of golden at 1e-12 T (which
+    # comparisons resolve to about 1e-8 T), in at most 10 evaluations
+    # against golden's 29
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        rows, counts = _refined_against_golden(monkeypatch, n, m, p1d, mode)
+    for step, T, coarse, fine in rows:
+        assert abs(step.T_used - coarse) <= 1e-6 * T
+        assert abs(step.T_used - fine) <= 5e-8 * T
+    assert max(counts) <= 10
+
+
+def test_refine_T_on_the_expm_fallback_matches_golden_section(monkeypatch):
+    # with every eigenbasis refused, the slope comes from the fallback's
+    # states, T G T^-1 psi, and each refined time is golden section's within
+    # 1e-6 T
+    monkeypatch.setattr(linalg, "EIGBASIS_MAX_CONDITION", 0.0)
+    rows, counts = _refined_against_golden(monkeypatch, 150, 3, 10.0, HPMode.EXACT)
+    for step, T, coarse, _ in rows:
+        assert step.diagnostics.propagator_method == "expm"
+        assert abs(step.T_used - coarse) <= 1e-6 * T
+    assert max(counts) <= 10
+
+
+@pytest.mark.parametrize("n, m, p1d, omega", [
+    (746, 3, 905.5701900720969, 115.9332186973199),
+    (100, 1, 10.0, 1e-3),
+])
+def test_driven_search_returns_the_scan_windows_end(monkeypatch, n, m, p1d, omega):
+    # the scan's largest population is its last point, t_hi: the population
+    # still rises across the last interval, so the slope keeps its sign and
+    # the search returns that end, within 1e-9 t_hi of golden section
+    _, props = _count_builds(monkeypatch)
+    res = run_step_continuous_drive(n, m, p1d, omega)
+    t_hi = 6 * math.pi / min(omega, math.sqrt(2 * n))
+    grid = np.linspace(0.0, t_hi, min(20001, max(1201, int(40 * t_hi * omega / (2 * math.pi)))))
+    prop = Propagator(*props[0])
+    idx = _model(DissipativeParams.from_purcell(n, m, p1d), HPMode.APPROX, with_drive=True).idx
+    assert np.argmax(prop.population(grid, idx)) == len(grid) - 1
+    assert res.T_used == t_hi
+    golden = golden_section_max(lambda t: norm_sq(prop.apply(t)[idx]), grid[-2], t_hi, 1e-9 * t_hi)
+    assert abs(res.T_used - golden) <= 1e-9 * t_hi
 
 
 def test_accumulation_single_step_is_error_free():
