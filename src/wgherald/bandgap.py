@@ -18,19 +18,15 @@ residual is what degrades the prepared collective mode.
 
 The transfer only ever evolves the excited source e_0, so it is propagated in
 the Krylov space of e_0: a Lanczos tridiagonalization of the compensated
-Hamiltonian (Park & Light, J. Chem. Phys. 85, 5870 (1986)), run until the
-Hochbruck-Lubich a-posteriori bound (SIAM J. Numer. Anal. 34, 1911 (1997)) on
-the error over the whole scan window falls below KRYLOV_MAX_ERROR.  The
-Lanczos steps never form H: on the uniform lattice the range kernel
-exp(-|i - j| / xi) is a Kac-Murdock-Szego matrix, so its product with a
-vector is a blocked product, one small dense block per block of sites and a
-rank-one coupling between blocks, in O(N) memory.  A step's test first sums
-the error integrand at a few scan times; that partial sum is a lower bound on
-the full one, so where it already exceeds KRYLOV_MAX_ERROR the full bound over
-the SCAN_POINTS scan times is not evaluated.  Until that probe first passes,
-it (and the Ritz decomposition it needs) is taken at every other step, and
-the step skipped before the first pass is tested before it.  The stopping
-step's phase table also gives the scan of the source population.  The dense
+Hamiltonian (Park & Light, J. Chem. Phys. 85, 5870 (1986)), grown by
+`linalg.arnoldi` until the Hochbruck-Lubich a-posteriori bound (SIAM J.
+Numer. Anal. 34, 1911 (1997)) on the error over the whole scan window falls
+below KRYLOV_MAX_ERROR (see `_lanczos`).  The Lanczos steps never form H: on
+the uniform lattice the range kernel exp(-|i - j| / xi) is a
+Kac-Murdock-Szego matrix, so its product with a vector is a blocked product,
+one small dense block per block of sites and a rank-one coupling between
+blocks, in O(N) memory.  The stopping step's `linalg.exp_sums` table also
+gives the scan of the source population.  The dense
 `build_H_bandgap` and `compensate` are the documented reference for that
 product and are not on the transfer path.  The transfer runs on numpy alone.
 """
@@ -42,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import golden_section_max, norm_sq
+from .linalg import arnoldi, exp_sums, golden_section_max, norm_sq, trapezoid
 
 # Lanczos steps stop once the Hochbruck-Lubich bound on the error of the
 # propagated source state, over the whole scan window, is below this.
@@ -151,21 +147,6 @@ class TransferRecord:
     error_bound: float              # Hochbruck-Lubich bound reached at step k
 
 
-def _phase_sum(theta: np.ndarray, c: np.ndarray, dt: float, n: int) -> np.ndarray:
-    """sum_j c_j exp(-i theta_j m dt) for m = 0 .. n-1, for c a vector or for
-    each row of a stack of them.
-
-    With m = r a + b, the phases factor into a coarse and a fine table of
-    about sqrt(n) rows each, so the n x len(theta) exponentials reduce to
-    one matrix product per row of c; the rows share the tables.
-    """
-    r = math.isqrt(n - 1) + 1
-    fine = np.exp(-1j * dt * np.outer(np.arange(r), theta))
-    coarse = np.exp(-1j * dt * r * np.outer(np.arange(-(-n // r)), theta))
-    sums = (coarse * c[..., None, :]) @ fine.T
-    return sums.reshape(c.shape[:-1] + (-1,))[..., :n]
-
-
 def _products(p: BandgapParams):
     """O(N)-memory products x -> build_H_bandgap(p) @ x and x -> H @ x, with H
     the compensated compensate(build_H_bandgap(p), p); neither matrix is
@@ -217,39 +198,32 @@ def _products(p: BandgapParams):
 
 
 def _lanczos(apply, n: int, dt: float, n_grid: int):
-    """Lanczos tridiagonalization T_k = Q^T H Q of the real symmetric n x n H
-    (given as its product `apply`) on the orbit of e_0, with full
-    reorthogonalization.
+    """Lanczos on the orbit of e_0 under the real symmetric n x n H, given as
+    its product `apply`: `arnoldi`'s loop, whose H_k is the tridiagonal T_k,
+    read from its lower triangle by `np.linalg.eigh`, T_k = S diag(theta) S^T,
+    so e^{-iHt} e_0 ~ Q S e^{-i theta t} (Q S)^T e_0.
 
-    e^{-iHt} e_0 ~ Q S e^{-i theta t} (Q S)^T e_0, with T_k = S diag(theta) S^T
-    from `np.linalg.eigh` on the leading block of T, which is filled as the
-    steps are taken.
-    Steps continue until beta_k int_0^{t_hi} |e_k^T e^{-isT_k} e_1| ds, the
-    Hochbruck-Lubich bound on that error for every t up to t_hi, is at most
-    KRYLOV_MAX_ERROR, or until k = n, where the Krylov space is the whole
-    space.  The integral is taken by the trapezoidal rule on the scan grid
-    m dt, m < n_grid.  Its integrand is non-negative, so its sum over
-    _PROBE_TIMES interior grid points is a lower bound: where that probe
-    already fails the test, the full sum is skipped.  Until the probe first
-    passes, the Ritz pairs and the probe are taken at odd j only (step
-    k = j + 1 even); when odd j's probe passes, the skipped step j - 1 is
-    tested first (probe, then full bound), then j, and every later step.
-    So the step returned always meets the bound, and it is the first that
-    does unless the probe passes at j - 1 and fails again at j.  An
-    invariant subspace (beta_k = 0) gives a zero bound, and its step is
-    always tested: the propagation is then exact.  At the stopping step one
-    phase table gives both the bound and the source amplitude
-    sum_j (S_0j)^2 e^{-i theta_j m dt} on the scan grid.  Returns the basis
-    Q S, the Ritz values theta, k, the bound and the source amplitudes.
+    The stop test is the Hochbruck-Lubich bound on that error for every t up
+    to t_hi, beta_k int_0^{t_hi} |e_k^T e^{-isT_k} e_1| ds <= KRYLOV_MAX_ERROR,
+    a trapezoid sum on the scan grid m dt, m < n_grid; the loop also stops at
+    k = n and at an invariant subspace (beta_k = 0: a zero bound, exact).
+    The integrand is non-negative, so its sum over _PROBE_TIMES grid points
+    is a lower bound: where that probe already fails, the full sum is
+    skipped.  Until the probe first passes, it and the Ritz pairs are taken
+    at odd j only; when odd j's probe passes, the skipped step j - 1 is
+    tested first, then j and every later step.  So the step returned always
+    meets the bound, and it is the first that does unless the probe passes
+    at j - 1 and fails again at j.  One `exp_sums` table gives the stopping
+    step's bound and source amplitudes sum_j (S_0j)^2 e^{-i theta_j m dt}.
+    Returns the basis Q S, the Ritz values theta, k, the bound and the
+    source amplitudes.
     """
-    q = np.zeros((min(n, 16), n))  # row j is q_j; doubled as steps are taken
-    q[0, 0] = 1.0
-    t = np.zeros((len(q), len(q)))  # T_k, lower triangle only; grows with q
     grid = np.linspace(1, n_grid - 2, _PROBE_TIMES).round()  # non-decreasing
     probe = dt * grid[np.append(True, grid[1:] > grid[:-1])]
 
+    # ritz and stop read the loop's current basis q and projection h
     def ritz(i, b):  # step i's Ritz pairs, the bound's weights S_kj S_1j and its probe
-        theta, s = np.linalg.eigh(t[:i + 1, :i + 1])  # reads the lower triangle
+        theta, s = np.linalg.eigh(h[:i + 1, :i + 1])  # reads the lower triangle
         c = s[-1] * s[0]
         return theta, s, c, b * dt * np.abs(np.exp(-1j * np.outer(probe, theta)) @ c).sum()
 
@@ -257,39 +231,26 @@ def _lanczos(apply, n: int, dt: float, n_grid: int):
         theta, s, c, partial = pairs
         if not (partial <= KRYLOV_MAX_ERROR or last):
             return None
-        sums = _phase_sum(theta, np.stack((c, s[0] * s[0])), dt, n_grid)
-        defect = np.abs(sums[0])
-        bound = b * dt * (defect.sum() - 0.5 * (defect[0] + defect[-1]))
+        sums = exp_sums(-1j * theta, np.stack((c, s[0] * s[0])), dt, n_grid)
+        bound = b * trapezoid(np.abs(sums[0]), dt)
         if bound <= KRYLOV_MAX_ERROR or last:
             return q[:i + 1].T @ s, theta, i + 1, bound, sums[1]
         return None
 
     every = False  # whether every step is tested: the probe has passed
-    for j in range(n):
-        w = apply(q[j])
-        t[j, j] = q[j] @ w
-        for _ in range(2):  # twice is enough (Parlett)
-            w -= (q[:j + 1] @ w) @ q[:j + 1]
-        b = math.sqrt(w @ w)
+    for j, b, q, h in arnoldi(apply, np.eye(1, n)[0], n):
         last = j + 1 == n or b == 0
         if every or j % 2 or last:
             pairs = ritz(j, b)
             if not every and pairs[3] <= KRYLOV_MAX_ERROR:
                 every = True
                 # the skipped step j - 1 first
-                found = j % 2 and stop(j - 1, t[j, j - 1], ritz(j - 1, t[j, j - 1]), False)
+                found = j % 2 and stop(j - 1, h[j, j - 1], ritz(j - 1, h[j, j - 1]), False)
                 if found:
                     return found
             found = stop(j, b, pairs, last)
             if found:
                 return found
-        if j + 1 == len(q):  # twice the rows, at most n
-            grown = np.zeros((min(2 * len(q), n), n))
-            grown[:len(q)] = q
-            q = grown
-            t = np.pad(t, (0, len(q) - len(t)))
-        t[j + 1, j] = b
-        q[j + 1] = w / b
 
 
 def run_transfer(p: BandgapParams) -> TransferRecord:

@@ -15,11 +15,12 @@ test is the Frobenius bound kappa_F = ||V||_F ||V^-1||_F >= kappa_2 on the
 inverse the eigenbasis needs anyway, so no SVD is taken.  A Propagator
 evolves the one state it is built with, validated and projected onto the
 eigenbasis once.  Told the latest time it will be asked for, it decomposes
-a large real generator only on the Krylov space of a real state: an Arnoldi
-basis of 16-24 vectors on the protocol's exact sectors of dimension 41-161,
-grown until an a-posteriori bound (Saad 1992; Hochbruck and Lubich 1997),
-its integral summed on a grid that resolves the reduced generator, holds
-every state up to that time within 1e-14 of the full evolution.  Loss
+a large real generator only on the Krylov space of a real state: 16-24
+vectors of an `arnoldi` basis on the protocol's exact sectors of dimension
+41-161, grown until Saad's a-posteriori bound (1992), summed by `exp_sums` on
+a grid that resolves the reduced generator, holds every state up to that
+time within 1e-14 of the full evolution.  The bandgap transfer's Lanczos
+loop is the same `arnoldi`, its bound summed by the same `exp_sums`.  Loss
 bookkeeping integrates one density R = integral psi psi^dag ds per
 evolution and reads every channel's integral off it in one real product
 with the flattened stack of channel operators.  The time that maximizes a
@@ -129,6 +130,64 @@ def boole_weights(t: float, npts: int) -> np.ndarray:
     return w * (2.0 * t / (npts - 1) / 45.0)
 
 
+def trapezoid(f: np.ndarray, dt: float) -> float:
+    """Trapezoid sum of the samples f on a uniform grid of spacing dt, as a
+    Python float, so a product with it past the float range is inf quietly."""
+    return dt * float(f.sum() - 0.5 * (f[0] + f[-1]))
+
+
+def exp_sums(lam: np.ndarray, c: np.ndarray, dt: float, n: int) -> np.ndarray:
+    """sum_j c_j exp(lam_j m dt) for m = 0 .. n-1, for c a vector or for
+    each row of a stack of them.
+
+    With m = r a + b, the exponentials factor into a coarse and a fine table
+    of about sqrt(n) rows each, so the n x len(lam) exponentials reduce to
+    one matrix product per row of c; the rows share the tables.
+    """
+    r = math.isqrt(n - 1) + 1
+    fine = np.exp(dt * np.outer(np.arange(r), lam))
+    coarse = np.exp(dt * r * np.outer(np.arange(-(-n // r)), lam))
+    sums = (coarse * c[..., None, :]) @ fine.T
+    return sums.reshape(c.shape[:-1] + (-1,))[..., :n]
+
+
+def arnoldi(matvec, start: np.ndarray, kmax: int):
+    """Arnoldi iteration on the Krylov space of the real unit vector start
+    under the real linear map matvec, for at most kmax steps.
+
+    Step j orthogonalizes matvec(q_j) against q_0 .. q_j by two classical
+    Gram-Schmidt passes (twice is enough, Parlett) and yields (j, b, q, h):
+    b the norm of what is left, q the basis, one vector per row, and h the
+    projected matrix, whose column j holds the step's projections (both
+    passes summed) and, once the next step starts, b below them.  So with
+    k = j + 1, matvec Q_k = Q_k H_k + b q_k e_k^T, H_k = h[:k, :k].  The
+    iteration ends at an invariant subspace (b = 0).  q and h start at 16
+    rows and double as needed, to at most kmax + 1, so memory grows with
+    the steps taken, not with kmax.
+    """
+    q = np.zeros((min(16, kmax + 1), len(start)))
+    h = np.zeros((len(q), len(q)))
+    q[0] = start
+    for j in range(kmax):
+        w, basis = matvec(q[j]), q[:j + 1]
+        c = basis @ w
+        w -= c @ basis
+        again = basis @ w
+        w -= again @ basis
+        h[:j + 1, j] = c + again
+        b = math.sqrt(w @ w)
+        yield j, b, q, h
+        if b == 0.0:
+            return
+        if j + 1 == len(q):  # twice the rows, at most kmax + 1 (np.pad costs 30-40 us)
+            rows = min(2 * len(q), kmax + 1)
+            q = np.concatenate((q, np.zeros((rows - len(q), len(start)))))
+            old, h = h, np.zeros((rows, rows))
+            h[:len(old), :len(old)] = old
+        h[j + 1, j] = b
+        q[j + 1] = w / b
+
+
 class Propagator:
     """Evolves one state v0 under the generator g in a frame, reusing one
     eigendecomposition of g, or of g reduced to the Krylov space of v0.
@@ -156,7 +215,7 @@ class Propagator:
     a time outside [0, horizon] is refused with a ValueError.  A generator
     of dimension KRYLOV_MIN_DIM or more is then first reduced to the Krylov
     space of u0 = T^-1 v0 (`_reduce`) when g is real and u0 real up to
-    one phase: an Arnoldi basis Q of k columns, with H_k = Q^T G Q, k far
+    one phase: `arnoldi`'s basis Q of k columns, with H_k = Q^T G Q, k far
     below the dimension on the protocol's steps.  The same eig, inv and
     condition test then run on H_k, with V = T Q W_k (dim x k), so every
     state and integral of the propagator lives in that space, within
@@ -217,26 +276,21 @@ class Propagator:
         is real up to one global phase; whether that space closed within the
         error bound and gave a usable eigenbasis.
 
-        Arnoldi with two Gram-Schmidt passes per step builds the orthonormal
-        Q_k and the Hessenberg H_k, with G Q_k = Q_k H_k + h_{k+1,k}
-        q_{k+1} e_k^T.  For every t in [0, horizon] the error of
-        beta Q_k e^{H_k t} e_1, beta = ||u0||, is at most
-        beta h_{k+1,k} e^{w t} int_0^t |e_k^T e^{H_k s} e_1| ds (Saad 1992),
-        where w >= 0 bounds the largest eigenvalue of (G + G^T)/2 by
-        Gershgorin's circles, so ||e^{G t}|| <= e^{w t} for any G; for the
-        protocol's generators G + G^T = -D <= 0 and the factor is near 1.
-        The integral is a trapezoid sum, taken from the eigenpairs of H_k at
-        k = 16, 20, ... and at an invariant subspace (h_{k+1,k} = 0), where
-        the reduction is exact.  Its grid resolves the integrand: n
-        intervals of [0, horizon], at least KRYLOV_BOUND_INTERVALS and at
-        least 2 horizon r, for r = sqrt(||H_k||_1 ||H_k||_inf) >= ||H_k||_2,
-        so no interval spans more than half a unit of H_k's fastest rate;
-        past KRYLOV_MAX_INTERVALS the reduction is not tried.  It stops at
-        the first k whose bound is at most KRYLOV_MAX_ERROR beta, and gives
-        up past k = dim / 2.  The imaginary residue of u0's real part, at
-        most 1e-15 beta, is added to the bound.  A complex G or a complex
-        Krylov space keeps the decomposition of G: the complex eigs of H_k
-        cost what the real eig of G does.
+        The space is `arnoldi`'s, to at most k = dim / 2.  Its test, at
+        k = 16, 20, ... and at an invariant subspace (b = 0, exact), is Saad's
+        bound (1992) on the error of beta Q_k e^{H_k t} e_1, beta = ||u0||,
+        for every t in [0, horizon]: beta b e^{w t} int_0^t |e_k^T e^{H_k s}
+        e_1| ds <= KRYLOV_MAX_ERROR beta, with w >= 0 Gershgorin's bound on
+        the largest eigenvalue of (G + G^T)/2, so ||e^{G t}|| <= e^{w t} for
+        any G (near 1 for the protocol's G + G^T = -D <= 0).  The integral is
+        the trapezoid sum of `exp_sums` over H_k's eigenpairs on n intervals
+        of [0, horizon], at least KRYLOV_BOUND_INTERVALS and 2 horizon r,
+        r = sqrt(||H_k||_1 ||H_k||_inf) >= ||H_k||_2, so no interval spans
+        more than half a unit of H_k's fastest rate; past
+        KRYLOV_MAX_INTERVALS the reduction is not tried.  The imaginary
+        residue of u0's real part, at most 1e-15 beta, is added to the bound.
+        A complex G or Krylov space keeps the decomposition of G: the complex
+        eigs of H_k cost what the real eig of G does.
         """
         g, u0 = self.g, self.v0 / self.frame
         beta = math.sqrt(norm_sq(u0))
@@ -255,47 +309,32 @@ class Propagator:
         growth = math.exp(w_plus * horizon)
         start = rotated.real
         beta = float(np.linalg.norm(start))
-        kmax = self.dim // 2
-        q = np.zeros((kmax + 1, self.dim))  # row j is q_j
-        h = np.zeros((kmax + 1, kmax))
-        q[0] = start / beta
-        for j in range(kmax):
-            w, basis = g @ q[j], q[:j + 1]
-            c = basis @ w
-            w -= c @ basis
-            again = basis @ w  # twice is enough (Parlett)
-            w -= again @ basis
-            h[:j + 1, j] = c + again
-            b = math.sqrt(w @ w)
+        for j, b, q, h in arnoldi(lambda x: g @ x, start / beta, self.dim // 2):
             k = j + 1
-            if b == 0.0 or (k >= 16 and k % 4 == 0):
-                hk = h[:k, :k]
-                try:
-                    lam, wk = np.linalg.eig(hk)
-                    winv = np.linalg.inv(wk)
-                except np.linalg.LinAlgError:
+            if b and (k < 16 or k % 4):
+                continue
+            hk = h[:k, :k]
+            try:
+                lam, wk = np.linalg.eig(hk)
+                winv = np.linalg.inv(wk)
+            except np.linalg.LinAlgError:
+                return False
+            defect = 0.0
+            if b:
+                rate = math.sqrt(np.abs(hk).sum(axis=0).max() * np.abs(hk).sum(axis=1).max())
+                n = max(KRYLOV_BOUND_INTERVALS, math.ceil(2.0 * horizon * rate))
+                if n > KRYLOV_MAX_INTERVALS:
                     return False
-                defect = 0.0
-                if b:
-                    rate = math.sqrt(np.abs(hk).sum(axis=0).max() * np.abs(hk).sum(axis=1).max())
-                    n = max(KRYLOV_BOUND_INTERVALS, math.ceil(2.0 * horizon * rate))
-                    if n > KRYLOV_MAX_INTERVALS:
-                        return False
-                    times = np.linspace(0.0, horizon, n + 1)
-                    # e^{H_k s} at s past the float range is no bound at all: nan fails the test
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        f = np.abs(np.exp(np.outer(times, lam)) @ (wk[-1] * winv[:, 0]))
-                        defect = b * (f.sum() - 0.5 * (f[0] + f[-1])) * times[1]
-                if growth * (defect + dropped) <= KRYLOV_MAX_ERROR:
-                    vecs = self.frame[:, None] * (q[:k].T @ wk)
-                    if not self._adopt(lam, vecs, winv):
-                        return False
-                    self._c = winv[:, 0] * (beta * top / abs(top))
-                    return True
-                if not b:
+                # e^{H_k s} at s past the float range is no bound at all: nan fails the test
+                with np.errstate(over="ignore", invalid="ignore"):
+                    f = np.abs(exp_sums(lam, wk[-1] * winv[:, 0], horizon / n, n + 1))
+                    defect = b * trapezoid(f, horizon / n)
+            if growth * (defect + dropped) <= KRYLOV_MAX_ERROR:
+                vecs = self.frame[:, None] * (q[:k].T @ wk)
+                if not self._adopt(lam, vecs, winv):
                     return False
-            h[k, j] = b
-            q[k] = w / b
+                self._c = winv[:, 0] * (beta * top / abs(top))
+                return True
         return False
 
     def _check_times(self, lo: float, hi: float) -> None:

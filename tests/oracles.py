@@ -182,7 +182,8 @@ def dense_lanczos(h, dt, n_grid):
     `scipy.linalg.eigh_tridiagonal` for the Ritz pairs.  Returns the basis
     Q S, the Ritz values, the step count k and the bound reached.
     """
-    from wgherald.bandgap import KRYLOV_MAX_ERROR, _phase_sum
+    from wgherald.bandgap import KRYLOV_MAX_ERROR
+    from wgherald.linalg import exp_sums
 
     n = h.shape[0]
     q = np.zeros((n, n))
@@ -195,7 +196,7 @@ def dense_lanczos(h, dt, n_grid):
             w -= (q[:j + 1] @ w) @ q[:j + 1]
         b = math.sqrt(w @ w)
         theta, s = scipy.linalg.eigh_tridiagonal(np.array(alpha), np.array(beta))
-        defect = np.abs(_phase_sum(theta, s[-1] * s[0], dt, n_grid))
+        defect = np.abs(exp_sums(-1j * theta, s[-1] * s[0], dt, n_grid))
         bound = b * dt * (defect.sum() - 0.5 * (defect[0] + defect[-1]))
         if bound <= KRYLOV_MAX_ERROR or j + 1 == n:
             return q[:j + 1].T @ s, theta, j + 1, bound

@@ -16,7 +16,6 @@ from wgherald.bandgap import (
     BandgapParams,
     TransferWindowError,
     _lanczos,
-    _phase_sum,
     _products,
     build_H_bandgap,
     compensate,
@@ -229,19 +228,6 @@ def test_krylov_stop_at_a_skipped_step(beta2):
     assert steps == dense_lanczos(h, 0.01, 64)[2] == 3
     assert bound <= KRYLOV_MAX_ERROR
     assert np.allclose(theta, np.linalg.eigvalsh(h[:3, :3]), rtol=0, atol=1e-14)
-
-
-def test_phase_sum_on_stacked_weights_equals_its_rows():
-    # the stopping step sums the bound's weights and the source weights on
-    # one phase table; each row is bit for bit the sum of that row alone
-    rng = np.random.default_rng(8)
-    for k, n in ((1, 3), (7, 2048), (40, 2048), (13, 100)):
-        theta = rng.normal(size=k)
-        c = rng.normal(size=(2, k))
-        stacked = _phase_sum(theta, c, 0.37, n)
-        assert stacked.shape == (2, n)
-        for row, weights in zip(stacked, c):
-            assert np.array_equal(row, _phase_sum(theta, weights, 0.37, n))
 
 
 def test_transfer_memory_is_linear_in_n():

@@ -10,6 +10,7 @@ import scipy.linalg
 
 from oracles import decay_generator_max_eig, rk4_evolve
 from wgherald import linalg
+from wgherald.bandgap import BandgapParams, _products, build_H_bandgap, compensate
 from wgherald.basis import HPMode
 from wgherald.dissipative import DissipativeParams, optimal_time
 from wgherald.linalg import (
@@ -19,6 +20,7 @@ from wgherald.linalg import (
     NumericError,
     Propagator,
     boole_weights,
+    exp_sums,
     golden_section_max,
     norm_sq,
     overlap,
@@ -461,16 +463,29 @@ def test_reduction_stops_exactly_at_an_invariant_subspace():
         assert np.abs(prop.apply(t) - want).max() <= 1e-16
     want = (1 - np.exp(2 * g[0, 0] * 2.0)) / (-2 * g[0, 0])
     assert prop.integrated_expectation(np.eye(dim)[None], 2.0)[0] == pytest.approx(want, rel=1e-14)
+    # a leading upper-Hessenberg 3 x 3 block with nothing below it: the third
+    # step leaves exactly nothing, and the three-dimensional space propagates
+    # e_0 as that block's exponential does
+    g[1, 0], g[2, 1] = rng.uniform(0.5, 2.0, 2)
+    prop = Propagator(g, v0, horizon=2.0)
+    assert prop.method == "eig" and prop.eigvecs.shape == (dim, 3)
+    for t in (0.7, 2.0):
+        want = scipy.linalg.expm(g[:3, :3] * t) @ v0[:3]
+        assert np.abs(prop.apply(t) - np.pad(want, (0, dim - 3))).max() <= 1e-14
 
 
 def test_reduction_falls_back_to_the_full_decomposition():
     # below the crossover, without a horizon, and where the Krylov space does
-    # not close by half the dimension (a horizon of many periods), the
-    # propagator decomposes g itself
+    # not close by half the dimension (a horizon of many periods; at
+    # dimension 63 the basis grows to exactly kmax + 1 = 32 rows), the
+    # propagator decomposes g itself.  The last generator grows so fast that
+    # e^{w t} times its bound passes the float range, quietly
     rng = np.random.default_rng(33)
     big, small = linalg.KRYLOV_MIN_DIM + 9, linalg.KRYLOV_MIN_DIM - 1
     for g, horizon in ((_random_generator(rng, small), 1.0), (_random_generator(rng, big), None),
-                       (_random_generator(rng, big), 200.0)):
+                       (_random_generator(rng, big), 200.0),
+                       (_random_generator(np.random.default_rng(63), 63), 5.0),
+                       (_random_generator(np.random.default_rng(2), big), 200.0)):
         dim = g.shape[0]
         prop = Propagator(g, rng.standard_normal(dim), horizon=horizon)
         assert prop.method == "eig" and prop.eigvecs.shape == (dim, dim)
@@ -521,6 +536,80 @@ def test_queries_outside_the_horizon_are_refused():
     for horizon in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="horizon"):
             Propagator(np.zeros((2, 2)), np.ones(2), horizon=horizon)
+
+
+def _arnoldi_case(name):
+    # (the operator as a matrix, its product, a unit start vector, kmax)
+    if name == "random":
+        a = np.random.default_rng(36).standard_normal((60, 60))
+        start = np.random.default_rng(37).standard_normal(60)
+        return a, lambda x: a @ x, start / np.linalg.norm(start), 59
+    p = BandgapParams(N=300, xi=600.0)
+    return compensate(build_H_bandgap(p), p), _products(p)[1], np.eye(301)[0], 40
+
+
+@pytest.mark.parametrize("name", ["random", "bandgap"])
+def test_arnoldi_relation_and_orthonormal_basis_at_every_step(name):
+    # a real non-symmetric g and the transfer's matrix-free Hamiltonian: at
+    # every step A Q_k = Q_k H_k + b q_k e_k^T and Q_k^T Q_k = I, and the
+    # basis grows by doubling, never past max(16, 2k) rows or kmax + 1
+    a, matvec, start, kmax = _arnoldi_case(name)
+    scale = np.linalg.norm(a, 2)
+    steps = 0
+    for j, b, q, h in linalg.arnoldi(matvec, start, kmax):
+        k = j + 1
+        if j:  # step j - 1's residual b q_j is now the row q_j and h[j, j - 1]
+            rel = a @ q[:j].T - q[:j].T @ h[:j, :j]
+            rel[:, -1] -= h[j, j - 1] * q[j]
+            assert np.linalg.norm(rel) <= 1e-13 * scale
+        rel = a @ q[:k].T - q[:k].T @ h[:k, :k]
+        assert np.linalg.norm(rel[:, :-1]) <= 1e-13 * scale
+        assert abs(np.linalg.norm(rel[:, -1]) - b) <= 1e-13 * scale
+        assert np.linalg.norm(q[:k] @ q[:k].T - np.eye(k)) <= 1e-14
+        assert len(q) <= min(max(16, 2 * k), kmax + 1) and h.shape == (len(q), len(q))
+        steps += 1
+    assert steps == kmax
+
+
+def test_arnoldi_ends_at_an_invariant_subspace():
+    # a leading upper-Hessenberg 3 x 3 block with nothing below it: from e_0
+    # the third step leaves exactly nothing (b = 0), and the iteration ends
+    # there without dividing by it (numpy warnings are errors in this suite)
+    g = np.random.default_rng(38).standard_normal((20, 20))
+    g[3:, :3] = 0.0
+    g[2, 0] = 0.0
+    steps = [(j, b) for j, b, _, _ in linalg.arnoldi(lambda x: g @ x, np.eye(20)[0], 19)]
+    assert [j for j, _ in steps] == [0, 1, 2]
+    assert steps[-1][1] == 0.0 and min(b for _, b in steps[:-1]) > 0.0
+
+
+def test_exp_sums_on_stacked_weights_equals_its_rows():
+    # the transfer's stopping step sums the bound's weights and the source
+    # weights on one table; each row is bit for bit the sum of that row alone
+    rng = np.random.default_rng(8)
+    for k, n in ((1, 3), (7, 2048), (40, 2048), (13, 100)):
+        theta = rng.normal(size=k)
+        c = rng.normal(size=(2, k))
+        stacked = exp_sums(-1j * theta, c, 0.37, n)
+        assert stacked.shape == (2, n)
+        for row, weights in zip(stacked, c):
+            assert np.array_equal(row, exp_sums(-1j * theta, weights, 0.37, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 65, 513, 1025, 2048])
+def test_exp_sums_match_the_direct_sum(n):
+    # complex exponents with Re lam <= 0 (the step propagator's bound) and
+    # real ones, against exp of the full outer product, within 1e-12 of the
+    # largest |sum|; the grid spans 4 units of time whatever n
+    rng = np.random.default_rng(n)
+    dt = 4.0 / n
+    for lam, c in ((-rng.uniform(0.0, 2.0, 20) + 1j * rng.normal(0.0, 10.0, 20),
+                    rng.normal(size=20) + 1j * rng.normal(size=20)),
+                   (rng.uniform(-4.0, 0.5, 9), rng.normal(size=9))):
+        want = np.exp(np.outer(np.arange(n) * dt, lam)) @ c
+        got = exp_sums(lam, c, dt, n)
+        assert got.shape == (n,)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _exact_sector(n, m):
