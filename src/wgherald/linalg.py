@@ -20,7 +20,8 @@ vectors of an `arnoldi` basis on the protocol's exact sectors of dimension
 41-161, grown until Saad's a-posteriori bound (1992), summed by `exp_sums` on
 a grid that resolves the reduced generator, holds every state up to that
 time within 1e-14 of the full evolution.  The bandgap transfer's Lanczos
-loop is the same `arnoldi`, its bound summed by the same `exp_sums`.  Loss
+loop is the same `arnoldi`, its bound summed by the same `exp_sums`, which
+also sums a population scan over a uniform grid of times.  Loss
 bookkeeping integrates one density R = integral psi psi^dag ds per
 evolution and reads every channel's integral off it in one real product
 with the flattened stack of channel operators.  The time that maximizes a
@@ -252,12 +253,6 @@ class Propagator:
             if self._adopt(lam, vecs, vinv):
                 self._c = vinv @ self.v0
         self.method = "eig" if self._c is not None else "expm"
-        if self._c is not None:
-            # no product in apply(t) exceeds e^{|t| ||lam||} max(1, ||V||_F) max(1, ||c||),
-            # so below e^700 nothing can overflow and apply skips np.errstate
-            scale = max(1.0, self._norm) * max(1.0, math.sqrt(np.vdot(self._c, self._c).real))
-            rate = math.sqrt(np.vdot(self.exponents, self.exponents).real)
-            self._quiet_until = (700.0 - math.log(scale)) / max(rate, 1e-300)
 
     def _adopt(self, lam, vecs, vinv) -> bool:
         """Record the exponents lam, the eigenvectors vecs and the Frobenius
@@ -265,9 +260,9 @@ class Propagator:
         None); whether it is below EIGBASIS_MAX_CONDITION.  The state's
         coefficients are left for the caller to set."""
         self.exponents, self.eigvecs, self._c = lam.astype(complex), vecs, None
-        self._norm = math.sqrt(np.vdot(vecs, vecs).real)
+        norm = math.sqrt(np.vdot(vecs, vecs).real)
         # Python floats: a product past the float range is inf, quietly
-        cond = math.inf if vinv is None else self._norm * math.sqrt(np.vdot(vinv, vinv).real)
+        cond = math.inf if vinv is None else norm * math.sqrt(np.vdot(vinv, vinv).real)
         self.condition = cond if math.isfinite(cond) else math.inf
         return self.condition < EIGBASIS_MAX_CONDITION
 
@@ -362,20 +357,15 @@ class Propagator:
             raise NumericError("evolution time must be finite")
         if self.horizon is not None:
             self._check_times(t, t)
-        if self.method == "eig" and abs(t) < self._quiet_until:
-            out = self._eig_state(t)
-        elif self.method == "eig":
+        if self.method == "eig":
             # |lam| t past the float range leaves non-finite amplitudes, raised below
             with np.errstate(over="ignore", invalid="ignore"):
-                out = self._eig_state(t)
+                out = self.eigvecs @ (np.exp(self.exponents * t) * self._c)
         else:
             out = self._expm_states(t, 1)[1]
         if not all_finite(out):
             raise NumericError("propagation produced non-finite amplitudes")
         return out
-
-    def _eig_state(self, t: float) -> np.ndarray:
-        return self.eigvecs @ (np.exp(self.exponents * t) * self._c)
 
     def peak_time(self, lo: float, hi: float, tol: float, index, weights) -> float:
         """The argmax on [lo, hi] of the weighted population
@@ -469,26 +459,30 @@ class Propagator:
             return f, slope
         return evaluate
 
-    def population(self, times, index) -> np.ndarray:
-        """sum_{i in index} |(e^{-iHt} v0)_i|^2 for each t of a 1-d time grid.
+    def population(self, t_end: float, n: int, index) -> np.ndarray:
+        """sum_{i in index} |(e^{-iHt} v0)_i|^2 at the n uniform times
+        t = k t_end / (n - 1), k = 0 .. n-1, of [0, t_end], for index a
+        sequence of basis positions or one position.
 
-        The eigenbasis path applies only the rows `index` of V, 256 times at
-        a time; the expm fallback loops over apply.
+        The eigenbasis path sums the rows `index` of V diag(c) in one
+        `exp_sums` table; the expm fallback steps one expm of G over the
+        grid.  A non-finite population raises NumericError without a numpy
+        warning first.
         """
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1:
-            raise DimensionError(f"population needs a 1-d time grid, got {times.shape}")
-        if not all_finite(times):
+        if not math.isfinite(t_end):
             raise NumericError("evolution times must be finite")
-        if self.horizon is not None and times.size:
-            self._check_times(times.min(), times.max())
-        if self.method != "eig":
-            return np.array([norm_sq(self.apply(t)[index]) for t in times])
-        c, rows = self._c, self.eigvecs[index].T
-        pops = np.empty(times.shape[0])
-        for k in range(0, times.shape[0], 256):
-            amps = (np.exp(np.outer(times[k:k + 256], self.exponents)) * c) @ rows
-            pops[k:k + 256] = (amps.real**2 + amps.imag**2).sum(axis=1)
+        if n < 2:
+            raise DimensionError(f"population needs a grid of at least 2 times, not {n!r}")
+        if self.horizon is not None:
+            self._check_times(0.0, t_end)
+        dt = t_end / (n - 1)
+        # a gain past the float range leaves non-finite amplitudes, raised below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.method == "eig":
+                amps = exp_sums(self.exponents, self.eigvecs[index] * self._c, dt, n)
+            else:
+                amps = self._expm_states(dt, n - 1)[:, index].T
+            pops = (amps.real**2 + amps.imag**2).reshape(-1, n).sum(axis=0)
         if not all_finite(pops):
             raise NumericError("propagation produced non-finite populations")
         return pops

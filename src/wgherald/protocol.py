@@ -25,6 +25,11 @@ lies in P = +1 and one equal to minus its reversal in P = -1.  Any other
 input evolves on the full 4m+1 basis, and is complex past one global phase,
 so its propagator decomposes the whole generator.
 
+A continuous-drive step off its optimal omega searches its time: one
+population scan on a uniform grid (one `linalg.exp_sums` table), then a root
+of the slope next to the grid's best point.  A drive too fast for the grid
+is refused with ProtocolError.
+
 After a successful herald the source and detector are in definite states, so
 the reduction to the target ensemble is an amplitude relabeling onto the
 storage-only target space.
@@ -302,11 +307,16 @@ def run_step_continuous_drive(
     With the default omega = sqrt(2/3) sqrt(2N) gamma_g the five-state chain
     has perfect-transfer couplings and the herald population peaks at
     T = 2 pi / omega.  For other omega the herald population is maximized
-    numerically: a scan of a few chain periods picks the largest grid
-    point, and `Propagator.peak_time` finds the root of the population's
-    closed-form slope between its neighbours (the window's end where the
-    population still rises there).  zero_decay drops every decay diagonal
-    (coherent dynamics only), which is the full-transfer check.
+    numerically: a scan of [0, t_hi], t_hi = 6 pi / min(omega, g), on
+    max(1201, 40 t_hi omega / 2 pi) uniform times
+    (`Propagator.population`) picks the largest grid point, and
+    `Propagator.peak_time` finds the root of the population's closed-form
+    slope between its neighbours (the window's end where the population
+    still rises there).  The grid's 40 points per drive period stop at
+    20001, so an omega past 20001 g / 120 (about 167 g), which would need
+    more, raises ProtocolError rather than return an unresolved maximum.
+    zero_decay drops every decay diagonal (coherent dynamics only), which is
+    the full-transfer check.
     """
     g = math.sqrt(2 * N)
     omega_opt = math.sqrt(2.0 / 3.0) * g
@@ -326,10 +336,14 @@ def run_step_continuous_drive(
         # between the best point's neighbours; the scan must resolve the fast
         # Rabi scale when omega >> g
         t_hi = 6 * math.pi / min(omega, g)
-        npts = min(20001, max(1201, int(40 * t_hi * omega / (2 * math.pi))))
-        grid = np.linspace(0.0, t_hi, npts)
-        k = int(np.argmax(prop.population(grid, model.idx)))
-        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+        npts = max(1201, int(40 * t_hi * omega / (2 * math.pi)))
+        if npts > 20001:  # 120 omega / g points once omega > g
+            raise ProtocolError(f"drive strength omega {omega!r} is too fast for the scan's "
+                                f"20001 points at N={N}; the largest usable omega is "
+                                f"20001 g / 120 = {20001 * g / 120!r}")
+        dt = t_hi / (npts - 1)
+        k = int(np.argmax(prop.population(t_hi, npts, model.idx)))
+        lo, hi = max(k - 1, 0) * dt, t_hi if k + 2 >= npts else (k + 1) * dt
         T = prop.peak_time(lo, hi, 1e-9 * t_hi, model.idx, model.weights)
     return _evolve(model, T, prop)
 

@@ -31,7 +31,7 @@ PARAMETERS = {
     # when it is built
     linalg.Propagator.__init__: ["self", "g", "v0", "frame", "horizon"],
     linalg.Propagator.apply: ["self", "t"],
-    linalg.Propagator.population: ["self", "times", "index"],
+    linalg.Propagator.population: ["self", "t_end", "n", "index"],
     linalg.Propagator.integrated_expectation: ["self", "ops", "t"],
     linalg.Propagator.peak_time: ["self", "lo", "hi", "tol", "index", "weights"],
 }

@@ -321,8 +321,8 @@ def test_frame_path_matches_frameless_path_on_every_step_generator():
         prop, ref = Propagator(g, v0, frame), Propagator(frame[:, None] * g / frame, v0)
         assert prop.method == ref.method == "eig"
         assert np.abs(prop.apply(t) - ref.apply(t)).max() <= 1e-12
-        times = np.linspace(0.0, 2 * t, 200)
-        assert np.abs(prop.population(times, idx) - ref.population(times, idx)).max() <= 1e-12
+        assert np.abs(prop.population(2 * t, 200, idx)
+                      - ref.population(2 * t, 200, idx)).max() <= 1e-12
         ops = np.concatenate([products, np.eye(g.shape[0])[None]])
         assert np.abs(prop.integrated_expectation(ops, t)
                       - ref.integrated_expectation(ops, t)).max() <= 1e-12
@@ -376,9 +376,9 @@ def test_reduced_propagator_matches_the_full_one_on_accumulation_steps(n, p1d):
             reduced += prop.eigvecs.shape[1] < prop.dim
             want = full.apply(horizon)
             assert np.abs(prop.apply(horizon) - want).max() <= 1e-12 * np.abs(want).max()
-            times = np.linspace(0.0, horizon, 40)
-            want = full.population(times, model.idx)
-            assert np.abs(prop.population(times, model.idx) - want).max() <= 1e-12 * want.max()
+            want = full.population(horizon, 40, model.idx)
+            got = prop.population(horizon, 40, model.idx)
+            assert np.abs(got - want).max() <= 1e-12 * want.max()
             want = full.integrated_expectation(ops, horizon)
             got = prop.integrated_expectation(ops, horizon)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -399,9 +399,8 @@ def test_reduced_propagator_matches_the_full_one_on_a_mixed_input(m):
     assert prop.eigvecs.shape == (prop.dim, prop.dim)
     want = full.apply(T)
     assert np.abs(prop.apply(T) - want).max() <= 1e-12 * np.abs(want).max()
-    times = np.linspace(0.0, T, 40)
-    want = full.population(times, model.idx)
-    assert np.abs(prop.population(times, model.idx) - want).max() <= 1e-12 * want.max()
+    want = full.population(T, 40, model.idx)
+    assert np.abs(prop.population(T, 40, model.idx) - want).max() <= 1e-12 * want.max()
     want = full.integrated_expectation(model.ops, T)
     assert np.abs(prop.integrated_expectation(model.ops, T) - want).max() <= 1e-12 * want.max()
 
@@ -689,13 +688,29 @@ def test_driven_search_returns_the_scan_windows_end(monkeypatch, n, m, p1d, omeg
     _, props = _count_builds(monkeypatch)
     res = run_step_continuous_drive(n, m, p1d, omega)
     t_hi = 6 * math.pi / min(omega, math.sqrt(2 * n))
-    grid = np.linspace(0.0, t_hi, min(20001, max(1201, int(40 * t_hi * omega / (2 * math.pi)))))
+    npts = max(1201, int(40 * t_hi * omega / (2 * math.pi)))
     prop = Propagator(*props[0])
     idx = _model(DissipativeParams.from_purcell(n, m, p1d), HPMode.APPROX, with_drive=True).idx
-    assert np.argmax(prop.population(grid, idx)) == len(grid) - 1
+    assert np.argmax(prop.population(t_hi, npts, idx)) == npts - 1
     assert res.T_used == t_hi
-    golden = golden_section_max(lambda t: norm_sq(prop.apply(t)[idx]), grid[-2], t_hi, 1e-9 * t_hi)
+    last = (npts - 2) * (t_hi / (npts - 1))
+    golden = golden_section_max(lambda t: norm_sq(prop.apply(t)[idx]), last, t_hi, 1e-9 * t_hi)
     assert abs(res.T_used - golden) <= 1e-9 * t_hi
+
+
+def test_driven_scan_refuses_a_drive_it_cannot_resolve():
+    # the scan's 40 points per drive period stop at 20001, so past omega =
+    # 20001 g / 120 (2357.14 at N = 100) the step is refused rather than run
+    # on a grid that returns an aliased maximum; at that limit it runs, and at
+    # omega = 1e3 (8485 points) its T and p_success are those of an exp taken
+    # at each grid time directly
+    limit = r"largest usable omega is 20001 g / 120 = 2357\.14"
+    for omega in (1e4, 1e6):
+        with pytest.raises(ProtocolError, match=limit):
+            run_step_continuous_drive(100, 1, 10.0, omega)
+    run_step_continuous_drive(100, 1, 10.0, 20001 * math.sqrt(200) / 120)
+    res = run_step_continuous_drive(100, 1, 10.0, 1e3)
+    assert (res.T_used, res.p_success) == (1.3287556933043503, 0.0029941193229837204)
 
 
 def test_accumulation_single_step_is_error_free():

@@ -342,6 +342,20 @@ def test_non_finite_cells_are_written_alike_in_csv_and_jsonl(tmp_path):
     assert table[5]["p_success"] == format(lines[5]["p_success"], ".12g")
 
 
+def test_a_drive_too_fast_for_its_scan_is_an_error_row(tmp_path):
+    # a driven step refused for a drive its time scan cannot resolve leaves
+    # its message in the row's error column, and the sweep goes on
+    config = tmp_path / "sweep.yaml"
+    config.write_text("protocol: step\nvariant: continuous-drive\nfixed: {N: 100, m: 1, p1d: 10}\n"
+                      "axes: [{name: omega, values: [1.0e+6, 1.0e+3]}]\n")
+    path = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(path)]) == 0
+    with open(path, newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert table[0]["error"].startswith("ProtocolError: drive strength omega 1000000.0")
+    assert table[1]["error"] == "" and float(table[1]["p_success"]) > 0.0
+
+
 def test_error_cells_keep_every_csv_row_as_wide_as_the_header(tmp_path):
     # an error message holding a comma is quoted, so a CSV reader sees each
     # row's cells under the header's names and the message whole; a row with
