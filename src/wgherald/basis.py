@@ -45,7 +45,7 @@ DET_NONE = "none"
 DET_EXCITED = "excited"
 DET_HERALDED = "heralded"
 _DET_ORDER = {DET_NONE: 0, DET_EXCITED: 1, DET_HERALDED: 2}
-BASIS_CACHE_SIZE = 256  # bases (each with the terms kept on it) build_basis keeps
+BASIS_CACHE_SIZE = 256  # bases build_basis keeps; each holds O(dim): labels, terms, layout
 
 # root indices q of an amplitude factor (c, q): see `roots`
 ONE, RATE_G, RATE_S, ROOT_2N, ROOT_N = range(5)

@@ -5,10 +5,11 @@ in its inverse.  Configuration files are YAML (nested keys); command-line
 flags override config values but may not name a swept axis.  Every command
 but fit and compare goes through `wgherald.sweep.TABLE`, which rejects what
 the selected (protocol, variant) does not read; step, accumulate and bandgap
-run exactly one point.  Output goes to --out, or to stdout when it is not
-given or empty.  Exit codes, mapped in `main` alone: 0 success, 1 usage or
-configuration error (including an output path that cannot be written and a
-parameter the model rejects), 2 numeric failure or any other error.
+run exactly one point.  Every table is CSV in `wgherald.sweep.write_table`'s
+format (or JSON lines with --jsonl), written to --out or to stdout when it is
+not given or empty.  Exit codes, mapped in `main` alone: 0 success, 1 usage
+or configuration error (including an output path that cannot be written and
+a parameter the model rejects), 2 numeric failure or any other error.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .sweep import (
     run_point,
     run_sweep,
     write_rows,
-    write_text,
+    write_table,
 )
 
 
@@ -164,16 +165,12 @@ def _cmd_point(args) -> int:
 
     params = bandgap_params(point)
     rec = bg.run_transfer(params)
-    lines = ["t,source_population,target_population"]
-    for t, ps, pt in zip(rec.times, rec.source_population, rec.target_population):
-        lines.append(f"{t:.12g},{ps:.12g},{pt:.12g}")
-    write_text("\n".join(lines) + "\n", spec.out)
-
+    write_table(("t", "source_population", "target_population"),
+                zip(rec.times, rec.source_population, rec.target_population), spec.out)
     if args.profile_out:
-        plines = ["n,z,intensity,phase"]
-        for i, z in enumerate(range(1, params.N + 1)):  # target n sits at site z = n
-            plines.append(f"{i + 1},{z},{rec.intensity[i]:.12g},{rec.phase[i]:.12g}")
-        write_text("\n".join(plines) + "\n", args.profile_out)
+        n = range(1, params.N + 1)  # target n sits at site z = n
+        write_table(("n", "z", "intensity", "phase"), zip(n, n, rec.intensity, rec.phase),
+                    args.profile_out)
 
     sys.stderr.write(
         f"optimal_time={rec.optimal_time:.12g} "
@@ -227,26 +224,20 @@ def _cmd_fit(args) -> int:
         finally:
             for w in caught:
                 sys.stderr.write(f"warning: {w.message}\n")
-    lines = ["quantity,value,stderr",
-             f"prefactor,{report.prefactor:.12g},{report.prefactor_stderr:.12g}"]
-    for name, expo, err in zip(report.x_names, report.exponents, report.exponent_stderrs):
-        lines.append(f"exponent[{name}],{expo:.12g},{err:.12g}")
-    lines.append(f"n_used,{report.n_used},")
-    lines.append(f"residual_rms,{report.residual_rms:.12g},")
-    write_text("\n".join(lines) + "\n", args.out)
+    exponents = zip(report.x_names, report.exponents, report.exponent_stderrs)
+    write_table(("quantity", "value", "stderr"),
+                [("prefactor", report.prefactor, report.prefactor_stderr),
+                 *((f"exponent[{name}]", expo, err) for name, expo, err in exponents),
+                 ("n_used", report.n_used, ""), ("residual_rms", report.residual_rms, "")],
+                args.out)
     return 0
 
 
 def _cmd_compare(args) -> int:
     entries = formulas.table1_compare(args.m, args.N, args.p1d, args.xi,
                                       eta=args.eta, x=args.x)
-    lines = ["protocol,error_scaling,p_m,requirement,requirement_satisfied"]
-    for e in entries:
-        lines.append(
-            f"{e.protocol},{e.error_scaling:.12g},{e.p_m:.12g},"
-            f"\"{e.requirement}\",{e.requirement_satisfied}"
-        )
-    write_text("\n".join(lines) + "\n", args.out)
+    header = ("protocol", "error_scaling", "p_m", "requirement", "requirement_satisfied")
+    write_table(header, [[getattr(e, name) for name in header] for e in entries], args.out)
     return 0
 
 

@@ -141,14 +141,14 @@ def _embed_input(basis: BasisSet, input_state: np.ndarray | None) -> np.ndarray:
 
 
 def _layout(basis: BasisSet) -> tuple[np.ndarray, ...]:
-    """Read-only arrays a step reads off its basis, built once per basis: the
-    stage-parity frame and sign S (see `basis.stage_frame`), the goal, the
-    basis positions and weights of the heralded branch (the readout level on
-    a driven basis, the excited detector otherwise) and of the input (under
+    """Read-only 1-D arrays a step reads off its basis, built once per basis,
+    so it holds O(dim): the stage-parity frame f and its stages Im f (a model
+    forms the sign S_ij = Im f_j - Im f_i, see `basis.stage_frame`), the goal,
+    the basis positions and weights of the heralded branch (the readout level
+    on a driven basis, the excited detector otherwise) and of the input (under
     the loaded source: s on a driven basis, e otherwise), in storage order
-    (weights * psi[positions] unfolds a branch), and the default input
-    embedded on the basis: the goal of m - 1 quanta ([1] on the chain, whose
-    one storage state is (m - 1, 0))."""
+    (weights * psi[positions] unfolds a branch), and the default input on the
+    basis: the goal of m - 1 quanta ([1] on the chain, storage state (m-1, 0))."""
     driven, m, exact = basis.with_drive, basis.m, basis.mode == HPMode.EXACT
     frame, parts = stage_frame(basis), []
     for source, det, k in (("g", DET_HERALDED if driven else DET_EXCITED, m),
@@ -158,7 +158,7 @@ def _layout(basis: BasisSet) -> tuple[np.ndarray, ...]:
         parts += [np.array([f[0] for f in folds], dtype=np.intp), np.array([f[1] for f in folds])]
     default = np.zeros(basis.dim, dtype=complex)
     np.add.at(default, parts[2], parts[3] * (goal_amplitudes(m - 1) if exact else 1.0))
-    arrays = (frame, frame.imag - frame.imag[:, None], goal_state(basis), *parts, default)
+    arrays = (frame, frame.imag, goal_state(basis), *parts, default)
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -222,9 +222,10 @@ def _model(p: DissipativeParams, mode: HPMode,
     h, names, rates, ops = model_matrices(p, basis)
     if not decay:
         names, rates, ops = [], [], ops[:0]
-    layout = basis.memo(_layout)
-    return _Model(basis, psi0, names, rates, ops, no_jump_generator(h, rates, ops, layout[1]),
-                  *layout[:5])
+    frame, stage, goal, idx, weights = basis.memo(_layout)[:5]
+    sign = stage - stage[:, None]
+    return _Model(basis, psi0, names, rates, ops, no_jump_generator(h, rates, ops, sign),
+                  frame, sign, goal, idx, weights)
 
 
 def _evolve(model: _Model, T: float, prop: Propagator | None = None) -> StepResult:

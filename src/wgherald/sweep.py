@@ -32,7 +32,7 @@ import signal
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -433,13 +433,11 @@ def _worker(points: list[dict], write: int, read_ends: list[int]) -> None:
 
 
 def _cell(value):
-    """A non-finite float as the string inf, -inf or nan, the rule both
-    writers share; any other value as it is."""
+    """A non-finite float as the string inf, -inf or nan; any other as it is."""
     return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _format_cell(value) -> str:
-    value = _cell(value)
     if value is None:
         return ""
     if isinstance(value, float):
@@ -447,14 +445,17 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def rows_to_csv(rows: list[dict]) -> str:
-    """CSV with a header line; only a cell holding a comma, a quote or a line
-    break is quoted."""
+def _table_csv(header: tuple[str, ...], rows: Iterable) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(COLUMNS)
-    writer.writerows([_format_cell(row.get(c, "")) for c in COLUMNS] for row in rows)
+    writer.writerow(header)
+    writer.writerows([_format_cell(value) for value in row] for row in rows)
     return out.getvalue()
+
+
+def rows_to_csv(rows: list[dict]) -> str:
+    """Sweep rows as CSV over `COLUMNS`, in `write_table`'s format."""
+    return _table_csv(COLUMNS, ([row.get(c, "") for c in COLUMNS] for row in rows))
 
 
 def rows_to_jsonl(rows: list[dict]) -> str:
@@ -474,3 +475,10 @@ def write_text(text: str, path: str | None) -> None:
 def write_rows(rows: list[dict], path: str | None, jsonl: bool = False) -> None:
     """Write rows as CSV or JSON lines to path, or to stdout without one."""
     write_text(rows_to_jsonl(rows) if jsonl else rows_to_csv(rows), path)
+
+
+def write_table(header: tuple[str, ...], rows: Iterable, path: str | None) -> None:
+    """Write a header and rows of cells as CSV to path, or stdout without one:
+    floats to 12 significant digits or inf, -inf, nan, None as an empty cell,
+    other values as str(), quotes only where a cell holds , " or a newline."""
+    write_text(_table_csv(header, rows), path)

@@ -334,6 +334,19 @@ def test_fit_counts_every_row_it_excludes(tmp_path, capsys):
     assert float(rows["exponent[x]"]["value"]) == pytest.approx(1.5)
 
 
+def test_fit_quotes_a_regressor_name_holding_a_comma(tmp_path, capsys):
+    # the exponent row of a column named N,atoms is one quoted cell, so every
+    # row of the report parses back into the header's three fields
+    data = tmp_path / "d.csv"
+    data.write_text('"N,atoms",y\n' + "".join(f"{x},{3.0 * x**0.5}\n" for x in range(1, 6)))
+    code, out, _ = run_cli(capsys, "fit", str(data), "--x", "N,atoms", "--y", "y")
+    assert code == 0
+    table = list(csv.reader(io.StringIO(out)))
+    assert table[0] == ["quantity", "value", "stderr"]
+    assert all(len(row) == 3 for row in table)
+    assert table[2][0] == "exponent[N,atoms]" and float(table[2][1]) == pytest.approx(0.5)
+
+
 def test_compare_command(capsys):
     code, out, _ = run_cli(capsys, "compare", "--m", "4", "--p1d", "100",
                            "--N", "100", "--xi", "1000")
@@ -341,6 +354,8 @@ def test_compare_command(capsys):
     rows = {r["protocol"]: r for r in parse_csv(out)}
     assert float(rows["ProbabilisticII"]["p_m"]) == pytest.approx(math.exp(-0.4))
     assert rows["DipoleDipole"]["requirement_satisfied"] == "True"
+    table = list(csv.reader(io.StringIO(out)))
+    assert len(table) == 6 and all(len(row) == len(table[0]) for row in table)
 
 
 def test_bandgap_command_writes_series_and_profile(tmp_path, capsys):

@@ -173,9 +173,10 @@ def test_every_step_kind_builds_one_basis_and_one_propagator(monkeypatch):
 
 def test_models_share_read_only_layouts_and_fresh_matrices():
     # two models of one shape at different N: the basis and its read-only
-    # frame, goal and herald positions are shared, the generator, the
-    # channels' stack and the input are newly allocated, so mutating them
-    # changes no later model
+    # frame, stage vector, goal and herald positions are shared, the
+    # generator, the sign S, the channels' stack and the input are newly
+    # allocated, so mutating them changes no later model; every array the
+    # layout keeps is 1-D, so a memoized basis holds O(dim) of it
     p, q = (DissipativeParams.from_purcell(n, 6, 10.0) for n in (30, 900))
     first = _model(p, HPMode.EXACT)
     want = [a.tobytes() for a in (first.psi0, first.g, first.ops)]
@@ -186,8 +187,12 @@ def test_models_share_read_only_layouts_and_fresh_matrices():
     assert [a.tobytes() for a in (again.psi0, again.g, again.ops)] == want
     assert other.basis is again.basis and other.frame is again.frame
     layout = again.basis.memo(protocol._layout)
-    assert [again.frame, again.sign, again.goal, again.idx, again.weights] == list(layout[:5])
+    assert [again.frame, again.goal, again.idx, again.weights] == [layout[0], *layout[2:5]]
+    assert np.array_equal(layout[1], again.frame.imag)
+    assert np.array_equal(again.sign, layout[1] - layout[1][:, None])
+    assert again.sign is not other.sign and again.sign.flags.writeable
     for a in layout:
+        assert a.ndim == 1
         with pytest.raises(ValueError):
             a[...] = 0
 

@@ -9,6 +9,7 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
 import yaml
 
@@ -354,6 +355,27 @@ def test_a_drive_too_fast_for_its_scan_is_an_error_row(tmp_path):
         table = list(csv.DictReader(fh))
     assert table[0]["error"].startswith("ProtocolError: drive strength omega 1000000.0")
     assert table[1]["error"] == "" and float(table[1]["p_success"]) > 0.0
+
+
+def test_write_table_renders_every_cell_type(tmp_path, capsys):
+    # the one CSV format: a float of either type to 12 significant digits or
+    # as inf, -inf or nan, an int or a bool by str(), None as an empty cell,
+    # and quotes only around a cell holding a comma or a quote (doubled)
+    header = ("name", "value", "note")
+    rows = [("py", 1 / 3, ""), ("np", np.float64(2e-20), True),
+            ("int", 12345678901234, False), ("inf", math.inf, -math.inf),
+            ("nan", math.nan, None), ("text", 0.5, 'a, "b"')]
+    want = ('name,value,note\n'
+            'py,0.333333333333,\n'
+            'np,2e-20,True\n'
+            'int,12345678901234,False\n'
+            'inf,inf,-inf\n'
+            'nan,nan,\n'
+            'text,0.5,"a, ""b"""\n')
+    path = tmp_path / "table.csv"
+    sweep.write_table(header, rows, str(path))
+    sweep.write_table(header, rows, None)
+    assert path.read_text() == capsys.readouterr().out == want
 
 
 def test_error_cells_keep_every_csv_row_as_wide_as_the_header(tmp_path):
