@@ -209,7 +209,8 @@ def stage_frame(basis: BasisSet) -> np.ndarray:
     is +1 from an odd stage j to an even stage i, -1 from even to odd, and 0
     between stages of one parity.  A step builds
     that real generator directly (`dissipative.no_jump_generator`) and
-    `linalg.Propagator` takes it with this frame.
+    evolves u = T^-1 psi under it: `protocol._layout` folds the frame into
+    the input and herald weights, so the phases live there alone.
     """
     return np.array([1j if lbl.source_level == "e" or lbl.detector == DET_EXCITED else 1.0
                      for lbl in basis.labels], dtype=complex)

@@ -7,28 +7,27 @@ scaling-and-squaring fallback when that is too ill-conditioned to
 diagonalize reliably), which makes evolution to arbitrary times exact up to
 rounding.  numpy does all of it but that fallback, scipy's expm, so
 scipy.linalg is imported on the first fallback and not at process start.
-A generator is given in a diagonal frame T of units, G = T^-1 (-iH) T; the
-protocol's no-jump generators are exactly real in their stage-parity frame,
-so the decomposition is LAPACK's real eig (about a third of the cost of the
-complex one at dimension 81), and no complex H is formed.  The conditioning
-test is the Frobenius bound kappa_F = ||V||_F ||V^-1||_F >= kappa_2 on the
-inverse the eigenbasis needs anyway, so no SVD is taken.  A Propagator
-evolves the one state it is built with, validated and projected onto the
-eigenbasis once.  Told the latest time it will be asked for, it decomposes
-a large real generator only on the Krylov space of a real state: 16-24
-vectors of an `arnoldi` basis on the protocol's exact sectors of dimension
-41-161, grown until Saad's a-posteriori bound (1992), summed by `exp_sums` on
-a grid that resolves the reduced generator, holds every state up to that
-time within 1e-14 of the full evolution.  The bandgap transfer's Lanczos
-loop is the same `arnoldi`, its bound summed by the same `exp_sums`, which
-also sums a population scan over a uniform grid of times.  Loss
-bookkeeping integrates one density R = integral psi psi^dag ds per
-evolution and reads every channel's integral off it in one real product
-with the flattened stack of channel operators.  The time that maximizes a
-weighted population is a root of its slope, whose state derivative the
-eigenbasis gives in closed form: Brent's zeroin finds it in 5-7
-evaluations, where golden section, which the bandgap transfer keeps, takes
-29-31.
+A real generator, such as the protocol's no-jump generators in their
+stage-parity coordinates, takes LAPACK's real eig (about a third of the cost
+of the complex one at dimension 81), and no complex H is formed.  The
+conditioning test is the Frobenius bound kappa_F = ||V||_F ||V^-1||_F >=
+kappa_2 on the inverse the eigenbasis needs anyway, so no SVD is taken.  A
+Propagator evolves the one state it is built with, validated and projected
+onto the eigenbasis once, up to the latest time it will be asked for, its
+horizon.  It decomposes a large real generator only on the Krylov space of a
+real state: 16-24 vectors of an `arnoldi` basis on the protocol's exact
+sectors of dimension 41-161, grown until Saad's a-posteriori bound (1992),
+summed by `exp_sums` on a grid that resolves the reduced generator, holds
+every state up to the horizon within 1e-14 of the full evolution.  The
+bandgap transfer's Lanczos loop is the same `arnoldi`, its bound summed by
+the same `exp_sums`, which also sums a population scan over a uniform grid
+of times.  Loss bookkeeping integrates one density R = integral psi psi^dag
+ds per evolution and reads every channel's integral off it in one real
+product with the flattened stack of channel operators.  The time that
+maximizes a weighted population is a root of its slope, whose state
+derivative the eigenbasis gives in closed form: Brent's zeroin finds it in
+5-7 evaluations, where golden section, which the bandgap transfer keeps,
+takes 29-31.
 
 Conventions: hbar = 1, all rates in units of the reference guided-mode decay
 rate, times in its inverse.
@@ -190,44 +189,39 @@ def arnoldi(matvec, start: np.ndarray, kmax: int):
 
 
 class Propagator:
-    """Evolves one state v0 under the generator g in a frame, reusing one
-    eigendecomposition of g, or of g reduced to the Krylov space of v0.
+    """Evolves one state v0 under the generator g, psi(t) = e^{g t} v0 for
+    t in [0, horizon], reusing one eigendecomposition of g, or of g reduced
+    to the Krylov space of v0.
 
-    g is -iH written in the diagonal frame T = diag(frame), a vector of
-    units: G = T^-1 (-iH) T, so psi(t) = e^{-iHt} v0 = T e^{Gt} T^-1 v0; a
-    frame of None is T = 1, so g is -iH itself.  The protocol's no-jump
-    generators are exactly real in their stage-parity frame (see
-    `basis.stage_frame`) and LAPACK's real eig runs on them; a complex g
-    takes the same eig.  With G = W diag(lam) W^-1 the eigenvectors are
-    V = T W and the exponents lam, the eigenvalues of -iH; V^-1 comes from
-    inv.  The state is validated and projected onto the eigenbasis once,
-    c = V^-1 v0, and `apply`, `population` and `integrated_expectation` read
-    it at any times.  The decomposition falls back to scipy's expm (Pade
-    scaling-and-squaring) of G, mapped back through the frame, which keeps
-    v0, when V is singular or its condition number `condition`, the
-    Frobenius bound ||V||_F ||V^-1||_F (inf when V is singular or the
-    product overflows), reaches EIGBASIS_MAX_CONDITION; scipy.linalg is
-    imported by the first such fallback in a process.  `method` is "eig" or
-    "expm", and `dim` the dimension of g.  A non-finite result, such as one
-    at a time t where an exponent product lam t or mu t leaves the float
-    range, raises NumericError without a numpy warning first.
+    g is a square generator such as -iH, real or complex; a real g takes
+    LAPACK's real eig.  With g = V diag(lam) V^-1 the exponents are lam and
+    V^-1 comes from inv.  The state is validated and projected onto the
+    eigenbasis once, c = V^-1 v0, and `apply`, `population` and
+    `integrated_expectation` read it at any times.  The decomposition falls
+    back to scipy's expm (Pade scaling-and-squaring) of g, which keeps v0,
+    when V is singular or its condition number `condition`, the Frobenius
+    bound ||V||_F ||V^-1||_F (inf when V is singular or the product
+    overflows), reaches EIGBASIS_MAX_CONDITION; scipy.linalg is imported by
+    the first such fallback in a process.  `method` is "eig" or "expm", and
+    `dim` the dimension of g.  A non-finite result, such as one at a time t
+    where an exponent product lam t or mu t leaves the float range, raises
+    NumericError without a numpy warning first.
 
-    horizon, when given, is the latest time the propagator is asked for:
-    a time outside [0, horizon] is refused with a ValueError.  A generator
-    of dimension KRYLOV_MIN_DIM or more is then first reduced to the Krylov
-    space of u0 = T^-1 v0 (`_reduce`) when g is real and u0 real up to
-    one phase: `arnoldi`'s basis Q of k columns, with H_k = Q^T G Q, k far
-    below the dimension on the protocol's steps.  The same eig, inv and
-    condition test then run on H_k, with V = T Q W_k (dim x k), so every
-    state and integral of the propagator lives in that space, within
-    KRYLOV_MAX_ERROR ||u0|| of the full evolution at every time up to the
-    horizon.  Otherwise, and when the space does not close by
-    k = dim / 2, the horizon is too long for the bound's grid, or H_k's
-    eigenbasis is too ill-conditioned, the decomposition is that of g
-    itself, as without a horizon.
+    horizon, positive and finite, is the latest time the propagator is
+    asked for: a time outside [0, horizon] is refused with a ValueError.  A
+    generator of dimension KRYLOV_MIN_DIM or more is first reduced to the
+    Krylov space of v0 (`_reduce`) when g is real and v0 real up to one
+    phase: `arnoldi`'s basis Q of k columns, with H_k = Q^T g Q, k far below
+    the dimension on the protocol's steps.  The same eig, inv and condition
+    test then run on H_k, with V = Q W_k (dim x k), so every state and
+    integral of the propagator lives in that space, within
+    KRYLOV_MAX_ERROR ||v0|| of the full evolution at every time up to the
+    horizon.  Otherwise, and when the space does not close by k = dim / 2,
+    the horizon is too long for the bound's grid, or H_k's eigenbasis is too
+    ill-conditioned, the decomposition is that of g itself.
     """
 
-    def __init__(self, g, v0, frame=None, horizon=None):
+    def __init__(self, g, v0, horizon):
         self.g = np.asarray(g)
         if self.g.ndim != 2 or self.g.shape[0] != self.g.shape[1]:
             raise DimensionError(f"expected a square generator, got shape {self.g.shape}")
@@ -237,15 +231,11 @@ class Propagator:
         self.v0 = as_state(v0)
         if self.v0.shape[0] != self.dim:
             raise DimensionError(f"state dim {self.v0.shape[0]} != operator dim {self.dim}")
-        self.frame = np.ones(self.dim) if frame is None else np.asarray(frame, dtype=complex)
-        if self.frame.shape != (self.dim,):
-            raise DimensionError(f"frame shape {self.frame.shape} != ({self.dim},)")
-        if horizon is not None and not 0 < horizon < math.inf:
+        if not 0 < horizon < math.inf:
             raise ValueError(f"horizon must be positive and finite, not {horizon!r}")
         self.horizon = horizon
-        if horizon is None or self.dim < KRYLOV_MIN_DIM or not self._reduce(horizon):
-            lam, w = np.linalg.eig(self.g)
-            vecs = self.frame[:, None] * w
+        if self.dim < KRYLOV_MIN_DIM or not self._reduce(horizon):
+            lam, vecs = np.linalg.eig(self.g)
             try:
                 vinv = np.linalg.inv(vecs)
             except np.linalg.LinAlgError:
@@ -267,32 +257,32 @@ class Propagator:
         return self.condition < EIGBASIS_MAX_CONDITION
 
     def _reduce(self, horizon: float) -> bool:
-        """Decompose a real G on the Krylov space of u0 = T^-1 v0, when u0
-        is real up to one global phase; whether that space closed within the
-        error bound and gave a usable eigenbasis.
+        """Decompose a real g on the Krylov space of v0, when v0 is real up
+        to one global phase; whether that space closed within the error bound
+        and gave a usable eigenbasis.
 
         The space is `arnoldi`'s, to at most k = dim / 2.  Its test, at
         k = 16, 20, ... and at an invariant subspace (b = 0, exact), is Saad's
-        bound (1992) on the error of beta Q_k e^{H_k t} e_1, beta = ||u0||,
+        bound (1992) on the error of beta Q_k e^{H_k t} e_1, beta = ||v0||,
         for every t in [0, horizon]: beta b e^{w t} int_0^t |e_k^T e^{H_k s}
         e_1| ds <= KRYLOV_MAX_ERROR beta, with w >= 0 Gershgorin's bound on
-        the largest eigenvalue of (G + G^T)/2, so ||e^{G t}|| <= e^{w t} for
-        any G (near 1 for the protocol's G + G^T = -D <= 0).  The integral is
+        the largest eigenvalue of (g + g^T)/2, so ||e^{g t}|| <= e^{w t} for
+        any g (near 1 for the protocol's g + g^T = -D <= 0).  The integral is
         the trapezoid sum of `exp_sums` over H_k's eigenpairs on n intervals
         of [0, horizon], at least KRYLOV_BOUND_INTERVALS and 2 horizon r,
         r = sqrt(||H_k||_1 ||H_k||_inf) >= ||H_k||_2, so no interval spans
         more than half a unit of H_k's fastest rate; past
         KRYLOV_MAX_INTERVALS the reduction is not tried.  The imaginary
-        residue of u0's real part, at most 1e-15 beta, is added to the bound.
-        A complex G or Krylov space keeps the decomposition of G: the complex
-        eigs of H_k cost what the real eig of G does.
+        residue of v0's real part, at most 1e-15 beta, is added to the bound.
+        A complex g or Krylov space keeps the decomposition of g: the complex
+        eigs of H_k cost what the real eig of g does.
         """
-        g, u0 = self.g, self.v0 / self.frame
-        beta = math.sqrt(norm_sq(u0))
+        g, v0 = self.g, self.v0
+        beta = math.sqrt(norm_sq(v0))
         if beta == 0.0 or np.iscomplexobj(g):
             return False
-        top = u0[np.argmax(np.abs(u0))]
-        rotated = u0 * (abs(top) / top)
+        top = v0[np.argmax(np.abs(v0))]
+        rotated = v0 * (abs(top) / top)
         dropped = float(np.linalg.norm(rotated.imag)) / beta
         if dropped > 1e-15:
             return False
@@ -325,8 +315,7 @@ class Propagator:
                     f = np.abs(exp_sums(lam, wk[-1] * winv[:, 0], horizon / n, n + 1))
                     defect = b * trapezoid(f, horizon / n)
             if growth * (defect + dropped) <= KRYLOV_MAX_ERROR:
-                vecs = self.frame[:, None] * (q[:k].T @ wk)
-                if not self._adopt(lam, vecs, winv):
+                if not self._adopt(lam, q[:k].T @ wk, winv):
                     return False
                 self._c = winv[:, 0] * (beta * top / abs(top))
                 return True
@@ -339,24 +328,23 @@ class Propagator:
 
     def _expm_states(self, dt: float, steps: int) -> np.ndarray:
         """The fallback's states at times 0, dt, ..., steps dt, one per row:
-        e^{G dt} applied in the frame, mapped back through it."""
+        e^{g dt} applied steps times."""
         import scipy.linalg
 
         step = scipy.linalg.expm(self.g * dt)
         u = np.empty((steps + 1, self.dim), dtype=complex)
-        u[0] = self.v0 / self.frame
+        u[0] = self.v0
         # a gain past the float range leaves non-finite states, raised by the callers
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, steps + 1):
                 u[i] = step @ u[i - 1]
-            return u * self.frame
+        return u
 
     def apply(self, t: float) -> np.ndarray:
-        """Return e^{-iHt} v0."""
+        """Return e^{g t} v0."""
         if not math.isfinite(t):
             raise NumericError("evolution time must be finite")
-        if self.horizon is not None:
-            self._check_times(t, t)
+        self._check_times(t, t)
         if self.method == "eig":
             # |lam| t past the float range leaves non-finite amplitudes, raised below
             with np.errstate(over="ignore", invalid="ignore"):
@@ -382,16 +370,15 @@ class Propagator:
         about sqrt(eps).  Where f' does not fall from positive to negative,
         the end with the larger f is returned.  psi' is in closed form:
         V (lam e^{lam t} c) on the eigenbasis path, from the rows
-        w o V[index] alone, and T G T^-1 psi on the expm fallback.  A
-        bracket outside the horizon raises ValueError, and a non-finite f or
-        f' NumericError, without a numpy warning first.
+        w o V[index] alone, and g psi on the expm fallback.  A bracket outside
+        the horizon, or a tol that is not positive and finite, raises
+        ValueError, and a non-finite f or f' NumericError, without a numpy
+        warning first.
         """
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise NumericError("search bracket must be finite")
-        if self.horizon is not None:
-            self._check_times(lo, hi)
-        elif lo > hi:
-            raise ValueError(f"empty search bracket [{lo!r}, {hi!r}]")
+        self._check_times(lo, hi)
+        _check_tol(tol)
         evaluate = self._slope(index, weights)
         # an amplitude, or lam times it, past the float range is raised as NumericError
         with np.errstate(over="ignore", invalid="ignore"):
@@ -437,7 +424,7 @@ class Propagator:
     def _slope(self, index, weights):
         """The function t -> (f(t), f'(t)) that `peak_time` searches: on the
         eigenbasis path from the rows w o V[index], on the expm fallback
-        from the state and T G T^-1 applied to it."""
+        from the state and g applied to it."""
         weights = np.asarray(weights)
         if self.method == "eig":
             rows, lam, c = weights[:, None] * self.eigvecs[index], self.exponents, self._c
@@ -448,8 +435,7 @@ class Propagator:
         else:
             def amplitudes(t):
                 psi = self._expm_states(t, 1)[1]
-                rates = self.frame * (self.g @ (psi / self.frame))
-                return weights * psi[index], weights * rates[index]
+                return weights * psi[index], weights * (self.g @ psi)[index]
 
         def evaluate(t):
             amps, rates = amplitudes(t)
@@ -460,7 +446,7 @@ class Propagator:
         return evaluate
 
     def population(self, t_end: float, n: int, index) -> np.ndarray:
-        """sum_{i in index} |(e^{-iHt} v0)_i|^2 at the n uniform times
+        """sum_{i in index} |(e^{g t} v0)_i|^2 at the n uniform times
         t = k t_end / (n - 1), k = 0 .. n-1, of [0, t_end], for index a
         sequence of basis positions or one position.
 
@@ -473,8 +459,7 @@ class Propagator:
             raise NumericError("evolution times must be finite")
         if n < 2:
             raise DimensionError(f"population needs a grid of at least 2 times, not {n!r}")
-        if self.horizon is not None:
-            self._check_times(0.0, t_end)
+        self._check_times(0.0, t_end)
         dt = t_end / (n - 1)
         # a gain past the float range leaves non-finite amplitudes, raised below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -488,7 +473,7 @@ class Propagator:
         return pops
 
     def integrated_expectation(self, ops, t: float) -> np.ndarray:
-        """Exact integral_0^t <psi(s)|M|psi(s)> ds along psi(s) = e^{-iHs} v0,
+        """Exact integral_0^t <psi(s)|M|psi(s)> ds along psi(s) = e^{g s} v0,
         one for each operator M of ops, a (k, dim, dim) array, real or
         complex.
 
@@ -507,8 +492,7 @@ class Propagator:
                                  f"{self.dim}) array of operators")
         if not all_finite(ops):
             raise NumericError("operator contains non-finite entries")
-        if self.horizon is not None:
-            self._check_times(t, t)
+        self._check_times(t, t)
         shape = (ops.shape[0], 1, self.dim * self.dim)
         # |mu| t past the float range leaves non-finite integrals, raised below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -531,11 +515,18 @@ class Propagator:
         return a.conj() @ factors @ a.T
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise ValueError(f"search tolerance tol must be positive and finite, not {tol!r}")
+
+
 def golden_section_max(f, lo: float, hi: float, tol: float) -> float:
     """Golden-section maximization of a unimodal f on [lo, hi].
 
-    Returns the argmax. tol is the absolute tolerance on the abscissa.
+    Returns the argmax. tol is the absolute tolerance on the abscissa,
+    positive and finite, or ValueError is raised before f is evaluated.
     """
+    _check_tol(tol)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c = b - invphi * (b - a)

@@ -9,21 +9,25 @@ protocol restarts on failure, so jump branches are never propagated).
 Every step builds its undriven model in `_model`, its input placed by the
 positions its basis records, or a copy of the default input embedded there
 (in either representation), and evolves that input under one `Propagator`,
-built with it, in `_evolve`.  A pi-pulse step gives its Propagator the time
-it evolves to, T, and a refine_T step the end of its search, 1.2 T, so an
-exact sector of dimension `linalg.KRYLOV_MIN_DIM` or more is decomposed on
-the Krylov space of its input alone (16-24 dimensions).  The model's
-generator is real: the no-jump generator in the basis's stage-parity frame,
-built from the recorded terms in real arithmetic, so no complex H is formed.
-A drive is a term of that generator, multiplied by the stage-parity sign:
-S o (omega/2)(source + readout drive) for the continuous drive.  In
-the exact representation the model commutes with the signed mirror swap, so
-the input of step m, a parity eigenstate, evolves in its mirror-parity
-sector alone.  The parity is read off the input before any basis is built:
-the swap reverses the storage amplitudes, so an input equal to its reversal
-lies in P = +1 and one equal to minus its reversal in P = -1.  Any other
-input evolves on the full 4m+1 basis, and is complex past one global phase,
-so its propagator decomposes the whole generator.
+built with it, in `_evolve`.  Every Propagator is given the latest time it
+is asked for: a pi-pulse step the time it evolves to, T, a refine_T step
+the end of its search, 1.2 T, and a driven step T or the end of its scan,
+so an exact sector of dimension `linalg.KRYLOV_MIN_DIM` or more is
+decomposed on the Krylov space of its input alone (16-24 dimensions).  The
+model's generator is real: the no-jump generator in the basis's stage-parity
+coordinates T^-1 (-iH) T, T = diag(`basis.stage_frame`), built from the
+recorded terms in real arithmetic, so no complex H is formed.  The model's
+input and herald weights carry the stage phases (`_layout`), so the
+Propagator evolves the input in those coordinates and the herald reads
+physical amplitudes off it.  A drive is a term of that generator, multiplied
+by the stage-parity sign: S o (omega/2)(source + readout drive) for the
+continuous drive.  In the exact representation the model commutes with the
+signed mirror swap, so the input of step m, a parity eigenstate, evolves in
+its mirror-parity sector alone.  The parity is read off the input before any
+basis is built: the swap reverses the storage amplitudes, so an input equal
+to its reversal lies in P = +1 and one equal to minus its reversal in
+P = -1.  Any other input evolves on the full 4m+1 basis, and is complex past
+one global phase, so its propagator decomposes the whole generator.
 
 A continuous-drive step off its optimal omega searches its time: one
 population scan on a uniform grid (one `linalg.exp_sums` table), then a root
@@ -122,8 +126,9 @@ class AccumulationResult:
 
 def _embed_input(basis: BasisSet, input_state: np.ndarray | None) -> np.ndarray:
     """Place a normalized (m-1)-quanta target state under the loaded source,
-    folded onto the basis; None is a copy of the recorded default input."""
-    idx, weights, default = basis.memo(_layout)[5:]
+    folded onto the basis in the generator's coordinates (see `_layout`);
+    None is a copy of the recorded default input."""
+    idx, weights, default = basis.memo(_layout)[4:]
     if input_state is None:
         return default.copy()
     input_state = np.asarray(input_state, dtype=complex)
@@ -142,23 +147,29 @@ def _embed_input(basis: BasisSet, input_state: np.ndarray | None) -> np.ndarray:
 
 def _layout(basis: BasisSet) -> tuple[np.ndarray, ...]:
     """Read-only 1-D arrays a step reads off its basis, built once per basis,
-    so it holds O(dim): the stage-parity frame f and its stages Im f (a model
+    so it holds O(dim): the stages Im f of the stage-parity frame f (a model
     forms the sign S_ij = Im f_j - Im f_i, see `basis.stage_frame`), the goal,
     the basis positions and weights of the heralded branch (the readout level
     on a driven basis, the excited detector otherwise) and of the input (under
-    the loaded source: s on a driven basis, e otherwise), in storage order
-    (weights * psi[positions] unfolds a branch), and the default input on the
-    basis: the goal of m - 1 quanta ([1] on the chain, storage state (m-1, 0))."""
+    the loaded source: s on a driven basis, e otherwise), in storage order,
+    and the default input on the basis: the goal of m - 1 quanta ([1] on the
+    chain, storage state (m-1, 0)).
+
+    The weights are in the generator's coordinates u = T^-1 psi, T = diag(f):
+    the herald weights carry f and the input weights conj(f) = 1 / f, so
+    weights * u[positions] unfolds the heralded branch's physical amplitudes
+    and an input placed with its weights, the default one included, is u."""
     driven, m, exact = basis.with_drive, basis.m, basis.mode == HPMode.EXACT
     frame, parts = stage_frame(basis), []
-    for source, det, k in (("g", DET_HERALDED if driven else DET_EXCITED, m),
-                           ("s" if driven else "e", DET_NONE, m - 1)):
+    for source, det, k, phase in (("g", DET_HERALDED if driven else DET_EXCITED, m, frame),
+                                  ("s" if driven else "e", DET_NONE, m - 1, frame.conj())):
         occupations = storage_labels(k) if exact else [(k, 0)]
         folds = [basis.fold[BasisLabel(source, k1, 0, k2, 0, det)] for k1, k2 in occupations]
-        parts += [np.array([f[0] for f in folds], dtype=np.intp), np.array([f[1] for f in folds])]
+        idx = np.array([f[0] for f in folds], dtype=np.intp)
+        parts += [idx, np.array([f[1] for f in folds]) * phase[idx]]
     default = np.zeros(basis.dim, dtype=complex)
     np.add.at(default, parts[2], parts[3] * (goal_amplitudes(m - 1) if exact else 1.0))
-    arrays = (frame, frame.imag, goal_state(basis), *parts, default)
+    arrays = (frame.imag, goal_state(basis), *parts, default)
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -167,10 +178,12 @@ def _layout(basis: BasisSet) -> tuple[np.ndarray, ...]:
 @dataclass
 class _Model:
     """The model a step evolves: its basis, the folded input, its channels'
-    names, rates and real O^dag O stack, the undriven real no-jump generator
-    g, its stage-parity frame (which the step's Propagator takes, drive
-    included) and sign (which a drive term is multiplied by), the goal and
-    the herald positions and weights.
+    names, rates and real O^dag O stack, the real no-jump generator g
+    (undriven as built; a driven step adds its drive term to it), its
+    stage-parity sign (which a drive term is multiplied by), the goal and
+    the herald positions and weights.  The input and the herald weights are
+    in the coordinates of g (see `_layout`), so the step's Propagator takes
+    g and the input as they are.
 
     In EXACT mode the basis is the mirror-parity sector of a parity
     eigenstate input and the full 4m+1 basis of a mixed one; in APPROX mode
@@ -183,14 +196,14 @@ class _Model:
     rates: list[float]
     ops: np.ndarray
     g: np.ndarray
-    frame: np.ndarray
     sign: np.ndarray
     goal: np.ndarray
     idx: np.ndarray
     weights: np.ndarray
 
     def heralded(self, psi: np.ndarray) -> np.ndarray:
-        """Heralded amplitudes of a model state, unfolded to storage order."""
+        """Physical heralded amplitudes of a model state, unfolded to storage
+        order."""
         return self.weights * psi[self.idx]
 
 
@@ -222,24 +235,24 @@ def _model(p: DissipativeParams, mode: HPMode,
     h, names, rates, ops = model_matrices(p, basis)
     if not decay:
         names, rates, ops = [], [], ops[:0]
-    frame, stage, goal, idx, weights = basis.memo(_layout)[:5]
+    stage, goal, idx, weights = basis.memo(_layout)[:4]
     sign = stage - stage[:, None]
     return _Model(basis, psi0, names, rates, ops, no_jump_generator(h, rates, ops, sign),
-                  frame, sign, goal, idx, weights)
+                  sign, goal, idx, weights)
 
 
 def _evolve(model: _Model, T: float, prop: Propagator | None = None) -> StepResult:
     """Evolve the model's input for a time T under prop, book every
     channel's loss from one integrated density, and herald.
 
-    prop propagates the model's input under its generator plus the step's
-    drive; by default it is the model's generator alone, with horizon T.
-    T must lie in (0, inf).
+    prop propagates the model's input under its generator to a horizon of
+    at least T; by default it is built here, with horizon T, once T is
+    checked to lie in (0, inf).
     """
     if not 0 < T < math.inf:
         raise ProtocolError(f"evolution time T must be positive and finite, not {T!r}")
     if prop is None:
-        prop = Propagator(model.g, model.psi0, model.frame, T)
+        prop = Propagator(model.g, model.psi0, T)
     integrals = prop.integrated_expectation(model.ops, T)
     diags = StepDiagnostics(
         {name: rate * x for name, rate, x in zip(model.channels, model.rates, integrals)},
@@ -328,24 +341,26 @@ def run_step_continuous_drive(
     p = DissipativeParams.from_purcell(N, m, p1d)
     model = _model(p, HPMode.APPROX, decay=not zero_decay, with_drive=True)
     drive = model.basis.memo(matrix_from_action, source_drive, readout_drive).at(N).matrix.sum(0)
-    prop = Propagator(model.g + model.sign * ((omega / 2) * drive), model.psi0, model.frame)
-
+    model.g += model.sign * ((omega / 2) * drive)
     if T is None and abs(omega - omega_opt) < 1e-12 * g:  # the optimal drive
         T = 2 * math.pi / omega
-    elif T is None:
-        # global max over a few chain periods: dense scan + root of the slope
-        # between the best point's neighbours; the scan must resolve the fast
-        # Rabi scale when omega >> g
-        t_hi = 6 * math.pi / min(omega, g)
-        npts = max(1201, int(40 * t_hi * omega / (2 * math.pi)))
-        if npts > 20001:  # 120 omega / g points once omega > g
-            raise ProtocolError(f"drive strength omega {omega!r} is too fast for the scan's "
-                                f"20001 points at N={N}; the largest usable omega is "
-                                f"20001 g / 120 = {20001 * g / 120!r}")
-        dt = t_hi / (npts - 1)
-        k = int(np.argmax(prop.population(t_hi, npts, model.idx)))
-        lo, hi = max(k - 1, 0) * dt, t_hi if k + 2 >= npts else (k + 1) * dt
-        T = prop.peak_time(lo, hi, 1e-9 * t_hi, model.idx, model.weights)
+    if T is not None:
+        return _evolve(model, T)
+
+    # global max over a few chain periods: dense scan + root of the slope
+    # between the best point's neighbours; the scan must resolve the fast
+    # Rabi scale when omega >> g
+    t_hi = 6 * math.pi / min(omega, g)
+    npts = max(1201, int(40 * t_hi * omega / (2 * math.pi)))
+    if npts > 20001:  # 120 omega / g points once omega > g
+        raise ProtocolError(f"drive strength omega {omega!r} is too fast for the scan's "
+                            f"20001 points at N={N}; the largest usable omega is "
+                            f"20001 g / 120 = {20001 * g / 120!r}")
+    prop = Propagator(model.g, model.psi0, t_hi)
+    dt = t_hi / (npts - 1)
+    k = int(np.argmax(prop.population(t_hi, npts, model.idx)))
+    lo, hi = max(k - 1, 0) * dt, t_hi if k + 2 >= npts else (k + 1) * dt
+    T = prop.peak_time(lo, hi, 1e-9 * t_hi, model.idx, model.weights)
     return _evolve(model, T, prop)
 
 
@@ -378,7 +393,7 @@ def run_accumulation(
         if refine_T:
             # the kept step evolves on the model and propagator the search built
             model = _model(p, mode, state)
-            prop = Propagator(model.g, model.psi0, model.frame, 1.2 * T)
+            prop = Propagator(model.g, model.psi0, 1.2 * T)
             T = prop.peak_time(0.8 * T, 1.2 * T, 1e-6 * T, model.idx, model.weights)
             res = _evolve(model, T, prop)
         else:

@@ -152,7 +152,7 @@ def full_basis_step(p, input_state, T):
     h = build_H_nh(p, basis)
     losses = {ch.name: ch.rate * eigenbasis_integral(h, ch.opdag_op, T, psi0)
               for ch in build_jump_operators(p, basis)}
-    psi = Propagator(-1j * h, psi0).apply(T)
+    psi = Propagator(-1j * h, psi0, T).apply(T)
     herald = psi[[index[("g", p.m - i, 0, i, 0, "excited")] for i in range(p.m + 1)]]
     p_success = float(np.vdot(herald, herald).real)
     residual = float(np.vdot(psi, psi).real) - p_success

@@ -216,7 +216,7 @@ def test_criterion_7_oracle_equivalence():
         psi0 = np.zeros(h.shape[0], complex)
         psi0[0] = 1.0
         ref = rk4_evolve(h, psi0, t, 10**5)
-        got = Propagator(-1j * h, psi0).apply(t)
+        got = Propagator(-1j * h, psi0, t).apply(t)
         max_rk_dev = max(max_rk_dev, float(np.abs(got - ref).max()))
 
     ok = max_op_dev <= 1e-12 and max_h_dev <= 1e-12 and max_rk_dev <= 1e-7
@@ -243,7 +243,7 @@ def test_criterion_8_property_suite(free_forks):
         mono_ok &= decay_generator_max_eig(h) <= 1e-10
         v = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
         v /= math.sqrt(norm_sq(v))
-        prop = Propagator(-1j * h, v)
+        prop = Propagator(-1j * h, v, 1.5)
         norms = [norm_sq(prop.apply(t))
                  for t in np.sort(rng.uniform(0, 1.5, size=4))]
         mono_ok &= all(b <= a + 1e-10 for a, b in zip(norms, norms[1:]))

@@ -27,9 +27,9 @@ PARAMETERS = {
     wgherald.DissipativeParams.from_purcell: ["N", "m", "p1d", "gamma_s"],
     wgherald.build_H_bandgap: ["p"],
     formulas.table1_compare: ["m", "N", "p1d", "xi", "eta", "x"],
-    # a Propagator takes its one state, and the latest time it is asked for,
-    # when it is built
-    linalg.Propagator.__init__: ["self", "g", "v0", "frame", "horizon"],
+    # a Propagator takes its generator, its one state, and the latest time it
+    # is asked for, when it is built
+    linalg.Propagator.__init__: ["self", "g", "v0", "horizon"],
     linalg.Propagator.apply: ["self", "t"],
     linalg.Propagator.population: ["self", "t_end", "n", "index"],
     linalg.Propagator.integrated_expectation: ["self", "ops", "t"],

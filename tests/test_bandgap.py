@@ -81,8 +81,8 @@ def test_norm_conserved_without_free_space_decay():
     assert np.abs(h - h.conj().T).max() < 1e-13
     psi0 = np.zeros(31, complex)
     psi0[0] = 1.0
-    prop = Propagator(-1j * h, psi0)
     g = p.coupling
+    prop = Propagator(-1j * h, psi0, 10 * math.pi / g)
     for t in np.linspace(0.0, 10 * math.pi / g, 7):
         assert norm_sq(prop.apply(t)) == pytest.approx(1.0, abs=1e-10)
 
@@ -313,8 +313,8 @@ def test_ideal_chain_equivalent_to_rescaled_mirror_chain():
     assert np.abs(h_band - h_mirror).max() < 1e-14
 
     # and the chain transfer completes at sqrt(2) pi xi / sqrt(N)
-    prop = Propagator(-1j * h_band, np.array([1.0, 0, 0], complex))
     t_expect = math.sqrt(2) * math.pi * xi / math.sqrt(n)
+    prop = Propagator(-1j * h_band, np.array([1.0, 0, 0], complex), t_expect)
     pop = abs(prop.apply(t_expect)[2]) ** 2
     assert pop == pytest.approx(1.0, abs=1e-9)
 

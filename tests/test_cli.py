@@ -114,17 +114,17 @@ def test_overflowing_step_fails_with_one_line(T):
     assert proc.stderr == "numeric failure: NumericError: loss integrals are non-finite\n"
 
 
-def test_reducible_exact_step_at_an_extreme_time_runs_quietly():
+def test_reducible_exact_step_at_an_extreme_time_runs_quietly(full_propagator):
     # a parity sector of dimension 41, at the Krylov crossover, evolved to
     # T = 1e300 in a fresh process under the default warning filters: exit 0,
     # every amplitude decayed, and nothing on stderr.  No Krylov bound holds
     # to such a time, so the step decomposes the whole generator and books
-    # the losses of a propagator given no horizon
+    # the losses of the full reference
     p = DissipativeParams.from_purcell(100, 20, 10.0)
     model = _model(p, HPMode.EXACT)
-    prop = Propagator(model.g, model.psi0, model.frame, 1e300)
+    prop = Propagator(model.g, model.psi0, 1e300)
     assert prop.eigvecs.shape == (41, 41)
-    want = _evolve(model, 1e300, Propagator(model.g, model.psi0, model.frame))
+    want = _evolve(model, 1e300, full_propagator(model.g, model.psi0, 1e300))
     assert run_step(p, HPMode.EXACT, T=1e300) == want
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = SRC

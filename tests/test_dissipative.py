@@ -161,7 +161,7 @@ def test_eigenvalue_probability_close_to_closed_form():
     basis = build_basis(n, m, HPMode.APPROX)
     h = build_H_nh(p, basis)
     t = optimal_time(p)
-    psi = Propagator(-1j * h, np.array([1.0, 0, 0], complex)).apply(t)
+    psi = Propagator(-1j * h, np.array([1.0, 0, 0], complex), t).apply(t)
     assert abs(psi[2]) ** 2 == pytest.approx(p_double_mirrors(n, m, 10.0), rel=0.03)
     assert abs(psi[2]) ** 2 == pytest.approx(0.890111, abs=5e-4)
 

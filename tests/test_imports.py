@@ -87,10 +87,10 @@ assert not scipy_loaded()
 p = DissipativeParams.from_purcell(200, 3, 10.0)
 model, t = _model(p, HPMode.EXACT), optimal_time(p)
 ops = model.ops
-eig = linalg.Propagator(model.g, model.psi0, model.frame)
+eig = linalg.Propagator(model.g, model.psi0, t)
 assert eig.method == 'eig'
 linalg.EIGBASIS_MAX_CONDITION = 0
-fallback = linalg.Propagator(model.g, model.psi0, model.frame)
+fallback = linalg.Propagator(model.g, model.psi0, t)
 assert fallback.method == 'expm' and not scipy_loaded()
 psi = fallback.apply(t)
 assert np.abs(psi - eig.apply(t)).max() <= 1e-12

@@ -69,11 +69,11 @@ def test_overlap_basics():
 
 def test_expm_identity_and_pure_decay():
     v = random_state(np.random.default_rng(0), 4)
-    assert np.allclose(Propagator(np.zeros((4, 4)), v).apply(2.7), v, atol=1e-14)
+    assert np.allclose(Propagator(np.zeros((4, 4)), v, 2.7).apply(2.7), v, atol=1e-14)
     gamma = 0.8
     h = -0.5j * gamma * np.eye(3)
     v3 = random_state(np.random.default_rng(1), 3)
-    out = Propagator(-1j * h, v3).apply(1.3)
+    out = Propagator(-1j * h, v3, 1.3).apply(1.3)
     assert np.allclose(out, v3 * np.exp(-gamma * 1.3 / 2), atol=1e-13)
 
 
@@ -86,7 +86,7 @@ def test_expm_chain_norm_matches_rk4():
     )
     t = np.sqrt(2) * np.pi / np.sqrt(2 * n)
     v0 = np.array([1.0, 0, 0], dtype=complex)
-    exact = Propagator(-1j * h, v0).apply(t)
+    exact = Propagator(-1j * h, v0, t).apply(t)
     ref = rk4_evolve(h, v0, t, 10**5)
     assert abs(abs(exact[2]) ** 2 - abs(ref[2]) ** 2) <= 1e-8
 
@@ -98,7 +98,7 @@ def test_expm_matches_rk4_random_8x8():
         h /= np.linalg.norm(h, 2)
         v0 = random_state(rng, 8)
         t = 1.5
-        exact = Propagator(-1j * h, v0).apply(t)
+        exact = Propagator(-1j * h, v0, t).apply(t)
         ref = rk4_evolve(h, v0, t, 5000)
         assert np.abs(exact - ref).max() < 1e-7
 
@@ -109,8 +109,8 @@ def test_semigroup_property():
         h = random_decaying_h(rng, 6)
         v = random_state(rng, 6)
         t1, t2 = rng.uniform(0.05, 0.8, size=2)
-        once = Propagator(-1j * h, v).apply(t1 + t2)
-        twice = Propagator(-1j * h, Propagator(-1j * h, v).apply(t1)).apply(t2)
+        once = Propagator(-1j * h, v, t1 + t2).apply(t1 + t2)
+        twice = Propagator(-1j * h, Propagator(-1j * h, v, t1).apply(t1), t2).apply(t2)
         assert np.abs(once - twice).max() < 1e-9
 
 
@@ -120,7 +120,7 @@ def test_norm_monotone_under_decay():
         dim = int(rng.integers(2, 9))
         h = random_decaying_h(rng, dim)
         assert decay_generator_max_eig(h) <= 1e-10
-        prop = Propagator(-1j * h, random_state(rng, dim))
+        prop = Propagator(-1j * h, random_state(rng, dim), 2.0)
         times = np.sort(rng.uniform(0.0, 2.0, size=10))
         norms = [norm_sq(prop.apply(t)) for t in times]
         assert norms[0] <= 1.0 + 1e-9
@@ -146,7 +146,7 @@ def test_integrated_expectation_matches_quadrature():
     b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     ops = np.array([diag, b @ b.conj().T, np.eye(5, dtype=complex)])
     t = 0.9
-    prop = Propagator(-1j * h, v0)
+    prop = Propagator(-1j * h, v0, t)
     exact = prop.integrated_expectation(ops, t)
     assert exact.shape == (3,)
     ts = np.linspace(0, t, 16001)
@@ -163,7 +163,7 @@ def test_integrated_expectation_takes_a_stack():
     # test, and a list of matrices is not a stack
     rng = np.random.default_rng(12)
     h, v0, t = random_decaying_h(rng, 4), random_state(rng, 4), 0.7
-    prop = Propagator(-1j * h, v0)
+    prop = Propagator(-1j * h, v0, t)
     b = rng.standard_normal((3, 4, 4))
     stack = b @ b.transpose(0, 2, 1)
     want = prop.integrated_expectation(stack, t)
@@ -202,7 +202,7 @@ def test_integrated_expectation_at_large_eigenvalues_matches_the_closed_form():
             mu = lam[a].conjugate() - lam[c]
             factor = t if mu == 0 else (cmath.exp(1j * mu * t) - 1) / (1j * mu)
             ref += (v0[a].conjugate() * m[a, c] * v0[c] * factor).real
-    got = Propagator(np.diag(-1j * lam), v0).integrated_expectation(m[None], t)[0]
+    got = Propagator(np.diag(-1j * lam), v0, t).integrated_expectation(m[None], t)[0]
     assert got == pytest.approx(ref, rel=1e-12)
 
 
@@ -226,7 +226,7 @@ def test_pade_fallback_on_defective_matrix():
     # a Jordan block has no usable eigenbasis; the scaling-and-squaring path
     # and its quadrature-based loss integral must take over
     h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    prop = Propagator(-1j * h, np.array([0.0, 1.0], dtype=complex))
+    prop = Propagator(-1j * h, np.array([0.0, 1.0], dtype=complex), 0.9)
     assert prop.method == "expm"
     out = prop.apply(0.7)
     # e^{-iHt} = I - iHt for a nilpotent H
@@ -242,7 +242,7 @@ def test_frobenius_condition_bounds_the_2_norm_condition():
     rng = np.random.default_rng(13)
     for _ in range(50):
         dim = int(rng.integers(2, 30))
-        prop = Propagator(-1j * random_decaying_h(rng, dim), random_state(rng, dim))
+        prop = Propagator(-1j * random_decaying_h(rng, dim), random_state(rng, dim), 1.0)
         assert prop.method == "eig"
         assert prop.condition >= np.linalg.cond(prop.eigvecs)
         assert dim <= prop.condition < EIGBASIS_MAX_CONDITION
@@ -260,7 +260,7 @@ def test_singular_or_overflowing_eigenvectors_fall_back_quietly():
         v[-1] = 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            prop = Propagator(-1j * h, v)
+            prop = Propagator(-1j * h, v, 0.7)
         assert prop.method == "expm"
         assert prop.condition == np.inf
         ref = scipy.linalg.expm(-1j * h * 0.7) @ v
@@ -272,7 +272,7 @@ def test_eig_and_expm_paths_agree():
     for make_h in (random_decaying_h, random_hermitian_h):
         h = make_h(rng, 5)
         v = random_state(rng, 5)
-        prop = Propagator(-1j * h, v)
+        prop = Propagator(-1j * h, v, 0.8)
         assert prop.method == "eig"
         ref = scipy.linalg.expm(-1j * h * 0.8) @ v
         assert np.abs(prop.apply(0.8) - ref).max() < 1e-10
@@ -286,7 +286,7 @@ def test_population_matches_apply_on_every_path():
                              (random_hermitian_h(rng, 6), [0], "eig"),
                              (jordan, [0], "expm"), (random_decaying_h(rng, 6), 3, "eig"),
                              (jordan, 1, "expm")):
-        prop = Propagator(-1j * h, random_state(rng, h.shape[0]))
+        prop = Propagator(-1j * h, random_state(rng, h.shape[0]), 3.0)
         assert prop.method == method
         got = prop.population(3.0, 600, index)
         ref = np.array([norm_sq(prop.apply(t)[index]) for t in times])
@@ -299,16 +299,16 @@ def test_dimension_and_finiteness_errors():
     for h, v in ((np.zeros((3, 3)), np.zeros(4)), (np.zeros((3, 2)), np.zeros(3)),
                  (np.zeros((3, 3)), np.zeros((3, 1)))):
         with pytest.raises(DimensionError):
-            Propagator(h, v)
+            Propagator(h, v, 1.0)
     bad = np.zeros((2, 2))
     bad[0, 0] = np.nan
     with pytest.raises(NumericError):
-        Propagator(bad, np.zeros(2))
+        Propagator(bad, np.zeros(2), 1.0)
     with pytest.raises(NumericError):
-        Propagator(np.zeros((3, 3)), [0.0, np.inf, 0.0])
+        Propagator(np.zeros((3, 3)), [0.0, np.inf, 0.0], 1.0)
     with pytest.raises(NumericError):
-        Propagator(np.zeros((2, 2)), np.zeros(2)).apply(np.inf)
-    prop = Propagator(np.zeros((3, 3)), np.zeros(3))
+        Propagator(np.zeros((2, 2)), np.zeros(2), 1.0).apply(np.inf)
+    prop = Propagator(np.zeros((3, 3)), np.zeros(3), 1.0)
     for n in (1, 0):
         with pytest.raises(DimensionError):
             prop.population(1.0, n, [0])
@@ -318,14 +318,14 @@ def test_dimension_and_finiteness_errors():
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     for h in (1000j * np.eye(2), 1000j * np.eye(2) + jordan):
         with pytest.raises(NumericError):
-            Propagator(-1j * h, np.ones(2)).population(1.0, 2, [0])
+            Propagator(-1j * h, np.ones(2), 1.0).population(1.0, 2, [0])
     # apply and the loss integrals raise without a numpy warning where a gain
     # overflows, and the integrals where a gap mu t does with every lambda t finite
-    gain = Propagator(-1j * (1000j * np.eye(2)), np.ones(2))
+    gain = Propagator(-1j * (1000j * np.eye(2)), np.ones(2), 1.0)
     with pytest.raises(NumericError):
         gain.apply(1.0)
     for prop, t in ((gain, 1.0),
-                    (Propagator(-1j * np.diag([1e300 - 1j, -1e300 - 1j]), np.ones(2)), 1e8)):
+                    (Propagator(-1j * np.diag([1e300 - 1j, -1e300 - 1j]), np.ones(2), 1e8), 1e8)):
         with pytest.raises(NumericError):
             prop.integrated_expectation(np.eye(2)[None], t)
 
@@ -340,7 +340,7 @@ def _chain(n=500, gamma=1.0, gamma_star=0.1):
 
 
 def _in_frame(h, frame):
-    # the generator T^-1 (-iH) T that a Propagator takes with the frame T
+    # the generator T^-1 (-iH) T of u = T^-1 psi, for the diagonal frame T
     return (-1j * h) * (frame[None, :] / frame[:, None])
 
 
@@ -353,34 +353,42 @@ def _eig_inputs(monkeypatch):
 
 
 def test_real_frame_path_matches_the_complex_eig(monkeypatch):
+    # the chain's generator is exactly real in the coordinates u = T^-1 psi
+    # of its stage-parity frame: a Propagator of that real generator from
+    # T^-1 v0 runs the real eig, and T u(t) is the state of the complex
+    # reference; populations and loss integrals of stage-diagonal operators,
+    # the peak time of herald weights carrying T, and the condition number
+    # are the reference's
     h = _chain()
     frame = np.array([1j, 1.0, 1j])
     g = _in_frame(h, frame)
     assert not g.imag.any()
     v0 = random_state(np.random.default_rng(4), 3)
-    seen = _eig_inputs(monkeypatch)
-    prop = Propagator(g.real, v0, frame)
-    assert seen == [False] and prop.method == "eig"
-    ref = Propagator(-1j * h, v0)
-    assert seen == [False, True]
     t = np.sqrt(2) * np.pi / np.sqrt(1000)
+    seen = _eig_inputs(monkeypatch)
+    prop = Propagator(g.real, v0 / frame, 2 * t)
+    assert seen == [False] and prop.method == "eig"
+    ref = Propagator(-1j * h, v0, 2 * t)
+    assert seen == [False, True]
     ops = np.array([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0]), np.eye(3)])
-    assert np.abs(prop.apply(t) - ref.apply(t)).max() <= 1e-12
+    assert np.abs(frame * prop.apply(t) - ref.apply(t)).max() <= 1e-12
     want = ref.population(2 * t, 300, [2])
     assert np.abs(prop.population(2 * t, 300, [2]) - want).max() <= 1e-12
     assert np.abs(prop.integrated_expectation(ops, t)
                   - ref.integrated_expectation(ops, t)).max() <= 1e-12
+    weights = np.array([0.6, 0.8])
+    want = ref.peak_time(0.5 * t, 1.5 * t, 1e-12 * t, [1, 2], weights)
+    got = prop.peak_time(0.5 * t, 1.5 * t, 1e-12 * t, [1, 2], weights * frame[[1, 2]])
+    assert abs(got - want) <= 1e-12 * t
     assert abs(prop.condition - ref.condition) <= 1e-12 * ref.condition
     expm = scipy.linalg.expm(-1j * h * t) @ v0
-    assert np.abs(prop.apply(t) - expm).max() <= 1e-12
-    with pytest.raises(DimensionError):
-        Propagator(g.real, v0, frame[:2])
+    assert np.abs(frame * prop.apply(t) - expm).max() <= 1e-12
 
 
 def test_complex_generator_in_a_frame_matches_expm(monkeypatch):
     # a real detuning on one diagonal entry, or a random complex H, leaves
     # T^-1 (-iH) T complex: the same eig runs on that complex generator, and
-    # the evolution mapped back through the frame matches expm
+    # T u(t) from u0 = T^-1 v0 matches expm of -iH
     rng = np.random.default_rng(9)
     detuned = _chain()
     detuned[1, 1] += 0.3
@@ -388,27 +396,39 @@ def test_complex_generator_in_a_frame_matches_expm(monkeypatch):
     for h, frame in ((detuned, np.array([1j, 1.0, 1j])),
                      (random_decaying_h(rng, 6), np.array([1, 1j, 1, 1j, -1, -1j]))):
         v0 = random_state(rng, h.shape[0])
-        prop = Propagator(_in_frame(h, frame), v0, frame)
+        prop = Propagator(_in_frame(h, frame), v0 / frame, 0.8)
         assert seen.pop() and prop.method == "eig"
         ref = scipy.linalg.expm(-1j * h * 0.8) @ v0
-        assert np.abs(prop.apply(0.8) - ref).max() <= 1e-12
+        assert np.abs(frame * prop.apply(0.8) - ref).max() <= 1e-12
 
 
 def test_expm_fallback_still_triggers_with_a_frame(monkeypatch):
+    # with the eigenbasis refused, the fallback's expm of the real generator
+    # evolves u = T^-1 psi, and T u(t) matches expm of -iH
     monkeypatch.setattr(linalg, "EIGBASIS_MAX_CONDITION", 0.0)
     h = _chain()
     frame = np.array([1j, 1.0, 1j])
     v0 = random_state(np.random.default_rng(6), 3)
-    prop = Propagator(_in_frame(h, frame).real, v0, frame)
-    assert prop.method == "expm"
     t = np.sqrt(2) * np.pi / np.sqrt(1000)
+    prop = Propagator(_in_frame(h, frame).real, v0 / frame, t)
+    assert prop.method == "expm"
     ref = scipy.linalg.expm(-1j * h * t) @ v0
-    assert np.abs(prop.apply(t) - ref).max() <= 1e-14
+    assert np.abs(frame * prop.apply(t) - ref).max() <= 1e-14
 
 
 def test_golden_section_max():
     x = golden_section_max(lambda t: -((t - 1.3) ** 2), 0.0, 3.0, 1e-9)
     assert x == pytest.approx(1.3, abs=1e-7)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+def test_golden_section_max_refuses_a_tolerance_that_is_not_positive(tol):
+    # a tolerance of 0 or below never ends the search, and nan ended it at
+    # once with the bracket's midpoint: each is refused before f is evaluated
+    calls = []
+    with pytest.raises(ValueError, match="tol"):
+        golden_section_max(lambda x: calls.append(x) or -((x - 0.3) ** 2), 0.0, 1.0, tol)
+    assert calls == []
 
 
 def _random_generator(rng, dim, dtype=float):
@@ -421,7 +441,7 @@ def _random_generator(rng, dim, dtype=float):
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_reduced_propagator_with_a_positive_log_norm_matches_expm(dtype):
+def test_reduced_propagator_with_a_positive_log_norm_matches_expm(full_propagator, dtype):
     # the bound's factor e^{w t}, w from Gershgorin's circles, covers a
     # generator that is not dissipative: for a real g with a state real up to
     # one global phase the reduction closes well below the dimension, and a
@@ -440,7 +460,7 @@ def test_reduced_propagator_with_a_positive_log_norm_matches_expm(dtype):
     for t in (horizon, horizon / 3):
         ref = scipy.linalg.expm(g * t) @ v0
         assert np.abs(prop.apply(t) - ref).max() <= 1e-12 * np.abs(ref).max()
-    dense = Propagator(g, v0)
+    dense = full_propagator(g, v0, horizon)
     assert dense.eigvecs.shape == (dim, dim)
     want = dense.population(horizon, 50, [0, 5])
     assert np.abs(prop.population(horizon, 50, [0, 5]) - want).max() <= 1e-12 * want.max()
@@ -476,24 +496,26 @@ def test_reduction_stops_exactly_at_an_invariant_subspace():
 
 
 def test_reduction_falls_back_to_the_full_decomposition():
-    # below the crossover, without a horizon, and where the Krylov space does
-    # not close by half the dimension (a horizon of many periods; at
-    # dimension 63 the basis grows to exactly kmax + 1 = 32 rows), the
-    # propagator decomposes g itself.  The last generator grows so fast that
-    # e^{w t} times its bound passes the float range, quietly
+    # below the crossover, from a state complex past one global phase, and
+    # where the Krylov space does not close by half the dimension (a horizon
+    # of many periods; at dimension 63 the basis grows to exactly kmax + 1 =
+    # 32 rows), the propagator decomposes g itself.  The last generator grows
+    # so fast that e^{w t} times its bound passes the float range, quietly
     rng = np.random.default_rng(33)
     big, small = linalg.KRYLOV_MIN_DIM + 9, linalg.KRYLOV_MIN_DIM - 1
-    for g, horizon in ((_random_generator(rng, small), 1.0), (_random_generator(rng, big), None),
-                       (_random_generator(rng, big), 200.0),
-                       (_random_generator(np.random.default_rng(63), 63), 5.0),
-                       (_random_generator(np.random.default_rng(2), big), 200.0)):
+    complex_past_one_phase = np.exp(1j * np.arange(big))
+    for g, horizon, phases in ((_random_generator(rng, small), 1.0, 1.0),
+                               (_random_generator(rng, big), 1.0, complex_past_one_phase),
+                               (_random_generator(rng, big), 200.0, 1.0),
+                               (_random_generator(np.random.default_rng(63), 63), 5.0, 1.0),
+                               (_random_generator(np.random.default_rng(2), big), 200.0, 1.0)):
         dim = g.shape[0]
-        prop = Propagator(g, rng.standard_normal(dim), horizon=horizon)
+        prop = Propagator(g, rng.standard_normal(dim) * phases, horizon=horizon)
         assert prop.method == "eig" and prop.eigvecs.shape == (dim, dim)
 
 
 @pytest.mark.parametrize("horizon", [0.5, 2.0, 10.0, 1e4])
-def test_reduction_on_a_contractive_generator_at_long_horizons(horizon):
+def test_reduction_on_a_contractive_generator_at_long_horizons(full_propagator, horizon):
     # an antisymmetric part and a negative diagonal: Gershgorin's w is 0, so
     # the bound's factor is 1 however long the horizon.  The bound's grid
     # resolves H_k's rates, so at every horizon the states and integrals agree
@@ -508,7 +530,7 @@ def test_reduction_on_a_contractive_generator_at_long_horizons(horizon):
     g = (a - a.T) / np.sqrt(dim) - np.diag(rng.uniform(0.05, 0.5, dim))
     v0 = rng.standard_normal(dim)
     prop = Propagator(g, v0, horizon=horizon)
-    full = Propagator(g, v0)
+    full = full_propagator(g, v0, horizon)
     assert prop.method == "eig"
     assert (prop.eigvecs.shape[1] < dim) == (horizon <= 2.0)
     for t in (horizon / 1000, horizon / 10, horizon):
@@ -624,13 +646,13 @@ def _exact_sector(n, m):
 def test_peak_time_slope_matches_a_central_difference(monkeypatch, path, m):
     # f'(t) of the search, in closed form from the eigenbasis (of the whole
     # sector below dimension 41, of its Krylov space above) and from
-    # T G T^-1 psi on the expm fallback, against a central difference of the
+    # g psi on the expm fallback, against a central difference of the
     # weighted herald population read off apply; the search's time agrees
     # with golden section's within golden's tolerance
     if path == "expm":
         monkeypatch.setattr(linalg, "EIGBASIS_MAX_CONDITION", 0.0)
     model, T = _exact_sector(300, m)
-    prop = Propagator(model.g, model.psi0, model.frame, 1.2 * T)
+    prop = Propagator(model.g, model.psi0, 1.2 * T)
     assert prop.method == ("expm" if path == "expm" else "eig")
     assert (prop.dim < linalg.KRYLOV_MIN_DIM) == (path != "reduced")
     if path != "expm":
@@ -649,30 +671,48 @@ def test_peak_time_returns_the_higher_end_without_a_sign_change():
     # a decaying or a growing population has no interior maximum: the search
     # returns the end where the population is larger
     for rate, want in ((-1.0, 0.2), (0.5, 1.0)):
-        prop = Propagator(np.array([[rate]]), np.ones(1))
+        prop = Propagator(np.array([[rate]]), np.ones(1), 1.0)
         assert prop.peak_time(0.2, 1.0, 1e-9, [0], np.ones(1)) == want
 
 
 def test_peak_time_refuses_bad_brackets_and_non_finite_slopes(monkeypatch):
     model, T = _exact_sector(300, 6)
-    prop = Propagator(model.g, model.psi0, model.frame, 1.2 * T)
+    prop = Propagator(model.g, model.psi0, 1.2 * T)
     for lo, hi in ((0.8 * T, 1.2 * T * (1 + 1e-12)), (-0.1 * T, T), (T, 0.9 * T)):
         with pytest.raises(ValueError, match="horizon"):
             prop.peak_time(lo, hi, 1e-6 * T, model.idx, model.weights)
     with pytest.raises(NumericError):
         prop.peak_time(0.8 * T, np.nan, 1e-6 * T, model.idx, model.weights)
-    with pytest.raises(ValueError, match="bracket"):
-        Propagator(np.eye(2), np.ones(2)).peak_time(1.0, 0.5, 1e-6, [0], np.ones(1))
+    with pytest.raises(ValueError, match="horizon"):
+        Propagator(np.eye(2), np.ones(2), 1.0).peak_time(1.0, 0.5, 1e-6, [0], np.ones(1))
     # a gain e^{1000 t} overflows the population at t = 1; rates of -1e308
     # leave every amplitude finite but overflow the slope at t = 0, on the
     # eigenbasis path and on the expm fallback: NumericError, and no numpy
     # warning first
-    props = [Propagator(g, np.ones(2)) for g in (1000.0 * np.eye(2), np.diag([-1e308, -1e308]))]
+    props = [Propagator(g, np.ones(2), 1.0)
+             for g in (1000.0 * np.eye(2), np.diag([-1e308, -1e308]))]
     monkeypatch.setattr(linalg, "EIGBASIS_MAX_CONDITION", 0.0)
-    props.append(Propagator(np.diag([-1e308, -1e308]), np.ones(2)))
+    props.append(Propagator(np.diag([-1e308, -1e308]), np.ones(2), 1.0))
     assert [prop.method for prop in props] == ["eig", "eig", "expm"]
     for prop in props:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="slope"):
                 prop.peak_time(0.0, 1.0, 1e-9, [0, 1], np.ones(2))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+def test_peak_time_refuses_a_tolerance_that_is_not_positive(monkeypatch, tol):
+    # on the m = 3 exact step, a tolerance of 0 or below never ended the
+    # search, and nan raised NumericError from a non-finite slope: each is a
+    # ValueError naming tol, raised before any evaluation, on the eigenbasis
+    # path and on the expm fallback
+    model, T = _exact_sector(150, 3)
+    props = [Propagator(model.g, model.psi0, 1.2 * T)]
+    monkeypatch.setattr(linalg, "EIGBASIS_MAX_CONDITION", 0.0)
+    props.append(Propagator(model.g, model.psi0, 1.2 * T))
+    assert [prop.method for prop in props] == ["eig", "expm"]
+    for prop in props:
+        prop._slope = lambda index, weights: pytest.fail("the search evaluated its slope")
+        with pytest.raises(ValueError, match="tol"):
+            prop.peak_time(0.8 * T, 1.2 * T, tol, model.idx, model.weights)

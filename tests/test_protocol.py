@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import drive_matrix, full_basis_step, limit_fixed_ratio
-from wgherald.basis import HPMode, goal_amplitudes
+from wgherald.basis import HPMode, goal_amplitudes, stage_frame
 from wgherald.dissipative import DissipativeParams, build_H_coherent, build_H_nh, optimal_time
 from wgherald.formulas import (
     accumulation_infidelity_prediction,
@@ -44,7 +44,7 @@ def test_step_equals_direct_chain_amplitude():
     basis = build_basis(300, 2, HPMode.APPROX)
     h = build_H_nh(p, basis)
     t = optimal_time(p)
-    amp = Propagator(-1j * h, np.array([1.0, 0, 0], complex)).apply(t)[2]
+    amp = Propagator(-1j * h, np.array([1.0, 0, 0], complex), t).apply(t)[2]
     res = run_step(p, HPMode.APPROX)
     assert res.p_success == pytest.approx(abs(amp) ** 2, abs=1e-14)
 
@@ -173,7 +173,7 @@ def test_every_step_kind_builds_one_basis_and_one_propagator(monkeypatch):
 
 def test_models_share_read_only_layouts_and_fresh_matrices():
     # two models of one shape at different N: the basis and its read-only
-    # frame, stage vector, goal and herald positions are shared, the
+    # stage vector, goal and herald positions and weights are shared, the
     # generator, the sign S, the channels' stack and the input are newly
     # allocated, so mutating them changes no later model; every array the
     # layout keeps is 1-D, so a memoized basis holds O(dim) of it
@@ -185,11 +185,11 @@ def test_models_share_read_only_layouts_and_fresh_matrices():
     other = _model(q, HPMode.EXACT)
     again = _model(p, HPMode.EXACT)
     assert [a.tobytes() for a in (again.psi0, again.g, again.ops)] == want
-    assert other.basis is again.basis and other.frame is again.frame
+    assert other.basis is again.basis and other.weights is again.weights
     layout = again.basis.memo(protocol._layout)
-    assert [again.frame, again.goal, again.idx, again.weights] == [layout[0], *layout[2:5]]
-    assert np.array_equal(layout[1], again.frame.imag)
-    assert np.array_equal(again.sign, layout[1] - layout[1][:, None])
+    assert [again.goal, again.idx, again.weights] == list(layout[1:4])
+    assert np.array_equal(layout[0], stage_frame(again.basis).imag)
+    assert np.array_equal(again.sign, layout[0] - layout[0][:, None])
     assert again.sign is not other.sign and again.sign.flags.writeable
     for a in layout:
         assert a.ndim == 1
@@ -279,7 +279,7 @@ def test_step_diagnostics_report_the_worst_propagator(monkeypatch):
     state = _mixed_parity_input(3)
     res = run_step(p, HPMode.EXACT, state)
     model = _model(p, HPMode.EXACT, state)
-    condition = Propagator(model.g, model.psi0, model.frame).condition
+    condition = Propagator(model.g, model.psi0, optimal_time(p)).condition
     assert res.diagnostics.propagator_method == "eig"
     assert res.diagnostics.eigvec_condition == condition
     monkeypatch.setattr(linalg, "EIGBASIS_MAX_CONDITION", 0.0)
@@ -293,44 +293,55 @@ def test_step_diagnostics_report_the_worst_propagator(monkeypatch):
 
 
 def _step_generators():
-    # (generator, frame, channel products, time, herald index, input) of every step
-    # kind: exact sectors of both parities and the full exact basis up to
-    # m = 40, the 3-state chain, the continuously driven 5-state chain with
-    # and without decay
+    # (generator, stage-parity frame, channel products, time, herald index,
+    # herald weights, input) of every step kind: exact sectors of both
+    # parities and the full exact basis up to m = 40, the 3-state chain, the
+    # continuously driven 5-state chain with and without decay
     cases = []
     for n, m, p1d in ((100, 1, 10.0), (300, 2, 5.0), (500, 7, math.inf), (1000, 40, 10.0)):
         p = DissipativeParams.from_purcell(n, m, p1d)
         inputs = [goal_amplitudes(m - 1)] + ([_mixed_parity_input(m)] if m > 1 else [])
         for state in inputs:
             s = _model(p, HPMode.EXACT, state)
-            cases.append((s.g, s.frame, s.ops, optimal_time(p), s.idx, s.psi0))
+            cases.append((s.g, stage_frame(s.basis), s.ops, optimal_time(p), s.idx, s.weights,
+                          s.psi0))
     p = DissipativeParams.from_purcell(400, 3, 10.0)
     chain = _model(p, HPMode.APPROX)
-    cases.append((chain.g, chain.frame, chain.ops, optimal_time(p), chain.idx, chain.psi0))
+    cases.append((chain.g, stage_frame(chain.basis), chain.ops, optimal_time(p), chain.idx,
+                  chain.weights, chain.psi0))
     omega = math.sqrt(2.0 / 3.0) * math.sqrt(800)
     for decay in (True, False):
         s = _model(p, HPMode.APPROX, decay=decay, with_drive=True)
-        cases.append((s.g + s.sign * ((omega / 2) * drive_matrix(s.basis)), s.frame, s.ops,
-                      2 * math.pi / omega, s.idx, s.psi0))
+        cases.append((s.g + s.sign * ((omega / 2) * drive_matrix(s.basis)), stage_frame(s.basis),
+                      s.ops, 2 * math.pi / omega, s.idx, s.weights, s.psi0))
     return cases
 
 
 def test_frame_path_matches_frameless_path_on_every_step_generator():
+    # each step's real generator G evolves u = T^-1 psi, T = diag(stage_frame):
+    # from u0 = T^-1 v0 for a random physical v0, T u(t) is the state of the
+    # complex reference -iH = T G T^-1 from v0, and the herald populations,
+    # the loss integrals, the peak time of the model's herald weights (which
+    # carry T) and the condition number are the reference's
     rng = np.random.default_rng(14)
     cases = _step_generators()
     assert len(cases) == 10
-    for g, frame, products, t, idx, _ in cases:
+    for g, frame, products, t, idx, weights, _ in cases:
         v0 = rng.normal(size=(g.shape[0], 2)) @ [1.0, 1.0j]
         v0 /= math.sqrt(norm_sq(v0))
-        # the frameless generator -iH = T G T^-1
-        prop, ref = Propagator(g, v0, frame), Propagator(frame[:, None] * g / frame, v0)
+        ref = Propagator(frame[:, None] * g / frame, v0, 2 * t)
+        prop = Propagator(g, v0 / frame, 2 * t)
         assert prop.method == ref.method == "eig"
-        assert np.abs(prop.apply(t) - ref.apply(t)).max() <= 1e-12
+        assert prop.eigvecs.shape == ref.eigvecs.shape == g.shape
+        assert np.abs(frame * prop.apply(t) - ref.apply(t)).max() <= 1e-12
         assert np.abs(prop.population(2 * t, 200, idx)
                       - ref.population(2 * t, 200, idx)).max() <= 1e-12
         ops = np.concatenate([products, np.eye(g.shape[0])[None]])
         assert np.abs(prop.integrated_expectation(ops, t)
                       - ref.integrated_expectation(ops, t)).max() <= 1e-12
+        want = ref.peak_time(0.5 * t, 1.5 * t, 1e-12 * t, idx, weights / frame[idx])
+        assert abs(prop.peak_time(0.5 * t, 1.5 * t, 1e-12 * t, idx, weights) - want) <= 1e-12 * t
+        assert abs(prop.condition - ref.condition) <= 1e-12 * ref.condition
 
 
 def test_every_step_kind_diagonalizes_a_real_matrix(monkeypatch):
@@ -363,7 +374,7 @@ def test_every_step_kind_diagonalizes_a_real_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("n, p1d", [(60, 3.0), (317, 10.0), (1000, 100.0), (400, math.inf)])
-def test_reduced_propagator_matches_the_full_one_on_accumulation_steps(n, p1d):
+def test_reduced_propagator_matches_the_full_one_on_accumulation_steps(full_propagator, n, p1d):
     # every step of an m = 40 accumulation, at its optimal time T, at the
     # refine_T horizon 1.2 T and at T / 2: the propagator reduced to the
     # Krylov space of the step's input agrees with the full decomposition on
@@ -373,10 +384,10 @@ def test_reduced_propagator_matches_the_full_one_on_accumulation_steps(n, p1d):
     for k, res in enumerate(run_accumulation(n, 40, p1d).steps, 1):
         p = DissipativeParams.from_purcell(n, k, p1d)
         model, T = _model(p, HPMode.EXACT, state), optimal_time(p)
-        full = Propagator(model.g, model.psi0, model.frame)
+        full = full_propagator(model.g, model.psi0, 1.2 * T)
         ops = np.concatenate([model.ops, np.eye(model.g.shape[0])[None]])
         for horizon in (T, 1.2 * T, T / 2):
-            prop = Propagator(model.g, model.psi0, model.frame, horizon)
+            prop = Propagator(model.g, model.psi0, horizon)
             assert prop.method == "eig" and prop.dim == model.g.shape[0]
             reduced += prop.eigvecs.shape[1] < prop.dim
             want = full.apply(horizon)
@@ -392,14 +403,14 @@ def test_reduced_propagator_matches_the_full_one_on_accumulation_steps(n, p1d):
 
 
 @pytest.mark.parametrize("m", [12, 40])
-def test_reduced_propagator_matches_the_full_one_on_a_mixed_input(m):
+def test_reduced_propagator_matches_the_full_one_on_a_mixed_input(full_propagator, m):
     # a mixed input evolves on the full 4m + 1 basis; its Krylov space is
     # complex, so at m = 12 (dimension 49) and m = 40 (dimension 161) the
-    # propagator decomposes the whole generator, as without a horizon
+    # propagator decomposes the whole generator, as the full reference does
     p = DissipativeParams.from_purcell(500, m, 10.0)
     model, T = _model(p, HPMode.EXACT, _mixed_parity_input(m)), optimal_time(p)
-    prop = Propagator(model.g, model.psi0, model.frame, T)
-    full = Propagator(model.g, model.psi0, model.frame)
+    prop = Propagator(model.g, model.psi0, T)
+    full = full_propagator(model.g, model.psi0, T)
     assert prop.dim == 4 * m + 1
     assert prop.eigvecs.shape == (prop.dim, prop.dim)
     want = full.apply(T)
@@ -411,7 +422,7 @@ def test_reduced_propagator_matches_the_full_one_on_a_mixed_input(m):
 
 
 @pytest.mark.parametrize("T", [0.3, 2.0, 50.0])
-def test_step_at_a_long_user_time_books_the_full_decomposition_losses(T):
+def test_step_at_a_long_user_time_books_the_full_decomposition_losses(full_propagator, T):
     # an exact sector of dimension 41, whose optimal time is pi / 10, evolved
     # to a user time T: the step reduces near that time, and decomposes the
     # whole generator where the space does not close by half the dimension
@@ -420,9 +431,9 @@ def test_step_at_a_long_user_time_books_the_full_decomposition_losses(T):
     p = DissipativeParams.from_purcell(100, 20, 10.0)
     model = _model(p, HPMode.EXACT)
     res = run_step(p, HPMode.EXACT, T=T)
-    prop = Propagator(model.g, model.psi0, model.frame, T)
+    prop = Propagator(model.g, model.psi0, T)
     assert (prop.eigvecs.shape[1] < prop.dim) == (T < 1.0)
-    want = _evolve(model, T, Propagator(model.g, model.psi0, model.frame))
+    want = _evolve(model, T, full_propagator(model.g, model.psi0, T))
     scale = max(want.diagnostics.channel_losses.values())
     for name, loss in want.diagnostics.channel_losses.items():
         assert abs(res.diagnostics.channel_losses[name] - loss) <= 1e-12 * scale
@@ -455,14 +466,14 @@ def test_step_generator_is_the_real_part_of_the_rotated_h_nh():
                 for model in models:
                     assert model.g.dtype == np.float64
                     assert np.array_equal(model.g, _rotated(build_H_nh(p, model.basis),
-                                                            model.frame))
+                                                            stage_frame(model.basis)))
                     cases += 1
                 for decay in (True, False):
                     model = _model(p, HPMode.APPROX, decay=decay, with_drive=True)
                     drive = (math.sqrt(2 * n) / 2) * drive_matrix(model.basis)
                     h = build_H_nh(p, model.basis) if decay else build_H_coherent(p, model.basis)
                     assert np.array_equal(model.g + model.sign * drive,
-                                          _rotated(h + drive, model.frame))
+                                          _rotated(h + drive, stage_frame(model.basis)))
     assert cases == 108 + 42
 
 
@@ -493,34 +504,35 @@ def test_step_path_forms_no_complex_generator(monkeypatch):
     assert all(g.dtype == np.float64 for g in generators)
 
 
-def _fallback_losses(monkeypatch, g, v0, frame, ops, t):
+def _fallback_losses(monkeypatch, g, v0, ops, t):
     monkeypatch.setattr(linalg, "EIGBASIS_MAX_CONDITION", 0.0)
-    prop = Propagator(g, v0, frame)
+    prop = Propagator(g, v0, t)
     monkeypatch.undo()
     assert prop.method == "expm"
     return prop.integrated_expectation(ops, t)
 
 
-def test_loss_integrals_match_the_expm_fallback(monkeypatch):
-    # the closed-form integrals off Re(R^T) agree with the Boole sums of the
-    # expm fallback on every step generator from the step's own input, on the
-    # zero-decay drive's empty stack, and on a generator with mu = 0 pairs
-    cases = [(g, frame, ops, t, v0) for g, frame, ops, t, _, v0 in _step_generators()]
+def test_loss_integrals_match_the_expm_fallback(monkeypatch, full_propagator):
+    # the closed-form integrals off Re(R^T) of the full eigenbasis agree with
+    # the Boole sums of the expm fallback on every step generator from the
+    # step's own input, on the zero-decay drive's empty stack, and on a
+    # generator with mu = 0 pairs
+    cases = [(g, ops, t, v0) for g, _, ops, t, _, _, v0 in _step_generators()]
     p = DissipativeParams.from_purcell(400, 3, 10.0)
     zero_decay = _model(p, HPMode.APPROX, decay=False, with_drive=True)
     assert zero_decay.ops.shape == (0, 5, 5)
     omega = math.sqrt(2.0 / 3.0) * math.sqrt(800)
     drive = zero_decay.sign * ((omega / 2) * drive_matrix(zero_decay.basis))
-    cases.append((zero_decay.g + drive, zero_decay.frame, zero_decay.ops, 2 * math.pi / omega,
-                  zero_decay.psi0))
+    cases.append((zero_decay.g + drive, zero_decay.ops, 2 * math.pi / omega, zero_decay.psi0))
     flat = np.zeros((4, 4))
     flat[3, 3] = -0.5
-    cases.append((flat, None, np.array([np.eye(4), np.diag([1.0, 2.0, 0.0, 1.0])]), 1.3,
+    cases.append((flat, np.array([np.eye(4), np.diag([1.0, 2.0, 0.0, 1.0])]), 1.3,
                   np.full(4, 0.5j)))
-    for g, frame, ops, t, v0 in cases:
-        prop = Propagator(g, v0, frame)
+    for g, ops, t, v0 in cases:
+        prop = full_propagator(g, v0, t)
+        assert prop.eigvecs.shape == g.shape
         got = prop.integrated_expectation(ops, t)
-        want = _fallback_losses(monkeypatch, g, v0, frame, ops, t)
+        want = _fallback_losses(monkeypatch, g, v0, ops, t)
         assert got.shape == want.shape == (len(ops),)
         assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
     mu = np.conj(prop.exponents)[:, None] + prop.exponents
@@ -538,8 +550,8 @@ def test_fallback_loss_integrals_match_the_closed_form_from_random_inputs(monkey
         v0 = rng.normal(size=(s.g.shape[0], 2)) @ [1.0, 1.0j]
         v0 /= math.sqrt(norm_sq(v0))
         t = optimal_time(p)
-        got = Propagator(s.g, v0, s.frame).integrated_expectation(s.ops, t)
-        want = _fallback_losses(monkeypatch, s.g, v0, s.frame, s.ops, t)
+        got = Propagator(s.g, v0, t).integrated_expectation(s.ops, t)
+        want = _fallback_losses(monkeypatch, s.g, v0, s.ops, t)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
@@ -680,6 +692,81 @@ def test_refine_T_on_the_expm_fallback_matches_golden_section(monkeypatch):
         assert step.diagnostics.propagator_method == "expm"
         assert abs(step.T_used - coarse) <= 1e-6 * T
     assert max(counts) <= 10
+
+
+@pytest.mark.parametrize("n, m, p1d, omega", [
+    (300, 2, 10.0, 25.0),
+    (746, 3, 905.5701900720969, 115.9332186973199),
+    (100, 1, 10.0, 1e3),
+])
+def test_driven_step_on_the_expm_fallback_matches_the_eigenbasis(monkeypatch, n, m, p1d, omega):
+    # with every eigenbasis refused, the driven step's scan, the slope its
+    # search follows and its bookkeeping run on the fallback's expm of the
+    # real generator, on a chain whose stage-parity frame holds 1j: the
+    # pinned off-optimum drive, a scan peaking at its window's end and an
+    # 8,485-point scan give the eigenbasis step's time, herald probability
+    # and channel losses
+    want = run_step_continuous_drive(n, m, p1d, omega)
+    monkeypatch.setattr(linalg, "EIGBASIS_MAX_CONDITION", 0.0)
+    got = run_step_continuous_drive(n, m, p1d, omega)
+    assert want.diagnostics.propagator_method == "eig"
+    assert got.diagnostics.propagator_method == "expm"
+    assert abs(got.T_used - want.T_used) <= 1e-12 * want.T_used
+    assert abs(got.p_success - want.p_success) <= 1e-11 * want.p_success
+    losses = want.diagnostics.channel_losses
+    assert list(got.diagnostics.channel_losses) == list(losses)
+    for name, loss in got.diagnostics.channel_losses.items():
+        assert abs(loss - losses[name]) <= 1e-9, name
+
+
+def test_every_propagator_knows_the_latest_time_it_is_asked_for(monkeypatch):
+    # the horizon each step gives its Propagator: T for a pi-pulse step and
+    # for a driven step at its optimal omega or at a given T, 1.2 T for a
+    # refine_T step, and the scan's end t_hi off the optimal omega; no time
+    # the step then asks for (apply, population, loss integrals, search
+    # bracket) lies past it
+    built = []
+
+    class Recording(Propagator):
+        def __init__(self, g, v0, horizon):
+            super().__init__(g, v0, horizon)
+            self.asked = []
+            built.append(self)
+
+        def apply(self, t):
+            self.asked.append(t)
+            return super().apply(t)
+
+        def population(self, t_end, n, index):
+            self.asked.append(t_end)
+            return super().population(t_end, n, index)
+
+        def integrated_expectation(self, ops, t):
+            self.asked.append(t)
+            return super().integrated_expectation(ops, t)
+
+        def peak_time(self, lo, hi, tol, index, weights):
+            self.asked += [lo, hi]
+            return super().peak_time(lo, hi, tol, index, weights)
+    monkeypatch.setattr(protocol, "Propagator", Recording)
+    p = DissipativeParams.from_purcell(300, 2, 10.0)
+    omega_opt = math.sqrt(2.0 / 3.0) * math.sqrt(600)
+    t_hi = 6 * math.pi / math.sqrt(600)
+    refine = [1.2 * optimal_time(DissipativeParams.from_purcell(150, k, 10.0)) for k in (1, 2, 3)]
+    steps = [
+        (lambda: [run_step(p, HPMode.EXACT)], [optimal_time(p)]),
+        (lambda: run_accumulation(150, 3, 10.0, refine_T=True).steps, refine),
+        (lambda: [run_step_continuous_drive(300, 2, 10.0)], [2 * math.pi / omega_opt]),
+        (lambda: [run_step_continuous_drive(300, 2, 10.0, omega=25.0)], [t_hi]),
+        (lambda: [run_step_continuous_drive(300, 2, 10.0, omega=25.0, T=0.3)], [0.3]),
+    ]
+    for step, horizons in steps:
+        built.clear()
+        results = step()
+        assert [prop.horizon for prop in built] == horizons
+        for prop, res in zip(built, results):
+            assert res.T_used in prop.asked
+            assert 0.0 <= min(prop.asked) and max(prop.asked) <= prop.horizon
 
 
 @pytest.mark.parametrize("n, m, p1d, omega", [
