@@ -644,11 +644,12 @@ def _exact_sector(n, m):
 
 @pytest.mark.parametrize("path, m", [("full", 6), ("reduced", 30), ("expm", 6)])
 def test_peak_time_slope_matches_a_central_difference(monkeypatch, path, m):
-    # f'(t) of the search, in closed form from the eigenbasis (of the whole
-    # sector below dimension 41, of its Krylov space above) and from
-    # g psi on the expm fallback, against a central difference of the
-    # weighted herald population read off apply; the search's time agrees
-    # with golden section's within golden's tolerance
+    # f'(t) and f''(t) of the search, in closed form from the eigenbasis (of
+    # the whole sector below dimension 41, of its Krylov space above) and
+    # from g psi and g (g psi) on the expm fallback, against central
+    # differences of the weighted herald population read off apply and of
+    # the closed-form f'; the search's time agrees with golden section's
+    # within golden's tolerance
     if path == "expm":
         monkeypatch.setattr(linalg, "EIGBASIS_MAX_CONDITION", 0.0)
     model, T = _exact_sector(300, m)
@@ -660,9 +661,11 @@ def test_peak_time_slope_matches_a_central_difference(monkeypatch, path, m):
     f = lambda t: norm_sq(model.weights * prop.apply(t)[model.idx])  # noqa: E731
     evaluate, h = prop._slope(model.idx, model.weights), 1e-5 * T
     for t in (0.85 * T, 0.9 * T, 1.1 * T):
-        value, slope = evaluate(t)
+        value, slope, curvature = evaluate(t)
         assert value == pytest.approx(f(t), rel=1e-12)
         assert slope == pytest.approx((f(t + h) - f(t - h)) / (2 * h), rel=1e-6)
+        assert curvature == pytest.approx((evaluate(t + h)[1] - evaluate(t - h)[1]) / (2 * h),
+                                          rel=1e-6)
     peak = prop.peak_time(0.8 * T, 1.2 * T, 1e-6 * T, model.idx, model.weights)
     assert abs(peak - golden_section_max(f, 0.8 * T, 1.2 * T, 1e-6 * T)) <= 1e-6 * T
 
