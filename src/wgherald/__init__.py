@@ -10,10 +10,12 @@ import numpy as _np
 # glibc's malloc serves blocks above its mmap threshold (128 KiB at process
 # start) by mmap and returns heap-top memory past its trim threshold, so the
 # few hundred KiB that each step allocates and frees would be paged in again
-# at every step: 12 times the page faults and about 9% more time over an
-# exact accumulation.  Freeing one 1 MiB mmapped block at import raises both
-# thresholds (mallopt(3), dynamic mmap threshold).  Its pages are never
-# touched; other allocators just allocate and free it.
+# at every step: 12% more page faults in a process that runs one list of the
+# `accumulate-exact` benchmark, and 2% more time over its jobs (slower in 10
+# of 12 fresh-process pairs on each of two seeds).  Freeing one 1 MiB mmapped
+# block at import raises both thresholds (mallopt(3), dynamic mmap
+# threshold).  Its pages are never touched; other allocators just allocate
+# and free it.
 _np.empty(1 << 17)
 
 from .basis import (
@@ -26,18 +28,10 @@ from .basis import (
 from .bandgap import (
     BandgapParams,
     TransferRecord,
-    build_H_bandgap,
     ideal_step_probability,
     run_transfer,
 )
-from .dissipative import (
-    DissipativeParams,
-    JumpChannel,
-    build_H_coherent,
-    build_H_nh,
-    build_jump_operators,
-    optimal_time,
-)
+from .dissipative import DissipativeParams, optimal_time
 from .linalg import Propagator, norm_sq, overlap
 from .protocol import (
     AccumulationResult,
@@ -52,11 +46,10 @@ from . import formulas
 
 __all__ = [
     "AccumulationResult", "BandgapParams", "BasisLabel", "BasisSet",
-    "DissipativeParams", "HPMode", "JumpChannel", "Propagator",
-    "StepResult", "TransferRecord", "build_H_bandgap", "build_H_coherent",
-    "build_H_nh", "build_basis", "build_jump_operators", "formulas",
-    "goal_state", "ideal_step_probability", "norm_sq", "optimal_time",
-    "overlap", "run_accumulation", "run_step", "run_step_continuous_drive",
+    "DissipativeParams", "HPMode", "Propagator", "StepResult",
+    "TransferRecord", "build_basis", "formulas", "goal_state",
+    "ideal_step_probability", "norm_sq", "optimal_time", "overlap",
+    "run_accumulation", "run_step", "run_step_continuous_drive",
     "run_step_fixed_ratio", "run_step_fresh_level", "run_transfer",
 ]
 

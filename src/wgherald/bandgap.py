@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import arnoldi, exp_sums, golden_section_max, norm_sq, trapezoid
+from .linalg import arnoldi, exp_sums, golden_section_max, is_int, norm_sq, trapezoid
 
 # Lanczos steps stop once the Hochbruck-Lubich bound on the error of the
 # propagated source state, over the whole scan window, is below this.
@@ -73,8 +73,8 @@ class BandgapParams:
     gamma_star: float = 0.0
 
     def __post_init__(self):
-        if self.N < 1 or self.m < 1:
-            raise ValueError("N and m must be positive")
+        if not (is_int(self.N) and is_int(self.m) and self.N >= 1 and self.m >= 1):
+            raise ValueError("N and m must be positive integers")
         if self.N - self.m + 1 < 1:
             raise ValueError("need N - m + 1 >= 1")
         if not (self.xi > 0 and math.isfinite(self.xi)):

@@ -52,6 +52,7 @@ from .basis import (
     matrix_from_action,
     mirror_image,
 )
+from .linalg import is_int
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class DissipativeParams:
     gamma_star: float = 0.0
 
     def __post_init__(self):
-        if self.N < 1 or self.m < 1:
+        if not (is_int(self.N) and is_int(self.m) and self.N >= 1 and self.m >= 1):
             raise ValueError("N and m must be positive integers")
         if self.gamma_s is None:
             object.__setattr__(self, "gamma_s", 1.0 / math.sqrt(self.m))
@@ -241,9 +242,10 @@ def no_jump_generator(h_coherent: np.ndarray, rates, ops: np.ndarray, sign) -> n
     as a new matrix, the channels subtracted one at a time in order.
 
     With sign the stage-parity sign of a basis (see `basis.stage_frame`) it is
-    G = T^-1 (-i H_nh) T, the generator `linalg.Propagator` takes with the
-    frame T; with sign 0 it is the decay part -(1/2) sum_k Gamma_k O_k^dag O_k
-    alone, the imaginary part of H_nh."""
+    G = T^-1 (-i H_nh) T, T = diag(stage_frame), the generator a step's
+    `linalg.Propagator` evolves its input under, in the coordinates
+    u = T^-1 psi; with sign 0 it is the decay part
+    -(1/2) sum_k Gamma_k O_k^dag O_k alone, the imaginary part of H_nh."""
     g = sign * h_coherent
     for rate, op in zip(rates, ops):
         g -= (0.5 * rate) * op

@@ -39,7 +39,8 @@ def fit_loglog(x_columns, y, model: str = "power_law",
                x_names: tuple[str, ...] | None = None) -> FitReport:
     """Fit ln y against ln x (power_law) or sqrt(x) (exp_sqrt) columns.
 
-    x_columns: sequence of equal-length 1-d arrays (one per regressor).
+    x_columns: sequence of equal-length 1-d arrays (one per regressor), and
+    x_names, if given, one name per column.
     Rows with non-positive or non-finite y (or x; non-positive x only under
     power_law) are excluded with a warning.  A regressor that does not vary
     over the kept rows (a design matrix of lower rank than its column count)
@@ -55,6 +56,8 @@ def fit_loglog(x_columns, y, model: str = "power_law",
         raise ValueError("x and y columns must have equal length")
     if x_names is None:
         x_names = tuple(f"x{i}" for i in range(len(xs)))
+    elif len(x_names) != len(xs):
+        raise ValueError(f"{len(x_names)} x_names for {len(xs)} x columns")
 
     keep = np.isfinite(y) & (y > 0)
     for c in xs:

@@ -23,7 +23,7 @@ bandgap transfer's Lanczos loop is the same `arnoldi`, its bound summed by
 the same `exp_sums`, which also sums a population scan over a uniform grid
 of times.  Loss bookkeeping integrates one density R = integral psi psi^dag
 ds per evolution and reads every channel's integral off it in one real
-product with the flattened stack of channel operators.  The time that
+product with the flattened real O^dag O stack of the channels.  The time that
 maximizes a weighted population is a root of its slope, whose first and
 second state derivatives the eigenbasis gives in closed form: Newton's
 method on the slope, inside a bracket of its sign change, finds it in 4-5
@@ -93,6 +93,11 @@ def all_finite(a) -> bool:
     """Whether every entry of a is finite, at half the cost of
     np.isfinite(a).all() on the small arrays of a step."""
     return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+
+
+def is_int(value) -> bool:
+    """Whether value is an integer, a numpy one included, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def as_state(v) -> np.ndarray:
@@ -460,21 +465,21 @@ class Propagator:
 
     def integrated_expectation(self, ops, t: float) -> np.ndarray:
         """Exact integral_0^t <psi(s)|M|psi(s)> ds along psi(s) = e^{g s} v0,
-        one for each operator M of ops, a (k, dim, dim) array, real or
-        complex.
+        one for each operator M of ops, a real (k, dim, dim) array such as
+        the O^dag O stack of `dissipative.model_matrices`.
 
         Every integral reads the one density R = integral_0^t psi psi^dag ds
-        as Re sum_ij M_ij R_ji: all k in one real product of the flattened
-        stack, (k, 1, dim^2) @ (dim^2), with Re(R^T), less one with Im(R^T)
-        for a complex stack; each operator's is one dot, summed alike
-        whatever k.  In the eigenbasis R^T = conj(A) F A^T in closed
-        form, with A = V diag(c) and F the integrals of the pairwise
-        exponentials, expm1(mu t) / mu for mu = conj(lam_a) + lam_b (t where
-        mu = 0); the expm fallback sums conj(psi) psi^T with composite
-        Boole weights on a fine uniform grid.
+        as sum_ij M_ij Re(R_ji): all k in one real product of the flattened
+        stack, (k, 1, dim^2) @ (dim^2), with Re(R^T); each operator's is one
+        dot, summed alike whatever k.  In the eigenbasis R^T = conj(A) F A^T
+        in closed form, with A = V diag(c) and F the integrals of the
+        pairwise exponentials, expm1(mu t) / mu for mu = conj(lam_a) + lam_b
+        (t where mu = 0); the expm fallback sums conj(psi) psi^T with
+        composite Boole weights on a fine uniform grid.
         """
-        if not isinstance(ops, np.ndarray) or ops.shape[1:] != (self.dim, self.dim):
-            raise DimensionError(f"integrated_expectation takes a (k, {self.dim}, "
+        if (not isinstance(ops, np.ndarray) or np.iscomplexobj(ops)
+                or ops.shape[1:] != (self.dim, self.dim)):
+            raise DimensionError(f"integrated_expectation takes a real (k, {self.dim}, "
                                  f"{self.dim}) array of operators")
         if not all_finite(ops):
             raise NumericError("operator contains non-finite entries")
@@ -483,9 +488,7 @@ class Propagator:
         # |mu| t past the float range leaves non-finite integrals, raised below
         with np.errstate(over="ignore", invalid="ignore"):
             rt = self._density_transpose(t)
-            out = (np.ascontiguousarray(ops.real).reshape(shape) @ rt.real.ravel())[:, 0]
-            if np.iscomplexobj(ops):
-                out -= (np.ascontiguousarray(ops.imag).reshape(shape) @ rt.imag.ravel())[:, 0]
+            out = (np.ascontiguousarray(ops).reshape(shape) @ rt.real.ravel())[:, 0]
         if not all_finite(out):
             raise NumericError("loss integrals are non-finite")
         return out

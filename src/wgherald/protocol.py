@@ -378,10 +378,13 @@ def run_accumulation(
 
     Step k uses the re-derived optimum gamma_s = gamma_g / sqrt(k) and
     T = sqrt(2) pi / (sqrt(2N) gamma_g); with refine_T the time is re-optimized
-    numerically within +-20% of the analytic value, at a root of the herald
-    probability's closed-form slope, found by Newton's method on its
-    closed-form curvature in 4-5 evaluations (`Propagator.peak_time`, to
-    1e-6 T), on the propagator the kept step evolves with.  In the exact
+    numerically at a root of the herald probability's closed-form slope,
+    found by Newton's method on its closed-form curvature in 4-5 evaluations
+    (`Propagator.peak_time`, to 1e-6 T), on the propagator the kept step
+    evolves with.  The search starts on [0.8 T, 1.2 T]; while it returns its
+    low end lo, where the probability still falls, it goes on in [lo / 2, lo],
+    since the probability is 0 at t = 0.  At low Purcell factors the maximum
+    lies there, as low as 0.54 T at N 5, P_1d 0.3.  In the exact
     representation the input of step k is the renormalized heralded output of
     step k-1.
     """
@@ -398,7 +401,10 @@ def run_accumulation(
             # the kept step evolves on the model and propagator the search built
             model = _model(p, mode, state)
             prop = Propagator(model.g, model.psi0, 1.2 * T)
-            T = prop.peak_time(0.8 * T, 1.2 * T, 1e-6 * T, model.idx, model.weights)
+            lo, tol = 0.8 * T, 1e-6 * T
+            T = prop.peak_time(lo, 1.2 * T, tol, model.idx, model.weights)
+            while T == lo > 0:  # still falling at lo
+                lo, T = lo / 2, prop.peak_time(lo / 2, lo, tol, model.idx, model.weights)
             res = _evolve(model, T, prop)
         else:
             res = run_step(p, mode, state, T)

@@ -40,7 +40,7 @@ from . import bandgap as bg
 from . import formulas
 from .basis import HPMode
 from .dissipative import DissipativeParams
-from .linalg import KRYLOV_MIN_DIM
+from .linalg import KRYLOV_MIN_DIM, is_int
 from .protocol import (
     run_accumulation,
     run_step,
@@ -94,10 +94,6 @@ TRANSFER_S, TRANSFER_N_S = 1.5e-3, 1e-6
 
 class SweepConfigError(ValueError):
     """Bad sweep specification."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
@@ -263,7 +259,7 @@ class SweepSpec:
             else:
                 bounds, num = ax["logspace"], ax.get("num", 5)
                 if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
-                        and all(map(_is_number, bounds)) and _is_int(num)):
+                        and all(map(_is_number, bounds)) and is_int(num)):
                     raise SweepConfigError(f"axis {name!r} needs logspace: [lo, hi] and an "
                                            f"integer num")
                 lo, hi = bounds
@@ -276,7 +272,7 @@ class SweepSpec:
                 raise SweepConfigError(f"axis {name!r} has no values")
             axes.append((name, tuple(values)))
         for name, values in (("N", (fixed["N"],)), ("m", (fixed["m"],)), *axes):
-            if name in ("N", "m") and not all(map(_is_int, values)):
+            if name in ("N", "m") and not all(map(is_int, values)):
                 raise SweepConfigError(f"{name} takes integers, not {list(values)}")
         names = [name for name, _ in axes]
         given = (set(cfg.get("fixed") or {}) | set(names) | set(overrides)) & set(PARAMETERS)
@@ -288,7 +284,7 @@ class SweepSpec:
         if doubled:
             raise SweepConfigError(f"{sorted(doubled)} swept by an axis and also set")
         out, jobs, jsonl = (overrides.get(k, cfg.get(k, d)) for k, d in _OPTIONS.items())
-        if not (_is_int(jobs) and jobs >= 1):
+        if not (is_int(jobs) and jobs >= 1):
             raise SweepConfigError(f"jobs must be a positive integer, not {jobs!r}")
         if jobs > 1 and not hasattr(os, "fork"):
             raise SweepConfigError("jobs > 1 needs os.fork, which this platform lacks")

@@ -34,6 +34,11 @@ def test_params_validation():
         BandgapParams(N=10, xi=0.0)
     with pytest.raises(ValueError):
         BandgapParams(N=3, m=5, xi=10.0)
+    # N and m are integers, numpy ones included, and not bools
+    for n, m in ((10.5, 1), (10, 1.5), (10.0, 1), (True, 1), (10, True)):
+        with pytest.raises(ValueError, match="integers"):
+            BandgapParams(N=n, xi=5.0, m=m)
+    assert BandgapParams(N=np.int64(10), xi=5.0, m=np.int32(2)).N_m == 9
     for gamma_star in (-0.2, math.nan, math.inf):
         with pytest.raises(ValueError):
             BandgapParams(N=10, xi=10.0, gamma_star=gamma_star)

@@ -53,6 +53,11 @@ def test_params_validation():
         DissipativeParams(N=10, m=1, gamma_star=math.inf)
     with pytest.raises(ValueError):
         DissipativeParams(N=10, m=1, gamma_s=-1.0)
+    # N and m are integers, numpy ones included, and not bools
+    for n, m in ((100.5, 1), (10, 1.5), (10.0, 1), (True, 1), (10, True)):
+        with pytest.raises(ValueError, match="integers"):
+            DissipativeParams(N=n, m=m)
+    assert DissipativeParams(N=np.int64(10), m=np.int32(2)).N == 10
     p = DissipativeParams(N=10, m=4)
     assert p.gamma_s == pytest.approx(0.5)  # optimal 1/sqrt(4)
 

@@ -52,6 +52,11 @@ def test_unknown_model_and_shape_errors():
         fit_loglog([x], np.arange(1.0, 5.0))
     with pytest.raises(ValueError):
         fit_loglog([], x)
+    # one name per x column
+    with pytest.raises(ValueError, match="x_names"):
+        fit_loglog([x, x**2], x, x_names=("a",))
+    with pytest.raises(ValueError, match="x_names"):
+        fit_loglog([x], x, x_names=("a", "b", "c"))
 
 
 def test_linear_regression_r2():

@@ -141,10 +141,10 @@ def test_integrated_expectation_matches_quadrature():
     # non-diagonal operator
     rng = np.random.default_rng(11)
     h = random_decaying_h(rng, 5)
-    diag = np.diag(rng.uniform(0.0, 2.0, size=5)).astype(complex)
+    diag = np.diag(rng.uniform(0.0, 2.0, size=5))
     v0 = random_state(rng, 5)
-    b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    ops = np.array([diag, b @ b.conj().T, np.eye(5, dtype=complex)])
+    b = rng.standard_normal((5, 5))
+    ops = np.array([diag, b @ b.T, np.eye(5)])
     t = 0.9
     prop = Propagator(-1j * h, v0, t)
     exact = prop.integrated_expectation(ops, t)
@@ -158,9 +158,9 @@ def test_integrated_expectation_matches_quadrature():
 
 
 def test_integrated_expectation_takes_a_stack():
-    # the operators come as a (k, dim, dim) stack, real or complex, and give
-    # the same values; the stack is checked with one shape and one finiteness
-    # test, and a list of matrices is not a stack
+    # the operators come as a real (k, dim, dim) stack, checked with one shape
+    # and one finiteness test; a list of matrices is not a stack, and a complex
+    # stack is refused like any other malformed one
     rng = np.random.default_rng(12)
     h, v0, t = random_decaying_h(rng, 4), random_state(rng, 4), 0.7
     prop = Propagator(-1j * h, v0, t)
@@ -168,19 +168,18 @@ def test_integrated_expectation_takes_a_stack():
     stack = b @ b.transpose(0, 2, 1)
     want = prop.integrated_expectation(stack, t)
     assert want.shape == (3,)
-    assert np.array_equal(prop.integrated_expectation(stack.astype(complex), t), want)
     for k in range(3):
         assert prop.integrated_expectation(stack[k:k + 1], t)[0] == want[k]
     assert prop.integrated_expectation(np.zeros((0, 4, 4)), t).shape == (0,)
     for bad in (list(stack), [], np.zeros((2, 3, 3)), np.zeros((0, 3, 3)), np.eye(4),
-                np.zeros((1, 4, 4, 1))):
+                np.zeros((1, 4, 4, 1)), stack.astype(complex), np.zeros((0, 4, 4), complex)):
         with pytest.raises(DimensionError):
             prop.integrated_expectation(bad, t)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for k in range(3):
-            for value in (np.nan, np.inf, complex(0.0, np.nan), complex(-np.inf, 1.0)):
-                ops = stack.astype(complex)
+            for value in (np.nan, np.inf, -np.inf):
+                ops = stack.copy()
                 ops[k, 1, 2] = value
                 with pytest.raises(NumericError, match="operator"):
                     prop.integrated_expectation(ops, t)
@@ -193,8 +192,8 @@ def test_integrated_expectation_at_large_eigenvalues_matches_the_closed_form():
     lam = np.array([1e10, 1e10 + 10 - 2j, -3e10 - 0.5j, 2e10 - 1j])
     rng = np.random.default_rng(15)
     v0 = random_state(rng, 4)
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = b @ b.conj().T
+    b = rng.standard_normal((4, 4))
+    m = b @ b.T
     t = 1.0
     ref = 0.0
     for a in range(4):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -699,6 +700,27 @@ def test_refine_T_on_the_expm_fallback_matches_golden_section(monkeypatch):
         assert step.diagnostics.propagator_method == "expm"
         assert abs(step.T_used - coarse) <= 1e-6 * T
     assert max(counts) <= 6
+
+
+@pytest.mark.parametrize("n, p1d", [(5, 0.3), (13, 0.318), (20, 0.3), (5, 0.5), (5, 1.0)])
+def test_refine_T_follows_a_maximum_below_its_bracket(n, p1d):
+    # at low Purcell factors the herald population still falls at 0.8 T, its
+    # maximum lying at 0.54-0.79 T: the search goes on below the bracket and
+    # lands on the best point of a dense scan of [0, 3 T], whose spacing is
+    # 1e-4 T, stepped by expm
+    step = run_accumulation(n, 1, p1d, HPMode.EXACT, refine_T=True).steps[0]
+    p = DissipativeParams.from_purcell(n, 1, p1d)
+    T, model = optimal_time(p), _model(p, HPMode.EXACT)
+    dt, psi, pops = 1e-4 * T, model.psi0, []
+    u = scipy.linalg.expm(model.g * dt)
+    for _ in range(30001):
+        pops.append(norm_sq(model.heralded(psi)))
+        psi = u @ psi
+    best = int(np.argmax(pops))
+    assert step.T_used < 0.8 * T
+    assert abs(step.T_used - best * dt) <= 1e-4 * T
+    assert step.p_success >= pops[best] - 1e-12
+    assert abs(step.diagnostics.bookkeeping_total(step.p_success) - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize("n, m, p1d, omega", [
