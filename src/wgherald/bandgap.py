@@ -77,9 +77,9 @@ class BandgapParams:
             raise ValueError("N and m must be positive integers")
         if self.N - self.m + 1 < 1:
             raise ValueError("need N - m + 1 >= 1")
-        if not (self.xi > 0 and math.isfinite(self.xi)):
+        if isinstance(self.xi, bool) or not 0 < self.xi < math.inf:
             raise ValueError("xi must be positive and finite")
-        if not (self.gamma_star >= 0 and math.isfinite(self.gamma_star)):
+        if isinstance(self.gamma_star, bool) or not 0 <= self.gamma_star < math.inf:
             raise ValueError("gamma_star must be non-negative and finite")
 
     @property

@@ -273,7 +273,10 @@ class Propagator:
         for every t in [0, horizon]: beta b e^{w t} int_0^t |e_k^T e^{H_k s}
         e_1| ds <= KRYLOV_MAX_ERROR beta, with w >= 0 Gershgorin's bound on
         the largest eigenvalue of (g + g^T)/2, so ||e^{g t}|| <= e^{w t} for
-        any g (near 1 for the protocol's g + g^T = -D <= 0).  The integral is
+        any g.  The bound is loose: on the 92 reduced steps of the benchmark's
+        `accumulate-exact` list 0 (seed 0), e^{w horizon} is 1.29-4.44
+        (median 2.12), while the exact largest eigenvalue of (g + g^T)/2
+        times the horizon is at most -0.0012 on every one.  The integral is
         the trapezoid sum of `exp_sums` over H_k's eigenpairs on n intervals
         of [0, horizon], at least KRYLOV_BOUND_INTERVALS and 2 horizon r,
         r = sqrt(||H_k||_1 ||H_k||_inf) >= ||H_k||_2, so no interval spans

@@ -228,15 +228,11 @@ def _parity(p: DissipativeParams, mode: HPMode,
 
 
 def _model(p: DissipativeParams, mode: HPMode,
-           input_target_state: np.ndarray | None = None, decay: bool = True,
-           with_drive: bool = False) -> _Model:
-    """The undriven model of a step of p on the basis its input needs.
-    decay=False drops every channel."""
+           input_target_state: np.ndarray | None = None, with_drive: bool = False) -> _Model:
+    """The undriven model of a step of p on the basis its input needs."""
     basis = build_basis(p.N, p.m, mode, with_drive, _parity(p, mode, input_target_state))
     psi0 = _embed_input(basis, input_target_state)
     h, names, rates, ops = model_matrices(p, basis)
-    if not decay:
-        names, rates, ops = [], [], ops[:0]
     stage, goal, idx, weights = basis.memo(_layout)[:4]
     sign = stage - stage[:, None]
     return _Model(basis, psi0, names, rates, ops, no_jump_generator(h, rates, ops, sign),
@@ -316,7 +312,6 @@ def run_step_continuous_drive(
     p1d: float,
     omega: float | None = None,
     T: float | None = None,
-    zero_decay: bool = False,
 ) -> StepResult:
     """Heralded step with the fast pulses replaced by a continuous drive.
 
@@ -332,8 +327,11 @@ def run_step_continuous_drive(
     rises there).  The grid's 40 points per drive period stop at
     20001, so an omega past 20001 g / 120 (about 167 g), which would need
     more, raises ProtocolError rather than return an unresolved maximum.
-    zero_decay drops every decay diagonal (coherent dynamics only), which is
-    the full-transfer check.
+    The scan ranks its points by the unweighted population, which is the
+    herald probability `peak_time` maximizes only because the driven chain's
+    one herald weight is exactly 1; on an exact parity sector the fold
+    weights are 1/sqrt(2), and 1 on the label that is its own mirror image,
+    so there the two would differ.
     """
     g = math.sqrt(2 * N)
     omega_opt = math.sqrt(2.0 / 3.0) * g
@@ -342,7 +340,7 @@ def run_step_continuous_drive(
     if not 0 < omega < math.inf:
         raise ProtocolError(f"drive strength omega must be positive and finite, not {omega!r}")
     p = DissipativeParams.from_purcell(N, m, p1d)
-    model = _model(p, HPMode.APPROX, decay=not zero_decay, with_drive=True)
+    model = _model(p, HPMode.APPROX, with_drive=True)
     drive = model.basis.memo(matrix_from_action, source_drive, readout_drive).at(N).matrix.sum(0)
     model.g += model.sign * ((omega / 2) * drive)
     if T is None and abs(omega - omega_opt) < 1e-12 * g:  # the optimal drive

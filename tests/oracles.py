@@ -8,13 +8,16 @@ Kac-Murdock-Szego product, the candidate fixed-ratio plateaus).
 These deliberately share no code with the package internals: states are
 base-3 integer configurations, collective operators are sums of sparse
 single-atom flips, and symmetric states are explicit permutation sums.  There
-are two exceptions.  `full_basis_step` runs a step on the unreduced exact
+are three exceptions.  `full_basis_step` runs a step on the unreduced exact
 basis with the package's own model and propagator, as the reference for its
 parity-sector steps; its losses come from `eigenbasis_integral`, one
 operator at a time, not from the package's integrated density.
 `dense_lanczos` is the bandgap Lanczos loop on the dense Hamiltonian with the
 full stopping bound at every step, sharing the package's bound quadrature,
 as the reference for the step count of the matrix-free transfer.
+`coherent_drive` is the continuous-drive step with every channel dropped,
+the lossless limit the package has no switch for, built from the step's own
+model and propagator.
 """
 
 from __future__ import annotations
@@ -96,6 +99,29 @@ def drive_matrix(basis):
                 if image in index:
                     out[index[image], j] = 1.0
     return out
+
+
+def coherent_drive(p, omega, T):
+    """The continuous-drive step of p at drive strength omega with every
+    channel dropped, evolved to T: the step's driven chain
+    (`protocol._model`) with the generator S o (H + (omega/2) drive) of its
+    coherent part H (`dissipative.model_matrices`) and `drive_matrix`, and
+    an empty loss stack.  Returns the model and its herald probability at T.
+
+    The input evolves under `protocol.Propagator`, looked up at call time,
+    so a test that replaces the step's Propagator replaces this one too.
+    """
+    from wgherald import protocol
+    from wgherald.basis import HPMode
+    from wgherald.dissipative import model_matrices
+    from wgherald.linalg import norm_sq
+
+    model = protocol._model(p, HPMode.APPROX, with_drive=True)
+    h = model_matrices(p, model.basis)[0]
+    model.g = model.sign * h + model.sign * ((omega / 2) * drive_matrix(model.basis))
+    model.channels, model.rates, model.ops = [], [], model.ops[:0]
+    psi = protocol.Propagator(model.g, model.psi0, T).apply(T)
+    return model, norm_sq(model.heralded(psi))
 
 
 def mirror_swap_matrix(basis):

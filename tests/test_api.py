@@ -27,7 +27,10 @@ PARAMETERS = {
     wgherald.run_step: ["p", "mode", "input_target_state", "T"],
     wgherald.run_step_fixed_ratio: ["N", "m", "p1d", "mode"],
     wgherald.run_step_fresh_level: ["N", "p1d"],
-    wgherald.run_step_continuous_drive: ["N", "m", "p1d", "omega", "T", "zero_decay"],
+    wgherald.run_step_continuous_drive: ["N", "m", "p1d", "omega", "T"],
+    # every step's model keeps all its channels; the lossless limit is a test
+    # reference (oracles.coherent_drive)
+    protocol._model: ["p", "mode", "input_target_state", "with_drive"],
     wgherald.run_accumulation: ["N", "m_target", "p1d", "mode", "refine_T"],
     wgherald.run_transfer: ["p"],
     wgherald.DissipativeParams.from_purcell: ["N", "m", "p1d", "gamma_s"],

@@ -39,9 +39,12 @@ def test_params_validation():
         with pytest.raises(ValueError, match="integers"):
             BandgapParams(N=n, xi=5.0, m=m)
     assert BandgapParams(N=np.int64(10), xi=5.0, m=np.int32(2)).N_m == 9
-    for gamma_star in (-0.2, math.nan, math.inf):
-        with pytest.raises(ValueError):
+    for gamma_star in (-0.2, math.nan, math.inf, True, False):
+        with pytest.raises(ValueError, match="gamma_star"):
             BandgapParams(N=10, xi=10.0, gamma_star=gamma_star)
+    # a bool xi would run as a range of 1 lattice spacing
+    with pytest.raises(ValueError, match="xi"):
+        BandgapParams(N=10, xi=True)
 
 
 def test_two_site_coupling():

@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import drive_matrix, full_basis_step, limit_fixed_ratio
+from oracles import coherent_drive, drive_matrix, full_basis_step, limit_fixed_ratio
 from wgherald.basis import HPMode, goal_amplitudes, stage_frame
 from wgherald.dissipative import DissipativeParams, build_H_coherent, build_H_nh, optimal_time
 from wgherald.formulas import (
@@ -311,10 +311,11 @@ def _step_generators():
     cases.append((chain.g, stage_frame(chain.basis), chain.ops, optimal_time(p), chain.idx,
                   chain.weights, chain.psi0))
     omega = math.sqrt(2.0 / 3.0) * math.sqrt(800)
-    for decay in (True, False):
-        s = _model(p, HPMode.APPROX, decay=decay, with_drive=True)
-        cases.append((s.g + s.sign * ((omega / 2) * drive_matrix(s.basis)), stage_frame(s.basis),
-                      s.ops, 2 * math.pi / omega, s.idx, s.weights, s.psi0))
+    driven = _model(p, HPMode.APPROX, with_drive=True)
+    driven.g += driven.sign * ((omega / 2) * drive_matrix(driven.basis))
+    for s in (driven, coherent_drive(p, omega, 2 * math.pi / omega)[0]):
+        cases.append((s.g, stage_frame(s.basis), s.ops, 2 * math.pi / omega, s.idx, s.weights,
+                      s.psi0))
     return cases
 
 
@@ -368,7 +369,8 @@ def test_every_step_kind_diagonalizes_a_real_matrix(monkeypatch):
     run_step_fresh_level(300, 10.0)
     run_step_continuous_drive(300, 2, 10.0)
     run_step_continuous_drive(300, 2, 10.0, omega=25.0)
-    run_step_continuous_drive(300, 2, 10.0, zero_decay=True)
+    omega = math.sqrt(2.0 / 3.0) * math.sqrt(600)
+    coherent_drive(DissipativeParams.from_purcell(300, 2, 10.0), omega, 2 * math.pi / omega)
     assert len(counts) == 40 + 4 + 1 + 1 + 1 + 1 + 3
     assert min(counts) >= 1
     assert not any(seen)
@@ -469,12 +471,12 @@ def test_step_generator_is_the_real_part_of_the_rotated_h_nh():
                     assert np.array_equal(model.g, _rotated(build_H_nh(p, model.basis),
                                                             stage_frame(model.basis)))
                     cases += 1
-                for decay in (True, False):
-                    model = _model(p, HPMode.APPROX, decay=decay, with_drive=True)
-                    drive = (math.sqrt(2 * n) / 2) * drive_matrix(model.basis)
-                    h = build_H_nh(p, model.basis) if decay else build_H_coherent(p, model.basis)
-                    assert np.array_equal(model.g + model.sign * drive,
-                                          _rotated(h + drive, stage_frame(model.basis)))
+                model = _model(p, HPMode.APPROX, with_drive=True)
+                drive = (math.sqrt(2 * n) / 2) * drive_matrix(model.basis)
+                coherent = coherent_drive(p, math.sqrt(2 * n), 1.0)[0]
+                for g, h in ((model.g + model.sign * drive, build_H_nh(p, model.basis)),
+                             (coherent.g, build_H_coherent(p, model.basis))):
+                    assert np.array_equal(g, _rotated(h + drive, stage_frame(model.basis)))
     assert cases == 108 + 42
 
 
@@ -520,11 +522,10 @@ def test_loss_integrals_match_the_expm_fallback(monkeypatch, full_propagator):
     # generator with mu = 0 pairs
     cases = [(g, ops, t, v0) for g, _, ops, t, _, _, v0 in _step_generators()]
     p = DissipativeParams.from_purcell(400, 3, 10.0)
-    zero_decay = _model(p, HPMode.APPROX, decay=False, with_drive=True)
-    assert zero_decay.ops.shape == (0, 5, 5)
     omega = math.sqrt(2.0 / 3.0) * math.sqrt(800)
-    drive = zero_decay.sign * ((omega / 2) * drive_matrix(zero_decay.basis))
-    cases.append((zero_decay.g + drive, zero_decay.ops, 2 * math.pi / omega, zero_decay.psi0))
+    zero_decay = coherent_drive(p, omega, 2 * math.pi / omega)[0]
+    assert zero_decay.ops.shape == (0, 5, 5)
+    cases.append((zero_decay.g, zero_decay.ops, 2 * math.pi / omega, zero_decay.psi0))
     flat = np.zeros((4, 4))
     flat[3, 3] = -0.5
     cases.append((flat, np.array([np.eye(4), np.diag([1.0, 2.0, 0.0, 1.0])]), 1.3,
@@ -813,7 +814,11 @@ def test_driven_search_returns_the_scan_windows_end(monkeypatch, n, m, p1d, omeg
     t_hi = 6 * math.pi / min(omega, math.sqrt(2 * n))
     npts = max(1201, int(40 * t_hi * omega / (2 * math.pi)))
     prop = Propagator(*props[0])
-    idx = _model(DissipativeParams.from_purcell(n, m, p1d), HPMode.APPROX, with_drive=True).idx
+    # the scan ranks its grid by the unweighted population, the herald
+    # probability only because the chain's one herald weight is 1
+    model = _model(DissipativeParams.from_purcell(n, m, p1d), HPMode.APPROX, with_drive=True)
+    assert (model.weights == 1).all()
+    idx = model.idx
     assert np.argmax(prop.population(t_hi, npts, idx)) == npts - 1
     assert res.T_used == t_hi
     last = (npts - 2) * (t_hi / (npts - 1))
@@ -896,9 +901,11 @@ def test_fresh_level_is_first_step_physics():
 
 
 def test_drive_full_transfer_without_decay():
-    res = run_step_continuous_drive(100, 1, math.inf, zero_decay=True)
-    assert res.p_success >= 0.99
-    assert res.p_success == pytest.approx(1.0, abs=1e-9)
+    omega = math.sqrt(2.0 / 3.0) * math.sqrt(200)
+    p_success = coherent_drive(DissipativeParams.from_purcell(100, 1, math.inf), omega,
+                               2 * math.pi / omega)[1]
+    assert p_success >= 0.99
+    assert p_success == pytest.approx(1.0, abs=1e-9)
 
 
 def test_drive_probability_matches_closed_form():

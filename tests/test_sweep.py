@@ -293,6 +293,27 @@ def test_jobs_above_one_need_fork(monkeypatch):
     assert SweepSpec.from_config(sweep_config(1)).jobs == 1
 
 
+def test_numeric_parameters_refuse_bools(tmp_path, capsys):
+    # YAML's true, yes and no load as bools, which the runners' float() would
+    # take as 1 or 0: a bool is refused for every parameter, fixed, on an
+    # axis or as an override, and the command exits 1 before any point runs
+    for name in ("p1d", "gamma_s_ratio", "omega", "xi", "T"):
+        protocol, variant = next(pair for pair, e in TABLE.items() if name in e.reads)
+        cfg = {"protocol": protocol, "variant": variant}
+        for config, overrides in (({**cfg, "fixed": {name: True}}, None),
+                                  ({**cfg, "axes": [{"name": name, "values": [2.0, True]}]}, None),
+                                  (cfg, {name: False})):
+            with pytest.raises(SweepConfigError, match=f"{name} takes numbers"):
+                SweepSpec.from_config(config, overrides)
+    for command, fixed in (("step", "{N: 100, m: 1, p1d: true}"),
+                           ("step", "{N: 100, m: 1, p1d: 10, T: yes}"),
+                           ("bandgap", "{xi: true}")):
+        path = tmp_path / "bool.yaml"
+        path.write_text(f"fixed: {fixed}\n")
+        assert main([command, "--config", str(path)]) == 1
+        assert "takes numbers" in capsys.readouterr().err
+
+
 def test_exact_sweep_rows_do_not_depend_on_jobs_or_on_bases_built_before(tmp_path, free_forks):
     # forked children inherit the caller's bases and the terms recorded on
     # them: from a cold cache, and again after the caller has built every
