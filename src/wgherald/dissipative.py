@@ -77,14 +77,14 @@ class DissipativeParams:
             object.__setattr__(self, "gamma_s", 1.0 / math.sqrt(self.m))
         for name in ("gamma_s", "gamma_star"):
             val = getattr(self, name)
-            if isinstance(val, bool) or val < 0 or not math.isfinite(val):
+            if isinstance(val, (bool, np.bool_)) or val < 0 or not math.isfinite(val):
                 raise ValueError(f"{name} must be non-negative and finite")
 
     @classmethod
     def from_purcell(cls, N, m, p1d, gamma_s=None):
         """Rates from P_1d = gamma_g / gamma_star; P_1d = inf means no
         free-space decay."""
-        if isinstance(p1d, bool) or not p1d > 0:
+        if isinstance(p1d, (bool, np.bool_)) or not p1d > 0:
             raise ValueError(f"p1d must be positive, not {p1d!r}")
         gamma_star = 0.0 if math.isinf(p1d) else 1.0 / p1d
         return cls(N, m, gamma_s, gamma_star)

@@ -274,7 +274,7 @@ class SweepSpec:
         for name, values in [(k, (fixed[k],)) for k in PARAMETERS] + axes:
             if name in ("N", "m") and not all(map(is_int, values)):
                 raise SweepConfigError(f"{name} takes integers, not {list(values)}")
-            if any(isinstance(v, bool) for v in values):
+            if any(isinstance(v, (bool, np.bool_, str)) for v in values):
                 raise SweepConfigError(f"{name} takes numbers, not {list(values)}")
         names = [name for name, _ in axes]
         given = (set(cfg.get("fixed") or {}) | set(names) | set(overrides)) & set(PARAMETERS)

@@ -39,12 +39,13 @@ def test_params_validation():
         with pytest.raises(ValueError, match="integers"):
             BandgapParams(N=n, xi=5.0, m=m)
     assert BandgapParams(N=np.int64(10), xi=5.0, m=np.int32(2)).N_m == 9
-    for gamma_star in (-0.2, math.nan, math.inf, True, False):
+    for gamma_star in (-0.2, math.nan, math.inf, True, False, np.True_, np.False_):
         with pytest.raises(ValueError, match="gamma_star"):
             BandgapParams(N=10, xi=10.0, gamma_star=gamma_star)
-    # a bool xi would run as a range of 1 lattice spacing
-    with pytest.raises(ValueError, match="xi"):
-        BandgapParams(N=10, xi=True)
+    # a bool xi, numpy's included, would run as a range of 1 lattice spacing
+    for xi in (True, np.True_):
+        with pytest.raises(ValueError, match="xi"):
+            BandgapParams(N=10, xi=xi)
 
 
 def test_two_site_coupling():
@@ -236,6 +237,40 @@ def test_krylov_stop_at_a_skipped_step(beta2):
     assert steps == dense_lanczos(h, 0.01, 64)[2] == 3
     assert bound <= KRYLOV_MAX_ERROR
     assert np.allclose(theta, np.linalg.eigvalsh(h[:3, :3]), rtol=0, atol=1e-14)
+
+
+def test_skipped_step_is_tested_only_where_its_residual_certifies_it(monkeypatch):
+    # at N 300, xi 600 the probe first passes at j = 13; the skipped step 12's
+    # residual times the window is far above KRYLOV_MAX_ERROR, so neither its
+    # Ritz pairs nor its phase table are taken, and step 14 stops the loop
+    calls = {"eigh": 0, "table": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(bandgap, "exp_sums", counted("table", bandgap.exp_sums))
+    rec = run_transfer(BandgapParams(N=300, xi=600.0))
+    assert rec.krylov_steps == 14
+    assert calls == {"eigh": 7, "table": 1}
+
+
+def test_uncertified_skipped_step_returns_the_next_step():
+    # N 10, xi 1e4 (a window of 2.0e5): the every-step loop stops at step 5
+    # with a bound of 8.4e-14, but that step's residual does not certify it,
+    # so the loop returns step 6, whose bound is far smaller
+    p = BandgapParams(N=10, xi=1e4)
+    rec = run_transfer(p)
+    dt = rec.window[1] / (bandgap.SCAN_POINTS - 1)
+    basis, theta, want, _ = dense_lanczos(compensate(build_H_bandgap(p), p), dt,
+                                          bandgap.SCAN_POINTS)
+    assert (rec.krylov_steps, want) == (6, 5)
+    assert rec.error_bound <= KRYLOV_MAX_ERROR
+    source = np.abs(np.exp(-1j * np.outer(rec.times, theta)) @ basis[0] ** 2) ** 2
+    assert np.abs(rec.source_population - source).max() <= 1e-12
 
 
 def test_transfer_memory_is_linear_in_n():

@@ -58,12 +58,15 @@ def test_params_validation():
         with pytest.raises(ValueError, match="integers"):
             DissipativeParams(N=n, m=m)
     assert DissipativeParams(N=np.int64(10), m=np.int32(2)).N == 10
-    # the rates and P_1d are numbers, not bools, which would run as 0 or 1
-    for kwargs in ({"gamma_s": True}, {"gamma_star": False}):
+    # the rates and P_1d are numbers, not bools (numpy's included), which
+    # would run as 0 or 1
+    for kwargs in ({"gamma_s": True}, {"gamma_star": False},
+                   {"gamma_s": np.True_}, {"gamma_star": np.True_}):
         with pytest.raises(ValueError, match="non-negative"):
             DissipativeParams(N=10, m=1, **kwargs)
-    with pytest.raises(ValueError, match="p1d"):
-        DissipativeParams.from_purcell(10, 1, True)
+    for p1d in (True, np.True_):
+        with pytest.raises(ValueError, match="p1d"):
+            DissipativeParams.from_purcell(10, 1, p1d)
     p = DissipativeParams(N=10, m=4)
     assert p.gamma_s == pytest.approx(0.5)  # optimal 1/sqrt(4)
 

@@ -218,7 +218,8 @@ def test_predicted_times_follow_the_parameters():
     assert cost({"protocol": "bandgap"}, N=40) < cost({"protocol": "bandgap"}, N=5000)
     drive = {"protocol": "step", "variant": "continuous-drive"}
     assert cost(drive, omega=20.0) == 3 * cost(drive)
-    assert cost({"protocol": "step"}, p1d="many") == 0.0
+    point = SweepSpec.from_config({"protocol": "step"}).points()[0]
+    assert predicted_s(dict(point, p1d="many")) == 0.0
 
 
 @pytest.mark.parametrize("free", [False, True], ids=["default-cost", "free-forks"])
@@ -302,7 +303,7 @@ def test_numeric_parameters_refuse_bools(tmp_path, capsys):
         cfg = {"protocol": protocol, "variant": variant}
         for config, overrides in (({**cfg, "fixed": {name: True}}, None),
                                   ({**cfg, "axes": [{"name": name, "values": [2.0, True]}]}, None),
-                                  (cfg, {name: False})):
+                                  (cfg, {name: False}), (cfg, {name: np.False_})):
             with pytest.raises(SweepConfigError, match=f"{name} takes numbers"):
                 SweepSpec.from_config(config, overrides)
     for command, fixed in (("step", "{N: 100, m: 1, p1d: true}"),
@@ -312,6 +313,29 @@ def test_numeric_parameters_refuse_bools(tmp_path, capsys):
         path.write_text(f"fixed: {fixed}\n")
         assert main([command, "--config", str(path)]) == 1
         assert "takes numbers" in capsys.readouterr().err
+
+
+def test_numeric_parameters_refuse_strings(tmp_path, capsys):
+    # a quoted number would run through the runners' float() and be echoed
+    # as written, and any other string would fail there as a ValueError; a
+    # string is refused like a bool, and YAML's bare inf is a string too
+    for name in ("p1d", "gamma_s_ratio", "omega", "xi", "T"):
+        protocol, variant = next(pair for pair, e in TABLE.items() if name in e.reads)
+        cfg = {"protocol": protocol, "variant": variant}
+        for config, overrides in (({**cfg, "fixed": {name: "1e1"}}, None),
+                                  ({**cfg, "axes": [{"name": name, "values": [2.0, "3"]}]}, None),
+                                  (cfg, {name: "inf"})):
+            with pytest.raises(SweepConfigError, match=f"{name} takes numbers"):
+                SweepSpec.from_config(config, overrides)
+    for fixed, shown in (('{N: 100, m: 1, p1d: "1e1"}', "['1e1']"),
+                         ('{N: 100, m: 1, p1d: "abc"}', "['abc']"),
+                         ("{N: 100, m: 1, p1d: inf}", "['inf']")):
+        path = tmp_path / "string.yaml"
+        path.write_text(f"fixed: {fixed}\n")
+        assert main(["step", "--config", str(path)]) == 1
+        assert f"p1d takes numbers, not {shown}" in capsys.readouterr().err
+    path.write_text("fixed: {N: 100, m: 1, p1d: .inf}\n")
+    assert main(["step", "--config", str(path)]) == 0
 
 
 def test_exact_sweep_rows_do_not_depend_on_jobs_or_on_bases_built_before(tmp_path, free_forks):
