@@ -128,7 +128,7 @@ def compensate(h: np.ndarray, p: BandgapParams) -> np.ndarray:
     return h
 
 
-@dataclass
+@dataclass(eq=False)  # arrays: compared by identity
 class TransferRecord:
     """Time series and optimum of the source -> target collective transfer."""
 

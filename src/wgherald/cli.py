@@ -53,40 +53,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _add_common(sub):
-    sub.add_argument("--N", type=int, default=None, help="atoms per target mirror")
-    sub.add_argument("--m", type=int, default=None, help="excitation sector")
-    sub.add_argument("--p1d", type=float, default=None,
-                     help="Purcell factor (guided rate / free-space rate); 'inf' allowed")
-    sub.add_argument("--gamma-s-ratio", type=float, default=None, dest="gamma_s_ratio",
-                     help="second guided rate over the first (default: optimal 1/sqrt(m))")
-    sub.add_argument("--omega", type=float, default=None,
-                     help="continuous drive strength (default: optimal)")
-    sub.add_argument("--xi", type=float, default=None, help="interaction range (lattice units)")
-    sub.add_argument("--T", type=float, default=None, help="evolution time (default: optimal)")
-    sub.add_argument("--mode", choices=[m.value for m in HPMode], default=None,
-                     help="target-ensemble representation (default: hp-exact for "
-                          "accumulate, hp-approx otherwise)")
-    sub.add_argument("--variant", choices=list(dict.fromkeys(v for _, v in TABLE)),
-                     default=None, help="protocol variant")
-    sub.add_argument("--config", default=None, help="YAML config file (flags override)")
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wgherald",
                      description="Heralded collective-excitation protocol simulator")
     subs = parser.add_subparsers(dest="command", required=True)
 
+    # the flags of the four commands that run sweep points: one per model
+    # parameter, None unless given, so that the config or the default applies
+    common = argparse.ArgumentParser(add_help=False)
+    for name, (kind, _, text) in PARAMETERS.items():
+        common.add_argument("--" + name.replace("_", "-"), type=kind, help=text)
+    common.add_argument("--mode", choices=[m.value for m in HPMode],
+                        help="target-ensemble representation (default: hp-exact for "
+                             "accumulate, hp-approx otherwise)")
+    common.add_argument("--variant", choices=list(dict.fromkeys(v for _, v in TABLE)),
+                        help="protocol variant")
+    common.add_argument("--config", help="YAML config file (flags override)")
+    common.add_argument("--out", help="output path (default: stdout)")
     for name, helptext in (
         ("step", "run one heralded step"),
         ("accumulate", "chain heralded steps up to --m quanta"),
         ("sweep", "run a parameter sweep from a config file"),
         ("bandgap", "simulate the finite-range collective transfer"),
     ):
-        sub = subs.add_parser(name, help=helptext)
+        sub = subs.add_parser(name, help=helptext, parents=[common])
         sub.set_defaults(run=_cmd_sweep if name == "sweep" else _cmd_point)
-        _add_common(sub)
         if name != "bandgap":
             sub.add_argument("--jsonl", action="store_true",
                              help="emit JSON lines instead of CSV")
@@ -108,10 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(run=_cmd_fit)
 
     comp = subs.add_parser("compare", help="protocol comparison table")
-    for flag, typ, default in (("--N", int, 100), ("--m", int, 1),
-                               ("--p1d", float, 10.0), ("--xi", float, 100.0),
-                               ("--eta", float, 1.0), ("--x", float, 0.1)):
-        comp.add_argument(flag, type=typ, default=default)
+    for name in ("N", "m", "p1d", "xi"):  # the sweep's types and defaults
+        kind, default, _ = PARAMETERS[name]
+        comp.add_argument("--" + name, type=kind, default=default)
+    comp.add_argument("--eta", type=float, default=1.0)
+    comp.add_argument("--x", type=float, default=0.1)
     comp.add_argument("--out", default=None)
     comp.set_defaults(run=_cmd_compare)
     return parser

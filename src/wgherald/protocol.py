@@ -101,7 +101,7 @@ class StepDiagnostics:
         return p_success + sum(self.channel_losses.values()) + self.unheralded_residual
 
 
-@dataclass
+@dataclass(eq=False)  # arrays: compared by identity
 class StepResult:
     """Outcome of one heralded addition.
 
@@ -118,7 +118,7 @@ class StepResult:
     diagnostics: StepDiagnostics
 
 
-@dataclass
+@dataclass(eq=False)  # arrays: compared by identity
 class AccumulationResult:
     steps: list[StepResult]
     infidelity: float

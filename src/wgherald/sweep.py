@@ -2,7 +2,10 @@
 
 A sweep is a list of axes (each a parameter name with a value list or a
 log-range), a dict of fixed parameters, and a (protocol, variant, mode)
-selector.  TABLE is the one place that says which (protocol, variant) pairs
+selector.  PARAMETERS is the one place that gives each model parameter's
+type, default and description: the config checks and conversions here, the
+parameter columns of the rows, and the CLI's flags and `compare`'s defaults
+all read it.  TABLE is the one place that says which (protocol, variant) pairs
 exist, which parameters and modes each reads, how it runs and which closed
 form its row reports; a spec that sets anything its entry ignores is
 rejected.  Points are enumerated lexicographically over the axes in the order
@@ -49,26 +52,29 @@ from .protocol import (
     run_step_fresh_level,
 )
 
+# The model parameters a point sets, in column order: each name's type, its
+# default (None = the optimum, which the protocol computes) and the help of
+# its CLI flag.
+PARAMETERS = {
+    "N": (int, 100, "atoms per target mirror"),
+    "m": (int, 1, "excitation sector"),
+    "p1d": (float, 10.0, "Purcell factor (guided rate / free-space rate); 'inf' allowed"),
+    "gamma_s_ratio": (float, None,
+                      "second guided rate over the first (default: optimal 1/sqrt(m))"),
+    "omega": (float, None, "continuous drive strength (default: optimal)"),
+    "xi": (float, 100.0, "interaction range (lattice units)"),
+    "T": (float, None, "evolution time (default: optimal)"),
+}
+
 COLUMNS = (
-    "protocol", "variant", "mode", "N", "m", "p1d", "gamma_s_ratio", "omega",
-    "xi", "T", "p_success", "repetitions", "overlap_goal", "infidelity",
-    "formula_p", "formula_infidelity", "rel_deviation", "wall_time_s", "error",
+    "protocol", "variant", "mode", *PARAMETERS, "p_success", "repetitions", "overlap_goal",
+    "infidelity", "formula_p", "formula_infidelity", "rel_deviation", "wall_time_s", "error",
 )
 
-_DEFAULTS = {
-    "protocol": "step",
-    "variant": "pi-pulse",
-    "mode": None,            # None = the entry's first mode, its library default
-    "N": 100,
-    "m": 1,
-    "p1d": 10.0,
-    "gamma_s_ratio": None,   # gamma_s / gamma_g; None = transfer-optimal
-    "omega": None,           # drive strength; None = optimal
-    "xi": 100.0,
-    "T": None,               # evolution time; None = optimal
-}
+# mode None = the entry's first mode, its library default
+_DEFAULTS = {"protocol": "step", "variant": "pi-pulse", "mode": None,
+             **{name: default for name, (_, default, _) in PARAMETERS.items()}}
 _CHOICES = ("protocol", "variant", "mode")
-PARAMETERS = tuple(k for k in _DEFAULTS if k not in _CHOICES)
 _OPTIONS = {"out": None, "jobs": 1, "jsonl": False}
 
 # Seconds one forked worker costs its sweep: the fork, the copy-on-write page
@@ -266,13 +272,13 @@ class SweepSpec:
                 if lo <= 0 or hi <= 0 or num < 1:
                     raise SweepConfigError("logspace needs positive bounds and num >= 1")
                 values = list(np.geomspace(lo, hi, num))
-                if name in ("N", "m"):
+                if PARAMETERS[name][0] is int:
                     values = sorted(dict.fromkeys(int(round(v)) for v in values))
             if not values:
                 raise SweepConfigError(f"axis {name!r} has no values")
             axes.append((name, tuple(values)))
         for name, values in [(k, (fixed[k],)) for k in PARAMETERS] + axes:
-            if name in ("N", "m") and not all(map(is_int, values)):
+            if PARAMETERS[name][0] is int and not all(map(is_int, values)):
                 raise SweepConfigError(f"{name} takes integers, not {list(values)}")
             if any(isinstance(v, (bool, np.bool_, str)) for v in values):
                 raise SweepConfigError(f"{name} takes numbers, not {list(values)}")
@@ -313,11 +319,11 @@ def run_point(point: dict) -> dict:
 
 
 def _converted(point: dict) -> dict:
-    """The point with its numbers and mode as the runners take them."""
-    return dict(point, N=int(point["N"]), m=int(point["m"]), p1d=float(point["p1d"]),
-                xi=float(point["xi"]), mode=HPMode(point["mode"]),
-                **{k: None if point[k] is None else float(point[k])
-                   for k in ("gamma_s_ratio", "omega", "T")})
+    """The point with its numbers and mode as the runners take them: each
+    parameter as its PARAMETERS type, but None where None is its default."""
+    return dict(point, mode=HPMode(point["mode"]),
+                **{k: None if point[k] is None and default is None else kind(point[k])
+                   for k, (kind, default, _) in PARAMETERS.items()})
 
 
 def predicted_s(point: dict) -> float:

@@ -108,6 +108,11 @@ def test_transfer_depletes_source_and_records_profile():
     assert np.ptp(rec.phase) < 0.2
 
 
+def test_transfer_records_compare_by_identity():
+    a, b = (run_transfer(BandgapParams(40, 40.0)) for _ in range(2))
+    assert (a == b, a == a) == (False, True)
+
+
 def test_transfer_infidelity_scaling_with_range():
     infs = {}
     for xi in (50, 100, 200, 400):

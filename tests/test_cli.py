@@ -1,10 +1,12 @@
 """Command-line harness: subcommands, determinism, parallel equality."""
 
 import csv
+import dataclasses
 import io
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -15,11 +17,18 @@ import yaml
 import wgherald
 from wgherald import sweep as sweep_module
 from wgherald.basis import HPMode
-from wgherald.cli import main
+from wgherald.cli import build_parser, main
 from wgherald.dissipative import DissipativeParams
 from wgherald.linalg import NumericError, Propagator
 from wgherald.protocol import _evolve, _model, run_accumulation, run_step
-from wgherald.sweep import COLUMNS, SweepConfigError, SweepSpec, run_sweep, rows_to_csv
+from wgherald.sweep import (
+    COLUMNS,
+    PARAMETERS,
+    SweepConfigError,
+    SweepSpec,
+    rows_to_csv,
+    run_sweep,
+)
 
 SRC = str(pathlib.Path(wgherald.__file__).resolve().parent.parent)
 
@@ -125,7 +134,7 @@ def test_reducible_exact_step_at_an_extreme_time_runs_quietly(full_propagator):
     prop = Propagator(model.g, model.psi0, 1e300)
     assert prop.eigvecs.shape == (41, 41)
     want = _evolve(model, 1e300, full_propagator(model.g, model.psi0, 1e300))
-    assert run_step(p, HPMode.EXACT, T=1e300) == want
+    assert dataclasses.asdict(run_step(p, HPMode.EXACT, T=1e300)) == dataclasses.asdict(want)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = SRC
     proc = subprocess.run(
@@ -356,6 +365,30 @@ def test_compare_command(capsys):
     assert rows["DipoleDipole"]["requirement_satisfied"] == "True"
     table = list(csv.reader(io.StringIO(out)))
     assert len(table) == 6 and all(len(row) == len(table[0]) for row in table)
+
+
+@pytest.mark.parametrize("command", ["step", "accumulate", "sweep", "bandgap"])
+def test_every_parameter_is_a_flag_of_the_point_commands(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")  # help lines unwrapped
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = capsys.readouterr().out
+    for name, (kind, _, description) in PARAMETERS.items():
+        flag = "--" + name.replace("_", "-")
+        value = getattr(build_parser().parse_args([command, flag, "3"]), name)
+        assert type(value) is kind and value == 3, name
+        assert re.search(rf"{flag} {name.upper()}\s+{re.escape(description)}\n", text), name
+
+
+def test_compare_takes_the_sweep_types_and_defaults():
+    shared = ("N", "m", "p1d", "xi")
+    defaults = vars(build_parser().parse_args(["compare"]))
+    given = vars(build_parser().parse_args(
+        ["compare", *(arg for name in shared for arg in (f"--{name}", "3"))]))
+    for name in shared:
+        kind, default, _ = PARAMETERS[name]
+        assert type(defaults[name]) is kind and defaults[name] == default, name
+        assert type(given[name]) is kind and given[name] == 3, name
 
 
 def test_bandgap_command_writes_series_and_profile(tmp_path, capsys):

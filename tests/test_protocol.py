@@ -213,6 +213,14 @@ def test_mutating_step_outputs_changes_no_later_step():
             run_step(q, HPMode.EXACT, again.post_state).post_state.tobytes()] == want
 
 
+def test_results_holding_arrays_compare_by_identity():
+    # an exact-mode post state has several components, so an elementwise
+    # dataclass __eq__ would raise rather than return a bool
+    a, b = (run_accumulation(100, 3, 10.0, HPMode.EXACT) for _ in range(2))
+    assert (a == b, a.steps[-1] == b.steps[-1]) == (False, False)
+    assert (a == a, a.steps[-1] == a.steps[-1]) == (True, True)
+
+
 def test_default_input_parity_matches_the_goal_amplitudes():
     # the default input's parity (-1)^(m-1) is the one read off its amplitudes
     for m in range(1, 41):
