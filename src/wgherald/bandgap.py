@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import arnoldi, exp_sums, golden_section_max, is_int, norm_sq, trapezoid
+from .linalg import arnoldi, exp_sums, golden_section_max, is_int, is_real, norm_sq, trapezoid
 
 # Lanczos steps stop once the Hochbruck-Lubich bound on the error of the
 # propagated source state, over the whole scan window, is below this.
@@ -77,9 +77,9 @@ class BandgapParams:
             raise ValueError("N and m must be positive integers")
         if self.N - self.m + 1 < 1:
             raise ValueError("need N - m + 1 >= 1")
-        if isinstance(self.xi, (bool, np.bool_)) or not 0 < self.xi < math.inf:
+        if not (is_real(self.xi) and 0 < self.xi < math.inf):
             raise ValueError("xi must be positive and finite")
-        if isinstance(self.gamma_star, (bool, np.bool_)) or not 0 <= self.gamma_star < math.inf:
+        if not (is_real(self.gamma_star) and 0 <= self.gamma_star < math.inf):
             raise ValueError("gamma_star must be non-negative and finite")
 
     @property
@@ -274,8 +274,12 @@ def run_transfer(p: BandgapParams) -> TransferRecord:
     at SCAN_POINTS times on [0, 10 pi / G] and its maximum refined by golden
     section to 1e-6 * pi / G.  The uniform free-space decay multiplies the norm by
     exp(-gamma_star t), so the no-jump survival at the optimum is reported
-    without re-evolving.
+    without re-evolving.  The atom-resolved single-excitation model holds no
+    stored quanta, so only m = 1 is evolved (`ideal_step_probability` takes
+    any m).
     """
+    if p.m != 1:
+        raise ValueError(f"the transfer holds no stored quanta: m must be 1, not {p.m}")
     _, hamiltonian = _products(p)
     g = p.coupling
     t_hi = 10 * math.pi / g

@@ -20,7 +20,9 @@ evaluate the recorded terms at the params' N and rates.  The O^dag O products
 pass through intermediate images that may lie outside the basis, so they are
 exact on the reachable sector.  Every term commutes with the signed mirror
 swap of `basis`, so the same rules assemble the model on either mirror-parity
-sector.
+sector.  Both representations take their amplitudes from one boson algebra,
+`basis.mirror_image`: the linearized images are the mirror's, with the
+collective root sqrt(2N) in place of the mirror's N-root.
 
 A step never forms the complex H_nh: `no_jump_generator` builds the real
 generator G = S o H_coherent - (1/2) sum_k Gamma_k O_k^dag O_k, the form
@@ -52,7 +54,7 @@ from .basis import (
     matrix_from_action,
     mirror_image,
 )
-from .linalg import is_int
+from .linalg import is_int, is_real
 
 
 @dataclass(frozen=True)
@@ -77,17 +79,21 @@ class DissipativeParams:
             object.__setattr__(self, "gamma_s", 1.0 / math.sqrt(self.m))
         for name in ("gamma_s", "gamma_star"):
             val = getattr(self, name)
-            if isinstance(val, (bool, np.bool_)) or val < 0 or not math.isfinite(val):
+            if not is_real(val) or val < 0 or not math.isfinite(val):
                 raise ValueError(f"{name} must be non-negative and finite")
 
     @classmethod
     def from_purcell(cls, N, m, p1d, gamma_s=None):
-        """Rates from P_1d = gamma_g / gamma_star; P_1d = inf means no
-        free-space decay."""
-        if isinstance(p1d, (bool, np.bool_)) or not p1d > 0:
-            raise ValueError(f"p1d must be positive, not {p1d!r}")
-        gamma_star = 0.0 if math.isinf(p1d) else 1.0 / p1d
-        return cls(N, m, gamma_s, gamma_star)
+        """Rates from P_1d = gamma_g / gamma_star (see `free_space_rate`)."""
+        return cls(N, m, gamma_s, free_space_rate(p1d))
+
+
+def free_space_rate(p1d) -> float:
+    """gamma_star = 1 / P_1d in units of gamma_g; P_1d = inf means no
+    free-space decay."""
+    if not (is_real(p1d) and p1d > 0):
+        raise ValueError(f"p1d must be positive, not {p1d!r}")
+    return 0.0 if math.isinf(p1d) else 1.0 / p1d
 
 
 @dataclass(frozen=True)
@@ -112,8 +118,10 @@ def target_images(basis: BasisSet, lbl: BasisLabel, which: str, sign: float):
 
     S_which,+- = S_which(mirror 1) +- S_which(mirror 2).  EXACT: the bosonized
     per-mirror operator on each mirror.  APPROX: the linearized modes (k1 the
-    antisymmetric storage mode, l1 the symmetric excited mode); only the
-    operators the model applies are defined there.
+    antisymmetric storage mode, l1 the symmetric excited mode), on which
+    S_which,sign acts as mirror 1's operator with the collective root
+    sqrt(2N) (ROOT_2N) for the mirror's N-root; only the operators the model
+    applies are defined there.
     """
     if basis.mode == HPMode.EXACT:
         out = []
@@ -124,22 +132,18 @@ def target_images(basis: BasisSet, lbl: BasisLabel, which: str, sign: float):
         if image:
             out.append((lbl._replace(k2=image[0], l2=image[1]), (sign * image[2][0], image[2][1])))
         return out
-    k, l = lbl.k1, lbl.l1
-    if (which, sign) == ("eg", 1.0):
-        return [(lbl._replace(l1=l + 1), (math.sqrt(l + 1), ROOT_2N))]
-    if (which, sign) == ("ge", 1.0):
-        return [(lbl._replace(l1=l - 1), (math.sqrt(l), ROOT_2N))] if l else []
     if (which, sign) == ("ge", -1.0):
         # annihilates the antisymmetric excited mode, which the chain never fills
         return []
-    if (which, sign) == ("se", -1.0):
-        # bs-^dag be+ survives; bs+^dag be- annihilates an empty mode
-        return [(lbl._replace(k1=k + 1, l1=l - 1),
-                 (math.sqrt(k + 1) * math.sqrt(l), ONE))] if l else []
-    if (which, sign) == ("es", -1.0):
-        return [(lbl._replace(k1=k - 1, l1=l + 1),
-                 (math.sqrt(k) * math.sqrt(l + 1), ONE))] if k else []
-    raise ValueError(f"S_{which},{sign:+.0f} leaves the linearized chain")
+    # one sign per operator; of S_se,-, bs-^dag be+ survives and bs+^dag be-
+    # annihilates an empty mode
+    if sign != {"eg": 1.0, "ge": 1.0, "se": -1.0, "es": -1.0}.get(which):
+        raise ValueError(f"S_{which},{sign:+.0f} leaves the linearized chain")
+    image = mirror_image(which, lbl.k1, lbl.l1)
+    if not image:
+        return []
+    k, l, (c, q) = image
+    return [(lbl._replace(k1=k, l1=l), (c, ONE if q == ONE else ROOT_2N))]
 
 
 def source_drive(lbl: BasisLabel):

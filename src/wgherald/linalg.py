@@ -31,6 +31,10 @@ evaluations, where golden section took 29-31 on the steps' old bracket
 [0.8 T, 1.2 T] at 1e-6 T.  The bandgap transfer keeps golden section: 22
 evaluations on its bracket of two scan intervals, at 1e-6 pi/G.
 
+`is_int` and `is_real` are the one test of what a parameter value may be: an
+integer, or a real number, numpy's included and a bool never.  The params
+classes and the sweep config both check their values with them.
+
 Conventions: hbar = 1, all rates in units of the reference guided-mode decay
 rate, times in its inverse.
 """
@@ -70,11 +74,13 @@ KRYLOV_MAX_ERROR = 1e-14
 # generators of dimension 60 at horizons 0.1-30).
 KRYLOV_BOUND_INTERVALS = 64
 
-# A horizon that needs more intervals than this keeps the full decomposition:
-# the sum on 1,024 intervals at k = 16 costs about what the full eig and inv
-# at dimension 41 do (0.45 against 0.54 ms).  The reduced steps of
-# `accumulate-exact` need 76-246, and m = 40-160 accumulations at N 40-5000
-# up to 549.
+# A horizon that needs more intervals than this keeps the full decomposition.
+# One sum is cheap: on 1,024 intervals `exp_sums` and the trapezoid take
+# 0.04 ms at k = 16 and 0.05-0.06 ms at k = 24, against 0.53-0.64 ms for the
+# full eig and inv at dimension 41 (timeit, one BLAS thread, 2-vCPU Xeon VM).
+# So the cap mainly bounds the work of a reduction that never closes.  The
+# reduced steps of `accumulate-exact` need 76-246, and m = 40-160
+# accumulations at N 40-5000 up to 549.
 KRYLOV_MAX_INTERVALS = 1024
 
 # Points of the uniform grid on which the expm fallback integrates densities;
@@ -99,6 +105,11 @@ def all_finite(a) -> bool:
 def is_int(value) -> bool:
     """Whether value is an integer, a numpy one included, and not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number, a numpy one included, and not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def as_state(v) -> np.ndarray:

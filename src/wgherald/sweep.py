@@ -5,17 +5,19 @@ log-range), a dict of fixed parameters, and a (protocol, variant, mode)
 selector.  PARAMETERS is the one place that gives each model parameter's
 type, default and description: the config checks and conversions here, the
 parameter columns of the rows, and the CLI's flags and `compare`'s defaults
-all read it.  TABLE is the one place that says which (protocol, variant) pairs
-exist, which parameters and modes each reads, how it runs and which closed
-form its row reports; a spec that sets anything its entry ignores is
-rejected.  Points are enumerated lexicographically over the axes in the order
-given, evaluated independently, and written as CSV or JSON lines with one row
-per point; both formats write a non-finite number as the string inf, -inf or
-nan, so every JSON line parses under a strict parser.  Rows that fail are
-recorded in the `error` column and the sweep continues.  `jobs` caps the
-processes evaluating points, this one included: the others are forked only
-if the points' predicted times, which depend on their parameters alone, show
-that the forks pay (see `run_sweep`).
+all read it.  A config value of an int parameter must pass `linalg.is_int`
+and one of a float parameter `linalg.is_real`; None passes only where the
+default is None.  TABLE is the one place that says which (protocol,
+variant) pairs exist, which parameters and modes each reads, how it runs and
+which closed form its row reports; a spec that sets anything its entry
+ignores is rejected.  Points are enumerated lexicographically over the axes
+in the order given, evaluated independently, and written as CSV or JSON
+lines with one row per point; both formats write a non-finite number as the
+string inf, -inf or nan, so every JSON line parses under a strict parser.
+Rows that fail are recorded in the `error` column and the sweep continues.
+`jobs` caps the processes evaluating points, this one included: the others
+are forked only if the points' predicted times, which depend on their
+parameters alone, show that the forks pay (see `run_sweep`).
 
 Everything evaluated here is deterministic, so identical specs produce
 byte-identical outputs apart from the wall-time column.
@@ -28,7 +30,6 @@ import io
 import itertools
 import json
 import math
-import numbers
 import os
 import pickle
 import signal
@@ -42,8 +43,8 @@ import numpy as np
 from . import bandgap as bg
 from . import formulas
 from .basis import HPMode
-from .dissipative import DissipativeParams
-from .linalg import KRYLOV_MIN_DIM, is_int
+from .dissipative import DissipativeParams, free_space_rate
+from .linalg import KRYLOV_MIN_DIM, is_int, is_real
 from .protocol import (
     run_accumulation,
     run_step,
@@ -102,17 +103,10 @@ class SweepConfigError(ValueError):
     """Bad sweep specification."""
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def bandgap_params(point: dict) -> bg.BandgapParams:
     """The bandgap model of a point; P_1d = inf means no free-space decay."""
-    p1d = float(point["p1d"])
-    if not p1d > 0:
-        raise ValueError(f"p1d must be positive, not {p1d!r}")
     return bg.BandgapParams(N=int(point["N"]), xi=float(point["xi"]), m=int(point["m"]),
-                            gamma_star=0.0 if math.isinf(p1d) else 1.0 / p1d)
+                            gamma_star=free_space_rate(float(point["p1d"])))
 
 
 # Runners fill a row from a point whose values _evaluate has converted.  They
@@ -265,7 +259,7 @@ class SweepSpec:
             else:
                 bounds, num = ax["logspace"], ax.get("num", 5)
                 if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
-                        and all(map(_is_number, bounds)) and is_int(num)):
+                        and all(map(is_real, bounds)) and is_int(num)):
                     raise SweepConfigError(f"axis {name!r} needs logspace: [lo, hi] and an "
                                            f"integer num")
                 lo, hi = bounds
@@ -278,10 +272,10 @@ class SweepSpec:
                 raise SweepConfigError(f"axis {name!r} has no values")
             axes.append((name, tuple(values)))
         for name, values in [(k, (fixed[k],)) for k in PARAMETERS] + axes:
-            if PARAMETERS[name][0] is int and not all(map(is_int, values)):
-                raise SweepConfigError(f"{name} takes integers, not {list(values)}")
-            if any(isinstance(v, (bool, np.bool_, str)) for v in values):
-                raise SweepConfigError(f"{name} takes numbers, not {list(values)}")
+            kind, default, _ = PARAMETERS[name]
+            test, noun = (is_int, "integers") if kind is int else (is_real, "numbers")
+            if not all(test(v) or (v is None and default is None) for v in values):
+                raise SweepConfigError(f"{name} takes {noun}, not {list(values)}")
         names = [name for name, _ in axes]
         given = (set(cfg.get("fixed") or {}) | set(names) | set(overrides)) & set(PARAMETERS)
         unused = given - entry.reads

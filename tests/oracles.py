@@ -1,9 +1,10 @@
 """Independent oracles: fine-step RK4 integration, brute-force collective
 operators on the full tensor-product space, and the reference quantities the
 tests check the package against (decay generator, excitation number, the
-drive terms, the signed mirror swap, the ideal-limit bandgap chain, a
-straight-line fit, a Chebyshev propagator, an extended-precision
-Kac-Murdock-Szego product, the candidate fixed-ratio plateaus).
+drive terms, the signed mirror swap, the explicit two-mode images of the
+linearized chain, the ideal-limit bandgap chain, a straight-line fit, a
+Chebyshev propagator, an extended-precision Kac-Murdock-Szego product, the
+candidate fixed-ratio plateaus).
 
 These deliberately share no code with the package internals: states are
 base-3 integer configurations, collective operators are sums of sparse
@@ -122,6 +123,30 @@ def coherent_drive(p, omega, T):
     model.channels, model.rates, model.ops = [], [], model.ops[:0]
     psi = protocol.Propagator(model.g, model.psi0, T).apply(T)
     return model, norm_sq(model.heralded(psi))
+
+
+def linearized_images(lbl, which, sign):
+    """Images of a linearized-chain label under S_which,sign, each with its
+    amplitude as (c, root), root "1" or "sqrt(2N)": the two-mode rules
+    written out (k1 the antisymmetric storage mode, l1 the symmetric excited
+    mode), the reference for the package's images from the mirror algebra.
+    None where the operator leaves the chain."""
+    k, l = lbl.k1, lbl.l1
+    if (which, sign) == ("eg", 1.0):
+        return [(lbl._replace(l1=l + 1), (math.sqrt(l + 1), "sqrt(2N)"))]
+    if (which, sign) == ("ge", 1.0):
+        return [(lbl._replace(l1=l - 1), (math.sqrt(l), "sqrt(2N)"))] if l else []
+    if (which, sign) == ("ge", -1.0):
+        # annihilates the antisymmetric excited mode, which the chain never fills
+        return []
+    if (which, sign) == ("se", -1.0):
+        # bs-^dag be+ survives; bs+^dag be- annihilates an empty mode
+        return [(lbl._replace(k1=k + 1, l1=l - 1),
+                 (math.sqrt(k + 1) * math.sqrt(l), "1"))] if l else []
+    if (which, sign) == ("es", -1.0):
+        return [(lbl._replace(k1=k - 1, l1=l + 1),
+                 (math.sqrt(k) * math.sqrt(l + 1), "1"))] if k else []
+    return None
 
 
 def mirror_swap_matrix(basis):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import chebyshev_propagate, dense_lanczos, ideal_bandgap_chain, kms_product
-from wgherald import bandgap
+from wgherald import bandgap, sweep
 from wgherald.bandgap import (
     KRYLOV_MAX_ERROR,
     BandgapParams,
@@ -39,11 +39,12 @@ def test_params_validation():
         with pytest.raises(ValueError, match="integers"):
             BandgapParams(N=n, xi=5.0, m=m)
     assert BandgapParams(N=np.int64(10), xi=5.0, m=np.int32(2)).N_m == 9
-    for gamma_star in (-0.2, math.nan, math.inf, True, False, np.True_, np.False_):
+    for gamma_star in (-0.2, math.nan, math.inf, True, False, np.True_, np.False_, "0.1", None):
         with pytest.raises(ValueError, match="gamma_star"):
             BandgapParams(N=10, xi=10.0, gamma_star=gamma_star)
-    # a bool xi, numpy's included, would run as a range of 1 lattice spacing
-    for xi in (True, np.True_):
+    # a bool xi, numpy's included, would run as a range of 1 lattice spacing;
+    # a string, a list or None is no range at all
+    for xi in (True, np.True_, "10", [1.0], None):
         with pytest.raises(ValueError, match="xi"):
             BandgapParams(N=10, xi=xi)
 
@@ -334,6 +335,20 @@ def test_transfer_survival_matches_closed_form_in_ideal_regime():
         rec = run_transfer(p)
         closed = ideal_step_probability(p)
         assert rec.survival_probability == pytest.approx(closed, rel=0.02)
+
+
+def test_transfer_refuses_stored_quanta():
+    # the atom-resolved single-excitation model holds no stored quanta, so an
+    # m > 1 transfer would run the m = 1 dynamics; only the ideal-limit
+    # probability, through N_m, reads m
+    with pytest.raises(ValueError, match="m must be 1"):
+        run_transfer(BandgapParams(N=40, xi=400.0, m=2))
+    p = BandgapParams(N=40, xi=400.0, m=2, gamma_star=0.1)
+    # exp(-pi xi / (sqrt(N_m) P_1d)) at N_m = 39 and P_1d = 10
+    assert ideal_step_probability(p) == pytest.approx(math.exp(-math.pi * 40 / math.sqrt(39)))
+    row = sweep.evaluate_point({**sweep.SweepSpec.from_config({"protocol": "bandgap"}).points()[0],
+                                "N": 40, "xi": 400.0, "m": 2})
+    assert row["error"].startswith("ValueError: the transfer holds no stored quanta")
 
 
 def test_ideal_step_probability_values():

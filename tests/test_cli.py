@@ -516,6 +516,8 @@ SWEPT_N = {"protocol": "step", "fixed": {"p1d": 10},
     # a negative drive parameter gave a ProbabilisticI p_m above 1, NaN gave nan rows
     (None, ("compare", "--N", "100", "--m", "2", "--x", "-3", "--eta", "0.5")),
     (None, ("compare", "--x", "nan")),
+    # the transfer holds no stored quanta: m = 2 ran the m = 1 dynamics
+    (None, ("bandgap", "--N", "40", "--xi", "40", "--m", "2")),
 ])
 def test_ignored_inputs_are_rejected(tmp_path, capsys, config, argv):
     if config is not None:

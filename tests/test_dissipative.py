@@ -13,6 +13,7 @@ from oracles import (
     decay_generator_max_eig,
     drive_matrix,
     excitation_number_operator,
+    linearized_images,
     mirror_swap_matrix,
 )
 from wgherald import dissipative
@@ -59,16 +60,37 @@ def test_params_validation():
             DissipativeParams(N=n, m=m)
     assert DissipativeParams(N=np.int64(10), m=np.int32(2)).N == 10
     # the rates and P_1d are numbers, not bools (numpy's included), which
-    # would run as 0 or 1
+    # would run as 0 or 1, nor strings, lists or None
     for kwargs in ({"gamma_s": True}, {"gamma_star": False},
-                   {"gamma_s": np.True_}, {"gamma_star": np.True_}):
+                   {"gamma_s": np.True_}, {"gamma_star": np.True_},
+                   {"gamma_s": "1"}, {"gamma_star": [0.1]}):
         with pytest.raises(ValueError, match="non-negative"):
             DissipativeParams(N=10, m=1, **kwargs)
-    for p1d in (True, np.True_):
+    for p1d in (True, np.True_, None, "10", [10.0]):
         with pytest.raises(ValueError, match="p1d"):
             DissipativeParams.from_purcell(10, 1, p1d)
     p = DissipativeParams(N=10, m=4)
     assert p.gamma_s == pytest.approx(0.5)  # optimal 1/sqrt(4)
+
+
+def test_linearized_images_match_the_two_mode_rules():
+    # the hp-approx images are the mirror algebra's on (k1, l1) with sqrt(2N)
+    # for the mirror's N-root: the same labels and amplitudes as the two-mode
+    # rules written out, on every label of both chains, and the operators the
+    # chain has no mode for are refused
+    root = {ONE: "1", ROOT_2N: "sqrt(2N)"}
+    for m in range(1, 13):
+        for with_drive in (False, True):
+            basis = build_basis(m, m, HPMode.APPROX, with_drive=with_drive)
+            for lbl in basis.labels:
+                for which, sign in (("eg", 1.0), ("ge", 1.0), ("ge", -1.0), ("se", -1.0),
+                                    ("es", -1.0)):
+                    got = [(t, (c, root[q]))
+                           for t, (c, q) in dissipative.target_images(basis, lbl, which, sign)]
+                    assert got == linearized_images(lbl, which, sign), (m, lbl, which, sign)
+                for which, sign in (("sg", 1.0), ("eg", -1.0)):
+                    with pytest.raises(ValueError, match="leaves the linearized chain"):
+                        dissipative.target_images(basis, lbl, which, sign)
 
 
 def test_chain_matrix_reproduces_closed_form():

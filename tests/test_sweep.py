@@ -33,7 +33,8 @@ CHANGED = {"N": 60, "m": 3, "p1d": 20.0, "gamma_s_ratio": 3.0, "omega": 5.0,
 
 def base_point(protocol, variant):
     point = SweepSpec.from_config({"protocol": protocol, "variant": variant}).points()[0]
-    point.update(N=50, m=2, p1d=10.0)
+    # the bandgap transfer evolves m = 1 alone
+    point.update(N=50, m=1 if protocol == "bandgap" else 2, p1d=10.0)
     return point
 
 
@@ -49,6 +50,13 @@ def test_entry_reads_exactly_its_parameters(pair):
     assert math.isfinite(row["formula_p"])
     assert set(CHANGED) == set(PARAMETERS)
     for key, value in CHANGED.items():
+        if pair[0] == "bandgap" and key == "m":
+            # an m the transfer refuses, which the closed form reads
+            with pytest.raises(ValueError, match="m must be 1"):
+                run_point(dict(base, m=value))
+            formula_p = TABLE[pair].formula(sweep._converted(dict(base, m=value)))
+            assert formula_p != row["formula_p"]
+            continue
         changed = run_point(dict(base, **{key: value}))
         if key in TABLE[pair].reads:
             assert (changed["p_success"], changed["T"]) != (row["p_success"], row["T"]), key
@@ -297,14 +305,16 @@ def test_jobs_above_one_need_fork(monkeypatch):
 def test_numeric_parameters_refuse_bools(tmp_path, capsys):
     # YAML's true, yes and no load as bools, which the runners' float() would
     # take as 1 or 0: a bool is refused for every parameter, fixed, on an
-    # axis or as an override, and the command exits 1 before any point runs
-    for name in ("p1d", "gamma_s_ratio", "omega", "xi", "T"):
+    # axis or as an override, and the command exits 1 before any point runs;
+    # N and m take integers
+    for name, (kind, _, _) in PARAMETERS.items():
         protocol, variant = next(pair for pair, e in TABLE.items() if name in e.reads)
         cfg = {"protocol": protocol, "variant": variant}
+        noun = "integers" if kind is int else "numbers"
         for config, overrides in (({**cfg, "fixed": {name: True}}, None),
-                                  ({**cfg, "axes": [{"name": name, "values": [2.0, True]}]}, None),
+                                  ({**cfg, "axes": [{"name": name, "values": [2, True]}]}, None),
                                   (cfg, {name: False}), (cfg, {name: np.False_})):
-            with pytest.raises(SweepConfigError, match=f"{name} takes numbers"):
+            with pytest.raises(SweepConfigError, match=f"{name} takes {noun}"):
                 SweepSpec.from_config(config, overrides)
     for command, fixed in (("step", "{N: 100, m: 1, p1d: true}"),
                            ("step", "{N: 100, m: 1, p1d: 10, T: yes}"),
@@ -327,15 +337,45 @@ def test_numeric_parameters_refuse_strings(tmp_path, capsys):
                                   (cfg, {name: "inf"})):
             with pytest.raises(SweepConfigError, match=f"{name} takes numbers"):
                 SweepSpec.from_config(config, overrides)
-    for fixed, shown in (('{N: 100, m: 1, p1d: "1e1"}', "['1e1']"),
-                         ('{N: 100, m: 1, p1d: "abc"}', "['abc']"),
-                         ("{N: 100, m: 1, p1d: inf}", "['inf']")):
+    # a list, a mapping or a null would fail in the runners' float() as a
+    # TypeError: each is refused for every parameter, fixed, on an axis or as
+    # an override, a null only where the default is not None (a null
+    # override leaves the parameter unset)
+    for name, (kind, default, _) in PARAMETERS.items():
+        protocol, variant = next(pair for pair, e in TABLE.items() if name in e.reads)
+        cfg = {"protocol": protocol, "variant": variant}
+        noun = "integers" if kind is int else "numbers"
+        for value in ([10], {"a": 1}, *([None] if default is not None else [])):
+            for config, overrides in (({**cfg, "fixed": {name: value}}, None),
+                                      ({**cfg, "axes": [{"name": name, "values": [value, 20]}]},
+                                       None),
+                                      (cfg, {name: value})):
+                if value is None and overrides:
+                    continue
+                with pytest.raises(SweepConfigError, match=f"{name} takes {noun}"):
+                    SweepSpec.from_config(config, overrides)
+    for command, config, shown in (
+            ("step", '{fixed: {N: 100, m: 1, p1d: "1e1"}}', "p1d takes numbers, not ['1e1']"),
+            ("step", '{fixed: {N: 100, m: 1, p1d: "abc"}}', "p1d takes numbers, not ['abc']"),
+            ("step", "{fixed: {N: 100, m: 1, p1d: inf}}", "p1d takes numbers, not ['inf']"),
+            ("step", "{fixed: {N: 100, m: 1, p1d: [10]}}", "p1d takes numbers, not [[10]]"),
+            ("step", "{fixed: {N: 100, m: 1, p1d: null}}", "p1d takes numbers, not [None]"),
+            ("step", "{fixed: {N: 100, m: 1, p1d: 10, T: {a: 1}}}",
+             "T takes numbers, not [{'a': 1}]"),
+            ("step", "{fixed: {N: [100], m: 1, p1d: 10}}", "N takes integers, not [[100]]"),
+            ("sweep", "{fixed: {N: 100, m: 1}, axes: [{name: p1d, values: [[10], 20]}]}",
+             "p1d takes numbers, not [[10], 20]")):
         path = tmp_path / "string.yaml"
-        path.write_text(f"fixed: {fixed}\n")
-        assert main(["step", "--config", str(path)]) == 1
-        assert f"p1d takes numbers, not {shown}" in capsys.readouterr().err
+        path.write_text(f"{config}\n")
+        assert main([command, "--config", str(path)]) == 1
+        assert shown in capsys.readouterr().err
     path.write_text("fixed: {N: 100, m: 1, p1d: .inf}\n")
     assert main(["step", "--config", str(path)]) == 0
+    # None is the optimum where it is the default
+    for config in ("fixed: {N: 100, m: 1, p1d: 10, gamma_s_ratio: null, T: null}",
+                   "{variant: continuous-drive, fixed: {N: 100, m: 1, p1d: 10, omega: null}}"):
+        path.write_text(f"{config}\n")
+        assert main(["step", "--config", str(path)]) == 0
 
 
 def test_exact_sweep_rows_do_not_depend_on_jobs_or_on_bases_built_before(tmp_path, free_forks):
