@@ -207,10 +207,11 @@ def stage_frame(basis: BasisSet) -> np.ndarray:
     H = A - (i/2) D with A and D real, and with T = diag(frame),
     T^-1 (-iH) T = S o A - D/2 is exactly real, where S_ij = Im f_j - Im f_i
     is +1 from an odd stage j to an even stage i, -1 from even to odd, and 0
-    between stages of one parity.  A step builds
-    that real generator directly (`dissipative.no_jump_generator`) and
-    evolves u = T^-1 psi under it: `protocol._layout` folds the frame into
-    the input and herald weights, so the phases live there alone.
+    between stages of one parity.  `dissipative` records every coherent
+    term with its S, so `dissipative.model_matrices` returns that real
+    generator, and a step evolves u = T^-1 psi under it: `protocol._layout`
+    folds the frame into the input and herald weights, so the phases live
+    there alone.
     """
     return np.array([1j if lbl.source_level == "e" or lbl.detector == DET_EXCITED else 1.0
                      for lbl in basis.labels], dtype=complex)

@@ -24,13 +24,15 @@ sector.  Both representations take their amplitudes from one boson algebra,
 `basis.mirror_image`: the linearized images are the mirror's, with the
 collective root sqrt(2N) in place of the mirror's N-root.
 
-A step never forms the complex H_nh: `no_jump_generator` builds the real
-generator G = S o H_coherent - (1/2) sum_k Gamma_k O_k^dag O_k, the form
-T^-1 (-i H_nh) T takes in the stage-parity frame T, where S = +-1 is the sign
-between adjacent stages.  `build_H_nh` is the complex reference.  A model is
-undriven: the unit-strength loading and readout drives (`source_drive`,
-`readout_drive`) are rules a protocol step scales, signs and adds to its
-generator.
+A step never forms the complex H_nh.  Each coherent term is recorded with the
+stage-parity sign S = +-1 of its branch (see `basis.stage_frame`), so
+`model_matrices` returns the real generator
+G = S o H_coherent - (1/2) sum_k Gamma_k O_k^dag O_k, the form
+T^-1 (-i H_nh) T takes in the stage-parity frame T, and a step evolves it
+as it is.  `build_H_coherent` and `build_H_nh` are the complex references,
+signed back from G.  A model is undriven: the unit-strength loading and
+readout drives (`source_drive`, `readout_drive`), recorded with their signs
+too, are generator terms a protocol step scales and adds to G.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .basis import (
     HPMode,
     matrix_from_action,
     mirror_image,
+    stage_frame,
 )
 from .linalg import is_int, is_real
 
@@ -147,36 +150,42 @@ def target_images(basis: BasisSet, lbl: BasisLabel, which: str, sign: float):
 
 
 def source_drive(lbl: BasisLabel):
-    """sigma_es + sigma_se: the unit-strength drive between source levels e and s."""
-    flip = {"e": "s", "s": "e"}.get(lbl.source_level)
-    return [(lbl._replace(source_level=flip), 1.0)] if flip else []
+    """The generator term of sigma_es + sigma_se, the unit-strength drive
+    between source levels e and s: +1 from e (an odd stage) to s, -1 back."""
+    flip = {"e": ("s", 1.0), "s": ("e", -1.0)}.get(lbl.source_level)
+    return [(lbl._replace(source_level=flip[0]), flip[1])] if flip else []
 
 
 def readout_drive(lbl: BasisLabel):
-    """S_ge,+ + S_eg,+ on the detector: the unit-strength excited <-> heralded drive."""
-    flip = {DET_EXCITED: DET_HERALDED, DET_HERALDED: DET_EXCITED}.get(lbl.detector)
-    return [(lbl._replace(detector=flip), 1.0)] if flip else []
+    """The generator term of S_ge,+ + S_eg,+ on the detector, the
+    unit-strength excited <-> heralded drive: +1 from excited (an odd stage)
+    to heralded, -1 back."""
+    flip = {DET_EXCITED: (DET_HERALDED, 1.0), DET_HERALDED: (DET_EXCITED, -1.0)}.get(lbl.detector)
+    return [(lbl._replace(detector=flip[0]), flip[1])] if flip else []
 
 
 def _coherent_rule(basis: BasisSet):
-    """(gamma_g/2)(sigma_ge S_eg,+ + h.c.) + (gamma_s/2)(S_es,-^d S_se,- + h.c.),
-    the halved rates 1/2 and gamma_s / 2 in the roots RATE_G and RATE_S."""
-    half_g, half_s = (1.0, RATE_G), (1.0, RATE_S)
+    """S o H_coherent for H_coherent = (gamma_g/2)(sigma_ge S_eg,+ + h.c.)
+    + (gamma_s/2)(S_es,-^d S_se,- + h.c.), the halved rates 1/2 and
+    gamma_s / 2 in the roots RATE_G and RATE_S.  Every move joins adjacent
+    stages, so its stage-parity sign S_ij = Im f_j - Im f_i (see
+    `basis.stage_frame`) is the branch's: +1 out of the odd stages (e -> g,
+    detector excited -> none), -1 into them (g -> e, none -> excited)."""
 
     def rule(lbl):
         out = []
         if lbl.source_level == "e":
-            out += [(t._replace(source_level="g"), (half_g, a))
+            out += [(t._replace(source_level="g"), ((1.0, RATE_G), a))
                     for t, a in target_images(basis, lbl, "eg", 1.0)]
         elif lbl.source_level == "g":
-            out += [(t._replace(source_level="e"), (half_g, a))
+            out += [(t._replace(source_level="e"), ((-1.0, RATE_G), a))
                     for t, a in target_images(basis, lbl, "ge", 1.0)]
         # the collective flip of the 2N detector atoms: sqrt(2N)
         if lbl.detector == DET_NONE:
-            out += [(t._replace(detector=DET_EXCITED), (half_s, (a[0], ROOT_2N)))
+            out += [(t._replace(detector=DET_EXCITED), ((-1.0, RATE_S), (a[0], ROOT_2N)))
                     for t, a in target_images(basis, lbl, "se", -1.0)]
         elif lbl.detector == DET_EXCITED:
-            out += [(t._replace(detector=DET_NONE), (half_s, (a[0], ROOT_2N)))
+            out += [(t._replace(detector=DET_NONE), ((1.0, RATE_S), (a[0], ROOT_2N)))
                     for t, a in target_images(basis, lbl, "es", -1.0)]
         return out
 
@@ -201,9 +210,10 @@ _CHANNELS = ("source_guided", "target_guided_ge", "target_guided_se", "free_spac
 
 
 def _terms(basis: BasisSet):
-    """The model's recorded terms on a basis: one stack of the coherent part
-    and each channel's O^dag O in _CHANNELS order.  The channels use neither
-    rate root, and no O^dag O image leaves the basis."""
+    """The model's recorded terms on a basis: one stack of the signed
+    coherent part S o H_coherent and each channel's O^dag O in _CHANNELS
+    order.  The channels use neither rate root, and no O^dag O image leaves
+    the basis."""
     return matrix_from_action(basis, _coherent_rule(basis),
                               lambda lbl: [(lbl, 1.0)] if lbl.source_level == "e" else [],
                               _jump_product(basis, "ge"), _jump_product(basis, "se"),
@@ -213,9 +223,15 @@ def _terms(basis: BasisSet):
 
 
 def model_matrices(p: DissipativeParams, basis: BasisSet) -> tuple:
-    """The coherent Hamiltonian, and the names, rates and stack of exact
+    """The real no-jump generator G, and the names, rates and stack of exact
     O^dag O of the _CHANNELS whose rate is nonzero, in _CHANNELS order: newly
-    allocated real matrices from one evaluation of the recorded terms."""
+    allocated real matrices from one evaluation of the recorded terms.
+
+    G = S o H_coherent - sum_k (Gamma_k / 2) O_k^dag O_k, the channels
+    subtracted one at a time in place of the signed coherent part, is
+    T^-1 (-i H_nh) T, T = diag(`basis.stage_frame`): the generator a step's
+    `linalg.Propagator` evolves its input under, in the coordinates
+    u = T^-1 psi."""
     if p.m != basis.m or p.N < p.m:
         raise ValueError(f"params (N={p.N}, m={p.m}) do not match basis (m={basis.m})")
     op = basis.memo(_terms).at(p.N, (0.5, p.gamma_s / 2))
@@ -227,12 +243,23 @@ def model_matrices(p: DissipativeParams, basis: BasisSet) -> tuple:
     rates = [1.0, 1.0, p.gamma_s, p.gamma_star]
     keep = [k for k, rate in enumerate(rates) if rate > 0]
     products = op.matrix[1:] if len(keep) == len(rates) else op.matrix[1:][keep]
-    return op.matrix[0], [_CHANNELS[k] for k in keep], [rates[k] for k in keep], products
+    rates, g = [rates[k] for k in keep], op.matrix[0]
+    for rate, product in zip(rates, products):
+        g -= (0.5 * rate) * product
+    return g, [_CHANNELS[k] for k in keep], rates, products
+
+
+def _stage_sign(basis: BasisSet) -> np.ndarray:
+    """S_ij = Im f_j - Im f_i of the stage-parity frame f (`basis.stage_frame`)."""
+    stage = stage_frame(basis).imag
+    return stage - stage[:, None]
 
 
 def build_H_coherent(p: DissipativeParams, basis: BasisSet) -> np.ndarray:
-    """Waveguide-mediated exchange Hamiltonian, a real matrix."""
-    return model_matrices(p, basis)[0]
+    """Waveguide-mediated exchange Hamiltonian, a real matrix: S o G, since
+    the coherent terms join adjacent stages (S = +-1) and the channels keep
+    a stage (S = 0)."""
+    return _stage_sign(basis) * model_matrices(p, basis)[0]
 
 
 def build_jump_operators(p: DissipativeParams, basis: BasisSet) -> list[JumpChannel]:
@@ -241,26 +268,12 @@ def build_jump_operators(p: DissipativeParams, basis: BasisSet) -> list[JumpChan
     return [JumpChannel(*channel) for channel in zip(*model_matrices(p, basis)[1:])]
 
 
-def no_jump_generator(h_coherent: np.ndarray, rates, ops: np.ndarray, sign) -> np.ndarray:
-    """The real no-jump generator sign * H_coherent - sum_k (rates[k]/2) ops[k]
-    as a new matrix, the channels subtracted one at a time in order.
-
-    With sign the stage-parity sign of a basis (see `basis.stage_frame`) it is
-    G = T^-1 (-i H_nh) T, T = diag(stage_frame), the generator a step's
-    `linalg.Propagator` evolves its input under, in the coordinates
-    u = T^-1 psi; with sign 0 it is the decay part
-    -(1/2) sum_k Gamma_k O_k^dag O_k alone, the imaginary part of H_nh."""
-    g = sign * h_coherent
-    for rate, op in zip(rates, ops):
-        g -= (0.5 * rate) * op
-    return g
-
-
 def build_H_nh(p: DissipativeParams, basis: BasisSet) -> np.ndarray:
     """No-jump Hamiltonian H_nh of the model's coherent part and all its
-    channels, a complex matrix."""
-    h, _, rates, ops = model_matrices(p, basis)
-    return h + 1j * no_jump_generator(h, rates, ops, 0.0)
+    channels, a complex matrix: S o G plus i times G where S = 0, the decay
+    part -(1/2) sum_k Gamma_k O_k^dag O_k."""
+    g, sign = model_matrices(p, basis)[0], _stage_sign(basis)
+    return sign * g + 1j * np.where(sign == 0, g, 0.0)
 
 
 def optimal_time(p: DissipativeParams) -> float:

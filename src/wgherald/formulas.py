@@ -83,7 +83,6 @@ class ComparisonEntry:
     p_m: float
     requirement: str
     requirement_satisfied: bool
-    inputs: dict
 
 
 def table1_compare(
@@ -109,24 +108,22 @@ def table1_compare(
     if not (x >= 0 and math.isfinite(x)):
         raise ValueError(f"x must be non-negative and finite, not x={x}")
     n_m = N - m + 1
-    inputs = {"m": m, "N": N, "p1d": p1d, "xi": xi, "eta": eta, "x": x}
-    rows = [
+    return [
         ComparisonEntry(
             "Deterministic", m / math.sqrt(p1d), 1.0,
-            "P1d >> 1", p1d > th["p1d_large"], inputs),
+            "P1d >> 1", p1d > th["p1d_large"]),
         ComparisonEntry(
             "ProbabilisticI", m * (1 - eta) * x**2, (eta * x**2) ** m,
-            "x = Omega T sqrt(N) << 1", x < th["x_small"], inputs),
+            "x = Omega T sqrt(N) << 1", x < th["x_small"]),
         ComparisonEntry(
             "ProbabilisticII", 0.0, math.exp(-m / math.sqrt(p1d)),
-            "P1d >> 1", p1d > th["p1d_large"], inputs),
+            "P1d >> 1", p1d > th["p1d_large"]),
         ComparisonEntry(
             "DoubleMirrors", m**2 / N**2,
             math.exp(-m * math.sqrt(m / N) * (1 + 1 / p1d)),
-            "N >> 1", N > th["n_large"], inputs),
+            "N >> 1", N > th["n_large"]),
         ComparisonEntry(
             "DipoleDipole", xi**-2.0,
             math.exp(-xi / (math.sqrt(n_m) * p1d)),
-            "xi >> N", xi > th["xi_over_n"] * N, inputs),
+            "xi >> N", xi > th["xi_over_n"] * N),
     ]
-    return rows

@@ -226,7 +226,8 @@ class Propagator:
     NumericError without a numpy warning first.
 
     horizon, positive and finite, is the latest time the propagator is
-    asked for: a time outside [0, horizon] is refused with a ValueError.  A
+    asked for: a time outside [0, horizon] is refused with a ValueError, and
+    a non-finite one with NumericError.  A
     generator of dimension KRYLOV_MIN_DIM or more is first reduced to the
     Krylov space of v0 (`_reduce`) when g is real and v0 real up to one
     phase: `arnoldi`'s basis Q of k columns, with H_k = Q^T g Q, k far below
@@ -343,6 +344,8 @@ class Propagator:
         return False
 
     def _check_times(self, lo: float, hi: float) -> None:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise NumericError(f"times [{lo!r}, {hi!r}] must be finite")
         if not 0.0 <= lo <= hi <= self.horizon:
             raise ValueError(f"times [{lo!r}, {hi!r}] leave the propagator's horizon "
                              f"[0, {self.horizon!r}]")
@@ -363,8 +366,6 @@ class Propagator:
 
     def apply(self, t: float) -> np.ndarray:
         """Return e^{g t} v0."""
-        if not math.isfinite(t):
-            raise NumericError("evolution time must be finite")
         self._check_times(t, t)
         if self.method == "eig":
             # |lam| t past the float range leaves non-finite amplitudes, raised below
@@ -395,8 +396,6 @@ class Propagator:
         positive and finite, raises ValueError, and a non-finite f, f' or f''
         NumericError, without a numpy warning first.
         """
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise NumericError("search bracket must be finite")
         self._check_times(lo, hi)
         _check_tol(tol)
         evaluate = self._slope(index, weights)
@@ -461,8 +460,6 @@ class Propagator:
         grid.  A non-finite population raises NumericError without a numpy
         warning first.
         """
-        if not math.isfinite(t_end):
-            raise NumericError("evolution times must be finite")
         if n < 2:
             raise DimensionError(f"population needs a grid of at least 2 times, not {n!r}")
         self._check_times(0.0, t_end)

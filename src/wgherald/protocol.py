@@ -15,19 +15,20 @@ the end of its search, 1.2 T, and a driven step T or the end of its scan,
 so an exact sector of dimension `linalg.KRYLOV_MIN_DIM` or more is
 decomposed on the Krylov space of its input alone (16-24 dimensions).  The
 model's generator is real: the no-jump generator in the basis's stage-parity
-coordinates T^-1 (-iH) T, T = diag(`basis.stage_frame`), built from the
-recorded terms in real arithmetic, so no complex H is formed.  The model's
-input and herald weights carry the stage phases (`_layout`), so the
-Propagator evolves the input in those coordinates and the herald reads
-physical amplitudes off it.  A drive is a term of that generator, multiplied
-by the stage-parity sign: S o (omega/2)(source + readout drive) for the
-continuous drive.  In the exact representation the model commutes with the
-signed mirror swap, so the input of step m, a parity eigenstate, evolves in
-its mirror-parity sector alone.  The parity is read off the input before any
-basis is built: the swap reverses the storage amplitudes, so an input equal
-to its reversal lies in P = +1 and one equal to minus its reversal in
-P = -1.  Any other input evolves on the full 4m+1 basis, and is complex past
-one global phase, so its propagator decomposes the whole generator.
+coordinates T^-1 (-iH) T, T = diag(`basis.stage_frame`), as
+`dissipative.model_matrices` returns it from the signed recorded terms, so
+no complex H is formed and no step handles the sign.  The model's input and
+herald weights carry the stage phases (`_layout`), so the Propagator evolves
+the input in those coordinates and the herald reads physical amplitudes off
+it.  A drive is a term of that generator, recorded with its sign:
+(omega/2)(source + readout drive) for the continuous drive.  In the exact
+representation the model commutes with the signed mirror swap, so the input
+of step m, a parity eigenstate, evolves in its mirror-parity sector alone.
+The parity is read off the input before any basis is built: the swap
+reverses the storage amplitudes, so an input equal to its reversal lies in
+P = +1 and one equal to minus its reversal in P = -1.  Any other input
+evolves on the full 4m+1 basis, and is complex past one global phase, so its
+propagator decomposes the whole generator.
 
 A continuous-drive step off its optimal omega searches its time: one
 population scan on a uniform grid (one `linalg.exp_sums` table), then a root
@@ -63,7 +64,6 @@ from .basis import (
 from .dissipative import (
     DissipativeParams,
     model_matrices,
-    no_jump_generator,
     optimal_time,
     readout_drive,
     source_drive,
@@ -130,7 +130,7 @@ def _embed_input(basis: BasisSet, input_state: np.ndarray | None) -> np.ndarray:
     """Place a normalized (m-1)-quanta target state under the loaded source,
     folded onto the basis in the generator's coordinates (see `_layout`);
     None is a copy of the recorded default input."""
-    idx, weights, default = basis.memo(_layout)[4:]
+    idx, weights, default = basis.memo(_layout)[3:]
     if input_state is None:
         return default.copy()
     input_state = np.asarray(input_state, dtype=complex)
@@ -149,15 +149,14 @@ def _embed_input(basis: BasisSet, input_state: np.ndarray | None) -> np.ndarray:
 
 def _layout(basis: BasisSet) -> tuple[np.ndarray, ...]:
     """Read-only 1-D arrays a step reads off its basis, built once per basis,
-    so it holds O(dim): the stages Im f of the stage-parity frame f (a model
-    forms the sign S_ij = Im f_j - Im f_i, see `basis.stage_frame`), the goal,
-    the basis positions and weights of the heralded branch (the readout level
-    on a driven basis, the excited detector otherwise) and of the input (under
-    the loaded source: s on a driven basis, e otherwise), in storage order,
-    and the default input on the basis: the goal of m - 1 quanta ([1] on the
-    chain, storage state (m-1, 0)).
+    so it holds O(dim): the goal, the basis positions and weights of the
+    heralded branch (the readout level on a driven basis, the excited detector
+    otherwise) and of the input (under the loaded source: s on a driven
+    basis, e otherwise), in storage order, and the default input on the
+    basis: the goal of m - 1 quanta ([1] on the chain, storage state (m-1, 0)).
 
-    The weights are in the generator's coordinates u = T^-1 psi, T = diag(f):
+    The weights are in the generator's coordinates u = T^-1 psi, T = diag(f)
+    for the stage-parity frame f (`basis.stage_frame`):
     the herald weights carry f and the input weights conj(f) = 1 / f, so
     weights * u[positions] unfolds the heralded branch's physical amplitudes
     and an input placed with its weights, the default one included, is u."""
@@ -171,7 +170,7 @@ def _layout(basis: BasisSet) -> tuple[np.ndarray, ...]:
         parts += [idx, np.array([f[1] for f in folds]) * phase[idx]]
     default = np.zeros(basis.dim, dtype=complex)
     np.add.at(default, parts[2], parts[3] * (goal_amplitudes(m - 1) if exact else 1.0))
-    arrays = (frame.imag, goal_state(basis), *parts, default)
+    arrays = (goal_state(basis), *parts, default)
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -181,11 +180,10 @@ def _layout(basis: BasisSet) -> tuple[np.ndarray, ...]:
 class _Model:
     """The model a step evolves: its basis, the folded input, its channels'
     names, rates and real O^dag O stack, the real no-jump generator g
-    (undriven as built; a driven step adds its drive term to it), its
-    stage-parity sign (which a drive term is multiplied by), the goal and
-    the herald positions and weights.  The input and the herald weights are
-    in the coordinates of g (see `_layout`), so the step's Propagator takes
-    g and the input as they are.
+    (undriven as built; a driven step adds its drive term to it), the goal
+    and the herald positions and weights.  The input and the herald weights
+    are in the coordinates of g (see `_layout`), so the step's Propagator
+    takes g and the input as they are.
 
     In EXACT mode the basis is the mirror-parity sector of a parity
     eigenstate input and the full 4m+1 basis of a mixed one; in APPROX mode
@@ -198,7 +196,6 @@ class _Model:
     rates: list[float]
     ops: np.ndarray
     g: np.ndarray
-    sign: np.ndarray
     goal: np.ndarray
     idx: np.ndarray
     weights: np.ndarray
@@ -232,11 +229,8 @@ def _model(p: DissipativeParams, mode: HPMode,
     """The undriven model of a step of p on the basis its input needs."""
     basis = build_basis(p.N, p.m, mode, with_drive, _parity(p, mode, input_target_state))
     psi0 = _embed_input(basis, input_target_state)
-    h, names, rates, ops = model_matrices(p, basis)
-    stage, goal, idx, weights = basis.memo(_layout)[:4]
-    sign = stage - stage[:, None]
-    return _Model(basis, psi0, names, rates, ops, no_jump_generator(h, rates, ops, sign),
-                  sign, goal, idx, weights)
+    g, names, rates, ops = model_matrices(p, basis)
+    return _Model(basis, psi0, names, rates, ops, g, *basis.memo(_layout)[:3])
 
 
 def _evolve(model: _Model, T: float, prop: Propagator | None = None) -> StepResult:
@@ -342,7 +336,7 @@ def run_step_continuous_drive(
     p = DissipativeParams.from_purcell(N, m, p1d)
     model = _model(p, HPMode.APPROX, with_drive=True)
     drive = model.basis.memo(matrix_from_action, source_drive, readout_drive).at(N).matrix.sum(0)
-    model.g += model.sign * ((omega / 2) * drive)
+    model.g += (omega / 2) * drive
     if T is None and abs(omega - omega_opt) < 1e-12 * g:  # the optimal drive
         T = 2 * math.pi / omega
     if T is not None:

@@ -263,8 +263,8 @@ class SweepSpec:
                     raise SweepConfigError(f"axis {name!r} needs logspace: [lo, hi] and an "
                                            f"integer num")
                 lo, hi = bounds
-                if lo <= 0 or hi <= 0 or num < 1:
-                    raise SweepConfigError("logspace needs positive bounds and num >= 1")
+                if not (0 < lo < math.inf and 0 < hi < math.inf and num >= 1):
+                    raise SweepConfigError("logspace needs positive finite bounds and num >= 1")
                 values = list(np.geomspace(lo, hi, num))
                 if PARAMETERS[name][0] is int:
                     values = sorted(dict.fromkeys(int(round(v)) for v in values))

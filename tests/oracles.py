@@ -1,10 +1,10 @@
 """Independent oracles: fine-step RK4 integration, brute-force collective
 operators on the full tensor-product space, and the reference quantities the
 tests check the package against (decay generator, excitation number, the
-drive terms, the signed mirror swap, the explicit two-mode images of the
-linearized chain, the ideal-limit bandgap chain, a straight-line fit, a
-Chebyshev propagator, an extended-precision Kac-Murdock-Szego product, the
-candidate fixed-ratio plateaus).
+drive terms, the stage-parity sign, the signed mirror swap, the explicit
+two-mode images of the linearized chain, the ideal-limit bandgap chain, a
+straight-line fit, a Chebyshev propagator, an extended-precision
+Kac-Murdock-Szego product, the candidate fixed-ratio plateaus).
 
 These deliberately share no code with the package internals: states are
 base-3 integer configurations, collective operators are sums of sparse
@@ -102,24 +102,38 @@ def drive_matrix(basis):
     return out
 
 
+def stage_sign(basis):
+    """The stage-parity sign of a package basis, S_ij = odd_j - odd_i with
+    odd 1 on the odd stages (source e, detector excited) and 0 on the even
+    ones: +1 from an odd stage to an even one, -1 back, 0 within a parity.
+
+    A coherent term X joins adjacent stages, so S o X is its term of the
+    real no-jump generator, and S o (S o X) = X.
+    """
+    odd = np.array([float(lbl.source_level == "e" or lbl.detector == "excited")
+                    for lbl in basis.labels])
+    return odd - odd[:, None]
+
+
 def coherent_drive(p, omega, T):
     """The continuous-drive step of p at drive strength omega with every
     channel dropped, evolved to T: the step's driven chain
     (`protocol._model`) with the generator S o (H + (omega/2) drive) of its
-    coherent part H (`dissipative.model_matrices`) and `drive_matrix`, and
-    an empty loss stack.  Returns the model and its herald probability at T.
+    coherent part H (`dissipative.build_H_coherent`), `drive_matrix` and
+    `stage_sign`, and an empty loss stack.  Returns the model and its herald
+    probability at T.
 
     The input evolves under `protocol.Propagator`, looked up at call time,
     so a test that replaces the step's Propagator replaces this one too.
     """
     from wgherald import protocol
     from wgherald.basis import HPMode
-    from wgherald.dissipative import model_matrices
+    from wgherald.dissipative import build_H_coherent
     from wgherald.linalg import norm_sq
 
     model = protocol._model(p, HPMode.APPROX, with_drive=True)
-    h = model_matrices(p, model.basis)[0]
-    model.g = model.sign * h + model.sign * ((omega / 2) * drive_matrix(model.basis))
+    model.g = stage_sign(model.basis) * (build_H_coherent(p, model.basis)
+                                         + (omega / 2) * drive_matrix(model.basis))
     model.channels, model.rates, model.ops = [], [], model.ops[:0]
     psi = protocol.Propagator(model.g, model.psi0, T).apply(T)
     return model, norm_sq(model.heralded(psi))

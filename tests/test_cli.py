@@ -518,6 +518,14 @@ SWEPT_N = {"protocol": "step", "fixed": {"p1d": 10},
     (None, ("compare", "--x", "nan")),
     # the transfer holds no stored quanta: m = 2 ran the m = 1 dynamics
     (None, ("bandgap", "--N", "40", "--xi", "40", "--m", "2")),
+    # non-finite logspace bounds: a p1d axis ran at inf with a numpy warning,
+    # an N axis overflowed converting inf, and a NaN bound raised a bare ValueError
+    ({"fixed": {"m": 1, "N": 100}, "axes": [{"name": "p1d", "logspace": [1, math.inf], "num": 3}]},
+     ("sweep",)),
+    ({"fixed": {"m": 1, "p1d": 10}, "axes": [{"name": "N", "logspace": [1, math.inf]}]},
+     ("sweep",)),
+    ({"fixed": {"m": 1, "p1d": 10}, "axes": [{"name": "N", "logspace": [math.nan, 100]}]},
+     ("sweep",)),
 ])
 def test_ignored_inputs_are_rejected(tmp_path, capsys, config, argv):
     if config is not None:

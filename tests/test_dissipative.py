@@ -15,6 +15,7 @@ from oracles import (
     excitation_number_operator,
     linearized_images,
     mirror_swap_matrix,
+    stage_sign,
 )
 from wgherald import dissipative
 from wgherald.basis import (
@@ -34,6 +35,7 @@ from wgherald.dissipative import (
     build_H_coherent,
     build_H_nh,
     build_jump_operators,
+    model_matrices,
     optimal_time,
     readout_drive,
     source_drive,
@@ -281,18 +283,34 @@ def test_mirror_swap_commutes_with_the_model(n, data, gamma_s, gamma_star):
 def test_stage_frame_makes_the_generator_exactly_real(n, data, p1d, gamma_s, parity, omega):
     # the premise of the real eig: with T = diag(stage_frame), T^-1 (-iH) T
     # has an imaginary part of exactly zero on every exact basis and sector,
-    # on the 3-state chain and on the driven chain under either drive
+    # on the 3-state chain and on the driven chain under either drive.  The
+    # package records the generator G itself and build_H_nh reads it back,
+    # so H is held to G's stage structure with the oracle's sign S: the
+    # coherent part S o G is symmetric (to the rounding of a parity sector's
+    # fold weights), the decay part (G where S = 0) exactly so, and each
+    # recorded drive is exactly S o its flips in drive_matrix, whose physical
+    # drive is added to H (the brute-force anchor of G is in
+    # test_step_generator_is_the_real_part_of_the_rotated_h_nh)
     m = data.draw(st.integers(1, min(n, 40)), label="m")
     p = DissipativeParams.from_purcell(n, m, p1d, gamma_s=gamma_s)
     exact = build_basis(n, m, HPMode.EXACT, parity=parity)
     chain = build_basis(n, m, HPMode.APPROX)
     driven = build_basis(n, m, HPMode.APPROX, with_drive=True)
+    for basis in (exact, chain, driven):
+        g, sign = model_matrices(p, basis)[0], stage_sign(basis)
+        coherent, decay = sign * g, np.where(sign == 0, g, 0.0)
+        assert (np.abs(coherent - coherent.T) <= 1e-15 * np.abs(coherent)).all()
+        assert np.array_equal(decay, decay.T)
     h_driven = build_H_nh(p, driven)
+    sign, drives = stage_sign(driven), drive_matrix(driven)
     src = matrix_from_action(driven, source_drive).at(n).matrix
     det = matrix_from_action(driven, readout_drive).at(n).matrix
+    assert np.array_equal(src + det, sign * drives)
+    assert not (src * det).any()
     cases = [(exact, build_H_nh(p, exact)), (chain, build_H_nh(p, chain)),
-             (driven, h_driven + (omega / 2) * src), (driven, h_driven + (omega / 2) * det),
-             (driven, build_H_coherent(p, driven) + (omega / 2) * (src + det))]
+             (driven, h_driven + (omega / 2) * (sign * src)),
+             (driven, h_driven + (omega / 2) * (sign * det)),
+             (driven, build_H_coherent(p, driven) + (omega / 2) * drives)]
     for basis, h in cases:
         frame = stage_frame(basis)
         g = (-1j * h) * (frame[None, :] / frame[:, None])

@@ -313,6 +313,10 @@ def test_dimension_and_finiteness_errors():
             prop.population(1.0, n, [0])
     with pytest.raises(NumericError):
         prop.population(np.nan, 2, [0])
+    # a non-finite time is a numeric failure in every method
+    for t in (np.nan, np.inf):
+        with pytest.raises(NumericError):
+            prop.integrated_expectation(np.eye(3)[None], t)
     # gain e^{1000 t} overflows on the eigenbasis path and on the fallback
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     for h in (1000j * np.eye(2), 1000j * np.eye(2) + jordan):

@@ -11,9 +11,24 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coherent_drive, drive_matrix, full_basis_step, limit_fixed_ratio
-from wgherald.basis import HPMode, goal_amplitudes, stage_frame
-from wgherald.dissipative import DissipativeParams, build_H_coherent, build_H_nh, optimal_time
+from oracles import (
+    FullModelOracle,
+    coherent_drive,
+    drive_matrix,
+    full_basis_step,
+    limit_fixed_ratio,
+    stage_sign,
+)
+from wgherald.basis import HPMode, goal_amplitudes, matrix_from_action, stage_frame
+from wgherald.dissipative import (
+    DissipativeParams,
+    build_H_coherent,
+    build_H_nh,
+    model_matrices,
+    optimal_time,
+    readout_drive,
+    source_drive,
+)
 from wgherald.formulas import (
     accumulation_infidelity_prediction,
     p_continuous_drive,
@@ -174,10 +189,10 @@ def test_every_step_kind_builds_one_basis_and_one_propagator(monkeypatch):
 
 def test_models_share_read_only_layouts_and_fresh_matrices():
     # two models of one shape at different N: the basis and its read-only
-    # stage vector, goal and herald positions and weights are shared, the
-    # generator, the sign S, the channels' stack and the input are newly
-    # allocated, so mutating them changes no later model; every array the
-    # layout keeps is 1-D, so a memoized basis holds O(dim) of it
+    # goal and herald positions and weights are shared, the generator, the
+    # channels' stack and the input are newly allocated, so mutating them
+    # changes no later model; every array the layout keeps is 1-D, so a
+    # memoized basis holds O(dim) of it
     p, q = (DissipativeParams.from_purcell(n, 6, 10.0) for n in (30, 900))
     first = _model(p, HPMode.EXACT)
     want = [a.tobytes() for a in (first.psi0, first.g, first.ops)]
@@ -188,10 +203,7 @@ def test_models_share_read_only_layouts_and_fresh_matrices():
     assert [a.tobytes() for a in (again.psi0, again.g, again.ops)] == want
     assert other.basis is again.basis and other.weights is again.weights
     layout = again.basis.memo(protocol._layout)
-    assert [again.goal, again.idx, again.weights] == list(layout[1:4])
-    assert np.array_equal(layout[0], stage_frame(again.basis).imag)
-    assert np.array_equal(again.sign, layout[0] - layout[0][:, None])
-    assert again.sign is not other.sign and again.sign.flags.writeable
+    assert [again.goal, again.idx, again.weights] == list(layout[:3])
     for a in layout:
         assert a.ndim == 1
         with pytest.raises(ValueError):
@@ -320,7 +332,7 @@ def _step_generators():
                   chain.weights, chain.psi0))
     omega = math.sqrt(2.0 / 3.0) * math.sqrt(800)
     driven = _model(p, HPMode.APPROX, with_drive=True)
-    driven.g += driven.sign * ((omega / 2) * drive_matrix(driven.basis))
+    driven.g += stage_sign(driven.basis) * ((omega / 2) * drive_matrix(driven.basis))
     for s in (driven, coherent_drive(p, omega, 2 * math.pi / omega)[0]):
         cases.append((s.g, stage_frame(s.basis), s.ops, 2 * math.pi / omega, s.idx, s.weights,
                       s.psi0))
@@ -464,7 +476,12 @@ def test_step_generator_is_the_real_part_of_the_rotated_h_nh():
     # G = S o A - sum_k (Gamma_k / 2) O_k^dag O_k, built in real arithmetic,
     # is bit for bit the real part of T^-1 (-i H_nh) T on parity sectors, the
     # chain and the full basis of a mixed input, and with the drive term
-    # S o (omega/2)(source + readout) on the driven chain, with and without decay
+    # S o (omega/2)(source + readout) on the driven chain, with and without
+    # decay.  build_H_nh reads G back, so G is also held to references of
+    # its own: its coherent part S o G (S the oracle's stage_sign) is
+    # symmetric, to the rounding of a parity sector's fold weights, the
+    # recorded drives are exactly S o drive_matrix, and on the full exact
+    # bases of n = 3 G is the rotated brute-force H_nh
     cases = 0
     for n in (5, 50, 317, 1000):
         for m in (m for m in (1, 2, 4, 12, 40) if m <= n):
@@ -478,14 +495,27 @@ def test_step_generator_is_the_real_part_of_the_rotated_h_nh():
                     assert model.g.dtype == np.float64
                     assert np.array_equal(model.g, _rotated(build_H_nh(p, model.basis),
                                                             stage_frame(model.basis)))
+                    coherent = stage_sign(model.basis) * model.g
+                    assert (np.abs(coherent - coherent.T) <= 1e-15 * np.abs(coherent)).all()
                     cases += 1
                 model = _model(p, HPMode.APPROX, with_drive=True)
+                sign = stage_sign(model.basis)
+                recorded = matrix_from_action(model.basis, source_drive, readout_drive).at(n)
+                assert np.array_equal(recorded.matrix.sum(0), sign * drive_matrix(model.basis))
                 drive = (math.sqrt(2 * n) / 2) * drive_matrix(model.basis)
                 coherent = coherent_drive(p, math.sqrt(2 * n), 1.0)[0]
-                for g, h in ((model.g + model.sign * drive, build_H_nh(p, model.basis)),
+                for g, h in ((model.g + sign * drive, build_H_nh(p, model.basis)),
                              (coherent.g, build_H_coherent(p, model.basis))):
                     assert np.array_equal(g, _rotated(h + drive, stage_frame(model.basis)))
     assert cases == 108 + 42
+    oracle = FullModelOracle(3)
+    for m, gamma_s, gamma_star in itertools.product((1, 2, 3), (0.7, 1.3), (0.0, 0.3)):
+        basis = build_basis(3, m, HPMode.EXACT)
+        g = model_matrices(DissipativeParams(3, m, gamma_s, gamma_star), basis)[0]
+        frame = stage_frame(basis)
+        want = (-1j * oracle.h_nh_projected(basis.labels, gamma_s, gamma_star)) \
+            * (frame[None, :] / frame[:, None])
+        assert np.abs(g - want).max() < 1e-12
 
 
 def test_step_path_forms_no_complex_generator(monkeypatch):
