@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import arnoldi, exp_sums, golden_section_max, is_int, is_real, norm_sq, trapezoid
+from .linalg import (arnoldi, check_rate, check_sector, exp_sums, golden_section_max, is_real,
+                     norm_sq, trapezoid)
 
 # Lanczos steps stop once the Hochbruck-Lubich bound on the error of the
 # propagated source state, over the whole scan window, is below this.
@@ -64,7 +65,8 @@ class BandgapParams:
 
     The atoms sit on a uniform lattice (units of the spacing d): the source
     at site 0 and the target ensemble contiguous at sites 1..N.  N_m = N-m+1
-    is the collective enhancement left once m-1 quanta are stored.
+    is the collective enhancement left once m-1 quanta are stored, at least 1
+    because N and m are integers with 1 <= m <= N (`linalg.check_sector`).
     """
 
     N: int
@@ -73,14 +75,10 @@ class BandgapParams:
     gamma_star: float = 0.0
 
     def __post_init__(self):
-        if not (is_int(self.N) and is_int(self.m) and self.N >= 1 and self.m >= 1):
-            raise ValueError("N and m must be positive integers")
-        if self.N - self.m + 1 < 1:
-            raise ValueError("need N - m + 1 >= 1")
+        check_sector(self.N, self.m)
         if not (is_real(self.xi) and 0 < self.xi < math.inf):
             raise ValueError("xi must be positive and finite")
-        if not (is_real(self.gamma_star) and 0 <= self.gamma_star < math.inf):
-            raise ValueError("gamma_star must be non-negative and finite")
+        check_rate("gamma_star", self.gamma_star)
 
     @property
     def N_m(self) -> int:

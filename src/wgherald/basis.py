@@ -132,7 +132,7 @@ def _mirror_swap(lbl: BasisLabel) -> tuple[BasisLabel, float]:
             -1.0 if detector == DET_EXCITED else 1.0)
 
 
-def build_basis(N: int, m: int, mode: HPMode, with_drive: bool = False,
+def build_basis(m: int, mode: HPMode, with_drive: bool = False,
                 parity: int | None = None) -> BasisSet:
     """Construct the ordered reachable basis for adding the m-th excitation.
 
@@ -144,12 +144,12 @@ def build_basis(N: int, m: int, mode: HPMode, with_drive: bool = False,
     states), with the fold that maps the reachable set onto them.
     APPROX mode returns the 3-state chain, or the 5-state chain in protocol
     order when with_drive is set (start state, then the transfer chain, then
-    the heralded end state).  N only bounds m: one basis serves every N.
+    the heralded end state).  A basis takes no N: it serves every N >= m,
+    and the params classes check that sector rule (`linalg.check_sector`).
+    Every form of a call shares the one cached basis of its arguments.
     """
     if m < 1:
         raise BasisError("excitation sector m must be >= 1")
-    if m > N:
-        raise BasisError(f"m = {m} exceeds atoms per mirror N = {N}")
     return _build_basis(m, mode, with_drive, parity)
 
 

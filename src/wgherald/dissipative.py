@@ -57,7 +57,7 @@ from .basis import (
     mirror_image,
     stage_frame,
 )
-from .linalg import is_int, is_real
+from .linalg import check_rate, check_sector, is_real
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,12 @@ class DissipativeParams:
     """Physical rates and counts for the double-mirrors configuration.
 
     N is the number of atoms per target mirror (the detector ensemble holds
-    2N), m the excitation sector being added.  The rates are in units of the
-    guided decay rate gamma_g = 1.  gamma_s defaults to the transfer-optimal
-    1 / sqrt(m).
+    2N), m the excitation sector being added: integers with 1 <= m <= N
+    (`linalg.check_sector`).  A basis takes no N, so that sector rule is
+    checked here, when the params are built, and nowhere downstream.  The
+    rates are in units of the guided decay rate gamma_g = 1, non-negative
+    and finite (`linalg.check_rate`).  gamma_s defaults to the
+    transfer-optimal 1 / sqrt(m).
     """
 
     N: int
@@ -76,14 +79,11 @@ class DissipativeParams:
     gamma_star: float = 0.0
 
     def __post_init__(self):
-        if not (is_int(self.N) and is_int(self.m) and self.N >= 1 and self.m >= 1):
-            raise ValueError("N and m must be positive integers")
+        check_sector(self.N, self.m)
         if self.gamma_s is None:
             object.__setattr__(self, "gamma_s", 1.0 / math.sqrt(self.m))
-        for name in ("gamma_s", "gamma_star"):
-            val = getattr(self, name)
-            if not is_real(val) or val < 0 or not math.isfinite(val):
-                raise ValueError(f"{name} must be non-negative and finite")
+        check_rate("gamma_s", self.gamma_s)
+        check_rate("gamma_star", self.gamma_star)
 
     @classmethod
     def from_purcell(cls, N, m, p1d, gamma_s=None):
@@ -232,8 +232,8 @@ def model_matrices(p: DissipativeParams, basis: BasisSet) -> tuple:
     T^-1 (-i H_nh) T, T = diag(`basis.stage_frame`): the generator a step's
     `linalg.Propagator` evolves its input under, in the coordinates
     u = T^-1 psi."""
-    if p.m != basis.m or p.N < p.m:
-        raise ValueError(f"params (N={p.N}, m={p.m}) do not match basis (m={basis.m})")
+    if p.m != basis.m:
+        raise ValueError(f"params (m={p.m}) do not match basis (m={basis.m})")
     op = basis.memo(_terms).at(p.N, (0.5, p.gamma_s / 2))
     if op.truncation_loss > 1e-12:
         raise ValueError(

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .linalg import check_sector, is_real
+
 INFIDELITY_FIT_PREFACTOR = 0.061
 
 
@@ -99,10 +101,11 @@ def table1_compare(
     only) and x = Omega T sqrt(N) its drive parameter.
     """
     th = DEFAULT_THRESHOLDS
+    check_sector(N, m)
+    if not all(map(is_real, (p1d, xi, eta, x))):
+        raise ValueError(f"p1d, xi, eta and x must be real numbers, not {(p1d, xi, eta, x)}")
     if not 0 <= eta <= 1:
         raise ValueError("eta must be in [0, 1]")
-    if not 1 <= m <= N:
-        raise ValueError(f"need 1 <= m <= N, not N={N}, m={m}")
     if not (p1d > 0 and xi > 0):
         raise ValueError(f"p1d and xi must be positive, not p1d={p1d}, xi={xi}")
     if not (x >= 0 and math.isfinite(x)):

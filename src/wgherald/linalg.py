@@ -33,7 +33,11 @@ evaluations on its bracket of two scan intervals, at 1e-6 pi/G.
 
 `is_int` and `is_real` are the one test of what a parameter value may be: an
 integer, or a real number, numpy's included and a bool never.  The params
-classes and the sweep config both check their values with them.
+classes and the sweep config both check their values with them.  On top of
+them `check_sector` is the one sector rule, integers with 1 <= m <= N (N
+atoms per mirror hold at most N quanta), and `check_rate` the one rate rule,
+a non-negative finite real: the params classes and `formulas.table1_compare`
+apply them, and everything built from a params object trusts them.
 
 Conventions: hbar = 1, all rates in units of the reference guided-mode decay
 rate, times in its inverse.
@@ -110,6 +114,18 @@ def is_int(value) -> bool:
 def is_real(value) -> bool:
     """Whether value is a real number, a numpy one included, and not a bool."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def check_sector(N, m) -> None:
+    """Refuse (N, m) unless both are integers with 1 <= m <= N."""
+    if not (is_int(N) and is_int(m) and 1 <= m <= N):
+        raise ValueError(f"need integers 1 <= m <= N, not N={N!r}, m={m!r}")
+
+
+def check_rate(name: str, value) -> None:
+    """Refuse a rate unless it is a non-negative, finite real."""
+    if not (is_real(value) and 0 <= value < math.inf):
+        raise ValueError(f"{name} must be non-negative and finite, not {value!r}")
 
 
 def as_state(v) -> np.ndarray:

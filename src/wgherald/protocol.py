@@ -227,7 +227,7 @@ def _parity(p: DissipativeParams, mode: HPMode,
 def _model(p: DissipativeParams, mode: HPMode,
            input_target_state: np.ndarray | None = None, with_drive: bool = False) -> _Model:
     """The undriven model of a step of p on the basis its input needs."""
-    basis = build_basis(p.N, p.m, mode, with_drive, _parity(p, mode, input_target_state))
+    basis = build_basis(p.m, mode, with_drive, _parity(p, mode, input_target_state))
     psi0 = _embed_input(basis, input_target_state)
     g, names, rates, ops = model_matrices(p, basis)
     return _Model(basis, psi0, names, rates, ops, g, *basis.memo(_layout)[:3])
@@ -378,12 +378,10 @@ def run_accumulation(
     since the probability is 0 at t = 0.  At low Purcell factors the maximum
     lies there, as low as 0.54 T at N 5, P_1d 0.3.  In the exact
     representation the input of step k is the renormalized heralded output of
-    step k-1.
+    step k-1.  N, m_target and p1d are checked once, as the params of step
+    m_target, before any step runs.
     """
-    if m_target < 1:
-        raise ProtocolError("m_target must be >= 1")
-    if m_target > N:
-        raise ProtocolError("m_target exceeds the ensemble size")
+    DissipativeParams.from_purcell(N, m_target, p1d)
     steps: list[StepResult] = []
     state: np.ndarray | None = None
     for k in range(1, m_target + 1):

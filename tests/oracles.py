@@ -208,7 +208,7 @@ def full_basis_step(p, input_state, T):
     from wgherald.dissipative import build_H_nh, build_jump_operators
     from wgherald.linalg import Propagator
 
-    basis = build_basis(p.N, p.m, HPMode.EXACT)
+    basis = build_basis(p.m, HPMode.EXACT)
     index = {(lbl.source_level, lbl.k1, lbl.l1, lbl.k2, lbl.l2, lbl.detector): i
              for i, lbl in enumerate(basis.labels)}
     psi0 = np.zeros(basis.dim, dtype=complex)

@@ -188,7 +188,7 @@ def test_criterion_7_oracle_equivalence():
     # full no-jump generator vs the tensor-product construction
     max_h_dev = 0.0
     for (n, m) in ((3, 1), (4, 2), (5, 2)):
-        basis = build_basis(n, m, HPMode.EXACT)
+        basis = build_basis(m, HPMode.EXACT)
         p = DissipativeParams(N=n, m=m, gamma_s=0.7, gamma_star=0.3)
         h_pkg = build_H_nh(p, basis)
         h_orc = FullModelOracle(n).h_nh_projected(basis.labels, 0.7, 0.3)
@@ -197,11 +197,11 @@ def test_criterion_7_oracle_equivalence():
     # propagator vs fine-step RK4 on every protocol generator family
     systems = []
     p = DissipativeParams.from_purcell(500, 2, 10.0)
-    systems.append((build_H_nh(p, build_basis(500, 2, HPMode.APPROX)), optimal_time(p)))
+    systems.append((build_H_nh(p, build_basis(2, HPMode.APPROX)), optimal_time(p)))
     p = DissipativeParams.from_purcell(50, 2, 5.0)
-    systems.append((build_H_nh(p, build_basis(50, 2, HPMode.EXACT)), optimal_time(p)))
+    systems.append((build_H_nh(p, build_basis(2, HPMode.EXACT)), optimal_time(p)))
     omega = math.sqrt(2 / 3) * math.sqrt(200)
-    basis_d = build_basis(100, 1, HPMode.APPROX, with_drive=True)
+    basis_d = build_basis(1, HPMode.APPROX, with_drive=True)
     systems.append((build_H_nh(DissipativeParams.from_purcell(100, 1, 10.0), basis_d)
                     + (omega / 2) * drive_matrix(basis_d), 2 * math.pi / omega))
     bp = BandgapParams(N=30, xi=40.0, gamma_star=0.02)
@@ -238,7 +238,7 @@ def test_criterion_8_property_suite(free_forks):
             gamma_s=float(rng.uniform(0.0, 3.0)),
             gamma_star=float(rng.uniform(0.0, 1.0)),
         )
-        h = build_H_nh(p, build_basis(n, m, mode))
+        h = build_H_nh(p, build_basis(m, mode))
         mono_ok &= decay_generator_max_eig(h) <= 1e-10
         v = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
         v /= math.sqrt(norm_sq(v))
@@ -252,7 +252,7 @@ def test_criterion_8_property_suite(free_forks):
     for (n, m, mode) in ((50, 1, HPMode.EXACT), (50, 4, HPMode.EXACT),
                          (200, 2, HPMode.APPROX)):
         p = DissipativeParams(N=n, m=m, gamma_star=0.1)
-        basis = build_basis(n, m, mode)
+        basis = build_basis(m, mode)
         h = build_H_coherent(p, basis)
         num = excitation_number_operator(basis)
         number_ok &= float(np.abs(h @ num - num @ h).max()) < 1e-12

@@ -371,7 +371,7 @@ def test_ideal_chain_equivalent_to_rescaled_mirror_chain():
     p = BandgapParams(N=n, m=1, xi=xi)
     h_band = ideal_bandgap_chain(p)
     p_mirror = DissipativeParams(N=n // 2, m=1, gamma_s=1.0)
-    basis = build_basis(n // 2, 1, HPMode.APPROX)
+    basis = build_basis(1, HPMode.APPROX)
     h_mirror = build_H_coherent(p_mirror, basis) / xi
     assert np.abs(h_band - h_mirror).max() < 1e-14
 

@@ -25,7 +25,7 @@ from wgherald.basis import (
     roots,
     storage_labels,
 )
-from wgherald.dissipative import target_images
+from wgherald.dissipative import DissipativeParams, target_images
 
 MIRROR_OPS = {"eg": ("e", "g"), "ge": ("g", "e"), "sg": ("s", "g"),
               "gs": ("g", "s"), "se": ("s", "e"), "es": ("e", "s")}
@@ -37,23 +37,23 @@ def kl_pairs(m):
 
 
 def test_basis_counts():
-    assert build_basis(10, 1, HPMode.EXACT).dim == 5
-    assert build_basis(10, 3, HPMode.EXACT).dim == 13
-    assert build_basis(10, 1, HPMode.APPROX).dim == 3
-    assert build_basis(10, 1, HPMode.APPROX, with_drive=True).dim == 5
+    assert build_basis(1, HPMode.EXACT).dim == 5
+    assert build_basis(3, HPMode.EXACT).dim == 13
+    assert build_basis(1, HPMode.APPROX).dim == 3
+    assert build_basis(1, HPMode.APPROX, with_drive=True).dim == 5
     for m in range(1, 7):
-        assert build_basis(20, m, HPMode.EXACT).dim == 4 * m + 1
+        assert build_basis(m, HPMode.EXACT).dim == 4 * m + 1
 
 
 def test_parity_sector_bases():
     # a sector's fold spans the P = parity eigenspace of the full basis with
     # orthonormal states, one per representative (2m+1 and 2m of them)
     for m in range(1, 9):
-        full = build_basis(20, m, HPMode.EXACT)
+        full = build_basis(m, HPMode.EXACT)
         swap = mirror_swap_matrix(full)
         dims = []
         for parity in (1, -1):
-            basis = build_basis(20, m, HPMode.EXACT, parity=parity)
+            basis = build_basis(m, HPMode.EXACT, parity=parity)
             assert list(basis.labels) == sorted(basis.labels, key=BasisLabel.sort_key)
             assert [basis.fold[lbl][0] for lbl in basis.labels] == list(range(basis.dim))
             u = np.zeros((full.dim, basis.dim))
@@ -64,13 +64,13 @@ def test_parity_sector_bases():
             dims.append(basis.dim)
         assert sorted(dims) == [2 * m, 2 * m + 1]
     with pytest.raises(BasisError):
-        build_basis(20, 2, HPMode.APPROX, parity=1)
+        build_basis(2, HPMode.APPROX, parity=1)
     with pytest.raises(BasisError):
-        build_basis(20, 2, HPMode.EXACT, parity=0)
+        build_basis(2, HPMode.EXACT, parity=0)
 
 
 def test_basis_label_invariants():
-    basis = build_basis(12, 4, HPMode.EXACT)
+    basis = build_basis(4, HPMode.EXACT)
     for lbl in basis.labels:
         assert lbl.l1 in (0, 1) and lbl.l2 in (0, 1)
         assert lbl.l1 + lbl.l2 <= 1
@@ -81,12 +81,20 @@ def test_basis_label_invariants():
 
 
 def test_basis_rejections():
+    # a basis takes no N, so m > N is the params' to refuse
+    with pytest.raises(ValueError, match="1 <= m <= N"):
+        DissipativeParams(N=3, m=4)
     with pytest.raises(BasisError):
-        build_basis(3, 4, HPMode.EXACT)
+        build_basis(0, HPMode.APPROX)
     with pytest.raises(BasisError):
-        build_basis(10, 0, HPMode.APPROX)
-    with pytest.raises(BasisError):
-        build_basis(10, 1, HPMode.EXACT, with_drive=True)
+        build_basis(1, HPMode.EXACT, with_drive=True)
+
+
+def test_every_call_form_shares_one_cached_basis():
+    basis = build_basis(3, HPMode.EXACT, parity=1)
+    assert build_basis(3, HPMode.EXACT, False, 1) is basis
+    assert build_basis(m=3, mode=HPMode.EXACT, with_drive=False, parity=1) is basis
+    assert build_basis(2, HPMode.APPROX) is build_basis(2, HPMode.APPROX, with_drive=False)
 
 
 def test_goal_state_small_m():
@@ -101,9 +109,9 @@ def test_goal_state_small_m():
 
 
 def test_goal_state_in_each_mode():
-    exact = build_basis(50, 3, HPMode.EXACT)
+    exact = build_basis(3, HPMode.EXACT)
     assert goal_state(exact).shape == (4,)
-    approx = build_basis(50, 3, HPMode.APPROX)
+    approx = build_basis(3, HPMode.APPROX)
     assert np.allclose(goal_state(approx), [1.0])
 
 
@@ -118,7 +126,7 @@ def test_goal_state_storage_number():
 
 def test_single_atom_limit_exact():
     # N=1: collective ops reduce to single-atom flips, sqrt(N - s) = 1
-    basis = build_basis(1, 1, HPMode.EXACT)
+    basis = build_basis(1, HPMode.EXACT)
     op = matrix_from_action(basis, lambda lbl: target_images(basis, lbl, "eg", 1.0)).at(1).matrix
     assert basis.labels[0].source_level == "e"
     col = op[:, 0]
@@ -130,7 +138,7 @@ def test_linearized_mode_commutator_below_cutoff():
     # matrices act on the chain widened by one excited quantum either way, so
     # both products of a chain label stay inside it
     n_atoms = 200
-    basis = build_basis(n_atoms, 2, HPMode.APPROX)
+    basis = build_basis(2, HPMode.APPROX)
     two_n = 2 * n_atoms
     wide = sorted({lbl._replace(l1=l) for lbl in basis.labels
                    for l in (lbl.l1 - 1, lbl.l1, lbl.l1 + 1) if l >= 0},
@@ -167,7 +175,7 @@ def test_truncation_loss_matches_bruteforce_column_norm():
     # S_eg,+ pushes l -> 2 outside the cutoff; the reported loss must equal
     # the squared norm the oracle sees leaving the projected space
     n_atoms, m = 4, 2
-    basis = build_basis(n_atoms, m, HPMode.EXACT)
+    basis = build_basis(m, HPMode.EXACT)
     op = matrix_from_action(basis, lambda lbl: target_images(basis, lbl, "eg", 1.0)).at(n_atoms)
     in_basis = np.abs(op.matrix) ** 2
     total_in = float(in_basis.sum())
@@ -194,8 +202,8 @@ def test_exact_operators_approach_linearized():
     m = 3
     devs = {}
     for n in (50, 200, 800):
-        exact = build_basis(n, m, HPMode.EXACT)
-        approx = build_basis(n, m, HPMode.APPROX)
+        exact = build_basis(m, HPMode.EXACT)
+        approx = build_basis(m, HPMode.APPROX)
         p = DissipativeParams(N=n, m=m, gamma_star=0.05)
         h_exact = build_H_nh(p, exact)
         h_approx = build_H_nh(p, approx)

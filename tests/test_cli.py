@@ -84,9 +84,9 @@ def test_unknown_command_usage(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("step", "--N", "5", "--m", "10", "--p1d", "10"),       # BasisError: m > N
+    ("step", "--N", "5", "--m", "10", "--p1d", "10"),       # ValueError: m > N
     ("step", "--N", "0", "--m", "1", "--p1d", "10"),        # ValueError: N < 1
-    ("accumulate", "--N", "5", "--m", "10", "--p1d", "10"),  # ProtocolError
+    ("accumulate", "--N", "5", "--m", "10", "--p1d", "10"),  # ValueError: m > N
 ])
 def test_parameter_errors_exit_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -45,7 +45,7 @@ from wgherald.protocol import _embed_input, run_step_continuous_drive
 
 def chain_setup(n, m, gamma_s, gamma_star):
     p = DissipativeParams(N=n, m=m, gamma_s=gamma_s, gamma_star=gamma_star)
-    basis = build_basis(n, m, HPMode.APPROX)
+    basis = build_basis(m, HPMode.APPROX)
     return p, basis
 
 
@@ -83,7 +83,7 @@ def test_linearized_images_match_the_two_mode_rules():
     root = {ONE: "1", ROOT_2N: "sqrt(2N)"}
     for m in range(1, 13):
         for with_drive in (False, True):
-            basis = build_basis(m, m, HPMode.APPROX, with_drive=with_drive)
+            basis = build_basis(m, HPMode.APPROX, with_drive=with_drive)
             for lbl in basis.labels:
                 for which, sign in (("eg", 1.0), ("ge", 1.0), ("ge", -1.0), ("se", -1.0),
                                     ("es", -1.0)):
@@ -156,7 +156,7 @@ def test_h_nh_dissipative_over_random_draws():
             gamma_s=float(rng.uniform(0.0, 3.0)),
             gamma_star=float(rng.uniform(0.0, 1.0)),
         )
-        basis = build_basis(n, m, mode, with_drive=drive > 0)
+        basis = build_basis(m, mode, with_drive=drive > 0)
         h = build_H_nh(p, basis)
         if drive > 0:
             h = h + (drive / 2) * drive_matrix(basis)
@@ -167,14 +167,14 @@ def test_excitation_number_conserved():
     for mode in (HPMode.EXACT, HPMode.APPROX):
         for (n, m) in ((50, 1), (50, 3)):
             p = DissipativeParams(N=n, m=m, gamma_star=0.1)
-            basis = build_basis(n, m, mode)
+            basis = build_basis(m, mode)
             h = build_H_coherent(p, basis)
             num = excitation_number_operator(basis)
             assert np.abs(h @ num - num @ h).max() < 1e-12
             assert np.allclose(np.diag(num).real, m)
     # drive basis includes the loaded source state and the read-out state
     p = DissipativeParams(N=50, m=2, gamma_star=0.0)
-    basis = build_basis(50, 2, HPMode.APPROX, with_drive=True)
+    basis = build_basis(2, HPMode.APPROX, with_drive=True)
     h = build_H_coherent(p, basis) + (3.0 / 2) * drive_matrix(basis)
     num = excitation_number_operator(basis)
     assert np.abs(h @ num - num @ h).max() < 1e-12
@@ -196,7 +196,7 @@ def test_eigenvalue_probability_close_to_closed_form():
 
     n, m = 500, 2
     p = DissipativeParams.from_purcell(n, m, 10.0)
-    basis = build_basis(n, m, HPMode.APPROX)
+    basis = build_basis(m, HPMode.APPROX)
     h = build_H_nh(p, basis)
     t = optimal_time(p)
     psi = Propagator(-1j * h, np.array([1.0, 0, 0], complex), t).apply(t)
@@ -206,7 +206,7 @@ def test_eigenvalue_probability_close_to_closed_form():
 
 def test_exact_h_nh_matches_bruteforce():
     for (n, m, gs, gst) in ((3, 1, 1.0, 0.0), (4, 2, 0.7, 0.3), (5, 2, 1.3, 0.05)):
-        basis = build_basis(n, m, HPMode.EXACT)
+        basis = build_basis(m, HPMode.EXACT)
         p = DissipativeParams(N=n, m=m, gamma_s=gs, gamma_star=gst)
         h_pkg = build_H_nh(p, basis)
         orc = FullModelOracle(n)
@@ -241,11 +241,21 @@ def test_exact_h_nh_matches_bruteforce():
 
 
 def test_params_basis_mismatch_rejected():
-    # a basis serves every N >= m, so params must match its m and have N >= m
-    basis = build_basis(20, 2, HPMode.APPROX)
-    for p in (DissipativeParams(N=10, m=1), DissipativeParams(N=1, m=2)):
-        with pytest.raises(ValueError):
-            build_H_coherent(p, basis)
+    # a basis serves every N >= m, so params must match its m; the params
+    # themselves refuse N < m
+    basis = build_basis(2, HPMode.APPROX)
+    with pytest.raises(ValueError, match="do not match basis"):
+        build_H_coherent(DissipativeParams(N=10, m=1), basis)
+    with pytest.raises(ValueError, match="1 <= m <= N"):
+        DissipativeParams(N=1, m=2)
+
+
+@pytest.mark.parametrize("args", [(5, 10), (5, True), (5, 2.0)],
+                         ids=["m-above-N", "bool-m", "float-m"])
+def test_params_refuse_a_sector_beyond_the_ensemble(args):
+    # one sector rule, integers with 1 <= m <= N, when the params are built
+    with pytest.raises(ValueError, match="1 <= m <= N"):
+        DissipativeParams(*args)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -261,7 +271,7 @@ def test_mirror_swap_commutes_with_the_model(n, data, gamma_s, gamma_star):
     # (-1)^(m-1)
     m = data.draw(st.integers(1, min(n, 40)), label="m")
     p = DissipativeParams(N=n, m=m, gamma_s=gamma_s, gamma_star=gamma_star)
-    basis = build_basis(n, m, HPMode.EXACT)
+    basis = build_basis(m, HPMode.EXACT)
     swap = mirror_swap_matrix(basis)
     h = build_H_nh(p, basis)
     assert np.array_equal(swap @ h, h @ swap)
@@ -293,9 +303,9 @@ def test_stage_frame_makes_the_generator_exactly_real(n, data, p1d, gamma_s, par
     # test_step_generator_is_the_real_part_of_the_rotated_h_nh)
     m = data.draw(st.integers(1, min(n, 40)), label="m")
     p = DissipativeParams.from_purcell(n, m, p1d, gamma_s=gamma_s)
-    exact = build_basis(n, m, HPMode.EXACT, parity=parity)
-    chain = build_basis(n, m, HPMode.APPROX)
-    driven = build_basis(n, m, HPMode.APPROX, with_drive=True)
+    exact = build_basis(m, HPMode.EXACT, parity=parity)
+    chain = build_basis(m, HPMode.APPROX)
+    driven = build_basis(m, HPMode.APPROX, with_drive=True)
     for basis in (exact, chain, driven):
         g, sign = model_matrices(p, basis)[0], stage_sign(basis)
         coherent, decay = sign * g, np.where(sign == 0, g, 0.0)
@@ -326,7 +336,7 @@ def test_terms_are_recorded_once_and_every_matrix_is_fresh(monkeypatch):
     record = dissipative.matrix_from_action
     monkeypatch.setattr(dissipative, "matrix_from_action",
                         lambda *args: calls.append(args) or record(*args))
-    sector = build_basis(40, 5, HPMode.EXACT, parity=1)
+    sector = build_basis(5, HPMode.EXACT, parity=1)
 
     def fresh():  # an equal basis object with nothing recorded on it yet
         return BasisSet(sector.labels, sector.mode, sector.m, fold=sector.fold)
@@ -372,8 +382,8 @@ def test_recorded_terms_evaluate_as_their_loop(n, m):
     # the array evaluation gives the bytes of the loop, roots that vanish at
     # N = m included, on every basis kind, with and without the drives
     rates = (0.5, 0.5 / math.sqrt(m))
-    bases = [build_basis(n, m, HPMode.EXACT, parity=par) for par in (None, 1, -1)]
-    bases += [build_basis(n, m, HPMode.APPROX, with_drive=drive) for drive in (False, True)]
+    bases = [build_basis(m, HPMode.EXACT, parity=par) for par in (None, 1, -1)]
+    bases += [build_basis(m, HPMode.APPROX, with_drive=drive) for drive in (False, True)]
     for basis in bases:
         terms = [basis.memo(dissipative._terms), matrix_from_action(basis, source_drive),
                  matrix_from_action(basis, readout_drive)]

@@ -90,6 +90,27 @@ def test_table1_rows():
         F.table1_compare(1, 100, 10.0, 100.0, eta=1.5)
 
 
+@pytest.mark.parametrize("args, kwargs, match", [
+    ((True, 50, 10.0, 100.0), {}, "1 <= m <= N"),
+    ((2.5, 50, 10.0, 100.0), {}, "1 <= m <= N"),
+    ((2, 50.0, 10.0, 100.0), {}, "1 <= m <= N"),
+    ((2, 50, True, 100.0), {}, "real numbers"),
+    ((2, 50, 10.0, True), {}, "real numbers"),
+    ((2, 50, 10.0, 100.0), {"eta": True}, "real numbers"),
+    ((2, 50, 10.0, 100.0), {"x": False}, "real numbers"),
+    ((2, 50, math.nan, 100.0), {}, "positive"),
+], ids=["bool-m", "float-m", "float-N", "bool-p1d", "bool-xi", "bool-eta", "bool-x", "nan-p1d"])
+def test_table1_refuses_what_is_not_a_sector_or_a_real(args, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        F.table1_compare(*args, **kwargs)
+
+
+def test_table1_runs_at_infinite_p1d_and_xi():
+    rows = {e.protocol: e for e in F.table1_compare(2, 50, math.inf, math.inf)}
+    assert rows["Deterministic"].error_scaling == 0.0
+    assert rows["DipoleDipole"].error_scaling == 0.0
+
+
 def test_probability_ranges():
     rng = np.random.default_rng(3)
     for _ in range(50):

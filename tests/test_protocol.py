@@ -57,7 +57,7 @@ def test_step_probability_matches_closed_form():
 
 def test_step_equals_direct_chain_amplitude():
     p = DissipativeParams.from_purcell(300, 2, 8.0)
-    basis = build_basis(300, 2, HPMode.APPROX)
+    basis = build_basis(2, HPMode.APPROX)
     h = build_H_nh(p, basis)
     t = optimal_time(p)
     amp = Propagator(-1j * h, np.array([1.0, 0, 0], complex), t).apply(t)[2]
@@ -510,7 +510,7 @@ def test_step_generator_is_the_real_part_of_the_rotated_h_nh():
     assert cases == 108 + 42
     oracle = FullModelOracle(3)
     for m, gamma_s, gamma_star in itertools.product((1, 2, 3), (0.7, 1.3), (0.0, 0.3)):
-        basis = build_basis(3, m, HPMode.EXACT)
+        basis = build_basis(m, HPMode.EXACT)
         g = model_matrices(DissipativeParams(3, m, gamma_s, gamma_star), basis)[0]
         frame = stage_frame(basis)
         want = (-1j * oracle.h_nh_projected(basis.labels, gamma_s, gamma_star)) \
@@ -988,7 +988,17 @@ def test_purcell_scaling_of_log_probability():
 
 
 def test_accumulation_guard_rails():
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ValueError, match="1 <= m <= N"):
         run_accumulation(10, 0, 10.0)
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ValueError, match="1 <= m <= N"):
         run_accumulation(3, 5, 10.0)
+
+
+@pytest.mark.parametrize("args", [(5, True, 10.0), (5, 3.0, 10.0), (5, 2, True), (5, 2, 0.0)],
+                         ids=["bool-m", "float-m", "bool-p1d", "zero-p1d"])
+def test_accumulation_checks_its_inputs_before_any_step(monkeypatch, args):
+    # N, m_target and p1d are checked as the last step's params, before any
+    # step builds its model
+    monkeypatch.setattr(protocol, "_model", lambda *a: pytest.fail("a step ran"))
+    with pytest.raises(ValueError):
+        run_accumulation(*args)

@@ -247,7 +247,7 @@ def test_error_row_at_point_0_keeps_the_split(monkeypatch, forks, free):
     owners = [os.getpid(), *forks]
     assert [row.pop("pid") for row in rows] == [owners[i % len(owners)] for i in range(5)]
     assert list(map(without_wall_time, rows)) == list(map(without_wall_time, serial))
-    assert serial[0]["error"].startswith("BasisError")
+    assert serial[0]["error"].startswith("ValueError: need integers 1 <= m <= N")
     assert [row["error"] for row in serial[1:]] == [""] * 4
 
 
