@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (arnoldi, check_rate, check_sector, exp_sums, golden_section_max, is_real,
-                     norm_sq, trapezoid)
+from .linalg import (arnoldi, check_positive, check_rate, check_sector, exp_sums,
+                     golden_section_max, norm_sq, trapezoid)
 
 # Lanczos steps stop once the Hochbruck-Lubich bound on the error of the
 # propagated source state, over the whole scan window, is below this.
@@ -67,6 +67,8 @@ class BandgapParams:
     at site 0 and the target ensemble contiguous at sites 1..N.  N_m = N-m+1
     is the collective enhancement left once m-1 quanta are stored, at least 1
     because N and m are integers with 1 <= m <= N (`linalg.check_sector`).
+    xi is a positive finite real (`linalg.check_positive`) and gamma_star a
+    non-negative finite one (`linalg.check_rate`).
     """
 
     N: int
@@ -76,8 +78,7 @@ class BandgapParams:
 
     def __post_init__(self):
         check_sector(self.N, self.m)
-        if not (is_real(self.xi) and 0 < self.xi < math.inf):
-            raise ValueError("xi must be positive and finite")
+        check_positive("xi", self.xi)
         check_rate("gamma_star", self.gamma_star)
 
     @property

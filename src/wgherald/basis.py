@@ -41,6 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .linalg import is_int
+
 DET_NONE = "none"
 DET_EXCITED = "excited"
 DET_HERALDED = "heralded"
@@ -146,10 +148,13 @@ def build_basis(m: int, mode: HPMode, with_drive: bool = False,
     order when with_drive is set (start state, then the transfer chain, then
     the heralded end state).  A basis takes no N: it serves every N >= m,
     and the params classes check that sector rule (`linalg.check_sector`).
-    Every form of a call shares the one cached basis of its arguments.
+    Every form of a call shares the one cached basis of its arguments.  An m
+    that is not an integer >= 1 (`linalg.is_int`: a bool or a float is
+    refused) and a mode that is not an HPMode raise BasisError before the
+    cache is consulted, so neither reaches it as a key.
     """
-    if m < 1:
-        raise BasisError("excitation sector m must be >= 1")
+    if not (is_int(m) and m >= 1 and isinstance(mode, HPMode)):
+        raise BasisError(f"need an integer sector m >= 1 and an HPMode, not m={m!r}, mode={mode!r}")
     return _build_basis(m, mode, with_drive, parity)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .linalg import check_sector, is_real
+from .linalg import check_rate, check_sector, is_real
 
 INFIDELITY_FIT_PREFACTOR = 0.061
 
@@ -108,8 +108,7 @@ def table1_compare(
         raise ValueError("eta must be in [0, 1]")
     if not (p1d > 0 and xi > 0):
         raise ValueError(f"p1d and xi must be positive, not p1d={p1d}, xi={xi}")
-    if not (x >= 0 and math.isfinite(x)):
-        raise ValueError(f"x must be non-negative and finite, not x={x}")
+    check_rate("x", x)
     n_m = N - m + 1
     return [
         ComparisonEntry(

@@ -27,17 +27,19 @@ product with the flattened real O^dag O stack of the channels.  The time that
 maximizes a weighted population is a root of its slope, whose first and
 second state derivatives the eigenbasis gives in closed form: Newton's
 method on the slope, inside a bracket of its sign change, finds it in 4-5
-evaluations, where golden section took 29-31 on the steps' old bracket
-[0.8 T, 1.2 T] at 1e-6 T.  The bandgap transfer keeps golden section: 22
-evaluations on its bracket of two scan intervals, at 1e-6 pi/G.
+evaluations.  The bandgap transfer keeps golden section: 22 evaluations on
+its bracket of two scan intervals, at 1e-6 pi/G.
 
 `is_int` and `is_real` are the one test of what a parameter value may be: an
 integer, or a real number, numpy's included and a bool never.  The params
 classes and the sweep config both check their values with them.  On top of
 them `check_sector` is the one sector rule, integers with 1 <= m <= N (N
-atoms per mirror hold at most N quanta), and `check_rate` the one rate rule,
-a non-negative finite real: the params classes and `formulas.table1_compare`
-apply them, and everything built from a params object trusts them.
+atoms per mirror hold at most N quanta), `check_rate` the one rate rule,
+a non-negative finite real, and `check_positive` the one rule for a
+positive finite real: a time T, a drive strength omega, a range xi, a
+propagator's horizon and a search tolerance.  The params classes,
+`formulas.table1_compare`, the protocol's entry points and the searches
+here apply them, and everything built from a params object trusts them.
 
 Conventions: hbar = 1, all rates in units of the reference guided-mode decay
 rate, times in its inverse.
@@ -126,6 +128,12 @@ def check_rate(name: str, value) -> None:
     """Refuse a rate unless it is a non-negative, finite real."""
     if not (is_real(value) and 0 <= value < math.inf):
         raise ValueError(f"{name} must be non-negative and finite, not {value!r}")
+
+
+def check_positive(name: str, value) -> None:
+    """Refuse a value unless it is a positive, finite real."""
+    if not (is_real(value) and 0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, not {value!r}")
 
 
 def as_state(v) -> np.ndarray:
@@ -241,9 +249,10 @@ class Propagator:
     where an exponent product lam t or mu t leaves the float range, raises
     NumericError without a numpy warning first.
 
-    horizon, positive and finite, is the latest time the propagator is
-    asked for: a time outside [0, horizon] is refused with a ValueError, and
-    a non-finite one with NumericError.  A
+    horizon, a positive finite real (`check_positive`), is the latest time
+    the propagator is asked for: a time that is not a real number, or lies
+    outside [0, horizon], is refused with a ValueError, and a non-finite one
+    with NumericError.  A
     generator of dimension KRYLOV_MIN_DIM or more is first reduced to the
     Krylov space of v0 (`_reduce`) when g is real and v0 real up to one
     phase: `arnoldi`'s basis Q of k columns, with H_k = Q^T g Q, k far below
@@ -266,8 +275,7 @@ class Propagator:
         self.v0 = as_state(v0)
         if self.v0.shape[0] != self.dim:
             raise DimensionError(f"state dim {self.v0.shape[0]} != operator dim {self.dim}")
-        if not 0 < horizon < math.inf:
-            raise ValueError(f"horizon must be positive and finite, not {horizon!r}")
+        check_positive("horizon", horizon)
         self.horizon = horizon
         if self.dim < KRYLOV_MIN_DIM or not self._reduce(horizon):
             lam, vecs = np.linalg.eig(self.g)
@@ -360,6 +368,8 @@ class Propagator:
         return False
 
     def _check_times(self, lo: float, hi: float) -> None:
+        if not (is_real(lo) and is_real(hi)):
+            raise ValueError(f"times [{lo!r}, {hi!r}] must be real numbers")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise NumericError(f"times [{lo!r}, {hi!r}] must be finite")
         if not 0.0 <= lo <= hi <= self.horizon:
@@ -408,12 +418,12 @@ class Propagator:
         lands within 2.5e-15 T of the maximum on the protocol's pinned steps,
         where comparisons of f resolve it only to about sqrt(eps).  Where f'
         does not fall from positive to negative, the end with the larger f is
-        returned.  A bracket outside the horizon, or a tol that is not
-        positive and finite, raises ValueError, and a non-finite f, f' or f''
-        NumericError, without a numpy warning first.
+        returned.  A bracket outside the horizon, or a tol that is not a
+        positive finite real (`check_positive`), raises ValueError, and a
+        non-finite f, f' or f'' NumericError, without a numpy warning first.
         """
         self._check_times(lo, hi)
-        _check_tol(tol)
+        check_positive("search tolerance tol", tol)
         evaluate = self._slope(index, weights)
         # an amplitude, or lam or lam^2 times it, past the float range: NumericError
         with np.errstate(over="ignore", invalid="ignore"):
@@ -476,7 +486,7 @@ class Propagator:
         grid.  A non-finite population raises NumericError without a numpy
         warning first.
         """
-        if n < 2:
+        if not (is_int(n) and n >= 2):
             raise DimensionError(f"population needs a grid of at least 2 times, not {n!r}")
         self._check_times(0.0, t_end)
         dt = t_end / (n - 1)
@@ -532,22 +542,17 @@ class Propagator:
         return a.conj() @ factors @ a.T
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < math.inf:
-        raise ValueError(f"search tolerance tol must be positive and finite, not {tol!r}")
-
-
 def golden_section_max(f, lo: float, hi: float, tol: float) -> float:
     """Golden-section maximization of a unimodal f on [lo, hi].
 
     Returns the argmax. tol is the absolute tolerance on the abscissa,
-    positive and finite, or ValueError is raised before f is evaluated.
+    a positive finite real (`check_positive`), or ValueError is raised
+    before f is evaluated.
     """
-    _check_tol(tol)
+    check_positive("search tolerance tol", tol)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = f(c), f(d)
     while (b - a) > tol:
         if fc > fd:

@@ -68,7 +68,7 @@ from .dissipative import (
     readout_drive,
     source_drive,
 )
-from .linalg import Propagator, all_finite, norm_sq, overlap
+from .linalg import Propagator, all_finite, check_positive, norm_sq, overlap
 
 HERALD_FLOOR = 1e-15
 
@@ -238,11 +238,10 @@ def _evolve(model: _Model, T: float, prop: Propagator | None = None) -> StepResu
     channel's loss from one integrated density, and herald.
 
     prop propagates the model's input under its generator to a horizon of
-    at least T; by default it is built here, with horizon T, once T is
-    checked to lie in (0, inf).
+    at least T; by default it is built here, with horizon T.  A T given to
+    an entry point is checked there (`linalg.check_positive`), before its
+    model is built.
     """
-    if not 0 < T < math.inf:
-        raise ProtocolError(f"evolution time T must be positive and finite, not {T!r}")
     if prop is None:
         prop = Propagator(model.g, model.psi0, T)
     integrals = prop.integrated_expectation(model.ops, T)
@@ -271,10 +270,12 @@ def run_step(
 
     The input state (storage-only, sector m-1; on the approximate chain its
     one amplitude) defaults to the goal of the previous sector.  T defaults
-    to the transfer-optimal time.
+    to the transfer-optimal time; a given T must be a positive finite real
+    (`linalg.check_positive`).
     """
     if T is None:
         T = optimal_time(p)
+    check_positive("evolution time T", T)
     return _evolve(_model(p, mode, input_target_state), T)
 
 
@@ -311,8 +312,9 @@ def run_step_continuous_drive(
 
     With the default omega = sqrt(2/3) sqrt(2N) gamma_g the five-state chain
     has perfect-transfer couplings and the herald population peaks at
-    T = 2 pi / omega.  For other omega the herald population is maximized
-    numerically: a scan of [0, t_hi], t_hi = 6 pi / min(omega, g), on
+    T = 2 pi / omega.  A given omega or T must be a positive finite real
+    (`linalg.check_positive`).  For other omega the herald population is
+    maximized numerically: a scan of [0, t_hi], t_hi = 6 pi / min(omega, g), on
     max(1201, 40 t_hi omega / 2 pi) uniform times
     (`Propagator.population`) picks the largest grid point, and
     `Propagator.peak_time` finds the root of the population's closed-form
@@ -331,8 +333,9 @@ def run_step_continuous_drive(
     omega_opt = math.sqrt(2.0 / 3.0) * g
     if omega is None:
         omega = omega_opt
-    if not 0 < omega < math.inf:
-        raise ProtocolError(f"drive strength omega must be positive and finite, not {omega!r}")
+    check_positive("drive strength omega", omega)
+    if T is not None:
+        check_positive("evolution time T", T)
     p = DissipativeParams.from_purcell(N, m, p1d)
     model = _model(p, HPMode.APPROX, with_drive=True)
     drive = model.basis.memo(matrix_from_action, source_drive, readout_drive).at(N).matrix.sum(0)

@@ -17,6 +17,7 @@ from wgherald.basis import (
     BasisLabel,
     BasisSet,
     HPMode,
+    _build_basis,
     build_basis,
     goal_amplitudes,
     goal_state,
@@ -88,6 +89,20 @@ def test_basis_rejections():
         build_basis(0, HPMode.APPROX)
     with pytest.raises(BasisError):
         build_basis(1, HPMode.EXACT, with_drive=True)
+
+
+@pytest.mark.parametrize("m, mode", [(2.0, HPMode.APPROX), (True, HPMode.APPROX),
+                                     (2, "hp-exact"), (2, None)])
+def test_build_basis_refuses_a_bad_key_before_the_cache(m, mode):
+    # a float or bool m keyed the same cache entry as the int, and a string
+    # mode built a chain labelled with the string: each is refused before
+    # the cache is consulted, so the int's basis stays the int's
+    good = build_basis(2, HPMode.APPROX)
+    before = _build_basis.cache_info().currsize
+    with pytest.raises(BasisError):
+        build_basis(m, mode)
+    assert _build_basis.cache_info().currsize == before
+    assert build_basis(2, HPMode.APPROX) is good and type(good.m) is int
 
 
 def test_every_call_form_shares_one_cached_basis():

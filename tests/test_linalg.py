@@ -9,7 +9,7 @@ import scipy.integrate
 import scipy.linalg
 
 from oracles import decay_generator_max_eig, rk4_evolve
-from wgherald import linalg
+from wgherald import basis, linalg
 from wgherald.bandgap import BandgapParams, _products, build_H_bandgap, compensate
 from wgherald.basis import HPMode
 from wgherald.dissipative import DissipativeParams, optimal_time
@@ -25,7 +25,7 @@ from wgherald.linalg import (
     norm_sq,
     overlap,
 )
-from wgherald.protocol import _model
+from wgherald.protocol import _model, run_step, run_step_continuous_drive
 
 
 def random_decaying_h(rng, dim):
@@ -562,6 +562,49 @@ def test_queries_outside_the_horizon_are_refused():
     for horizon in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="horizon"):
             Propagator(np.zeros((2, 2)), np.ones(2), horizon=horizon)
+
+
+def test_times_and_grid_counts_must_be_numbers():
+    # a bool time ran at t = 1 and a string failed in math.isfinite; a
+    # fractional grid count failed inside exp_sums with a bare TypeError
+    prop = Propagator(-np.eye(2), np.ones(2), horizon=1.5)
+    for t in (True, np.True_, "1", 1 + 0j):
+        with pytest.raises(ValueError, match="must be real numbers"):
+            prop.apply(t)
+        with pytest.raises(ValueError, match="must be real numbers"):
+            prop.population(t, 3, [0])
+    for n in (2.5, 3.0, True, "3"):
+        with pytest.raises(DimensionError, match="grid of at least 2 times"):
+            prop.population(1.0, n, [0])
+    assert prop.population(np.float64(1.0), np.int64(3), [0]).shape == (3,)
+
+
+# each positive quantity's message name, and a call that passes it a value
+POSITIVE_QUANTITIES = {
+    "run_step T": ("evolution time T",
+                   lambda v: run_step(DissipativeParams.from_purcell(100, 1, 10.0), T=v)),
+    "continuous-drive omega": ("drive strength omega",
+                               lambda v: run_step_continuous_drive(100, 1, 10.0, omega=v)),
+    "Propagator horizon": ("horizon", lambda v: Propagator(-np.eye(2), np.ones(2), v)),
+    "peak_time tol": ("search tolerance tol", lambda v: Propagator(-np.eye(2), np.ones(2), 1.0)
+                      .peak_time(0.0, 1.0, v, [0], np.ones(1))),
+    "golden_section_max tol": ("search tolerance tol",
+                               lambda v: golden_section_max(lambda x: -x * x, -1.0, 1.0, v)),
+    "BandgapParams xi": ("xi", lambda v: BandgapParams(10, v)),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1", 1 + 0j, 0, -1, np.inf, np.nan])
+@pytest.mark.parametrize("quantity", list(POSITIVE_QUANTITIES))
+def test_positive_quantities_take_only_a_positive_finite_real(quantity, value):
+    # one rule, linalg.check_positive: a plain ValueError naming the
+    # quantity, raised before any basis is looked up or built
+    name, call = POSITIVE_QUANTITIES[quantity]
+    before = basis._build_basis.cache_info()
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, not ") as err:
+        call(value)
+    assert err.type is ValueError
+    assert basis._build_basis.cache_info() == before
 
 
 def _arnoldi_case(name):

@@ -19,7 +19,8 @@ from oracles import (
     limit_fixed_ratio,
     stage_sign,
 )
-from wgherald.basis import HPMode, goal_amplitudes, matrix_from_action, stage_frame
+from wgherald.basis import (BasisError, HPMode, _build_basis, goal_amplitudes, matrix_from_action,
+                            stage_frame)
 from wgherald.dissipative import (
     DissipativeParams,
     build_H_coherent,
@@ -81,12 +82,22 @@ def test_step_gamma_s_zero_cannot_herald():
 
 def test_step_rejects_bad_time_and_input():
     p = DissipativeParams(N=100, m=1)
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ValueError, match="evolution time T must be positive and finite"):
         run_step(p, HPMode.APPROX, T=-1.0)
     with pytest.raises(ProtocolError):
         run_step(p, HPMode.EXACT, input_target_state=np.array([2.0]))
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ValueError, match="evolution time T must be positive and finite"):
         run_step_continuous_drive(100, 1, 10.0, T=math.inf)
+
+
+def test_step_refuses_a_mode_that_is_not_an_hpmode():
+    # the mode's string used to build and cache a chain labelled with it,
+    # then fail in an overlap of mismatched shapes
+    p = DissipativeParams.from_purcell(100, 1, 10.0)
+    before = _build_basis.cache_info().currsize
+    with pytest.raises(BasisError, match="HPMode"):
+        run_step(p, mode="hp-exact")
+    assert _build_basis.cache_info().currsize == before
 
 
 def test_approx_input_keeps_its_phase():

@@ -480,7 +480,7 @@ def test_error_cells_keep_every_csv_row_as_wide_as_the_header(tmp_path):
         assert list(row) == list(sweep.COLUMNS) and None not in row.values()
     assert [row["error"] for row in table] == [
         "ValueError: p1d must be positive, not nan",
-        "ProtocolError: evolution time T must be positive and finite, not -inf",
+        "ValueError: evolution time T must be positive and finite, not -inf",
         "ValueError: p1d must be positive, not nan",
         ""]
     last = path.read_text().splitlines()[-1]
